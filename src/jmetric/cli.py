@@ -12,11 +12,10 @@ flags, e.g. "domain=unitdisk"; explicit flags win on conflict.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import JmetricError, ParseError
-from .grammar import format_complex, parse_complex, parse_domain, parse_map
+from .grammar import _to_json, format_complex, parse_complex, parse_domain, parse_map
 from .maps import apply
 from .domains import boundary_distance, j_distance
 from .parallel import default_threads
@@ -109,14 +108,17 @@ class _Options:
             raise ParseError(f"missing required option --{name}", 0)
         return value
 
-    def get_int(self, name, default):
+    def get_int(self, name, default, minimum=None):
         raw = self.get(name)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ParseError(f"--{name} must be an integer, got {raw!r}", 0) from None
+        if minimum is not None and value < minimum:
+            raise ParseError(f"--{name} must be at least {minimum}, got {value!r}", 0)
+        return value
 
     def get_float(self, name, default):
         raw = self.get(name)
@@ -153,14 +155,13 @@ def _cmd_dist(opt: _Options) -> int:
     style = opt.output("plain")
     if style == "json":
         print(
-            json.dumps(
+            _to_json(
                 {
                     "domain": opt.require("domain"),
                     "z": format_complex(z),
                     "w": format_complex(w),
                     "j_distance": value,
-                },
-                separators=(",", ":"),
+                }
             )
         )
     elif style == "plain":
@@ -181,13 +182,12 @@ def _cmd_map_eval(opt: _Options) -> int:
     style = opt.output("plain")
     if style == "json":
         print(
-            json.dumps(
+            _to_json(
                 {
                     "map": opt.require("map"),
                     "z": format_complex(z),
                     "value": format_complex(value),
-                },
-                separators=(",", ":"),
+                }
             )
         )
     elif style == "plain":
@@ -210,9 +210,9 @@ def _report_plain(report) -> str:
 
 def _cmd_verify(opt: _Options) -> int:
     suite = opt.require("suite")
-    samples = opt.get_int("samples", 10_000)
+    samples = opt.get_int("samples", 10_000, minimum=1)
     seed = opt.get_int("seed", 0)
-    threads = opt.get_int("threads", default_threads())
+    threads = opt.get_int("threads", default_threads(), minimum=1)
     if suite == "all":
         reports = run_all_suites(samples, seed, threads)
     elif suite in SUITE_NAMES:
@@ -249,7 +249,7 @@ def _cmd_search(opt: _Options) -> int:
         refine_rounds=opt.get_int("rounds", 60),
         seed=opt.get_int("seed", 0),
     )
-    threads = opt.get_int("threads", default_threads())
+    threads = opt.get_int("threads", default_threads(), minimum=1)
     report = estimate_lipschitz(src, m, cfg, threads=threads, dst=dst)
     style = opt.output("json")
     if style == "json":
@@ -281,14 +281,13 @@ def _cmd_extremal(opt: _Options) -> int:
         sys.stdout.write(sweep_to_csv(rows))
     elif style == "json":
         body = ",".join(
-            json.dumps(
+            _to_json(
                 {
                     "t": r.t,
                     "closed_form": r.closed_form,
                     "measured": r.measured,
                     "abs_rel_gap": r.abs_rel_gap,
-                },
-                separators=(",", ":"),
+                }
             )
             for r in rows
         )
@@ -306,7 +305,7 @@ def _cmd_bounds(opt: _Options) -> int:
     lo, hi = cstar_bounds(a_mod)
     style = opt.output("plain")
     if style == "json":
-        print(json.dumps({"lower": lo, "upper": hi}, separators=(",", ":")))
+        print(_to_json({"lower": lo, "upper": hi}))
     elif style == "plain":
         print(f"{_fmt9(lo)} {_fmt9(hi)}")
     else:

@@ -12,6 +12,7 @@ self-maps of the disk and the half-plane.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,16 +34,10 @@ __all__ = [
 NORMAL_UNIT_TOL = 1e-12
 
 
-def _require_finite_complex(value, label: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{label} must have finite coordinates, got {z!r}")
-    return z
-
-
-def _require_finite_real(value, label: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
+def _require_finite(value, label: str, kind=complex):
+    """value converted by kind (complex or float); DomainError unless finite."""
+    x = kind(value)
+    if not cmath.isfinite(x):
         raise DomainError(f"{label} must be finite, got {x!r}")
     return x
 
@@ -55,6 +50,10 @@ class PlanarDomain:
 @dataclass(frozen=True)
 class UnitDisk(PlanarDomain):
     """Open unit disk |z| < 1."""
+
+    # Class constants, not fields: every disk domain answers .center and .radius.
+    center = 0j
+    radius = 1.0
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class Disk(PlanarDomain):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _require_finite_complex(self.center, "disk center"))
-        object.__setattr__(self, "radius", _require_finite_real(self.radius, "disk radius"))
+        object.__setattr__(self, "center", _require_finite(self.center, "disk center"))
+        object.__setattr__(self, "radius", _require_finite(self.radius, "disk radius", float))
         if self.radius <= 0.0:
             raise DomainError(f"disk radius must be positive, got {self.radius!r}")
 
@@ -87,8 +86,8 @@ class HalfPlane(PlanarDomain):
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", _require_finite_complex(self.normal, "half-plane normal"))
-        object.__setattr__(self, "offset", _require_finite_real(self.offset, "half-plane offset"))
+        object.__setattr__(self, "normal", _require_finite(self.normal, "half-plane normal"))
+        object.__setattr__(self, "offset", _require_finite(self.offset, "half-plane offset", float))
         if abs(abs(self.normal) - 1.0) > NORMAL_UNIT_TOL:
             raise DomainError(f"half-plane normal must be unit length, got |n| = {abs(self.normal)!r}")
 
@@ -121,24 +120,20 @@ def halfplane_frame(domain: PlanarDomain) -> tuple[complex, complex, complex]:
     raise TypeError(f"not a half-plane: {domain!r}")
 
 
-def _finite_point(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def contains(domain: PlanarDomain, z: complex) -> bool:
     """True iff z lies strictly inside the domain.
 
     Points with non-finite coordinates are never inside anything, so NaN
     cannot leak past the interiority preconditions of the metric operations.
     """
-    if not _finite_point(z):
+    if not cmath.isfinite(z):
         return False
     return signed_boundary_offset(domain, z) > 0.0
 
 
 def boundary_distance(domain: PlanarDomain, z: complex) -> float:
     """Euclidean distance from an interior point to the boundary."""
-    if not _finite_point(z):
+    if not cmath.isfinite(z):
         raise PointOutsideDomain(f"{z!r} has non-finite coordinates")
     off = signed_boundary_offset(domain, z)
     if off <= 0.0:
@@ -168,6 +163,6 @@ def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
 
 def pseudo_hyperbolic_halfplane(z: complex, w: complex) -> float:
     """|(z - w) / (z - conj(w))| for two points of the upper half-plane."""
-    if not (_finite_point(z) and _finite_point(w) and z.imag > 0.0 and w.imag > 0.0):
+    if not (cmath.isfinite(z) and cmath.isfinite(w) and z.imag > 0.0 and w.imag > 0.0):
         raise PointOutsideDomain("pseudo_hyperbolic_halfplane needs points with Im > 0")
     return abs((z - w) / (z - w.conjugate()))

@@ -17,6 +17,7 @@ parse(format(x)) always reproduces x.
 
 from __future__ import annotations
 
+import json
 import re
 
 from .domains import Disk, HalfPlane, PlanarDomain, UnitDisk, UpperHalfPlane
@@ -32,6 +33,13 @@ __all__ = [
     "parse_map",
     "format_map",
 ]
+
+
+def _to_json(payload) -> str:
+    """Compact JSON for every report; a non-finite float raises ValueError
+    rather than printing as Infinity or NaN, which are not JSON."""
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False)
+
 
 _SIGNED_REAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _UNSIGNED_REAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")

@@ -20,6 +20,7 @@ from .domains import (
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
+    _require_finite,
     contains,
     halfplane_frame,
     signed_boundary_offset,
@@ -58,20 +59,6 @@ BLASCHKE_ZERO_BOUND = 1.0 - 1e-12
 IMAGE_AMBIGUITY_TOL = 1e-12
 
 
-def _finite_complex(value, label: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{label} must be finite, got {z!r}")
-    return z
-
-
-def _finite_real(value, label: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise DomainError(f"{label} must be finite, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class MapExpr:
     """Base tag for the map variants below."""
@@ -88,7 +75,7 @@ class Mobius(MapExpr):
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _finite_complex(getattr(self, name), f"Mobius.{name}"))
+            object.__setattr__(self, name, _require_finite(getattr(self, name), f"Mobius.{name}"))
         if abs(self.determinant()) <= MOBIUS_DEGENERACY_TOL:
             raise DomainError(f"degenerate Mobius map, |ad - bc| = {abs(self.determinant())!r}")
 
@@ -108,8 +95,8 @@ class Blaschke(MapExpr):
     zeros: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", _finite_real(self.rotation, "Blaschke.rotation"))
-        zeros = tuple(_finite_complex(z, "Blaschke zero") for z in self.zeros)
+        object.__setattr__(self, "rotation", _require_finite(self.rotation, "Blaschke.rotation", float))
+        zeros = tuple(_require_finite(z, "Blaschke zero") for z in self.zeros)
         object.__setattr__(self, "zeros", zeros)
         for z in zeros:
             if abs(z) > BLASCHKE_ZERO_BOUND:
@@ -124,8 +111,8 @@ class Extremal(MapExpr):
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _finite_real(self.a, "Extremal.a"))
-        object.__setattr__(self, "b", _finite_real(self.b, "Extremal.b"))
+        object.__setattr__(self, "a", _require_finite(self.a, "Extremal.a", float))
+        object.__setattr__(self, "b", _require_finite(self.b, "Extremal.b", float))
 
 
 @dataclass(frozen=True)
@@ -304,7 +291,7 @@ def _line_through(q1: complex, q2: complex, witness: complex) -> PlanarDomain:
 
 
 def _disk_boundary_triple(domain: Disk | UnitDisk, avoid: complex | None) -> tuple[complex, complex, complex]:
-    center, radius = (0j, 1.0) if isinstance(domain, UnitDisk) else (domain.center, domain.radius)
+    center, radius = domain.center, domain.radius
     for base in (0.0, 0.4, 0.9, 1.3):
         pts = tuple(center + radius * cmath.exp(1j * (base + k * 2.0 * math.pi / 3.0)) for k in range(3))
         if avoid is None or min(abs(p - avoid) for p in pts) >= 1e-3 * radius:
@@ -333,8 +320,7 @@ def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
         # Affine map: no finite pole.  Disks map to disks with the same
         # center image; half-planes map to half-planes.
         if is_disk:
-            center, radius = (0j, 1.0) if isinstance(domain, UnitDisk) else (domain.center, domain.radius)
-            return _canonical_disk(apply(m, center), abs(m.a / m.d) * radius)
+            return _canonical_disk(apply(m, domain.center), abs(m.a / m.d) * domain.radius)
         base, tangent, normal = halfplane_frame(domain)
         q1 = apply(m, base)
         q2 = apply(m, base + tangent)
@@ -352,7 +338,7 @@ def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
         )
 
     if is_disk:
-        center, radius = (0j, 1.0) if isinstance(domain, UnitDisk) else (domain.center, domain.radius)
+        center, radius = domain.center, domain.radius
         witness_src = center if abs(center - pole) >= POLE_FLOOR else center + 0.5 * radius
         witness = apply(m, witness_src)
         if sigma == 0.0:

@@ -18,11 +18,18 @@ from .domains import (
     halfplane_frame,
     signed_boundary_offset,
 )
+from .errors import DomainError
 
 __all__ = ["substream", "Uniforms", "sample_interior", "sample_interior_pair"]
 
 # Extent of the sampling box used for the unbounded half-plane domains.
 HALFPLANE_SPAN = 100.0
+
+# Draws a rejection loop may take before it raises DomainError.  Every loop
+# in the package accepts a draw with probability well above 1e-2 for the
+# margins and separations it is used with, so only inputs that leave
+# (almost) nothing to accept exhaust it.
+REJECTION_TRIES = 10_000
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -72,16 +79,17 @@ def sample_interior(
     `margin` above the boundary line.
     """
     if isinstance(domain, (UnitDisk, Disk)):
-        if isinstance(domain, UnitDisk):
-            cx, cy, r = 0.0, 0.0, 1.0
-        else:
-            cx, cy, r = domain.center.real, domain.center.imag, domain.radius
+        cx, cy, r = domain.center.real, domain.center.imag, domain.radius
         if margin >= r:
             raise ValueError(f"margin {margin!r} leaves no interior in radius {r!r}")
+        tries = 0
         while True:
             z = complex(u.uniform(cx - r, cx + r), u.uniform(cy - r, cy + r))
             if signed_boundary_offset(domain, z) >= margin:
                 return z
+            tries += 1
+            if tries == REJECTION_TRIES:
+                raise DomainError(f"no point of {domain!r} at margin {margin!r} in {tries} draws")
     base, tangent, normal = halfplane_frame(domain)
     t = u.uniform(-span, span)
     h = u.uniform(margin, span)
@@ -97,7 +105,11 @@ def sample_interior_pair(
 ) -> tuple[complex, complex]:
     """Two interior points at least `separation` apart."""
     z = sample_interior(domain, u, margin, span)
-    while True:
+    w = sample_interior(domain, u, margin, span)
+    tries = 1
+    while abs(z - w) < separation:
+        if tries == REJECTION_TRIES:
+            raise DomainError(f"no point {separation!r} away from {z!r} in {tries} draws")
         w = sample_interior(domain, u, margin, span)
-        if abs(z - w) >= separation:
-            return z, w
+        tries += 1
+    return z, w

@@ -10,7 +10,6 @@ finite search can certify an upper bound; the ceiling 2 comes from theory.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .domains import (
     halfplane_frame,
 )
 from .errors import DomainError, JmetricError, SelfMapViolation
-from .grammar import format_complex
+from .grammar import _to_json, format_complex
 from .maps import (
     Extremal,
     MapExpr,
@@ -74,6 +73,8 @@ class SearchConfig:
             raise DomainError("separation_floor must be positive")
         if self.grid_per_axis < 2:
             raise DomainError("grid_per_axis must be at least 2")
+        if self.refine_rounds < 0 or self.refine_seeds < 0:
+            raise DomainError("refine_rounds and refine_seeds must be nonnegative")
         if not 0.0 < self.shrink_factor < 1.0:
             raise DomainError("shrink_factor must be in (0, 1)")
 
@@ -91,7 +92,7 @@ class SearchReport:
 
     def to_json(self) -> str:
         cfg = self.config
-        return json.dumps(
+        return _to_json(
             {
                 "best_ratio": self.best_ratio,
                 "witness_z": format_complex(self.witness_z),
@@ -109,8 +110,7 @@ class SearchReport:
                 "lower_bound_claim": self.lower_bound_claim,
                 "theoretical_ceiling": self.theoretical_ceiling,
                 "cstar_interval": list(self.cstar_interval) if self.cstar_interval else None,
-            },
-            separators=(",", ":"),
+            }
         )
 
 
@@ -158,10 +158,9 @@ class _Region:
         n = cfg.grid_per_axis
         if isinstance(domain, (UnitDisk, Disk)):
             self.kind = "disk"
-            center, radius = (0j, 1.0) if isinstance(domain, UnitDisk) else (domain.center, domain.radius)
-            if self.margin >= radius:
+            if self.margin >= domain.radius:
                 raise DomainError("boundary_margin leaves no interior to search")
-            self.cx, self.cy, self.reach = center.real, center.imag, radius - self.margin
+            self.cx, self.cy, self.reach = domain.center.real, domain.center.imag, domain.radius - self.margin
             lo_x, hi_x = self.cx - self.reach, self.cx + self.reach
             lo_y, hi_y = self.cy - self.reach, self.cy + self.reach
             self.ax = [lo_x + i * (hi_x - lo_x) / (n - 1) for i in range(n)]
@@ -271,12 +270,6 @@ def _refine(src, dst, m, region, cfg, coords, value):
     return best, tuple(coords), evals
 
 
-def _is_unit_disk(domain: PlanarDomain) -> bool:
-    if isinstance(domain, UnitDisk):
-        return True
-    return isinstance(domain, Disk) and domain.center == 0j and domain.radius == 1.0
-
-
 def estimate_lipschitz(
     src: PlanarDomain,
     m: MapExpr,
@@ -371,7 +364,7 @@ def estimate_lipschitz(
     witness_z = region.point(best_coords[0], best_coords[1])
     witness_w = region.point(best_coords[2], best_coords[3])
     cstar = None
-    if dst == src and _is_unit_disk(src):
+    if dst == src and isinstance(src, (UnitDisk, Disk)) and (src.center, src.radius) == (0j, 1.0):
         cstar = (1.0 + abs(apply(m, 0j)), 2.0)
     return SearchReport(
         best_ratio=best,

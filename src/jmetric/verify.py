@@ -9,14 +9,22 @@ magnitude scale); the unbounded inequality chains track slack relative to
 the dominating side.
 
 Samples whose image points are numerically boundary-coincident (computed
-boundary distance below 1e-9 relative to the image magnitude) cannot be
-evaluated meaningfully in floating point and are skipped; the skip count is
-kept on the report.
+boundary distance below 1e-9 relative to the image magnitude) or not finite
+cannot be evaluated meaningfully in floating point and are skipped; the skip
+count is kept on the report, and a run that skipped every sample fails.
+
+Every suite is one row (kernel, tolerance, margin convention) of the
+``_SUITES`` table; the kernel maps (seed, chunk index, count) to that
+chunk's (worst margin, witness, skip count).  ``_suite(trial, keys, ...)``
+builds the row from a trial, which draws one sample from the chunk's Philox
+substream and returns (margin, values), or None to skip it; ``keys`` names
+the witness entry of each value, formatted only when a sample sets a new
+worst margin.  To add a suite, write its trial and add a row.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +40,7 @@ from .domains import (
     signed_boundary_offset,
 )
 from .errors import CoincidentPoints, DomainError, PoleEncountered, PointOutsideDomain
-from .grammar import format_complex, format_domain, format_map
+from .grammar import _to_json, format_complex, format_domain, format_map
 from .maps import (
     Blaschke,
     Compose,
@@ -44,7 +52,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .sampling import Uniforms, sample_interior, sample_interior_pair, substream
+from .sampling import REJECTION_TRIES, Uniforms, sample_interior, sample_interior_pair, substream
 
 __all__ = [
     "CheckReport",
@@ -81,6 +89,9 @@ IMAGE_TRUST = 1e-9
 
 _CHUNK = 4096
 
+_HALF = UpperHalfPlane()
+_DISK = UnitDisk()
+
 
 # ---------------------------------------------------------------------------
 # Scalar checks
@@ -99,31 +110,39 @@ def check_identity_disk(x: complex, y: complex) -> float:
     return lhs - rhs
 
 
+def _sp_slack(distance, z: complex, w: complex, fz: complex, fw: complex) -> float:
+    return distance(z, w) - distance(fz, fw)
+
+
+def _sp_equality(distance, z: complex, w: complex, fz: complex, fw: complex) -> float:
+    return -abs(_sp_slack(distance, z, w, fz, fw))
+
+
 def check_schwarz_pick_halfplane(m: MapExpr, z: complex, w: complex) -> float:
     """Contraction slack of the half-plane pseudo-hyperbolic distance.
 
     Nonnegative for every holomorphic self-map of the upper half-plane;
     the caller is responsible for m actually being one.
     """
-    fz = apply(m, z)
-    fw = apply(m, w)
-    return pseudo_hyperbolic_halfplane(z, w) - pseudo_hyperbolic_halfplane(fz, fw)
+    return _sp_slack(pseudo_hyperbolic_halfplane, z, w, apply(m, z), apply(m, w))
 
 
 def check_schwarz_pick_disk(m: MapExpr, z: complex, w: complex) -> float:
     """Contraction slack of the disk pseudo-hyperbolic distance."""
-    fz = apply(m, z)
-    fw = apply(m, w)
-    return pseudo_hyperbolic_disk(z, w) - pseudo_hyperbolic_disk(fz, fw)
+    return _sp_slack(pseudo_hyperbolic_disk, z, w, apply(m, z), apply(m, w))
 
 
-def _step_1_2_sides(m: MapExpr, z: complex, w: complex) -> tuple[float, float]:
-    if z.imag <= 0.0 or w.imag <= 0.0:
-        raise PointOutsideDomain("points must lie in the upper half-plane")
+def _images_inside(domain: PlanarDomain, m: MapExpr, z: complex, w: complex) -> tuple[complex, complex]:
+    if signed_boundary_offset(domain, z) <= 0.0 or signed_boundary_offset(domain, w) <= 0.0:
+        raise PointOutsideDomain(f"points must lie in {format_domain(domain)}")
     fz = apply(m, z)
     fw = apply(m, w)
-    if fz.imag <= 0.0 or fw.imag <= 0.0:
-        raise PointOutsideDomain("image points left the upper half-plane")
+    if signed_boundary_offset(domain, fz) <= 0.0 or signed_boundary_offset(domain, fw) <= 0.0:
+        raise PointOutsideDomain(f"image points left {format_domain(domain)}")
+    return fz, fw
+
+
+def _step_1_2_sides(z: complex, w: complex, fz: complex, fw: complex) -> tuple[float, float]:
     s = z.imag if z.imag <= w.imag else w.imag
     big_s = fz.imag if fz.imag <= fw.imag else fw.imag
     lhs = abs(fz - fw) / big_s
@@ -134,17 +153,11 @@ def _step_1_2_sides(m: MapExpr, z: complex, w: complex) -> tuple[float, float]:
 def check_step_1_2(m: MapExpr, z: complex, w: complex) -> float:
     """Slack of |f(z)-f(w)|/S <= (|z-w|/s) sqrt(1 + |f(z)-f(w)|/S) on the
     half-plane, with s, S the smaller source/image heights."""
-    lhs, rhs = _step_1_2_sides(m, z, w)
+    lhs, rhs = _step_1_2_sides(z, w, *_images_inside(_HALF, m, z, w))
     return rhs - lhs
 
 
-def _step_2_2_sides(m: MapExpr, z: complex, w: complex) -> tuple[float, float]:
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
-        raise PointOutsideDomain("points must lie in the unit disk")
-    fz = apply(m, z)
-    fw = apply(m, w)
-    if abs(fz) >= 1.0 or abs(fw) >= 1.0:
-        raise PointOutsideDomain("image points left the unit disk")
+def _step_2_2_sides(z: complex, w: complex, fz: complex, fw: complex) -> tuple[float, float]:
     if abs(fz) < abs(fw):
         fz, fw = fw, fz
     r = max(abs(z), abs(w))
@@ -156,8 +169,13 @@ def _step_2_2_sides(m: MapExpr, z: complex, w: complex) -> tuple[float, float]:
 def check_step_2_2(m: MapExpr, z: complex, w: complex) -> float:
     """Slack of the disk analogue, with the points labeled so the image of
     the first has the larger modulus and r = max(|z|, |w|)."""
-    lhs, rhs = _step_2_2_sides(m, z, w)
+    lhs, rhs = _step_2_2_sides(z, w, *_images_inside(_DISK, m, z, w))
     return rhs - lhs
+
+
+def _relative_slack(sides, z: complex, w: complex, fz: complex, fw: complex) -> float:
+    lhs, rhs = sides(z, w, fz, fw)
+    return (rhs - lhs) / max(1.0, rhs)
 
 
 def check_bound_2_3(m: MapExpr, z: complex) -> float:
@@ -215,23 +233,31 @@ def check_lipschitz_pair(
     return j_distance(dst, fz, fw) / j_src
 
 
+def _trusted_images(domain: PlanarDomain, m: MapExpr, z: complex, w: complex):
+    """(f(z), f(w)), or None on a pole hit or an image that is not finite
+    or lies within IMAGE_TRUST * (1 + |f|) of the domain boundary."""
+    try:
+        images = apply(m, z), apply(m, w)
+        for f in images:
+            # A non-finite image has an inf or nan size, which no finite offset meets.
+            if not IMAGE_TRUST * (1.0 + abs(f)) <= signed_boundary_offset(domain, f) < math.inf:
+                return None
+    except (PoleEncountered, OverflowError):  # abs() overflows above ~1.3e308 per coordinate
+        return None
+    return images
+
+
 def guarded_ratio(
     src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: complex, w: complex
 ) -> float | None:
     """check_lipschitz_pair, or None when the evaluation is untrustworthy.
 
-    None covers pole hits, coincident points, source points outside src, and
-    image points whose computed boundary distance falls below the rounding
-    trust floor.
+    None covers pole hits, coincident points, source points outside src,
+    non-finite images or ratios, and image points whose computed boundary
+    distance falls below the rounding trust floor.
     """
-    try:
-        fz = apply(m, z)
-        fw = apply(m, w)
-    except PoleEncountered:
-        return None
-    if signed_boundary_offset(dst, fz) < IMAGE_TRUST * (1.0 + abs(fz)):
-        return None
-    if signed_boundary_offset(dst, fw) < IMAGE_TRUST * (1.0 + abs(fw)):
+    images = _trusted_images(dst, m, z, w)
+    if images is None:
         return None
     try:
         j_src = j_distance(src, z, w)
@@ -239,7 +265,9 @@ def guarded_ratio(
         return None
     if j_src == 0.0:
         return None
-    return j_distance(dst, fz, fw) / j_src
+    fz, fw = images
+    ratio = j_distance(dst, fz, fw) / j_src
+    return ratio if math.isfinite(ratio) else None
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +298,14 @@ def random_disk_map(u: Uniforms) -> MapExpr:
 def random_halfplane_mobius(u: Uniforms) -> Mobius:
     """Real coefficients with determinant >= 0.1: an automorphism of the
     upper half-plane."""
-    while True:
+    for _ in range(REJECTION_TRIES):
         a = u.uniform(-2.0, 2.0)
         b = u.uniform(-2.0, 2.0)
         c = u.uniform(-2.0, 2.0)
         d = u.uniform(-2.0, 2.0)
         if a * d - b * c >= 0.1:
             return Mobius(a, b, c, d)
+    raise DomainError(f"no half-plane Moebius map with determinant >= 0.1 in {REJECTION_TRIES} draws")
 
 
 def random_extremal(u: Uniforms) -> Extremal:
@@ -297,13 +326,17 @@ def random_halfplane_map(u: Uniforms) -> MapExpr:
 
 
 # ---------------------------------------------------------------------------
-# Reports and the chunked suite engine
+# Reports, the suite table and its chunk fold
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one randomized suite run."""
+    """Outcome of one randomized suite run.
+
+    worst_margin stays +inf, and the JSON carries null, when every sample
+    was skipped; such a run does not pass.
+    """
 
     suite: str
     samples: int
@@ -315,271 +348,171 @@ class CheckReport:
     skipped: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _to_json(
             {
                 "suite": self.suite,
                 "samples": self.samples,
                 "seed": self.seed,
                 "passed": self.passed,
-                "worst_margin": self.worst_margin,
+                "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
                 "worst_witness": self.worst_witness,
-            },
-            separators=(",", ":"),
+            }
         )
 
 
-def _merge_chunks(results) -> tuple[float, dict, int]:
-    worst = math.inf
-    witness: dict = {}
-    skipped = 0
-    for margin, wit, skip in results:
+def _report(suite, samples, seed, chunks, tolerance, convention) -> CheckReport:
+    """Fold per-chunk (worst, witness, skipped) results, in chunk order."""
+    worst, witness, skipped = math.inf, {}, 0
+    for margin, wit, skip in chunks:
         skipped += skip
         if margin < worst:
-            worst = margin
-            witness = wit
+            worst, witness = margin, wit
+    passed = skipped < samples and worst >= -tolerance
+    return CheckReport(suite, samples, seed, passed, worst, witness, convention, skipped)
+
+
+def _run_chunked(row, suite, samples, seed, threads) -> CheckReport:
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples!r}")
+    kernel, tolerance, convention = row
+    full, rest = divmod(samples, _CHUNK)
+    sizes = [_CHUNK] * full + ([rest] if rest else [])
+    tasks = [(seed, index, size) for index, size in enumerate(sizes)]
+    return _report(suite, samples, seed, run_ordered(kernel, tasks, threads), tolerance, convention)
+
+
+# Witness formatter by key: maps and domains print in grammar form, c and X
+# stay floats, and every other key holds a complex point.
+_WITNESS_FORMAT = {"map": format_map, "src": format_domain, "dst": format_domain, "c": float, "X": float}
+
+
+def _witness(keys, values) -> dict:
+    return {key: _WITNESS_FORMAT.get(key, format_complex)(value) for key, value in zip(keys, values)}
+
+
+def _fold_chunk(trial, keys, seed, index, count):
+    """Worst margin, its witness and the skip count of one chunk of a suite."""
+    u = Uniforms(substream(seed, index))
+    worst, witness, skipped = math.inf, {}, 0
+    for _ in range(count):
+        sample = trial(u)
+        if sample is None:
+            skipped += 1
+        elif sample[0] < worst:
+            worst = sample[0]
+            witness = _witness(keys, sample[1])
     return worst, witness, skipped
 
 
-def _chunk_sizes(samples: int) -> list[int]:
-    full, rest = divmod(samples, _CHUNK)
-    return [_CHUNK] * full + ([rest] if rest else [])
+def _suite(trial, keys, tolerance, convention="absolute"):
+    """Table row for a suite made of `trial` draws.  The kernel pickles for
+    the pool and carries _fold_chunk's name for tools that label workers."""
+    kernel = functools.update_wrapper(functools.partial(_fold_chunk, trial, keys), _fold_chunk)
+    return kernel, tolerance, convention
 
 
-def _run_chunked(kernel, suite, samples, seed, threads, tolerance, convention) -> CheckReport:
-    sizes = _chunk_sizes(samples)
-    tasks = [(seed, index, size) for index, size in enumerate(sizes)]
-    results = run_ordered(kernel, tasks, threads)
-    worst, witness, skipped = _merge_chunks(results)
-    return CheckReport(
-        suite=suite,
-        samples=samples,
-        seed=seed,
-        passed=bool(worst >= -tolerance),
-        worst_margin=worst,
-        worst_witness=witness,
-        margin_convention=convention,
-        skipped=skipped,
-    )
+_PAIR = ("map", "src", "dst", "z", "w")
 
 
 def _random_cnum(u: Uniforms) -> complex:
     return complex(u.uniform(-8.0, 8.0), u.uniform(-8.0, 8.0))
 
 
-def _kernel_identity_halfplane(seed, index, count):
-    u = Uniforms(substream(seed, index))
-    worst, wit = math.inf, {}
-    for _ in range(count):
-        x = _random_cnum(u)
-        y = _random_cnum(u)
-        scale = 1.0 + abs(x) ** 2 + abs(y) ** 2
-        margin = -abs(check_identity_halfplane(x, y)) / scale
-        if margin < worst:
-            worst, wit = margin, {"x": format_complex(x), "y": format_complex(y)}
-    return worst, wit, 0
+def _trial_identity_halfplane(u):
+    x, y = _random_cnum(u), _random_cnum(u)
+    return -abs(check_identity_halfplane(x, y)) / (1.0 + abs(x) ** 2 + abs(y) ** 2), (x, y)
 
 
-def _kernel_identity_disk(seed, index, count):
-    u = Uniforms(substream(seed, index))
-    worst, wit = math.inf, {}
-    for _ in range(count):
-        x = _random_cnum(u)
-        y = _random_cnum(u)
-        scale = (1.0 + abs(x) ** 2) * (1.0 + abs(y) ** 2)
-        margin = -abs(check_identity_disk(x, y)) / scale
-        if margin < worst:
-            worst, wit = margin, {"x": format_complex(x), "y": format_complex(y)}
-    return worst, wit, 0
+def _trial_identity_disk(u):
+    x, y = _random_cnum(u), _random_cnum(u)
+    return -abs(check_identity_disk(x, y)) / ((1.0 + abs(x) ** 2) * (1.0 + abs(y) ** 2)), (x, y)
 
 
-def _image_trusted(domain: PlanarDomain, fz: complex) -> bool:
-    return signed_boundary_offset(domain, fz) >= IMAGE_TRUST * (1.0 + abs(fz))
+def _trial_images(domain, family, score, u):
+    """A map from `family` and a pair, scored on their trusted images."""
+    m = family(u)
+    z, w = sample_interior_pair(domain, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    images = _trusted_images(domain, m, z, w)
+    if images is None:
+        return None
+    fz, fw = images
+    return score(z, w, fz, fw), (m, z, w)
 
 
-def _sp_margin(kind: str, m: MapExpr, z: complex, w: complex):
-    """Schwarz-Pick slack for one draw, or None if untrustworthy."""
-    domain = UpperHalfPlane() if kind == "halfplane" else UnitDisk()
+def _images_suite(domain, family, score, tolerance, convention="absolute"):
+    trial = functools.partial(_trial_images, domain, family, score)
+    return _suite(trial, ("map", "z", "w"), tolerance, convention)
+
+
+def _trial_bound_2_3(u):
+    m = random_disk_map(u)
+    z = sample_interior(_DISK, u, PAIR_MARGIN)
     try:
-        fz = apply(m, z)
-        fw = apply(m, w)
-    except PoleEncountered:
+        return check_bound_2_3(m, z), (m, z)
+    except (PoleEncountered, DomainError):
         return None
-    if not (_image_trusted(domain, fz) and _image_trusted(domain, fw)):
-        return None
-    if kind == "halfplane":
-        return pseudo_hyperbolic_halfplane(z, w) - pseudo_hyperbolic_halfplane(fz, fw)
-    return pseudo_hyperbolic_disk(z, w) - pseudo_hyperbolic_disk(fz, fw)
 
 
-def _sp_kernel(kind, family, seed, index, count, equality):
-    u = Uniforms(substream(seed, index))
-    domain = UpperHalfPlane() if kind == "halfplane" else UnitDisk()
-    worst, wit, skipped = math.inf, {}, 0
-    for _ in range(count):
-        m = family(u)
-        z, w = sample_interior_pair(domain, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        slack = _sp_margin(kind, m, z, w)
-        if slack is None:
-            skipped += 1
-            continue
-        margin = -abs(slack) if equality else slack
-        if margin < worst:
-            worst = margin
-            wit = {"map": format_map(m), "z": format_complex(z), "w": format_complex(w)}
-    return worst, wit, skipped
+def _trial_g_negativity(u):
+    a_mod = 0.999 * u.next()
+    r = 0.999 * u.next()
+    c = (1.0 + a_mod) / (2.0 * (1.0 + a_mod * r))
+    cap = min(g_threshold_from_modulus(a_mod, r), 1e6)
+    x, tries = cap * u.next(), 1
+    while x <= 0.0:
+        if tries == REJECTION_TRIES:
+            raise DomainError(f"no positive X below {cap!r} in {tries} draws")
+        x, tries = cap * u.next(), tries + 1
+    return -check_g_negativity(c, x), (c, x)
 
 
-def _kernel_sp_halfplane(seed, index, count):
-    return _sp_kernel("halfplane", random_halfplane_map, seed, index, count, False)
+def _trial_lipschitz_pair(u):
+    if u.next() < 0.5:
+        src, m = _HALF, random_halfplane_map(u)
+    else:
+        src, m = _DISK, random_disk_map(u)
+    z, w = sample_interior_pair(src, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    ratio = guarded_ratio(src, src, m, z, w)
+    return None if ratio is None else (2.0 - ratio, (m, src, src, z, w))
 
 
-def _kernel_sp_disk(seed, index, count):
-    return _sp_kernel("disk", random_disk_map, seed, index, count, False)
-
-
-def _kernel_sp_halfplane_equality(seed, index, count):
-    return _sp_kernel("halfplane", random_halfplane_mobius, seed, index, count, True)
-
-
-def _kernel_sp_disk_equality(seed, index, count):
-    return _sp_kernel("disk", random_disk_automorphism, seed, index, count, True)
-
-
-def _kernel_step_1_2(seed, index, count):
-    u = Uniforms(substream(seed, index))
-    domain = UpperHalfPlane()
-    worst, wit, skipped = math.inf, {}, 0
-    for _ in range(count):
-        m = random_halfplane_map(u)
-        z, w = sample_interior_pair(domain, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        try:
-            fz = apply(m, z)
-            fw = apply(m, w)
-        except PoleEncountered:
-            skipped += 1
-            continue
-        if not (_image_trusted(domain, fz) and _image_trusted(domain, fw)):
-            skipped += 1
-            continue
-        lhs, rhs = _step_1_2_sides(m, z, w)
-        margin = (rhs - lhs) / max(1.0, rhs)
-        if margin < worst:
-            worst = margin
-            wit = {"map": format_map(m), "z": format_complex(z), "w": format_complex(w)}
-    return worst, wit, skipped
-
-
-def _kernel_step_2_2(seed, index, count):
-    u = Uniforms(substream(seed, index))
-    domain = UnitDisk()
-    worst, wit, skipped = math.inf, {}, 0
-    for _ in range(count):
-        m = random_disk_map(u)
-        z, w = sample_interior_pair(domain, u, PAIR_MARGIN, PAIR_SEPARATION)
-        try:
-            fz = apply(m, z)
-            fw = apply(m, w)
-        except PoleEncountered:
-            skipped += 1
-            continue
-        if not (_image_trusted(domain, fz) and _image_trusted(domain, fw)):
-            skipped += 1
-            continue
-        lhs, rhs = _step_2_2_sides(m, z, w)
-        margin = (rhs - lhs) / max(1.0, rhs)
-        if margin < worst:
-            worst = margin
-            wit = {"map": format_map(m), "z": format_complex(z), "w": format_complex(w)}
-    return worst, wit, skipped
-
-
-def _kernel_bound_2_3(seed, index, count):
-    u = Uniforms(substream(seed, index))
-    domain = UnitDisk()
-    worst, wit, skipped = math.inf, {}, 0
-    for _ in range(count):
-        m = random_disk_map(u)
-        z = sample_interior(domain, u, PAIR_MARGIN)
-        try:
-            slack = check_bound_2_3(m, z)
-        except (PoleEncountered, DomainError):
-            skipped += 1
-            continue
-        if slack < worst:
-            worst = slack
-            wit = {"map": format_map(m), "z": format_complex(z)}
-    return worst, wit, skipped
-
-
-def _kernel_g_negativity(seed, index, count):
-    u = Uniforms(substream(seed, index))
-    worst, wit = math.inf, {}
-    for _ in range(count):
-        a_mod = 0.999 * u.next()
-        r = 0.999 * u.next()
-        c = (1.0 + a_mod) / (2.0 * (1.0 + a_mod * r))
-        cap = min(g_threshold_from_modulus(a_mod, r), 1e6)
-        x = 0.0
-        while x <= 0.0:
-            x = cap * u.next()
-        margin = -check_g_negativity(c, x)
-        if margin < worst:
-            worst, wit = margin, {"c": c, "X": x}
-    return worst, wit, 0
-
-
-def _kernel_lipschitz_pair(seed, index, count):
-    u = Uniforms(substream(seed, index))
-    disk = UnitDisk()
-    half = UpperHalfPlane()
-    worst, wit, skipped = math.inf, {}, 0
-    for _ in range(count):
-        if u.next() < 0.5:
-            src: PlanarDomain = half
-            m = random_halfplane_map(u)
-        else:
-            src = disk
-            m = random_disk_map(u)
-        z, w = sample_interior_pair(src, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        ratio = guarded_ratio(src, src, m, z, w)
-        if ratio is None:
-            skipped += 1
-            continue
-        margin = 2.0 - ratio
-        if margin < worst:
-            worst = margin
-            wit = {
-                "map": format_map(m),
-                "src": format_domain(src),
-                "dst": format_domain(src),
-                "z": format_complex(z),
-                "w": format_complex(w),
-            }
-    return worst, wit, skipped
-
+_SP_HALF = functools.partial(_sp_slack, pseudo_hyperbolic_halfplane)
+_SP_DISK = functools.partial(_sp_slack, pseudo_hyperbolic_disk)
+_STEP_1_2 = functools.partial(_relative_slack, _step_1_2_sides)
+_STEP_2_2 = functools.partial(_relative_slack, _step_2_2_sides)
 
 _SUITES = {
-    "identity-halfplane": (_kernel_identity_halfplane, 1e-10, "absolute"),
-    "identity-disk": (_kernel_identity_disk, 1e-10, "absolute"),
-    "schwarz-pick-halfplane": (_kernel_sp_halfplane, 1e-12, "absolute"),
-    "schwarz-pick-disk": (_kernel_sp_disk, 1e-12, "absolute"),
-    "step-1-2": (_kernel_step_1_2, 1e-10, "relative"),
-    "step-2-2": (_kernel_step_2_2, 1e-10, "relative"),
-    "bound-2-3": (_kernel_bound_2_3, 1e-10, "absolute"),
-    "g-negativity": (_kernel_g_negativity, 1e-12, "absolute"),
-    "lipschitz-pair": (_kernel_lipschitz_pair, 1e-9, "absolute"),
+    "identity-halfplane": _suite(_trial_identity_halfplane, ("x", "y"), 1e-10),
+    "identity-disk": _suite(_trial_identity_disk, ("x", "y"), 1e-10),
+    "schwarz-pick-halfplane": _images_suite(_HALF, random_halfplane_map, _SP_HALF, 1e-12),
+    "schwarz-pick-disk": _images_suite(_DISK, random_disk_map, _SP_DISK, 1e-12),
+    "step-1-2": _images_suite(_HALF, random_halfplane_map, _STEP_1_2, 1e-10, "relative"),
+    "step-2-2": _images_suite(_DISK, random_disk_map, _STEP_2_2, 1e-10, "relative"),
+    "bound-2-3": _suite(_trial_bound_2_3, ("map", "z"), 1e-10),
+    "g-negativity": _suite(_trial_g_negativity, ("c", "X"), 1e-12),
+    "lipschitz-pair": _suite(_trial_lipschitz_pair, _PAIR, 1e-9),
 }
 
 SUITE_NAMES = tuple(_SUITES)
+
+# Automorphism-only Schwarz-Pick rows scoring -|slack|.
+_EQUALITY = {
+    "halfplane": _images_suite(
+        _HALF, random_halfplane_mobius, functools.partial(_sp_equality, pseudo_hyperbolic_halfplane), 1e-12
+    ),
+    "disk": _images_suite(
+        _DISK, random_disk_automorphism, functools.partial(_sp_equality, pseudo_hyperbolic_disk), 1e-12
+    ),
+}
 
 
 def run_suite(name: str, samples: int = 10_000, seed: int = 0, threads: int = 1) -> CheckReport:
     """Run one named suite; see SUITE_NAMES for the catalog."""
     try:
-        kernel, tolerance, convention = _SUITES[name]
+        row = _SUITES[name]
     except KeyError:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}") from None
-    return _run_chunked(kernel, name, samples, seed, threads, tolerance, convention)
+    return _run_chunked(row, name, samples, seed, threads)
 
 
 def run_all_suites(samples: int = 10_000, seed: int = 0, threads: int = 1) -> list[CheckReport]:
@@ -591,15 +524,11 @@ def run_schwarz_pick_equality(
 ) -> CheckReport:
     """Automorphism-only Schwarz-Pick run scoring -|slack|: passing means the
     contraction is an equality to within 1e-12 on every draw."""
-    if kind == "halfplane":
-        kernel = _kernel_sp_halfplane_equality
-    elif kind == "disk":
-        kernel = _kernel_sp_disk_equality
-    else:
-        raise DomainError(f"kind must be 'halfplane' or 'disk', got {kind!r}")
-    return _run_chunked(
-        kernel, f"schwarz-pick-{kind}-equality", samples, seed, threads, 1e-12, "absolute"
-    )
+    try:
+        row = _EQUALITY[kind]
+    except KeyError:
+        raise DomainError(f"kind must be 'halfplane' or 'disk', got {kind!r}") from None
+    return _run_chunked(row, f"schwarz-pick-{kind}-equality", samples, seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -619,60 +548,44 @@ def _random_image_source_and_mobius(u: Uniforms):
         )
         scale = src.radius
     elif pick < 0.7:
-        src = UpperHalfPlane()
+        src = _HALF
         scale = 1.0
     else:
         phi = 2.0 * math.pi * u.next()
         src = HalfPlane(complex(math.cos(phi), math.sin(phi)), u.uniform(-1.0, 1.0))
         scale = 1.0
-    while True:
+    for _ in range(REJECTION_TRIES):
         coeffs = [complex(u.uniform(-2.0, 2.0), u.uniform(-2.0, 2.0)) for _ in range(4)]
         a, b, c, d = coeffs
-        if abs(a * d - b * c) < 0.3:
-            continue
-        if c == 0:
+        if abs(a * d - b * c) >= 0.3 and (c == 0 or signed_boundary_offset(src, -d / c) <= -0.2 * scale):
             return src, Mobius(a, b, c, d)
-        pole = -d / c
-        if signed_boundary_offset(src, pole) <= -0.2 * scale:
-            return src, Mobius(a, b, c, d)
+    raise DomainError(f"no Moebius map with its pole off {src!r} in {REJECTION_TRIES} draws")
 
 
-def _kernel_ceiling(kind, seed, index, pairs):
+def _ceiling_chunk(kind, seed, index, pairs):
+    """One map's pairs.  The per-pair loop stays at two calls (pair draw and
+    guarded ratio) instead of going through _fold_chunk, whose per-trial
+    call cost 3-11 % per pair on a 2-CPU Xeon."""
     u = Uniforms(substream(seed, index))
     if kind == "halfplane":
-        src: PlanarDomain = UpperHalfPlane()
-        dst: PlanarDomain = src
-        m: MapExpr = random_halfplane_map(u)
+        src, dst, m = _HALF, _HALF, random_halfplane_map(u)
     elif kind == "disk":
-        src = UnitDisk()
-        dst = src
-        m = random_blaschke(u, 4)
+        src, dst, m = _DISK, _DISK, random_blaschke(u, 4)
     elif kind == "mobius-images":
-        if index == 0:
-            src, m = UpperHalfPlane(), _CAYLEY
-        else:
-            src, m = _random_image_source_and_mobius(u)
+        src, m = (_HALF, _CAYLEY) if index == 0 else _random_image_source_and_mobius(u)
         dst = mobius_image_domain(m, src)
     else:
         raise DomainError(f"unknown ceiling kind {kind!r}")
-    worst, wit, skipped = math.inf, {}, 0
+    worst, witness, skipped = math.inf, {}, 0
     for _ in range(pairs):
         z, w = sample_interior_pair(src, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
         ratio = guarded_ratio(src, dst, m, z, w)
         if ratio is None:
             skipped += 1
-            continue
-        margin = 2.0 - ratio
-        if margin < worst:
-            worst = margin
-            wit = {
-                "map": format_map(m),
-                "src": format_domain(src),
-                "dst": format_domain(dst),
-                "z": format_complex(z),
-                "w": format_complex(w),
-            }
-    return worst, wit, skipped
+        elif 2.0 - ratio < worst:
+            worst = 2.0 - ratio
+            witness = _witness(_PAIR, (m, src, dst, z, w))
+    return worst, witness, skipped
 
 
 def lipschitz_ceiling(
@@ -685,16 +598,8 @@ def lipschitz_ceiling(
     "mobius-images" (map 0 is the Cayley map onto the unit disk, the rest are
     seeded Moebius maps evaluated against their computed image domains).
     """
+    if maps < 1 or pairs_per_map < 1:
+        raise DomainError(f"maps and pairs_per_map must be at least 1, got {maps!r} and {pairs_per_map!r}")
     tasks = [(kind, seed, index, pairs_per_map) for index in range(maps)]
-    results = run_ordered(_kernel_ceiling, tasks, threads)
-    worst, witness, skipped = _merge_chunks(results)
-    return CheckReport(
-        suite=f"lipschitz-ceiling-{kind}",
-        samples=maps * pairs_per_map,
-        seed=seed,
-        passed=bool(worst >= -1e-9),
-        worst_margin=worst,
-        worst_witness=witness,
-        margin_convention="absolute",
-        skipped=skipped,
-    )
+    chunks = run_ordered(_ceiling_chunk, tasks, threads)
+    return _report(f"lipschitz-ceiling-{kind}", maps * pairs_per_map, seed, chunks, 1e-9, "absolute")

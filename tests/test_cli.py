@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jmetric.cli import main
 from jmetric.search import extremal_ratio
 import jmetric.verify as verify_module
@@ -135,6 +137,30 @@ class TestVerify:
         payloads = json.loads(out)
         assert sum(1 for p in payloads if not p["passed"]) == 1
 
+    def test_every_sample_skipped_is_a_failure(self, capsys, monkeypatch):
+        import jmetric.verify
+
+        def skip_all(seed, index, count):
+            return float("inf"), {}, count
+
+        monkeypatch.setitem(
+            jmetric.verify._SUITES, "identity-disk", (skip_all, 1e-10, "absolute")
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "identity-disk", "--samples", "10")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["worst_margin"] is None
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--samples", "0"), ("--samples", "-5"), ("--threads", "0")],
+    )
+    def test_counts_below_one_are_exit_2(self, capsys, flags):
+        code, out, _ = run(capsys, "verify", "--suite", "identity-disk", *flags)
+        assert code == 2
+        assert out == ""
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--suite", "schwarz-pick-disk", "--samples", "3000", "--seed", "9")
         _, first, _ = run(capsys, *args)
@@ -178,6 +204,20 @@ class TestSearch:
         )
         assert code == 0
         assert json.loads(out)["best_ratio"] <= 2.0 + 1e-9
+
+    def test_zero_threads_is_exit_2(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--threads", "0"
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_negative_rounds_is_exit_3(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--rounds", "-3"
+        )
+        assert code == 3
+        assert out == ""
 
     def test_plain_output(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,9 @@
 import math
 
+import pytest
+
 from jmetric.domains import Disk, HalfPlane, UnitDisk, UpperHalfPlane, signed_boundary_offset
+from jmetric.errors import DomainError
 from jmetric.sampling import Uniforms, sample_interior, sample_interior_pair, substream
 
 
@@ -43,3 +46,15 @@ def test_pair_separation_floor():
     for _ in range(500):
         z, w = sample_interior_pair(UnitDisk(), u, separation=0.5)
         assert abs(z - w) >= 0.5
+
+
+def test_unreachable_margin_raises_instead_of_spinning():
+    u = Uniforms(substream(17, 0))
+    with pytest.raises(DomainError):
+        sample_interior(UnitDisk(), u, margin=1.0 - 1e-12)
+
+
+def test_unreachable_separation_raises_instead_of_spinning():
+    u = Uniforms(substream(19, 0))
+    with pytest.raises(DomainError):
+        sample_interior_pair(UnitDisk(), u, separation=3.0)

@@ -240,3 +240,13 @@ class TestEstimateLipschitz:
             "shrink_factor",
             "seed",
         }
+
+
+def test_overflowing_image_infeasible():
+    assert ratio_objective(H, H, Mobius(1e300, 0, 0, 1e-10), 1j, 2j) == -math.inf
+
+
+@pytest.mark.parametrize("field", ["refine_rounds", "refine_seeds"])
+def test_negative_refine_counts_rejected(field):
+    with pytest.raises(DomainError):
+        SearchConfig(**{field: -3})

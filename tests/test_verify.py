@@ -9,6 +9,7 @@ from jmetric.maps import Blaschke, Extremal, Mobius, apply
 from jmetric.sampling import Uniforms, sample_interior_pair, substream
 from jmetric.verify import (
     SUITE_NAMES,
+    CheckReport,
     check_bound_2_3,
     check_g_negativity,
     check_identity_disk,
@@ -25,6 +26,7 @@ from jmetric.verify import (
     random_blaschke,
     random_disk_map,
     random_halfplane_map,
+    random_halfplane_mobius,
     run_schwarz_pick_equality,
     run_suite,
 )
@@ -289,3 +291,66 @@ class TestCeilings:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             lipschitz_ceiling("wedge", maps=1, pairs_per_map=1, seed=0)
+
+
+class _Stuck:
+    """A uniform source that returns 0.0 forever."""
+
+    def next(self):
+        return 0.0
+
+    def uniform(self, lo, hi):
+        return lo
+
+
+class TestRobustness:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_suite("identity-disk", 0),
+            lambda: run_suite("identity-disk", -5),
+            lambda: run_schwarz_pick_equality("disk", 0),
+            lambda: lipschitz_ceiling("disk", 0, 10),
+            lambda: lipschitz_ceiling("disk", 2, 0),
+        ],
+    )
+    def test_counts_below_one_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_guarded_ratio_none_when_image_is_infinite(self):
+        assert guarded_ratio(H, H, Mobius(1e300, 0, 0, 1e-10), 1j, 2j) is None
+
+    def test_guarded_ratio_none_when_image_modulus_overflows(self):
+        # f(i) has finite coordinates near 1.7e308 whose modulus is not a float
+        assert guarded_ratio(H, H, Mobius(1.7e298 + 1.7e298j, 0, 0, 1e-10), 1j, 2j) is None
+
+    def test_unevaluated_report_fails_with_null_margin(self):
+        payload = json.loads(CheckReport("s", 1, 0, False, math.inf).to_json())
+        assert payload["worst_margin"] is None
+
+    def test_ceiling_with_every_pair_skipped_fails(self, monkeypatch):
+        import jmetric.verify
+
+        monkeypatch.setattr(jmetric.verify, "guarded_ratio", lambda *args: None)
+        report = lipschitz_ceiling("disk", maps=2, pairs_per_map=50, seed=0)
+        assert report.skipped == 100
+        assert report.passed is False
+        assert json.loads(report.to_json())["worst_margin"] is None
+
+    def test_stuck_draws_raise_in_mobius_family(self):
+        with pytest.raises(DomainError):
+            random_halfplane_mobius(_Stuck())
+
+    def test_stuck_draws_raise_in_image_family(self):
+        from jmetric.verify import _random_image_source_and_mobius
+
+        with pytest.raises(DomainError):
+            _random_image_source_and_mobius(_Stuck())
+
+    def test_stuck_draws_raise_in_g_negativity(self, monkeypatch):
+        import jmetric.verify
+
+        monkeypatch.setattr(jmetric.verify, "Uniforms", lambda rng: _Stuck())
+        with pytest.raises(DomainError):
+            run_suite("g-negativity", samples=10, seed=0)
