@@ -5,14 +5,16 @@ to stdout (plain, json, or csv), diagnostics to stderr.  Exit codes: 0 ok,
 1 a verification suite failed, 2 usage or parse errors, 3 math/domain
 errors such as pole hits or points outside their domain.
 
-A config file (--config) holds flat key=value lines mirroring the long
-flags, e.g. "domain=unitdisk"; explicit flags win on conflict.
+A config file (--config) holds flat key=value lines mirroring the command's
+long flags, e.g. "domain=unitdisk"; explicit flags win on conflict, and a
+key the command does not take is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from .errors import JmetricError, ParseError
 from .grammar import _to_json, format_complex, parse_complex, parse_domain, parse_map
@@ -22,52 +24,27 @@ from .parallel import default_threads
 from .search import SearchConfig, cstar_bounds, estimate_lipschitz, extremal_sweep, sweep_to_csv
 from .verify import SUITE_NAMES, run_all_suites, run_suite
 
-_VALUE_FLAGS = {
-    "--domain", "--dst-domain", "--map", "--z", "--w", "--suite", "--samples",
-    "--seed", "--t", "--a", "--b", "--grid", "--rounds", "--margin",
-    "--separation", "--threads", "--output", "--config",
-}
-
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join flag/value pairs whose value starts with '-' (e.g. --w -0.5+0i)
     into --flag=value form so argparse does not read the value as a flag."""
     merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(tok)
-            i += 1
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        merged.append(tok if value is None else f"{tok}={value}")
     return merged
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jmetric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, helptext, flags):
+    for name, (_, helptext, flags, styles) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         for flag in flags:
-            p.add_argument(flag, default=None)
-        p.add_argument("--output", default=None, choices=("plain", "json", "csv"))
+            p.add_argument(f"--{flag}", default=None)
+        p.add_argument("--output", default=None, choices=styles)
         p.add_argument("--config", default=None)
-        return p
-
-    add("dist", "distance ratio metric between two points", ["--domain", "--z", "--w"])
-    add("map-eval", "evaluate a map at a point", ["--map", "--z", "--domain"])
-    add("verify", "run a verification suite", ["--suite", "--samples", "--seed", "--threads"])
-    add(
-        "search",
-        "estimate the metric distortion constant of a map",
-        ["--domain", "--dst-domain", "--map", "--grid", "--rounds", "--margin",
-         "--separation", "--seed", "--threads"],
-    )
-    add("extremal", "closed-form vs measured distortion sweep", ["--a", "--b", "--t"])
-    add("bounds", "distortion constant window for |f(0)| = a", ["--a"])
     return parser
 
 
@@ -90,11 +67,18 @@ def _load_config(path: str) -> dict:
 
 
 class _Options:
-    """Flag values with config-file fallback; flags win on conflict."""
+    """Flag values with config-file fallback; flags win on conflict.
 
-    def __init__(self, args):
+    keys names the options the command takes; a config key outside them is
+    a usage error rather than a silently ignored typo.
+    """
+
+    def __init__(self, args, keys: tuple[str, ...]):
         self._args = args
         self._config = _load_config(args.config) if args.config else {}
+        for key in self._config:
+            if key not in keys:
+                raise ParseError(f"unknown config key {key!r}", 0, expected=keys)
 
     def get(self, name, default=None):
         value = getattr(self._args, name.replace("-", "_"))
@@ -108,31 +92,19 @@ class _Options:
             raise ParseError(f"missing required option --{name}", 0)
         return value
 
-    def get_int(self, name, default, minimum=None):
-        raw = self.get(name)
+    def number(self, name, kind, default=None, minimum=None):
+        """The option converted by kind (int or float); required when
+        default is None."""
+        raw = self.require(name) if default is None else self.get(name)
         if raw is None:
             return default
         try:
-            value = int(raw)
+            value = kind(raw)
         except ValueError:
-            raise ParseError(f"--{name} must be an integer, got {raw!r}", 0) from None
+            noun = "an integer" if kind is int else "a number"
+            raise ParseError(f"--{name} must be {noun}, got {raw!r}", 0) from None
         if minimum is not None and value < minimum:
             raise ParseError(f"--{name} must be at least {minimum}, got {value!r}", 0)
-        return value
-
-    def get_float(self, name, default):
-        raw = self.get(name)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ParseError(f"--{name} must be a number, got {raw!r}", 0) from None
-
-    def output(self, default: str) -> str:
-        value = self.get("output", default)
-        if value not in ("plain", "json", "csv"):
-            raise ParseError(f"--output must be plain, json, or csv, got {value!r}", 0)
         return value
 
 
@@ -140,61 +112,42 @@ def _fmt9(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _plain_complex(z: complex) -> str:
-    if z.imag == 0.0:
-        return _fmt9(z.real)
-    sign = "+" if z.imag > 0.0 else "-"
-    return f"{_fmt9(z.real)}{sign}{_fmt9(abs(z.imag))}i"
-
-
-def _cmd_dist(opt: _Options) -> int:
-    domain = parse_domain(opt.require("domain"))
+def _cmd_dist(opt: _Options, style: str):
+    domain_text = opt.require("domain")
+    domain = parse_domain(domain_text)
     z = parse_complex(opt.require("z"))
     w = parse_complex(opt.require("w"))
     value = j_distance(domain, z, w)
-    style = opt.output("plain")
-    if style == "json":
-        print(
-            _to_json(
-                {
-                    "domain": opt.require("domain"),
-                    "z": format_complex(z),
-                    "w": format_complex(w),
-                    "j_distance": value,
-                }
-            )
-        )
-    elif style == "plain":
-        print(_fmt9(value))
-    else:
-        raise ParseError("csv output is not supported for dist", 0)
-    return 0
+    if style == "plain":
+        return 0, _fmt9(value)
+    return 0, _to_json(
+        {
+            "domain": domain_text,
+            "z": format_complex(z),
+            "w": format_complex(w),
+            "j_distance": value,
+        }
+    )
 
 
-def _cmd_map_eval(opt: _Options) -> int:
-    m = parse_map(opt.require("map"))
+def _cmd_map_eval(opt: _Options, style: str):
+    map_text = opt.require("map")
+    m = parse_map(map_text)
     z = parse_complex(opt.require("z"))
     domain_text = opt.get("domain")
     if domain_text is not None:
         # optional containment guard: reject evaluation points outside it
         boundary_distance(parse_domain(domain_text), z)
     value = apply(m, z)
-    style = opt.output("plain")
-    if style == "json":
-        print(
-            _to_json(
-                {
-                    "map": opt.require("map"),
-                    "z": format_complex(z),
-                    "value": format_complex(value),
-                }
-            )
-        )
-    elif style == "plain":
-        print(_plain_complex(value))
-    else:
-        raise ParseError("csv output is not supported for map-eval", 0)
-    return 0
+    if style == "plain":
+        return 0, format_complex(value, _fmt9)
+    return 0, _to_json(
+        {
+            "map": map_text,
+            "z": format_complex(z),
+            "value": format_complex(value),
+        }
+    )
 
 
 def _report_plain(report) -> str:
@@ -208,11 +161,11 @@ def _report_plain(report) -> str:
     return line
 
 
-def _cmd_verify(opt: _Options) -> int:
+def _cmd_verify(opt: _Options, style: str):
     suite = opt.require("suite")
-    samples = opt.get_int("samples", 10_000, minimum=1)
-    seed = opt.get_int("seed", 0)
-    threads = opt.get_int("threads", default_threads(), minimum=1)
+    samples = opt.number("samples", int, 10_000, minimum=1)
+    seed = opt.number("seed", int, 0, minimum=0)
+    threads = opt.number("threads", int, default_threads(), minimum=1)
     if suite == "all":
         reports = run_all_suites(samples, seed, threads)
     elif suite in SUITE_NAMES:
@@ -221,53 +174,45 @@ def _cmd_verify(opt: _Options) -> int:
         raise ParseError(
             f"unknown suite {suite!r}", 0, expected=SUITE_NAMES + ("all",)
         )
-    style = opt.output("json")
+    code = 0 if all(r.passed for r in reports) else 1
     if style == "json":
         if len(reports) == 1:
-            print(reports[0].to_json())
-        else:
-            print("[" + ",".join(r.to_json() for r in reports) + "]")
-    elif style == "plain":
-        for report in reports:
-            print(_report_plain(report))
-    else:
-        print("suite,samples,seed,passed,worst_margin")
-        for r in reports:
-            print(f"{r.suite},{r.samples},{r.seed},{str(r.passed).lower()},{r.worst_margin!r}")
-    return 0 if all(r.passed for r in reports) else 1
+            return code, reports[0].to_json()
+        return code, "[" + ",".join(r.to_json() for r in reports) + "]"
+    if style == "plain":
+        return code, "\n".join(_report_plain(r) for r in reports)
+    lines = ["suite,samples,seed,passed,worst_margin"]
+    for r in reports:
+        lines.append(f"{r.suite},{r.samples},{r.seed},{str(r.passed).lower()},{r.worst_margin!r}")
+    return code, "\n".join(lines)
 
 
-def _cmd_search(opt: _Options) -> int:
+def _cmd_search(opt: _Options, style: str):
     src = parse_domain(opt.require("domain"))
     m = parse_map(opt.require("map"))
     dst_text = opt.get("dst-domain")
     dst = parse_domain(dst_text) if dst_text is not None else None
     cfg = SearchConfig(
-        boundary_margin=opt.get_float("margin", 1e-6),
-        separation_floor=opt.get_float("separation", 1e-7),
-        grid_per_axis=opt.get_int("grid", 24),
-        refine_rounds=opt.get_int("rounds", 60),
-        seed=opt.get_int("seed", 0),
+        boundary_margin=opt.number("margin", float, 1e-6),
+        separation_floor=opt.number("separation", float, 1e-7),
+        grid_per_axis=opt.number("grid", int, 24),
+        refine_rounds=opt.number("rounds", int, 60),
+        seed=opt.number("seed", int, 0, minimum=0),
     )
-    threads = opt.get_int("threads", default_threads(), minimum=1)
+    threads = opt.number("threads", int, default_threads(), minimum=1)
     report = estimate_lipschitz(src, m, cfg, threads=threads, dst=dst)
-    style = opt.output("json")
     if style == "json":
-        print(report.to_json())
-    elif style == "plain":
-        print(
-            f"best_ratio={_fmt9(report.best_ratio)} witness_z={_plain_complex(report.witness_z)} "
-            f"witness_w={_plain_complex(report.witness_w)} evaluations={report.evaluations} "
-            f"ceiling={_fmt9(report.theoretical_ceiling)}"
-        )
-    else:
-        raise ParseError("csv output is not supported for search", 0)
-    return 0
+        return 0, report.to_json()
+    return 0, (
+        f"best_ratio={_fmt9(report.best_ratio)} witness_z={format_complex(report.witness_z, _fmt9)} "
+        f"witness_w={format_complex(report.witness_w, _fmt9)} evaluations={report.evaluations} "
+        f"ceiling={_fmt9(report.theoretical_ceiling)}"
+    )
 
 
-def _cmd_extremal(opt: _Options) -> int:
-    a = opt.get_float("a", 0.0)
-    b = opt.get_float("b", 0.0)
+def _cmd_extremal(opt: _Options, style: str):
+    a = opt.number("a", float, 0.0)
+    b = opt.number("b", float, 0.0)
     raw = opt.require("t")
     try:
         ts = [float(part) for part in raw.split(",") if part != ""]
@@ -276,50 +221,54 @@ def _cmd_extremal(opt: _Options) -> int:
     if not ts:
         raise ParseError("--t must name at least one offset", 0)
     rows = extremal_sweep(ts, a, b)
-    style = opt.output("csv")
     if style == "csv":
-        sys.stdout.write(sweep_to_csv(rows))
-    elif style == "json":
-        body = ",".join(
-            _to_json(
-                {
-                    "t": r.t,
-                    "closed_form": r.closed_form,
-                    "measured": r.measured,
-                    "abs_rel_gap": r.abs_rel_gap,
-                }
-            )
-            for r in rows
-        )
-        print("[" + body + "]")
-    else:
-        for r in rows:
-            print(f"{_fmt9(r.t)} {_fmt9(r.closed_form)} {_fmt9(r.measured)}")
-    return 0
-
-
-def _cmd_bounds(opt: _Options) -> int:
-    a_mod = opt.get_float("a", None)
-    if a_mod is None:
-        raise ParseError("missing required option --a", 0)
-    lo, hi = cstar_bounds(a_mod)
-    style = opt.output("plain")
+        return 0, sweep_to_csv(rows).removesuffix("\n")
     if style == "json":
-        print(_to_json({"lower": lo, "upper": hi}))
-    elif style == "plain":
-        print(f"{_fmt9(lo)} {_fmt9(hi)}")
-    else:
-        raise ParseError("csv output is not supported for bounds", 0)
-    return 0
+        return 0, _to_json([{**asdict(r), "abs_rel_gap": r.abs_rel_gap} for r in rows])
+    return 0, "\n".join(f"{_fmt9(r.t)} {_fmt9(r.closed_form)} {_fmt9(r.measured)}" for r in rows)
 
 
+def _cmd_bounds(opt: _Options, style: str):
+    lo, hi = cstar_bounds(opt.number("a", float))
+    if style == "json":
+        return 0, _to_json({"lower": lo, "upper": hi})
+    return 0, f"{_fmt9(lo)} {_fmt9(hi)}"
+
+
+# One row per command: (handler, help, value flags besides --output and
+# --config, output styles with the default first).  The parser, the argv
+# merge, the accepted config keys and the style check all derive from these
+# rows; handler(opt, style) returns (exit code, stdout text).
 _COMMANDS = {
-    "dist": _cmd_dist,
-    "map-eval": _cmd_map_eval,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-    "extremal": _cmd_extremal,
-    "bounds": _cmd_bounds,
+    "dist": (
+        _cmd_dist, "distance ratio metric between two points",
+        ("domain", "z", "w"), ("plain", "json"),
+    ),
+    "map-eval": (
+        _cmd_map_eval, "evaluate a map at a point",
+        ("map", "z", "domain"), ("plain", "json"),
+    ),
+    "verify": (
+        _cmd_verify, "run a verification suite",
+        ("suite", "samples", "seed", "threads"), ("json", "plain", "csv"),
+    ),
+    "search": (
+        _cmd_search, "estimate the metric distortion constant of a map",
+        ("domain", "dst-domain", "map", "grid", "rounds", "margin", "separation", "seed", "threads"),
+        ("json", "plain"),
+    ),
+    "extremal": (
+        _cmd_extremal, "closed-form vs measured distortion sweep",
+        ("a", "b", "t"), ("csv", "json", "plain"),
+    ),
+    "bounds": (
+        _cmd_bounds, "distortion constant window for |f(0)| = a",
+        ("a",), ("plain", "json"),
+    ),
+}
+
+_VALUE_FLAGS = {
+    f"--{flag}" for row in _COMMANDS.values() for flag in row[2] + ("output", "config")
 }
 
 
@@ -329,15 +278,22 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_merge_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    handler, _, flags, styles = _COMMANDS[args.command]
     try:
-        opt = _Options(args)
-        return _COMMANDS[args.command](opt)
+        opt = _Options(args, flags + ("output",))
+        # --output is checked by argparse; a config-file value is checked here.
+        style = opt.get("output", styles[0])
+        if style not in styles:
+            raise ParseError(f"--output must be one of {', '.join(styles)}, got {style!r}", 0, styles)
+        code, text = handler(opt, style)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

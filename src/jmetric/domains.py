@@ -97,16 +97,21 @@ def signed_boundary_offset(domain: PlanarDomain, z: complex) -> float:
 
     For disks this is radius - |z - center|, for half-planes <z, n> - offset;
     both are exact distances, so interiority is decided by the sign alone.
+    A finite point too far from a disk for abs() to represent |z - center|
+    gets -inf, the correctly rounded offset.
     """
-    if isinstance(domain, UnitDisk):
-        return 1.0 - abs(z)
-    if isinstance(domain, UpperHalfPlane):
-        return z.imag
-    if isinstance(domain, Disk):
-        return domain.radius - abs(z - domain.center)
-    if isinstance(domain, HalfPlane):
-        n = domain.normal
-        return z.real * n.real + z.imag * n.imag - domain.offset
+    try:
+        if isinstance(domain, UnitDisk):
+            return 1.0 - abs(z)
+        if isinstance(domain, UpperHalfPlane):
+            return z.imag
+        if isinstance(domain, Disk):
+            return domain.radius - abs(z - domain.center)
+        if isinstance(domain, HalfPlane):
+            n = domain.normal
+            return z.real * n.real + z.imag * n.imag - domain.offset
+    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
+        return -math.inf
     raise TypeError(f"not a planar domain: {domain!r}")
 
 
@@ -145,13 +150,18 @@ def j_distance(domain: PlanarDomain, z: complex, w: complex) -> float:
     """Distance ratio metric log(1 + |z-w| / min boundary distance).
 
     Evaluated through log1p so near-coincident pairs (gaps around 1e-12 and
-    below) keep full relative accuracy.  Zero exactly when z == w.
+    below) keep full relative accuracy.  Zero when z == w, and for a distinct
+    pair only when |z - w| / min distance underflows (0 is then the correctly
+    rounded value); DomainError when |z - w| overflows the float range.
     """
     bz = boundary_distance(domain, z)
     bw = boundary_distance(domain, w)
     if z == w:
         return 0.0
-    return math.log1p(abs(z - w) / (bz if bz <= bw else bw))
+    try:
+        return math.log1p(abs(z - w) / (bz if bz <= bw else bw))
+    except OverflowError:
+        raise DomainError(f"|z - w| overflows the float range for z = {z!r}, w = {w!r}") from None
 
 
 def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:

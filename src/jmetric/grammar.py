@@ -77,11 +77,13 @@ def format_real(x: float) -> str:
     return repr(float(x))
 
 
-def format_complex(z: complex) -> str:
+def format_complex(z: complex, real=format_real) -> str:
+    """"a+bi" / "a-bi" text of z, or just "a" when Im z == 0; real formats
+    each part (shortest round-trip by default, so parse_complex inverts it)."""
     if z.imag == 0.0:
-        return format_real(z.real)
+        return real(z.real)
     sign = "+" if z.imag > 0.0 else "-"
-    return f"{format_real(z.real)}{sign}{format_real(abs(z.imag))}i"
+    return f"{real(z.real)}{sign}{real(abs(z.imag))}i"
 
 
 def _parse_cx(cur: _Cursor) -> complex:

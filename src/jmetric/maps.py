@@ -76,8 +76,12 @@ class Mobius(MapExpr):
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _require_finite(getattr(self, name), f"Mobius.{name}"))
-        if abs(self.determinant()) <= MOBIUS_DEGENERACY_TOL:
-            raise DomainError(f"degenerate Mobius map, |ad - bc| = {abs(self.determinant())!r}")
+        try:
+            size = abs(self.determinant())
+        except OverflowError:  # a determinant past the float range is far from degenerate
+            size = math.inf
+        if size <= MOBIUS_DEGENERACY_TOL:
+            raise DomainError(f"degenerate Mobius map, |ad - bc| = {size!r}")
 
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
@@ -128,27 +132,31 @@ class Compose(MapExpr):
 
 
 def apply(m: MapExpr, z: complex) -> complex:
-    """Evaluate the map at z; PoleEncountered on denominators below 1e-300."""
-    if isinstance(m, Mobius):
-        den = m.c * z + m.d
-        if abs(den) < POLE_FLOOR:
-            raise PoleEncountered(f"Mobius pole at {z!r}")
-        return (m.a * z + m.b) / den
-    if isinstance(m, Blaschke):
-        w = cmath.exp(1j * m.rotation)
-        for a in m.zeros:
-            den = 1.0 - a.conjugate() * z
+    """Evaluate the map at z; PoleEncountered on denominators below 1e-300,
+    DomainError on a denominator whose modulus overflows the float range."""
+    try:
+        if isinstance(m, Mobius):
+            den = m.c * z + m.d
             if abs(den) < POLE_FLOOR:
-                raise PoleEncountered(f"Blaschke pole at {z!r}")
-            w *= (z - a) / den
-        return w
-    if isinstance(m, Extremal):
-        den = m.b + z
-        if abs(den) < POLE_FLOOR:
-            raise PoleEncountered(f"pole of a - 1/(b+z) at {z!r}")
-        return m.a - 1.0 / den
-    if isinstance(m, Compose):
-        return apply(m.outer, apply(m.inner, z))
+                raise PoleEncountered(f"Mobius pole at {z!r}")
+            return (m.a * z + m.b) / den
+        if isinstance(m, Blaschke):
+            w = cmath.exp(1j * m.rotation)
+            for a in m.zeros:
+                den = 1.0 - a.conjugate() * z
+                if abs(den) < POLE_FLOOR:
+                    raise PoleEncountered(f"Blaschke pole at {z!r}")
+                w *= (z - a) / den
+            return w
+        if isinstance(m, Extremal):
+            den = m.b + z
+            if abs(den) < POLE_FLOOR:
+                raise PoleEncountered(f"pole of a - 1/(b+z) at {z!r}")
+            return m.a - 1.0 / den
+        if isinstance(m, Compose):
+            return apply(m.outer, apply(m.inner, z))
+    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
+        raise DomainError(f"evaluating the map at {z!r} overflows the float range") from None
     raise TypeError(f"not a map expression: {m!r}")
 
 

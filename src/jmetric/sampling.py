@@ -33,7 +33,9 @@ REJECTION_TRIES = 10_000
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Generator for chunk `index` of the stream keyed by `seed`."""
+    """Generator for chunk `index` of the stream keyed by `seed` (>= 0)."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
     bg = np.random.Philox(seed)
     if index:
         bg = bg.jumped(index)

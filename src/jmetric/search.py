@@ -11,7 +11,8 @@ finite search can certify an upper bound; the ceiling 2 comes from theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 from .domains import (
     Disk,
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 THEORETICAL_CEILING = 2.0
+
+# math.exp overflows above this.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
 # do not depend on the worker count.
@@ -91,22 +95,13 @@ class SearchReport:
     cstar_interval: tuple[float, float] | None
 
     def to_json(self) -> str:
-        cfg = self.config
         return _to_json(
             {
                 "best_ratio": self.best_ratio,
                 "witness_z": format_complex(self.witness_z),
                 "witness_w": format_complex(self.witness_w),
                 "evaluations": self.evaluations,
-                "config": {
-                    "boundary_margin": cfg.boundary_margin,
-                    "separation_floor": cfg.separation_floor,
-                    "grid_per_axis": cfg.grid_per_axis,
-                    "refine_rounds": cfg.refine_rounds,
-                    "refine_seeds": cfg.refine_seeds,
-                    "shrink_factor": cfg.shrink_factor,
-                    "seed": cfg.seed,
-                },
+                "config": asdict(self.config),
                 "lower_bound_claim": self.lower_bound_claim,
                 "theoretical_ceiling": self.theoretical_ceiling,
                 "cstar_interval": list(self.cstar_interval) if self.cstar_interval else None,
@@ -174,9 +169,13 @@ class _Region:
             self.hlo, self.hhi = self.margin, 1.0 / self.margin
             self.ax = [self.tlo + i * (self.thi - self.tlo) / (n - 1) for i in range(n)]
             log_lo, log_hi = math.log(self.hlo), math.log(self.hhi)
+            step = (log_hi - log_lo) / (n - 1)
+            # exp(step), the height ratio of neighbouring rows, must exceed 1 and be finite.
+            if not 0.0 < step < _LOG_FLOAT_MAX:
+                raise DomainError(f"boundary_margin {self.margin!r} leaves no height range to search")
             self.ay = [math.exp(log_lo + i * (log_hi - log_lo) / (n - 1)) for i in range(n)]
             self._step_x = (self.thi - self.tlo) / (n - 1)
-            self._growth = math.exp((log_hi - log_lo) / (n - 1))
+            self._growth = math.exp(step)
 
     def point(self, a: float, b: float) -> complex:
         if self.kind == "disk":

@@ -242,7 +242,7 @@ def _trusted_images(domain: PlanarDomain, m: MapExpr, z: complex, w: complex):
             # A non-finite image has an inf or nan size, which no finite offset meets.
             if not IMAGE_TRUST * (1.0 + abs(f)) <= signed_boundary_offset(domain, f) < math.inf:
                 return None
-    except (PoleEncountered, OverflowError):  # abs() overflows above ~1.3e308 per coordinate
+    except (PoleEncountered, DomainError, OverflowError):  # past ~1.3e308 apply or abs(f) overflows
         return None
     return images
 
@@ -253,20 +253,21 @@ def guarded_ratio(
     """check_lipschitz_pair, or None when the evaluation is untrustworthy.
 
     None covers pole hits, coincident points, source points outside src,
-    non-finite images or ratios, and image points whose computed boundary
-    distance falls below the rounding trust floor.
+    non-finite images or ratios, distances that overflow the float range,
+    and image points whose computed boundary distance falls below the
+    rounding trust floor.
     """
     images = _trusted_images(dst, m, z, w)
     if images is None:
         return None
+    fz, fw = images
     try:
         j_src = j_distance(src, z, w)
-    except PointOutsideDomain:
+        if j_src == 0.0:
+            return None
+        ratio = j_distance(dst, fz, fw) / j_src
+    except (PointOutsideDomain, DomainError):  # DomainError: |z - w| overflowed
         return None
-    if j_src == 0.0:
-        return None
-    fz, fw = images
-    ratio = j_distance(dst, fz, fw) / j_src
     return ratio if math.isfinite(ratio) else None
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from jmetric import cli
 from jmetric.cli import main
 from jmetric.search import extremal_ratio
 import jmetric.verify as verify_module
@@ -56,6 +57,13 @@ class TestDist:
         code, _, _ = run(capsys, "dist", "--domain", "unitdisk", "--z", "0.1+0i")
         assert code == 2
 
+    def test_overflowing_pair_is_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "dist", "--domain", "upperhalfplane", "--z", "1.7e308+1.7e308i", "--w", "0+1i"
+        )
+        assert (code, out) == (3, "")
+        assert "overflows" in err
+
 
 class TestMapEval:
     def test_extremal_at_i(self, capsys):
@@ -70,6 +78,10 @@ class TestMapEval:
     def test_bad_map_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "map-eval", "--map", "mobius:1,0,0", "--z", "0")
         assert code == 2
+
+    def test_overflowing_evaluation_is_exit_3(self, capsys):
+        code, out, _ = run(capsys, "map-eval", "--map", "mobius:1,0,1.4,1", "--z", "1.2e308+1.2e308i")
+        assert (code, out) == (3, "")
 
     def test_domain_guard(self, capsys):
         code, out, _ = run(
@@ -161,6 +173,12 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    def test_negative_seed_is_exit_2(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "identity-disk", "--samples", "10", "--seed", "-1"
+        )
+        assert (code, out) == (2, "")
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--suite", "schwarz-pick-disk", "--samples", "3000", "--seed", "9")
         _, first, _ = run(capsys, *args)
@@ -218,6 +236,20 @@ class TestSearch:
         )
         assert code == 3
         assert out == ""
+
+    def test_negative_seed_is_exit_2(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--seed", "-1"
+        )
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("margin", ["1e-200", "2"])
+    def test_margin_without_height_range_is_exit_3(self, capsys, margin):
+        code, out, _ = run(
+            capsys, "search", "--domain", "upperhalfplane", "--map", "extremal:1,1",
+            "--margin", margin, "--grid", "2", "--rounds", "0",
+        )
+        assert (code, out) == (3, "")
 
     def test_plain_output(self, capsys):
         code, out, _ = run(
@@ -290,3 +322,24 @@ class TestConfigFile:
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "dist", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_table_row(capsys, tmp_path, name):
+    """Each _COMMANDS row alone declares the command's flags and styles."""
+    _, _, flags, styles = cli._COMMANDS[name]
+    parser = cli._build_parser()
+    for flag in flags + ("config",):
+        args = parser.parse_args(cli._merge_negative_values([name, f"--{flag}", "-1"]))
+        assert getattr(args, flag.replace("-", "_")) == "-1"
+    for style in sorted({"plain", "json", "csv", "xml"} - set(styles)):
+        cfg = tmp_path / f"{style}.cfg"
+        cfg.write_text(f"output={style}\n")
+        for argv in ([name, "--output", style], [name, "--config", str(cfg)]):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (2, "")
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("sampels=7\n")
+    code, out, err = run(capsys, name, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "sampels" in err

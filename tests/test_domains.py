@@ -193,3 +193,21 @@ class TestNonFinitePoints:
             pseudo_hyperbolic_halfplane(complex(float("nan"), 1.0), 2j)
         with pytest.raises(PointOutsideDomain):
             pseudo_hyperbolic_disk(complex(float("nan"), 0.0), 0j)
+
+
+class TestOverflowingPoints:
+    # finite coordinates whose modulus abs() cannot represent (past ~1.3e308 each)
+    BIG = complex(1.7e308, 1.7e308)
+
+    def test_contains_is_false(self):
+        assert not contains(D, self.BIG)
+        assert not contains(Disk(1 + 1j, 2.0), self.BIG)
+
+    def test_boundary_distance_raises_package_error(self):
+        for domain in (D, Disk(1 + 1j, 2.0)):
+            with pytest.raises(PointOutsideDomain):
+                boundary_distance(domain, self.BIG)
+
+    def test_j_distance_raises_package_error(self):
+        with pytest.raises(DomainError):
+            j_distance(H, self.BIG, 1j)

@@ -51,6 +51,13 @@ class TestComplexForms:
         for z in (complex(1e21, -3e-7), complex(-2.5e-300, 4e250), complex(0.0, -0.0)):
             assert parse_complex(format_complex(z)) == z
 
+    def test_custom_real_formatter(self):
+        def fmt3(x):
+            return f"{x:.3g}"
+
+        assert format_complex(0.123456 - 2.5e-7j, fmt3) == "0.123-2.5e-07i"
+        assert format_complex(complex(-1.0, 0.0), fmt3) == "-1"
+
     def test_error_position(self):
         with pytest.raises(ParseError) as info:
             parse_complex("0.5+zi")

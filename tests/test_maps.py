@@ -313,3 +313,13 @@ def test_nan_never_reaches_a_map():
         Extremal(float("inf"), 0.0)
     with pytest.raises(DomainError):
         Blaschke(float("nan"), ())
+
+
+def test_overflowing_denominator_raises_domain_error():
+    with pytest.raises(DomainError):
+        apply(Mobius(1, 0, 1.4, 1), complex(1.2e308, 1.2e308))
+
+
+def test_overflowing_determinant_is_not_degenerate():
+    m = Mobius(complex(1.5e308, 1.5e308), 0, 0, 1)
+    assert m.a == complex(1.5e308, 1.5e308)

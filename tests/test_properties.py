@@ -1,0 +1,191 @@
+"""Hypothesis properties: the j metric axioms, pseudo-hyperbolic invariance,
+text round trips, and the totality of guarded_ratio.
+
+Every property runs derandomized (fixed example sequence, no example
+database) so Tier-1 stays deterministic.
+"""
+
+import cmath
+import math
+
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
+
+from jmetric.domains import (
+    Disk,
+    HalfPlane,
+    UnitDisk,
+    UpperHalfPlane,
+    boundary_distance,
+    halfplane_frame,
+    j_distance,
+    pseudo_hyperbolic_disk,
+    pseudo_hyperbolic_halfplane,
+)
+from jmetric.errors import DomainError
+from jmetric.grammar import (
+    format_complex,
+    format_domain,
+    format_map,
+    parse_complex,
+    parse_domain,
+    parse_map,
+)
+from jmetric.maps import BLASCHKE_ZERO_BOUND, Blaschke, Compose, Extremal, Mobius, apply
+from jmetric.search import ratio_objective
+from jmetric.verify import guarded_ratio
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+D = UnitDisk()
+H = UpperHalfPlane()
+DOMAINS = (D, H, Disk(1 + 1j, 2.0), HalfPlane(complex(math.cos(0.7), math.sin(0.7)), -0.25))
+
+# The triangle inequality is checked to this relative tolerance.  The point
+# strategies keep every point far enough from the boundary, relative to the
+# size of its coordinates, that the computed boundary distance (exact up to
+# a few ulp of the coordinates) is off by less than 1e-9 relative, and a
+# relative error delta in the distances moves each j value by at most delta
+# relative.
+REL_TOL = 1e-8
+
+finite_reals = st.floats(allow_nan=False, allow_infinity=False)
+finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+unit_reals = st.floats(0.0, 1.0)
+angles = st.floats(0.0, 2.0 * math.pi)
+
+
+def interior_points(domain):
+    """Points at boundary distance >= 1e-6 radius (disks) or in the box
+    |t| <= 1e3, 1e-3 <= height <= 1e3 of the half-plane frame."""
+    if isinstance(domain, (UnitDisk, Disk)):
+        return st.builds(
+            lambda rho, theta: domain.center + domain.radius * (1.0 - 1e-6) * rho * cmath.exp(1j * theta),
+            unit_reals,
+            angles,
+        )
+    base, tangent, normal = halfplane_frame(domain)
+    return st.builds(
+        lambda t, h: base + t * tangent + h * normal,
+        st.floats(-1e3, 1e3),
+        st.floats(1e-3, 1e3),
+    )
+
+
+@st.composite
+def domain_and_triple(draw):
+    domain = draw(st.sampled_from(DOMAINS))
+    points = interior_points(domain)
+    return domain, draw(points), draw(points), draw(points)
+
+
+@PROPERTY
+@given(domain_and_triple())
+def test_j_is_a_metric(case):
+    domain, x, y, z = case
+    jxy = j_distance(domain, x, y)
+    assert jxy == j_distance(domain, y, x)
+    if x == y:
+        assert jxy == 0.0
+    elif abs(x - y) / min(boundary_distance(domain, x), boundary_distance(domain, y)) > 0.0:
+        # A distinct pair reads 0 only when that ratio underflows (a gap
+        # below ~5e-324 times the boundary distance): then 0 is the
+        # correctly rounded j.
+        assert jxy > 0.0
+    assert j_distance(domain, x, z) <= (jxy + j_distance(domain, y, z)) * (1.0 + REL_TOL)
+
+
+# Pseudo-hyperbolic invariance is checked to an absolute tolerance on
+# values in [0, 1).  The maps are the library's own automorphism families
+# (disk zeros |a| <= 0.95; real half-plane coefficients in [-2, 2] with
+# determinant >= 0.1) and the points stay where the automorphisms' rounding
+# error, amplified by their derivative, remains far below it.
+INVARIANCE_TOL = 1e-9
+
+disk_points = st.builds(lambda rho, theta: 0.99 * rho * cmath.exp(1j * theta), unit_reals, angles)
+halfplane_points = st.builds(complex, st.floats(-10.0, 10.0), st.floats(1e-2, 10.0))
+disk_automorphisms = st.builds(
+    lambda rotation, rho, phi: Blaschke(rotation, (0.95 * rho * cmath.exp(1j * phi),)),
+    angles,
+    unit_reals,
+    angles,
+)
+
+
+@st.composite
+def halfplane_automorphisms(draw):
+    a, b, c, d = (draw(st.floats(-2.0, 2.0)) for _ in range(4))
+    assume(a * d - b * c >= 0.1)
+    return Mobius(a, b, c, d)
+
+
+@PROPERTY
+@given(disk_automorphisms, disk_points, disk_points)
+def test_disk_pseudo_hyperbolic_invariance(m, z, w):
+    before = pseudo_hyperbolic_disk(z, w)
+    after = pseudo_hyperbolic_disk(apply(m, z), apply(m, w))
+    assert abs(after - before) <= INVARIANCE_TOL
+
+
+@PROPERTY
+@given(halfplane_automorphisms(), halfplane_points, halfplane_points)
+def test_halfplane_pseudo_hyperbolic_invariance(m, z, w):
+    before = pseudo_hyperbolic_halfplane(z, w)
+    after = pseudo_hyperbolic_halfplane(apply(m, z), apply(m, w))
+    assert abs(after - before) <= INVARIANCE_TOL
+
+
+@PROPERTY
+@given(finite_complex)
+def test_complex_round_trip(z):
+    assert parse_complex(format_complex(z)) == z
+
+
+domains = st.one_of(
+    st.just(D),
+    st.just(H),
+    st.builds(Disk, finite_complex, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    st.builds(lambda theta, offset: HalfPlane(cmath.exp(1j * theta), offset), angles, finite_reals),
+)
+
+
+@PROPERTY
+@given(domains)
+def test_domain_round_trip(domain):
+    assert parse_domain(format_domain(domain)) == domain
+
+
+@st.composite
+def mobius_maps(draw):
+    a, b, c, d = (draw(finite_complex) for _ in range(4))
+    try:
+        return Mobius(a, b, c, d)
+    except DomainError:  # |ad - bc| at or below the degeneracy tolerance
+        reject()
+
+
+blaschke_zeros = st.builds(
+    lambda rho, phi: BLASCHKE_ZERO_BOUND * rho * cmath.exp(1j * phi), unit_reals, angles
+).filter(lambda a: abs(a) <= BLASCHKE_ZERO_BOUND)
+map_atoms = st.one_of(
+    mobius_maps(),
+    st.builds(Blaschke, finite_reals, st.lists(blaschke_zeros, max_size=4).map(tuple)),
+    st.builds(Extremal, finite_reals, finite_reals),
+)
+maps = st.recursive(map_atoms, lambda inner: st.builds(Compose, inner, inner), max_leaves=3)
+
+
+@PROPERTY
+@given(maps)
+def test_map_round_trip(m):
+    assert parse_map(format_map(m)) == m
+
+
+@PROPERTY
+@given(st.sampled_from(DOMAINS), st.sampled_from(DOMAINS), maps, finite_complex, finite_complex)
+@example(H, H, Mobius(1, 0, 0, 1e10), complex(1.7e308, 1.7e308), 20j)
+@example(D, D, Blaschke(0.0, (0.5,)), complex(1.7e308, 1.7e308), 0j)
+def test_guarded_ratio_never_raises_on_finite_inputs(src, dst, m, z, w):
+    value = guarded_ratio(src, dst, m, z, w)
+    assert value is None or math.isfinite(value)
+    assert ratio_objective(src, dst, m, z, w) == (-math.inf if value is None else value)

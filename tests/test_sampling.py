@@ -58,3 +58,8 @@ def test_unreachable_separation_raises_instead_of_spinning():
     u = Uniforms(substream(19, 0))
     with pytest.raises(DomainError):
         sample_interior_pair(UnitDisk(), u, separation=3.0)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(DomainError):
+        substream(-1, 0)

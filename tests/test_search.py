@@ -250,3 +250,17 @@ def test_overflowing_image_infeasible():
 def test_negative_refine_counts_rejected(field):
     with pytest.raises(DomainError):
         SearchConfig(**{field: -3})
+
+
+def test_overflowing_pair_infeasible():
+    z = complex(1.7e308, 1.7e308)
+    assert ratio_objective(H, H, Mobius(1, 0, 0, 1e10), z, 20j) == -math.inf
+
+
+@pytest.mark.parametrize("margin", [1e-200, 2.0, 1.0])
+def test_halfplane_margin_without_height_range_rejected(margin):
+    # 1e-200: log-height step of exp(921) overflows; >= 1: heights would run
+    # from margin down to 1/margin, closer to the boundary than asked
+    cfg = SearchConfig(boundary_margin=margin, grid_per_axis=2, refine_rounds=0)
+    with pytest.raises(DomainError):
+        estimate_lipschitz(H, Extremal(1.0, 1.0), cfg)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from jmetric.domains import UnitDisk, UpperHalfPlane
-from jmetric.errors import CoincidentPoints, DomainError
+from jmetric.errors import CoincidentPoints, DomainError, JmetricError
 from jmetric.maps import Blaschke, Extremal, Mobius, apply
 from jmetric.sampling import Uniforms, sample_interior_pair, substream
 from jmetric.verify import (
@@ -354,3 +354,17 @@ class TestRobustness:
         monkeypatch.setattr(jmetric.verify, "Uniforms", lambda rng: _Stuck())
         with pytest.raises(DomainError):
             run_suite("g-negativity", samples=10, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            run_suite("identity-disk", 10, seed=-1)
+
+    def test_check_lipschitz_pair_overflow_raises_package_error(self):
+        with pytest.raises(JmetricError):
+            check_lipschitz_pair(H, H, Mobius(1, 0, 0, 1), complex(1.7e308, 1.7e308), 1j)
+        with pytest.raises(JmetricError):
+            check_lipschitz_pair(H, H, Mobius(1, 0, 1.4, 1), complex(1.2e308, 1.2e308), 1j)
+
+    def test_guarded_ratio_none_when_pair_distance_overflows(self):
+        # the images are tame, but |z - w| of the source pair is not a float
+        assert guarded_ratio(H, H, Mobius(1, 0, 0, 1e10), complex(1.7e308, 1.7e308), 20j) is None
