@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PointOutsideDomain
 
 __all__ = [
@@ -27,6 +29,8 @@ __all__ = [
     "contains",
     "boundary_distance",
     "j_distance",
+    "boundary_offsets",
+    "j_distances",
     "pseudo_hyperbolic_disk",
     "pseudo_hyperbolic_halfplane",
 ]
@@ -115,6 +119,55 @@ def signed_boundary_offset(domain: PlanarDomain, z: complex) -> float:
     raise TypeError(f"not a planar domain: {domain!r}")
 
 
+# A complex array is a pair of float64 arrays (re, im).  The primitives
+# below repeat CPython's complex arithmetic (Objects/complexobject.c)
+# operation for operation, so an array kernel built from them returns the
+# bits of its scalar twin (tests/test_arrays.py holds them to that); numpy's
+# complex dtype and np.log1p are not used, because their vectorized forms can
+# round differently in the last bit.  A float operand of a complex operation
+# is promoted to (x, 0.0), as CPython does: x + z is (x + re, 0.0 + im) and
+# x - z is (x - re, 0.0 - im).
+
+
+def _c_prod(ar, ai, br, bi):
+    """_Py_c_prod: a * b."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_quot(ar, ai, br, bi):
+    """_Py_c_quot (Smith's algorithm): divide through by the part of b with
+    the larger modulus, then by denom.  NaN where b is 0 (CPython raises
+    ZeroDivisionError) or has a NaN part."""
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _c_abs(re, im):
+    """(abs(z), overflow): the modulus, and where abs() of a finite complex
+    raises OverflowError because its modulus exceeds the float range."""
+    size = np.hypot(re, im)
+    return size, np.isinf(size) & np.isfinite(re) & np.isfinite(im)
+
+
+def boundary_offsets(domain: PlanarDomain, re, im):
+    """signed_boundary_offset at every point (re[k], im[k])."""
+    if isinstance(domain, UnitDisk):
+        return 1.0 - np.hypot(re, im)  # an overflowing modulus gives -inf, as above
+    if isinstance(domain, UpperHalfPlane):
+        return im
+    if isinstance(domain, Disk):
+        c = domain.center
+        return domain.radius - np.hypot(re - c.real, im - c.imag)
+    if isinstance(domain, HalfPlane):
+        n = domain.normal
+        return re * n.real + im * n.imag - domain.offset
+    raise TypeError(f"not a planar domain: {domain!r}")
+
+
 def halfplane_frame(domain: PlanarDomain) -> tuple[complex, complex, complex]:
     """(base point on the boundary line, unit tangent, unit inward normal)."""
     if isinstance(domain, UpperHalfPlane):
@@ -152,16 +205,38 @@ def j_distance(domain: PlanarDomain, z: complex, w: complex) -> float:
     Evaluated through log1p so near-coincident pairs (gaps around 1e-12 and
     below) keep full relative accuracy.  Zero when z == w, and for a distinct
     pair only when |z - w| / min distance underflows (0 is then the correctly
-    rounded value); DomainError when |z - w| overflows the float range.
+    rounded value); DomainError when |z - w|, or its ratio to the boundary
+    distance, overflows the float range.
     """
     bz = boundary_distance(domain, z)
     bw = boundary_distance(domain, w)
     if z == w:
         return 0.0
     try:
-        return math.log1p(abs(z - w) / (bz if bz <= bw else bw))
-    except OverflowError:
-        raise DomainError(f"|z - w| overflows the float range for z = {z!r}, w = {w!r}") from None
+        j = math.log1p(abs(z - w) / (bz if bz <= bw else bw))
+    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
+        j = math.inf
+    if j < math.inf:
+        return j
+    raise DomainError(f"|z - w| / min boundary distance overflows the float range for z = {z!r}, w = {w!r}")
+
+
+def j_distances(domain: PlanarDomain, zr, zi, wr, wi):
+    """j_distance for every pair (z[k], w[k]), NaN where j_distance raises.
+
+    log1p runs through math.log1p element by element (see the primitives
+    above).
+    """
+    with np.errstate(all="ignore"):
+        bz = boundary_offsets(domain, zr, zi)
+        bw = boundary_offsets(domain, wr, wi)
+        x = np.hypot(zr - wr, zi - wi) / np.where(bz <= bw, bz, bw)
+    # A finite x needs finite coordinates, so this is boundary_distance's check too.
+    ok = (bz > 0.0) & (bw > 0.0) & (x < math.inf)
+    j = np.full(x.shape, math.nan)
+    x = x[ok]
+    j[ok] = np.fromiter(map(math.log1p, x.tolist()), float, len(x))
+    return j
 
 
 def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:

@@ -14,12 +14,17 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domains import (
     Disk,
     HalfPlane,
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
+    _c_abs,
+    _c_prod,
+    _c_quot,
     _require_finite,
     contains,
     halfplane_frame,
@@ -35,6 +40,7 @@ __all__ = [
     "Extremal",
     "Compose",
     "apply",
+    "apply_arrays",
     "derivative",
     "compose_maps",
     "mobius_compose",
@@ -160,38 +166,81 @@ def apply(m: MapExpr, z: complex) -> complex:
     raise TypeError(f"not a map expression: {m!r}")
 
 
+def _pole(den_re, den_im):
+    """Where apply raises on this denominator: below POLE_FLOOR or overflowing."""
+    size, overflow = _c_abs(den_re, den_im)
+    return (size < POLE_FLOOR) | overflow
+
+
+def apply_arrays(m: MapExpr, re, im):
+    """apply at every point (re[k], im[k]), as arrays (re, im, bad).
+
+    bad marks the points where apply raises; their values are meaningless.
+    """
+    with np.errstate(all="ignore"):
+        if isinstance(m, Mobius):  # (a * z + b) / (c * z + d)
+            a, b, c, d = m.a, m.b, m.c, m.d
+            den_re, den_im = _c_prod(c.real, c.imag, re, im)
+            den_re, den_im = den_re + d.real, den_im + d.imag
+            num_re, num_im = _c_prod(a.real, a.imag, re, im)
+            return (*_c_quot(num_re + b.real, num_im + b.imag, den_re, den_im), _pole(den_re, den_im))
+        if isinstance(m, Blaschke):
+            rotation = cmath.exp(1j * m.rotation)
+            w_re, w_im = np.full(re.shape, rotation.real), np.full(re.shape, rotation.imag)
+            bad = np.zeros(re.shape, dtype=bool)
+            for a in m.zeros:  # w *= (z - a) / (1.0 - a.conjugate() * z)
+                den_re, den_im = _c_prod(a.real, -a.imag, re, im)
+                den_re, den_im = 1.0 - den_re, 0.0 - den_im
+                bad |= _pole(den_re, den_im)
+                w_re, w_im = _c_prod(w_re, w_im, *_c_quot(re - a.real, im - a.imag, den_re, den_im))
+            return w_re, w_im, bad
+        if isinstance(m, Extremal):  # a - 1.0 / (b + z)
+            den_re, den_im = m.b + re, 0.0 + im
+            q_re, q_im = _c_quot(1.0, 0.0, den_re, den_im)
+            return m.a - q_re, 0.0 - q_im, _pole(den_re, den_im)
+        if isinstance(m, Compose):
+            inner_re, inner_im, inner_bad = apply_arrays(m.inner, re, im)
+            out_re, out_im, outer_bad = apply_arrays(m.outer, inner_re, inner_im)
+            return out_re, out_im, inner_bad | outer_bad
+    raise TypeError(f"not a map expression: {m!r}")
+
+
 def derivative(m: MapExpr, z: complex) -> complex:
-    """Complex derivative at z via the closed forms and the chain rule."""
-    if isinstance(m, Mobius):
-        den = m.c * z + m.d
-        if abs(den) < POLE_FLOOR:
-            raise PoleEncountered(f"Mobius pole at {z!r}")
-        return m.determinant() / (den * den)
-    if isinstance(m, Blaschke):
-        # Full product rule; safe at the zeros of the product itself.
-        factors = []
-        dfactors = []
-        for a in m.zeros:
-            den = 1.0 - a.conjugate() * z
+    """Complex derivative at z via the closed forms and the chain rule;
+    PoleEncountered and DomainError as for apply."""
+    try:
+        if isinstance(m, Mobius):
+            den = m.c * z + m.d
             if abs(den) < POLE_FLOOR:
-                raise PoleEncountered(f"Blaschke pole at {z!r}")
-            factors.append((z - a) / den)
-            dfactors.append((1.0 - abs(a) ** 2) / (den * den))
-        total = 0j
-        for k in range(len(factors)):
-            term = dfactors[k]
-            for j in range(len(factors)):
-                if j != k:
-                    term *= factors[j]
-            total += term
-        return cmath.exp(1j * m.rotation) * total
-    if isinstance(m, Extremal):
-        den = m.b + z
-        if abs(den) < POLE_FLOOR:
-            raise PoleEncountered(f"pole of a - 1/(b+z) at {z!r}")
-        return 1.0 / (den * den)
-    if isinstance(m, Compose):
-        return derivative(m.outer, apply(m.inner, z)) * derivative(m.inner, z)
+                raise PoleEncountered(f"Mobius pole at {z!r}")
+            return m.determinant() / (den * den)
+        if isinstance(m, Blaschke):
+            # Full product rule; safe at the zeros of the product itself.
+            factors = []
+            dfactors = []
+            for a in m.zeros:
+                den = 1.0 - a.conjugate() * z
+                if abs(den) < POLE_FLOOR:
+                    raise PoleEncountered(f"Blaschke pole at {z!r}")
+                factors.append((z - a) / den)
+                dfactors.append((1.0 - abs(a) ** 2) / (den * den))
+            total = 0j
+            for k in range(len(factors)):
+                term = dfactors[k]
+                for j in range(len(factors)):
+                    if j != k:
+                        term *= factors[j]
+                total += term
+            return cmath.exp(1j * m.rotation) * total
+        if isinstance(m, Extremal):
+            den = m.b + z
+            if abs(den) < POLE_FLOOR:
+                raise PoleEncountered(f"pole of a - 1/(b+z) at {z!r}")
+            return 1.0 / (den * den)
+        if isinstance(m, Compose):
+            return derivative(m.outer, apply(m.inner, z)) * derivative(m.inner, z)
+    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
+        raise DomainError(f"differentiating the map at {z!r} overflows the float range") from None
     raise TypeError(f"not a map expression: {m!r}")
 
 

@@ -15,12 +15,21 @@ from .domains import (
     Disk,
     PlanarDomain,
     UnitDisk,
+    _c_prod,
+    boundary_offsets,
     halfplane_frame,
     signed_boundary_offset,
 )
 from .errors import DomainError
 
-__all__ = ["substream", "Uniforms", "sample_interior", "sample_interior_pair"]
+__all__ = [
+    "substream",
+    "Uniforms",
+    "sample_interior",
+    "sample_interior_points",
+    "sample_interior_pair",
+    "sample_interior_pairs",
+]
 
 # Extent of the sampling box used for the unbounded half-plane domains.
 HALFPLANE_SPAN = 100.0
@@ -67,6 +76,25 @@ class Uniforms:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next()
 
+    def take(self, n: int) -> np.ndarray:
+        """The next n uniforms as an array: what n calls of next() return."""
+        rest = len(self._buf) - self._pos
+        if n <= rest:
+            out = np.array(self._buf[self._pos : self._pos + n])
+            self._pos += n
+            return out
+        head = self._buf[self._pos :]
+        self._pos = len(self._buf)
+        return np.concatenate((head, self._rng.random(n - rest)))
+
+
+def _disk_box(domain, margin: float) -> tuple[float, float, float]:
+    """(center x, center y, radius) of a disk that has points at `margin`."""
+    r = domain.radius
+    if margin >= r:
+        raise DomainError(f"margin {margin!r} leaves no interior in radius {r!r}")
+    return domain.center.real, domain.center.imag, r
+
 
 def sample_interior(
     domain: PlanarDomain,
@@ -81,9 +109,7 @@ def sample_interior(
     `margin` above the boundary line.
     """
     if isinstance(domain, (UnitDisk, Disk)):
-        cx, cy, r = domain.center.real, domain.center.imag, domain.radius
-        if margin >= r:
-            raise ValueError(f"margin {margin!r} leaves no interior in radius {r!r}")
+        cx, cy, r = _disk_box(domain, margin)
         tries = 0
         while True:
             z = complex(u.uniform(cx - r, cx + r), u.uniform(cy - r, cy + r))
@@ -96,6 +122,52 @@ def sample_interior(
     t = u.uniform(-span, span)
     h = u.uniform(margin, span)
     return base + t * tangent + h * normal
+
+
+def sample_interior_points(
+    domain: PlanarDomain,
+    u: Uniforms,
+    count: int,
+    margin: float = 1e-3,
+    span: float = HALFPLANE_SPAN,
+) -> tuple[np.ndarray, np.ndarray]:
+    """count calls of sample_interior as arrays (re, im).
+
+    Draws exactly the uniforms those calls draw: disk candidates are tested
+    in draw order, a batch is never larger than the points still missing,
+    and a run of REJECTION_TRIES rejected candidates raises DomainError.
+    """
+    if isinstance(domain, (UnitDisk, Disk)):
+        cx, cy, r = _disk_box(domain, margin)
+        parts_re, parts_im = [], []
+        run = 0  # rejected candidates since the last accepted one
+        need = count
+        while True:
+            a = u.take(2 * need)
+            x = (cx - r) + ((cx + r) - (cx - r)) * a[0::2]
+            y = (cy - r) + ((cy + r) - (cy - r)) * a[1::2]
+            with np.errstate(all="ignore"):
+                hits = np.flatnonzero(boundary_offsets(domain, x, y) >= margin)
+            if hits.size:
+                longest = int((np.diff(hits, prepend=-1 - run) - 1).max())
+                run = need - 1 - int(hits[-1])
+            else:
+                longest = run = run + need
+            if max(longest, run) >= REJECTION_TRIES:
+                raise DomainError(f"no point of {domain!r} at margin {margin!r} in {REJECTION_TRIES} draws")
+            parts_re.append(x[hits])
+            parts_im.append(y[hits])
+            need -= hits.size
+            if not need:
+                return np.concatenate(parts_re), np.concatenate(parts_im)
+    base, tangent, normal = halfplane_frame(domain)
+    a = u.take(2 * count)
+    t = -span + (span - -span) * a[0::2]
+    h = margin + (span - margin) * a[1::2]
+    # base + t * tangent + h * normal, with t and h promoted to complex
+    tr, ti = _c_prod(t, 0.0, tangent.real, tangent.imag)
+    hr, hi = _c_prod(h, 0.0, normal.real, normal.imag)
+    return base.real + tr + hr, base.imag + ti + hi
 
 
 def sample_interior_pair(
@@ -115,3 +187,51 @@ def sample_interior_pair(
         w = sample_interior(domain, u, margin, span)
         tries += 1
     return z, w
+
+
+def sample_interior_pairs(
+    domain: PlanarDomain,
+    u: Uniforms,
+    count: int,
+    margin: float = 1e-3,
+    separation: float = 1e-9,
+    span: float = HALFPLANE_SPAN,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """count calls of sample_interior_pair as arrays (z.re, z.im, w.re, w.im).
+
+    Draws exactly the uniforms those calls draw.  Points are paired off two
+    by two; a w closer than `separation` to its z is replaced by the next
+    point that is not, and REJECTION_TRIES close ones in a row raise
+    DomainError.
+    """
+    re, im = sample_interior_points(domain, u, 2 * count, margin, span)
+    parts = []
+    while True:  # re, im hold exactly the 2 * (pairs still to make) points needed next
+        close = np.flatnonzero(np.hypot(re[0::2] - re[1::2], im[0::2] - im[1::2]) < separation)
+        if not close.size:
+            parts.append((re[0::2], im[0::2], re[1::2], im[1::2]))
+            break
+        k = 2 * int(close[0])
+        parts.append((re[0:k:2], im[0:k:2], re[1:k:2], im[1:k:2]))
+        pairs_after = len(re) // 2 - k // 2 - 1
+        zr, zi = re[k], im[k]
+        re, im = re[k + 2 :], im[k + 2 :]  # w candidates after the close one
+        tries = 1  # close w candidates so far
+        while True:
+            far = np.flatnonzero(~(np.hypot(re - zr, im - zi) < separation))
+            tries += int(far[0]) if far.size else len(re)
+            if tries >= REJECTION_TRIES:
+                raise DomainError(
+                    f"no point {separation!r} away from {complex(zr, zi)!r} in {REJECTION_TRIES} draws"
+                )
+            if far.size:
+                break
+            re, im = sample_interior_points(domain, u, 1 + 2 * pairs_after, margin, span)
+        f = int(far[0])
+        parts.append((np.array([zr]), np.array([zi]), re[f : f + 1], im[f : f + 1]))
+        re, im = re[f + 1 :], im[f + 1 :]
+        more = 2 * pairs_after - len(re)
+        if more:
+            extra = sample_interior_points(domain, u, more, margin, span)
+            re, im = np.concatenate((re, extra[0])), np.concatenate((im, extra[1]))
+    return tuple(np.concatenate(column) for column in zip(*parts))

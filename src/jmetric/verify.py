@@ -28,13 +28,17 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .domains import (
     Disk,
     HalfPlane,
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
+    boundary_offsets,
     j_distance,
+    j_distances,
     pseudo_hyperbolic_disk,
     pseudo_hyperbolic_halfplane,
     signed_boundary_offset,
@@ -48,11 +52,19 @@ from .maps import (
     MapExpr,
     Mobius,
     apply,
+    apply_arrays,
     image_modulus_bound,
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .sampling import REJECTION_TRIES, Uniforms, sample_interior, sample_interior_pair, substream
+from .sampling import (
+    REJECTION_TRIES,
+    Uniforms,
+    sample_interior,
+    sample_interior_pair,
+    sample_interior_pairs,
+    substream,
+)
 
 __all__ = [
     "CheckReport",
@@ -68,6 +80,7 @@ __all__ = [
     "check_g_negativity",
     "check_lipschitz_pair",
     "guarded_ratio",
+    "guarded_ratios",
     "run_suite",
     "run_all_suites",
     "run_schwarz_pick_equality",
@@ -269,6 +282,28 @@ def guarded_ratio(
     except (PointOutsideDomain, DomainError):  # DomainError: |z - w| overflowed
         return None
     return ratio if math.isfinite(ratio) else None
+
+
+def _trusted_points(domain: PlanarDomain, re, im):
+    """_trusted_images' test of one image, at every point (re[k], im[k])."""
+    offset = boundary_offsets(domain, re, im)
+    return (IMAGE_TRUST * (1.0 + np.hypot(re, im)) <= offset) & (offset < math.inf)
+
+
+def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, zr, zi, wr, wi):
+    """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
+    with np.errstate(all="ignore"):
+        fzr, fzi, bad_z = apply_arrays(m, zr, zi)
+        fwr, fwi, bad_w = apply_arrays(m, wr, wi)
+        trusted = _trusted_points(dst, fzr, fzi) & _trusted_points(dst, fwr, fwi) & ~(bad_z | bad_w)
+        keep = np.flatnonzero(trusted)
+        # A zero or raising j_src, or a raising j_dst, leaves a non-finite ratio.
+        ratio = j_distances(dst, fzr[keep], fzi[keep], fwr[keep], fwi[keep]) / j_distances(
+            src, zr[keep], zi[keep], wr[keep], wi[keep]
+        )
+    out = np.full(len(zr), math.nan)
+    out[keep] = np.where(np.isfinite(ratio), ratio, math.nan)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +599,8 @@ def _random_image_source_and_mobius(u: Uniforms):
 
 
 def _ceiling_chunk(kind, seed, index, pairs):
-    """One map's pairs.  The per-pair loop stays at two calls (pair draw and
-    guarded ratio) instead of going through _fold_chunk, whose per-trial
-    call cost 3-11 % per pair on a 2-CPU Xeon."""
+    """One map's pairs, drawn and scored in blocks of _CHUNK: the reports of
+    a loop of sample_interior_pair and guarded_ratio, bit for bit."""
     u = Uniforms(substream(seed, index))
     if kind == "halfplane":
         src, dst, m = _HALF, _HALF, random_halfplane_map(u)
@@ -578,14 +612,16 @@ def _ceiling_chunk(kind, seed, index, pairs):
     else:
         raise DomainError(f"unknown ceiling kind {kind!r}")
     worst, witness, skipped = math.inf, {}, 0
-    for _ in range(pairs):
-        z, w = sample_interior_pair(src, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        ratio = guarded_ratio(src, dst, m, z, w)
-        if ratio is None:
-            skipped += 1
-        elif 2.0 - ratio < worst:
-            worst = 2.0 - ratio
-            witness = _witness(_PAIR, (m, src, dst, z, w))
+    for start in range(0, pairs, _CHUNK):
+        count = min(_CHUNK, pairs - start)
+        zr, zi, wr, wi = sample_interior_pairs(src, u, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        margin = 2.0 - guarded_ratios(src, dst, m, zr, zi, wr, wi)
+        scored = ~np.isnan(margin)
+        skipped += count - int(np.count_nonzero(scored))
+        k = int(np.argmin(np.where(scored, margin, math.inf)))  # the first of equal margins, as with <
+        if margin[k] < worst:
+            worst = float(margin[k])
+            witness = _witness(_PAIR, (m, src, dst, complex(zr[k], zi[k]), complex(wr[k], wi[k])))
     return worst, witness, skipped
 
 

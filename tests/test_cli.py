@@ -57,6 +57,14 @@ class TestDist:
         code, _, _ = run(capsys, "dist", "--domain", "unitdisk", "--z", "0.1+0i")
         assert code == 2
 
+    @pytest.mark.parametrize("style", ["plain", "json"])
+    def test_infinite_distance_is_exit_3(self, capsys, style):
+        code, out, err = run(
+            capsys, "dist", "--domain", "upperhalfplane", "--z", "1e308+1i", "--w=-1e308+1i", "--output", style
+        )
+        assert (code, out) == (3, "")
+        assert "overflows" in err
+
     def test_overflowing_pair_is_exit_3(self, capsys):
         code, out, err = run(
             capsys, "dist", "--domain", "upperhalfplane", "--z", "1.7e308+1.7e308i", "--w", "0+1i"
@@ -242,6 +250,13 @@ class TestSearch:
             capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--seed", "-1"
         )
         assert (code, out) == (2, "")
+
+    def test_disk_inside_the_margin_is_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--domain", "disk:0,0,1e-7", "--map", "mobius:1,0,0,1", "--grid", "3", "--rounds", "1"
+        )
+        assert (code, out) == (3, "")
+        assert "margin" in err
 
     @pytest.mark.parametrize("margin", ["1e-200", "2"])
     def test_margin_without_height_range_is_exit_3(self, capsys, margin):

@@ -211,3 +211,12 @@ class TestOverflowingPoints:
     def test_j_distance_raises_package_error(self):
         with pytest.raises(DomainError):
             j_distance(H, self.BIG, 1j)
+
+    @pytest.mark.parametrize(
+        "z, w",
+        [(complex(1e308, 1.0), complex(-1e308, 1.0)), (1e-300j, 1e10j)],
+        ids=["difference-rounds-to-inf", "ratio-rounds-to-inf"],
+    )
+    def test_j_distance_never_returns_inf(self, z, w):
+        with pytest.raises(DomainError):
+            j_distance(H, z, w)

@@ -30,6 +30,8 @@ def _cases():
         cases[f"equality/{kind}"] = lambda kind=kind: run_schwarz_pick_equality(kind, 5000, SEED)
     for kind in ("halfplane", "disk", "mobius-images"):
         cases[f"ceiling/{kind}"] = lambda kind=kind: lipschitz_ceiling(kind, 4, 500, SEED)
+        # 10,000 pairs per map span three scoring blocks of 4,096.
+        cases[f"ceiling/{kind}/10000"] = lambda kind=kind: lipschitz_ceiling(kind, 4, 10_000, SEED)
     return cases
 
 
@@ -44,16 +46,26 @@ def capture() -> dict:
     return out
 
 
-# Captured at seed 42 before the suite engine became one table-driven fold.
+# Captured at seed 42 before the suite engine became one table-driven fold; the
+# ceiling/<kind>/10000 entries before the ceiling was scored in array blocks.
 GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.3807628315051994,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.21215472585973494+0.03500096084875981i","w":"-0.24636410167074274-0.014849691291545453i"}}',
                   0,
                   'absolute'),
+ 'ceiling/disk/10000': ('{"suite":"lipschitz-ceiling-disk","samples":40000,"seed":42,"passed":true,"worst_margin":0.3074524481868042,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.1691201107979059+0.11689682607116825i","w":"-0.1396414777012358-0.1805505625454904i"}}',
+                        0,
+                        'absolute'),
  'ceiling/halfplane': ('{"suite":"lipschitz-ceiling-halfplane","samples":2000,"seed":42,"passed":true,"worst_margin":0.13155659272608067,"worst_witness":{"map":"mobius:0.2669950525322,-1.5538450310652037,1.1859750473916977,1.3350794296568562","src":"upperhalfplane","dst":"upperhalfplane","z":"8.293592905567294+1.1806920431707206i","w":"-0.7839417936909356+1.089419779558517i"}}',
                        0,
                        'absolute'),
+ 'ceiling/halfplane/10000': ('{"suite":"lipschitz-ceiling-halfplane","samples":40000,"seed":42,"passed":true,"worst_margin":0.11733038750743607,"worst_witness":{"map":"mobius:-1.4337707048834707,-0.9196278598090122,1.496151458691363,-1.3193418930761398","src":"upperhalfplane","dst":"upperhalfplane","z":"0.834689864710672+0.727855590071668i","w":"-4.950176215735967+0.6788602478821413i"}}',
+                             0,
+                             'absolute'),
  'ceiling/mobius-images': ('{"suite":"lipschitz-ceiling-mobius-images","samples":2000,"seed":42,"passed":true,"worst_margin":0.23208402306357745,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.40756470053245986-0.6832061847300199i","w":"-0.5243668060213864-0.7792599994364577i"}}',
                            0,
                            'absolute'),
+ 'ceiling/mobius-images/10000': ('{"suite":"lipschitz-ceiling-mobius-images","samples":40000,"seed":42,"passed":true,"worst_margin":0.19552855919862067,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"0.002532076840730868-0.5943862716134587i","w":"-0.832612490840469-0.9605707474553777i"}}',
+                                 0,
+                                 'absolute'),
  'equality/disk': ('{"suite":"schwarz-pick-disk-equality","samples":5000,"seed":42,"passed":true,"worst_margin":-8.848477506262498e-14,"worst_witness":{"map":"blaschke:5.522607459958829;[-0.859061125896592-0.1962437576432996i]","z":"0.804290897535126+0.5119250256684666i","w":"0.8588585478047295+0.5009232470049645i"}}',
                    0,
                    'absolute'),

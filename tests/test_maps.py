@@ -320,6 +320,12 @@ def test_overflowing_denominator_raises_domain_error():
         apply(Mobius(1, 0, 1.4, 1), complex(1.2e308, 1.2e308))
 
 
+def test_overflowing_derivative_raises_domain_error():
+    for m in (Mobius(1, 0, 1.4, 1), Compose(Extremal(0.0, 1.0), Mobius(1, 0, 1.4, 1))):
+        with pytest.raises(DomainError):
+            derivative(m, complex(1.2e308, 1.2e308))
+
+
 def test_overflowing_determinant_is_not_degenerate():
     m = Mobius(complex(1.5e308, 1.5e308), 0, 0, 1)
     assert m.a == complex(1.5e308, 1.5e308)

@@ -4,7 +4,7 @@ import pytest
 
 from jmetric.domains import Disk, HalfPlane, UnitDisk, UpperHalfPlane, signed_boundary_offset
 from jmetric.errors import DomainError
-from jmetric.sampling import Uniforms, sample_interior, sample_interior_pair, substream
+from jmetric.sampling import Uniforms, sample_interior, sample_interior_pair, sample_interior_points, substream
 
 
 def test_substream_is_reproducible():
@@ -52,6 +52,15 @@ def test_unreachable_margin_raises_instead_of_spinning():
     u = Uniforms(substream(17, 0))
     with pytest.raises(DomainError):
         sample_interior(UnitDisk(), u, margin=1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("margin", [1e-7, 1e-6])
+def test_margin_at_or_past_the_radius_raises_domain_error(margin):
+    u = Uniforms(substream(17, 0))
+    with pytest.raises(DomainError):
+        sample_interior(Disk(0, 1e-7), u, margin)
+    with pytest.raises(DomainError):
+        sample_interior_points(Disk(0, 1e-7), u, 4, margin)
 
 
 def test_unreachable_separation_raises_instead_of_spinning():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from jmetric.domains import UnitDisk, UpperHalfPlane
@@ -332,7 +333,7 @@ class TestRobustness:
     def test_ceiling_with_every_pair_skipped_fails(self, monkeypatch):
         import jmetric.verify
 
-        monkeypatch.setattr(jmetric.verify, "guarded_ratio", lambda *args: None)
+        monkeypatch.setattr(jmetric.verify, "guarded_ratios", lambda src, dst, m, zr, *rest: np.full(len(zr), np.nan))
         report = lipschitz_ceiling("disk", maps=2, pairs_per_map=50, seed=0)
         assert report.skipped == 100
         assert report.passed is False
@@ -364,6 +365,10 @@ class TestRobustness:
             check_lipschitz_pair(H, H, Mobius(1, 0, 0, 1), complex(1.7e308, 1.7e308), 1j)
         with pytest.raises(JmetricError):
             check_lipschitz_pair(H, H, Mobius(1, 0, 1.4, 1), complex(1.2e308, 1.2e308), 1j)
+
+    def test_guarded_ratio_none_when_source_distance_is_infinite(self):
+        # z + i maps both points well inside H, but j_src = log1p(1e10 / 1e-300) is inf
+        assert guarded_ratio(H, H, Mobius(1, 1j, 0, 1), 1e-300j, 1e10j) is None
 
     def test_guarded_ratio_none_when_pair_distance_overflows(self):
         # the images are tame, but |z - w| of the source pair is not a float
