@@ -239,7 +239,7 @@ def derivative(m: MapExpr, z: complex) -> complex:
             return 1.0 / (den * den)
         if isinstance(m, Compose):
             return derivative(m.outer, apply(m.inner, z)) * derivative(m.inner, z)
-    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
+    except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den * den underflowing
         raise DomainError(f"differentiating the map at {z!r} overflows the float range") from None
     raise TypeError(f"not a map expression: {m!r}")
 

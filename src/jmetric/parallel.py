@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from .errors import DomainError
+
 __all__ = ["default_threads", "run_ordered"]
 
 
@@ -22,8 +24,10 @@ def run_ordered(worker, arg_tuples, threads: int = 1) -> list:
 
     The worker must be a picklable top-level function when threads > 1.
     """
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads!r}")
     tasks = list(arg_tuples)
-    if threads <= 1 or len(tasks) <= 1:
+    if threads == 1 or len(tasks) <= 1:
         return [worker(*args) for args in tasks]
     workers = min(threads, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:

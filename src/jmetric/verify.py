@@ -572,6 +572,7 @@ def run_schwarz_pick_equality(
 # ---------------------------------------------------------------------------
 
 _CAYLEY = Mobius(1.0, -1j, 1.0, 1j)
+_CEILING_KINDS = ("halfplane", "disk", "mobius-images")
 
 
 def _random_image_source_and_mobius(u: Uniforms):
@@ -599,22 +600,21 @@ def _random_image_source_and_mobius(u: Uniforms):
 
 
 def _ceiling_chunk(kind, seed, index, pairs):
-    """One map's pairs, drawn and scored in blocks of _CHUNK: the reports of
-    a loop of sample_interior_pair and guarded_ratio, bit for bit."""
-    u = Uniforms(substream(seed, index))
+    """One map's pairs, drawn from the chunk's generator after the map and
+    scored in blocks of _CHUNK, bit for bit as guarded_ratio scores them."""
+    rng = substream(seed, index)
+    u = Uniforms(rng)
     if kind == "halfplane":
         src, dst, m = _HALF, _HALF, random_halfplane_map(u)
     elif kind == "disk":
         src, dst, m = _DISK, _DISK, random_blaschke(u, 4)
-    elif kind == "mobius-images":
+    else:  # "mobius-images"; lipschitz_ceiling checks the kind on entry
         src, m = (_HALF, _CAYLEY) if index == 0 else _random_image_source_and_mobius(u)
         dst = mobius_image_domain(m, src)
-    else:
-        raise DomainError(f"unknown ceiling kind {kind!r}")
     worst, witness, skipped = math.inf, {}, 0
     for start in range(0, pairs, _CHUNK):
         count = min(_CHUNK, pairs - start)
-        zr, zi, wr, wi = sample_interior_pairs(src, u, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        zr, zi, wr, wi = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
         margin = 2.0 - guarded_ratios(src, dst, m, zr, zi, wr, wi)
         scored = ~np.isnan(margin)
         skipped += count - int(np.count_nonzero(scored))
@@ -637,6 +637,8 @@ def lipschitz_ceiling(
     """
     if maps < 1 or pairs_per_map < 1:
         raise DomainError(f"maps and pairs_per_map must be at least 1, got {maps!r} and {pairs_per_map!r}")
+    if kind not in _CEILING_KINDS:
+        raise DomainError(f"unknown ceiling kind {kind!r}; choose from {', '.join(_CEILING_KINDS)}")
     tasks = [(kind, seed, index, pairs_per_map) for index in range(maps)]
     chunks = run_ordered(_ceiling_chunk, tasks, threads)
     return _report(f"lipschitz-ceiling-{kind}", maps * pairs_per_map, seed, chunks, 1e-9, "absolute")

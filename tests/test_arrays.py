@@ -1,13 +1,16 @@
 """Array kernels against their scalar twins, bit for bit.
 
 Every array kernel (complex primitives, boundary offsets, j distances, map
-evaluation, the guarded ratio, point and pair sampling, the ceiling chunk)
-must return exactly what a loop over its scalar twin returns: the same bits,
-NaN where the scalar raises or returns None, and the same uniforms drawn.
+evaluation, the guarded ratio, the ceiling chunk's scoring) must return
+exactly what a loop over its scalar twin returns: the same bits, and NaN
+where the scalar raises or returns None.  The array samplers have no scalar
+twin, since they draw whole blocks from the chunk's generator; their tests
+check margins, separations, bounded rejection and reproducibility instead.
 """
 
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -30,20 +33,13 @@ from jmetric.domains import (
 )
 from jmetric.errors import DomainError, JmetricError
 from jmetric.maps import Blaschke, Compose, Extremal, Mobius, apply, apply_arrays
-from jmetric.sampling import (
-    REJECTION_TRIES,
-    Uniforms,
-    sample_interior,
-    sample_interior_pair,
-    sample_interior_pairs,
-    sample_interior_points,
-    substream,
-)
+from jmetric.sampling import Uniforms, sample_interior_pairs, sample_interior_points, substream
 from jmetric.verify import (
     HALFPLANE_SPAN,
     PAIR_MARGIN,
     PAIR_SEPARATION,
     _CAYLEY,
+    _CHUNK,
     _PAIR,
     _ceiling_chunk,
     _random_image_source_and_mobius,
@@ -250,8 +246,8 @@ def test_guarded_ratios_match_guarded_ratio(src, dst, m, left, right):
 def test_guarded_ratios_on_sampled_pairs_with_skips():
     # The Cayley map sends the half-plane onto the unit disk; 1.2 times it
     # sends most pairs partly outside, which both forms skip.
-    u = Uniforms(substream(5, 0))
-    zr, zi, wr, wi = sample_interior_pairs(UpperHalfPlane(), u, 500, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    rng = substream(5, 0)
+    zr, zi, wr, wi = sample_interior_pairs(UpperHalfPlane(), rng, 500, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
     skipped = []
     for m in (_CAYLEY, Mobius(1.2, -1.2j, 1, 1j)):
         ratio = guarded_ratios(UpperHalfPlane(), UnitDisk(), m, zr, zi, wr, wi)
@@ -267,112 +263,67 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
 # ---------------------------------------------------------------------------
 
 
-def test_take_continues_the_stream_across_the_buffer():
-    a, b = Uniforms(substream(7, 0), prefetch=5), Uniforms(substream(7, 0), prefetch=5)
-    got = [a.next(), *a.take(3).tolist(), *a.take(9).tolist(), a.next(), *a.take(0).tolist(), a.next()]
-    assert got == [b.next() for _ in range(15)]
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+@pytest.mark.parametrize("count", [0, 1, 7, 3000])
+def test_points_and_pairs_keep_margin_and_separation(domain, count):
+    rng = substream(11, 2)
+    re, im = sample_interior_points(domain, rng, count, 1e-2, 10.0)
+    zr, zi, wr, wi = sample_interior_pairs(domain, rng, count, 1e-2, 0.05, 10.0)
+    assert all(len(column) == count for column in (re, im, zr, zi, wr, wi))
+    for x, y in ((re, im), (zr, zi), (wr, wi)):
+        assert (boundary_offsets(domain, x, y) >= 1e-2).all()
+    assert (np.hypot(zr - wr, zi - wi) >= 0.05).all()
+
+
+def test_large_separation_redraws_only_the_close_pairs():
+    # Separation 0 redraws nothing; separation 1 redraws the w's of a good
+    # share of unit-disk pairs, and only those.
+    zr, zi, wr, wi = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 0.0)
+    far = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 1.0)
+    assert all(len(column) == 2000 for column in far)
+    assert (np.hypot(far[0] - far[2], far[1] - far[3]) >= 1.0).all()
+    close = np.hypot(zr - wr, zi - wi) < 1.0
+    assert 100 < close.sum() < 1900
+    assert np.array_equal(far[0], zr) and np.array_equal(far[1], zi)
+    assert np.array_equal(far[2][~close], wr[~close]) and (far[2][close] != wr[close]).all()
+
+
+@pytest.mark.parametrize(
+    "draw, error",
+    [
+        (lambda rng: sample_interior_points(UnitDisk(), rng, 3, 1 - 1e-9), "no point of"),
+        (lambda rng: sample_interior_pairs(UnitDisk(), rng, 3, PAIR_MARGIN, 3.0), "away from"),
+        # the bounding square is wider than the float range: every candidate overflows
+        (lambda rng: sample_interior_points(Disk(0j, 1e308), rng, 3), "no point of"),
+    ],
+    ids=["margin", "separation", "huge-disk"],
+)
+def test_unreachable_points_raise_in_bounded_time(draw, error):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=error):
+        draw(substream(17, 0))
+    assert time.perf_counter() - start < 30.0
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
-@pytest.mark.parametrize("count", [0, 1, 7, 3000])
-def test_points_and_pairs_draw_what_the_scalar_loop_draws(domain, count):
-    a, b = Uniforms(substream(11, 2)), Uniforms(substream(11, 2))
-    re, im = sample_interior_points(domain, a, count, 1e-2, 10.0)
-    assert [complex(x, y) for x, y in zip(re.tolist(), im.tolist())] == [
-        sample_interior(domain, b, 1e-2, 10.0) for _ in range(count)
-    ]
-    zr, zi, wr, wi = sample_interior_pairs(domain, a, count, 1e-2, 0.05, 10.0)
-    expected = [sample_interior_pair(domain, b, 1e-2, 0.05, 10.0) for _ in range(count)]
-    assert list(zip(zr.tolist(), zi.tolist(), wr.tolist(), wi.tolist())) == [
-        (z.real, z.imag, w.real, w.imag) for z, w in expected
-    ]
-    assert a.next() == b.next()
-
-
-class _Script:
-    """A generator stand-in whose uniforms repeat `values` forever."""
-
-    def __init__(self, values):
-        self.values, self.pos = list(values), 0
-
-    def random(self, n):
-        out = [self.values[(self.pos + k) % len(self.values)] for k in range(n)]
-        self.pos += n
-        return np.array(out)
-
-
-# Uniform pairs drawing unit-disk candidates: (0.5, 0.5) draws the center 0,
-# (0.0, 0.0) the rejected corner -1-1i and (0.75, 0.5) the point 0.5.
-CENTER, CORNER, OTHER = (0.5, 0.5), (0.0, 0.0), (0.75, 0.5)
-
-
-@pytest.mark.parametrize(
-    "cycle",
-    [
-        # w equals z three times before a distinct point comes
-        CORNER + CENTER + CENTER + CENTER + CORNER + CENTER + OTHER + CENTER + OTHER,
-        # the first pairs are fine, then w is redrawn past the end of a batch
-        CENTER + OTHER + CENTER + OTHER + CENTER + CENTER + CORNER * 5 + CENTER + CENTER + OTHER,
-        # every pair is (center, other); the rejected corner shows where the stream stopped
-        CENTER + OTHER + CENTER + OTHER + CORNER,
-    ],
-)
-@pytest.mark.parametrize("separation", [0.1, 0.5])  # 0.5 is exactly |center - other|: not too close
-def test_separation_redraws_match_the_scalar_loop(cycle, separation):
-    a, b = Uniforms(_Script(cycle), prefetch=3), Uniforms(_Script(cycle), prefetch=3)
-    zr, zi, wr, wi = sample_interior_pairs(UnitDisk(), a, 9, PAIR_MARGIN, separation)
-    expected = [sample_interior_pair(UnitDisk(), b, PAIR_MARGIN, separation) for _ in range(9)]
-    assert list(zip(zr.tolist(), zi.tolist(), wr.tolist(), wi.tolist())) == [
-        (z.real, z.imag, w.real, w.imag) for z, w in expected
-    ]
-    assert a.next() == b.next()
-
-
-# A run of REJECTION_TRIES - 1 rejected candidates before every point, or
-# of REJECTION_TRIES - 1 redrawn w, is still a success; one more is not.
-JUST_SHORT = CENTER + CORNER * (REJECTION_TRIES - 1) + OTHER + CORNER * (REJECTION_TRIES - 1)
-CLOSE_JUST_SHORT = CENTER * REJECTION_TRIES + OTHER
-
-
-@pytest.mark.parametrize(
-    "cycle, error",
-    [
-        (CENTER, "away from"),
-        (CLOSE_JUST_SHORT, None),
-        (CENTER + CLOSE_JUST_SHORT, "away from"),
-        (CORNER, "no point of"),
-        (JUST_SHORT, None),
-        (JUST_SHORT + CORNER, "no point of"),
-    ],
-    ids=["separation", "separation-just-short", "separation-one-more", "rejection", "rejection-just-short",
-         "rejection-one-more"],
-)
-def test_exhausted_draws_raise_like_the_scalar_loop(cycle, error):
-    def scalar():
-        u = Uniforms(_Script(cycle))
-        pairs = [sample_interior_pair(UnitDisk(), u, PAIR_MARGIN, 0.1) for _ in range(3)]
-        return [(z.real, z.imag, w.real, w.imag) for z, w in pairs]
-
-    def batched():
-        zr, zi, wr, wi = sample_interior_pairs(UnitDisk(), Uniforms(_Script(cycle)), 3, PAIR_MARGIN, 0.1)
-        return list(zip(zr.tolist(), zi.tolist(), wr.tolist(), wi.tolist()))
-
-    if error is None:
-        assert batched() == scalar()
-        return
-    for run in (scalar, batched):
-        with pytest.raises(DomainError, match=error):
-            run()
+def test_same_generator_state_gives_the_same_arrays(domain):
+    a, b = substream(5, 4), substream(5, 4)
+    first = sample_interior_pairs(domain, a, 500, 1e-2, 0.5, 10.0)
+    second = sample_interior_pairs(domain, b, 500, 1e-2, 0.5, 10.0)
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+    assert a.random() == b.random()
 
 
 # ---------------------------------------------------------------------------
-# The ceiling chunk against the per-pair loop it replaced
+# The ceiling chunk against a per-pair scoring loop
 # ---------------------------------------------------------------------------
 
 
 def _reference_ceiling_chunk(kind, seed, index, pairs):
-    """The scalar per-pair ceiling loop: one pair draw and one guarded ratio per pair."""
-    u = Uniforms(substream(seed, index))
+    """The chunk's own pairs, drawn in the same _CHUNK blocks, scored one
+    by one with the scalar guarded_ratio and kept on a strict <."""
+    rng = substream(seed, index)
+    u = Uniforms(rng)
     if kind == "halfplane":
         src, dst, m = UpperHalfPlane(), UpperHalfPlane(), verify_module.random_halfplane_map(u)
     elif kind == "disk":
@@ -381,14 +332,17 @@ def _reference_ceiling_chunk(kind, seed, index, pairs):
         src, m = (UpperHalfPlane(), _CAYLEY) if index == 0 else _random_image_source_and_mobius(u)
         dst = verify_module.mobius_image_domain(m, src)
     worst, witness, skipped = math.inf, {}, 0
-    for _ in range(pairs):
-        z, w = sample_interior_pair(src, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        ratio = guarded_ratio(src, dst, m, z, w)
-        if ratio is None:
-            skipped += 1
-        elif 2.0 - ratio < worst:
-            worst = 2.0 - ratio
-            witness = _witness(_PAIR, (m, src, dst, z, w))
+    for start in range(0, pairs, _CHUNK):
+        count = min(_CHUNK, pairs - start)
+        zr, zi, wr, wi = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        for k in range(count):
+            z, w = complex(zr[k], zi[k]), complex(wr[k], wi[k])
+            ratio = guarded_ratio(src, dst, m, z, w)
+            if ratio is None:
+                skipped += 1
+            elif 2.0 - ratio < worst:
+                worst = 2.0 - ratio
+                witness = _witness(_PAIR, (m, src, dst, z, w))
     return worst, witness, skipped
 
 

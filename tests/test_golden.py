@@ -3,7 +3,8 @@
 Pins the exact JSON, skip count and margin convention of every suite, both
 Schwarz-Pick equality runs, the three ceiling kinds and one distortion
 search at seed 42.  A change that alters the draw order or the arithmetic
-must update GOLDEN on purpose; print the current values with
+must update GOLDEN on purpose; print the names of the entries that differ,
+then the current values, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -47,23 +48,24 @@ def capture() -> dict:
 
 
 # Captured at seed 42 before the suite engine became one table-driven fold; the
-# ceiling/<kind>/10000 entries before the ceiling was scored in array blocks.
-GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.3807628315051994,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.21215472585973494+0.03500096084875981i","w":"-0.24636410167074274-0.014849691291545453i"}}',
+# ceiling/* entries after ceiling pairs came to be drawn by vectorized
+# rejection from each chunk's generator.
+GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.35851422238054464,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.4676181265553023+0.2536503295530257i","w":"-0.3071069610477659-0.46670108755699724i"}}',
                   0,
                   'absolute'),
- 'ceiling/disk/10000': ('{"suite":"lipschitz-ceiling-disk","samples":40000,"seed":42,"passed":true,"worst_margin":0.3074524481868042,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.1691201107979059+0.11689682607116825i","w":"-0.1396414777012358-0.1805505625454904i"}}',
+ 'ceiling/disk/10000': ('{"suite":"lipschitz-ceiling-disk","samples":40000,"seed":42,"passed":true,"worst_margin":0.31488174503140587,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"-0.03111924608068284-0.1571316160635845i","w":"0.1304411764412825+0.08689499407259715i"}}',
                         0,
                         'absolute'),
- 'ceiling/halfplane': ('{"suite":"lipschitz-ceiling-halfplane","samples":2000,"seed":42,"passed":true,"worst_margin":0.13155659272608067,"worst_witness":{"map":"mobius:0.2669950525322,-1.5538450310652037,1.1859750473916977,1.3350794296568562","src":"upperhalfplane","dst":"upperhalfplane","z":"8.293592905567294+1.1806920431707206i","w":"-0.7839417936909356+1.089419779558517i"}}',
+ 'ceiling/halfplane': ('{"suite":"lipschitz-ceiling-halfplane","samples":2000,"seed":42,"passed":true,"worst_margin":0.12921245677058035,"worst_witness":{"map":"mobius:0.13685239816313421,1.3749903629917517,-0.6355353615982691,-0.15619346756596597","src":"upperhalfplane","dst":"upperhalfplane","z":"-0.048570252868195496+0.5856340597172207i","w":"8.107868474403944+0.4581211638848373i"}}',
                        0,
                        'absolute'),
- 'ceiling/halfplane/10000': ('{"suite":"lipschitz-ceiling-halfplane","samples":40000,"seed":42,"passed":true,"worst_margin":0.11733038750743607,"worst_witness":{"map":"mobius:-1.4337707048834707,-0.9196278598090122,1.496151458691363,-1.3193418930761398","src":"upperhalfplane","dst":"upperhalfplane","z":"0.834689864710672+0.727855590071668i","w":"-4.950176215735967+0.6788602478821413i"}}',
+ 'ceiling/halfplane/10000': ('{"suite":"lipschitz-ceiling-halfplane","samples":40000,"seed":42,"passed":true,"worst_margin":0.09804189805356223,"worst_witness":{"map":"mobius:-1.4337707048834707,-0.9196278598090122,1.496151458691363,-1.3193418930761398","src":"upperhalfplane","dst":"upperhalfplane","z":"0.9874440846755981+0.9673826128427875i","w":"-8.384509489455407+1.0023023140526761i"}}',
                              0,
                              'absolute'),
- 'ceiling/mobius-images': ('{"suite":"lipschitz-ceiling-mobius-images","samples":2000,"seed":42,"passed":true,"worst_margin":0.23208402306357745,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.40756470053245986-0.6832061847300199i","w":"-0.5243668060213864-0.7792599994364577i"}}',
+ 'ceiling/mobius-images': ('{"suite":"lipschitz-ceiling-mobius-images","samples":2000,"seed":42,"passed":true,"worst_margin":0.2330157691116006,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.688049943420906-0.7478731396631069i","w":"-0.19646814355260722-0.705445567677355i"}}',
                            0,
                            'absolute'),
- 'ceiling/mobius-images/10000': ('{"suite":"lipschitz-ceiling-mobius-images","samples":40000,"seed":42,"passed":true,"worst_margin":0.19552855919862067,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"0.002532076840730868-0.5943862716134587i","w":"-0.832612490840469-0.9605707474553777i"}}',
+ 'ceiling/mobius-images/10000': ('{"suite":"lipschitz-ceiling-mobius-images","samples":40000,"seed":42,"passed":true,"worst_margin":0.1978003930935135,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.093957237554821-0.6863982221364395i","w":"-0.7549733934976739-0.8521959832099286i"}}',
                                  0,
                                  'absolute'),
  'equality/disk': ('{"suite":"schwarz-pick-disk-equality","samples":5000,"seed":42,"passed":true,"worst_margin":-8.848477506262498e-14,"worst_witness":{"map":"blaschke:5.522607459958829;[-0.859061125896592-0.1962437576432996i]","z":"0.804290897535126+0.5119250256684666i","w":"0.8588585478047295+0.5009232470049645i"}}',
@@ -112,4 +114,8 @@ def test_search_bytes():
 
 
 if __name__ == "__main__":
-    print("GOLDEN = " + pprint.pformat(capture(), width=100))
+    current = capture()
+    for name in sorted(current.keys() | GOLDEN.keys()):
+        if current.get(name) != GOLDEN.get(name):
+            print(f"differs: {name}")
+    print("GOLDEN = " + pprint.pformat(current, width=100))

@@ -326,6 +326,13 @@ def test_overflowing_derivative_raises_domain_error():
             derivative(m, complex(1.2e308, 1.2e308))
 
 
+@pytest.mark.parametrize("m, z", [(Extremal(0.0, 1e-200), 0j), (Mobius(0, 1, 1, 0), complex(1e-200, 0.0))])
+def test_underflowing_squared_denominator_raises_domain_error(m, z):
+    # |den| is far above POLE_FLOOR, but den * den rounds to 0
+    with pytest.raises(DomainError):
+        derivative(m, z)
+
+
 def test_overflowing_determinant_is_not_degenerate():
     m = Mobius(complex(1.5e308, 1.5e308), 0, 0, 1)
     assert m.a == complex(1.5e308, 1.5e308)

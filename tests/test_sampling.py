@@ -60,13 +60,18 @@ def test_margin_at_or_past_the_radius_raises_domain_error(margin):
     with pytest.raises(DomainError):
         sample_interior(Disk(0, 1e-7), u, margin)
     with pytest.raises(DomainError):
-        sample_interior_points(Disk(0, 1e-7), u, 4, margin)
+        sample_interior_points(Disk(0, 1e-7), substream(17, 0), 4, margin)
 
 
 def test_unreachable_separation_raises_instead_of_spinning():
     u = Uniforms(substream(19, 0))
     with pytest.raises(DomainError):
         sample_interior_pair(UnitDisk(), u, separation=3.0)
+
+
+def test_empty_prefetch_rejected():
+    with pytest.raises(DomainError):
+        Uniforms(substream(7, 0), prefetch=0)
 
 
 def test_negative_seed_rejected():

@@ -242,6 +242,17 @@ class TestEstimateLipschitz:
         }
 
 
+def test_local_distortion_with_underflowing_derivative_raises_domain_error():
+    with pytest.raises(DomainError):
+        local_distortion(H, Extremal(0.0, 1e-200), 1e-200j)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_threads_rejected(threads):
+    with pytest.raises(DomainError):
+        estimate_lipschitz(D, HALF_AUT, QUICK, threads)
+
+
 def test_overflowing_image_infeasible():
     assert ratio_objective(H, H, Mobius(1e300, 0, 0, 1e-10), 1j, 2j) == -math.inf
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import jmetric.verify as verify_module
 from jmetric.domains import UnitDisk, UpperHalfPlane
 from jmetric.errors import CoincidentPoints, DomainError, JmetricError
 from jmetric.maps import Blaschke, Extremal, Mobius, apply
@@ -292,6 +293,22 @@ class TestCeilings:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             lipschitz_ceiling("wedge", maps=1, pairs_per_map=1, seed=0)
+
+    def test_unknown_kind_rejected_before_any_chunk_runs(self, monkeypatch):
+        def no_chunks(*args):
+            raise AssertionError("run_ordered called")
+
+        monkeypatch.setattr(verify_module, "run_ordered", no_chunks)
+        with pytest.raises(DomainError, match="halfplane, disk, mobius-images"):
+            lipschitz_ceiling("nonsense", 4, 10, 0, 2)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_threads_rejected(threads):
+    with pytest.raises(DomainError):
+        run_suite("identity-disk", 10, 0, threads)
+    with pytest.raises(DomainError):
+        lipschitz_ceiling("disk", 2, 10, 0, threads)
 
 
 class _Stuck:
