@@ -29,8 +29,8 @@ __all__ = [
     "contains",
     "boundary_distance",
     "j_distance",
-    "boundary_offsets",
     "j_distances",
+    "CArr",
     "pseudo_hyperbolic_disk",
     "pseudo_hyperbolic_halfplane",
 ]
@@ -96,13 +96,77 @@ class HalfPlane(PlanarDomain):
             raise DomainError(f"half-plane normal must be unit length, got |n| = {abs(self.normal)!r}")
 
 
-def signed_boundary_offset(domain: PlanarDomain, z: complex) -> float:
+# A formula that runs on one point and on many is written once, for complex.
+# CArr's operators repeat CPython's complex arithmetic (Objects/complexobject.c)
+# operation for operation, so on a CArr each element gets the bits a complex
+# gets (tests/test_arrays.py holds them to that); numpy's complex dtype and
+# np.log1p can round differently in the last bit.  Every operand is read as
+# (x.real, x.imag), promoting a float x to (x, 0.0) as CPython 3.10-3.13 do.
+# Where CPython raises (abs() past the float range, division by 0), a CArr
+# holds inf or NaN, and the caller masks those elements.
+
+
+class CArr:
+    """Complex array: the real and imaginary parts as two float64 arrays."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # a numpy operand defers to the reflected operators
+
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    def __getitem__(self, index):
+        return CArr(self.real[index], self.imag[index])
+
+    def __add__(self, other):
+        return CArr(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return CArr(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return CArr(other.real - self.real, other.imag - self.imag)
+
+    def __mul__(self, other):  # _Py_c_prod, whose bits do not depend on the operand order
+        return CArr(self.real * other.real - self.imag * other.imag, self.real * other.imag + self.imag * other.real)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """_Py_c_quot, Smith's algorithm (R. L. Smith, CACM 1962): divide through by
+        the part of other with the larger modulus, then by denom.  NaN where other
+        is 0 or has a NaN part.  self may be any operand, for __rtruediv__."""
+        ar, ai = self.real, self.imag
+        # As arrays, a scalar divisor of 0 gives NaN rather than ZeroDivisionError.
+        br, bi = np.asarray(other.real, dtype=float), np.asarray(other.imag, dtype=float)
+        by_re = np.abs(br) >= np.abs(bi)
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+        return CArr(re, im)
+
+    def __rtruediv__(self, other):
+        return CArr.__truediv__(other, self)
+
+    def __abs__(self):
+        """The modulus; inf where abs() of a complex raises OverflowError."""
+        return np.hypot(self.real, self.imag)
+
+    def conjugate(self):
+        return CArr(self.real, -self.imag)
+
+
+def signed_boundary_offset(domain: PlanarDomain, z):
     """Closed-form signed distance to the boundary, positive strictly inside.
 
     For disks this is radius - |z - center|, for half-planes <z, n> - offset;
     both are exact distances, so interiority is decided by the sign alone.
     A finite point too far from a disk for abs() to represent |z - center|
-    gets -inf, the correctly rounded offset.
+    gets -inf, the correctly rounded offset.  z may be a CArr of points.
     """
     try:
         if isinstance(domain, UnitDisk):
@@ -116,55 +180,6 @@ def signed_boundary_offset(domain: PlanarDomain, z: complex) -> float:
             return z.real * n.real + z.imag * n.imag - domain.offset
     except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
         return -math.inf
-    raise TypeError(f"not a planar domain: {domain!r}")
-
-
-# A complex array is a pair of float64 arrays (re, im).  The primitives
-# below repeat CPython's complex arithmetic (Objects/complexobject.c)
-# operation for operation, so an array kernel built from them returns the
-# bits of its scalar twin (tests/test_arrays.py holds them to that); numpy's
-# complex dtype and np.log1p are not used, because their vectorized forms can
-# round differently in the last bit.  A float operand of a complex operation
-# is promoted to (x, 0.0), as CPython does: x + z is (x + re, 0.0 + im) and
-# x - z is (x - re, 0.0 - im).
-
-
-def _c_prod(ar, ai, br, bi):
-    """_Py_c_prod: a * b."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _c_quot(ar, ai, br, bi):
-    """_Py_c_quot (Smith's algorithm): divide through by the part of b with
-    the larger modulus, then by denom.  NaN where b is 0 (CPython raises
-    ZeroDivisionError) or has a NaN part."""
-    by_re = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_re, bi / br, br / bi)
-    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
-def _c_abs(re, im):
-    """(abs(z), overflow): the modulus, and where abs() of a finite complex
-    raises OverflowError because its modulus exceeds the float range."""
-    size = np.hypot(re, im)
-    return size, np.isinf(size) & np.isfinite(re) & np.isfinite(im)
-
-
-def boundary_offsets(domain: PlanarDomain, re, im):
-    """signed_boundary_offset at every point (re[k], im[k])."""
-    if isinstance(domain, UnitDisk):
-        return 1.0 - np.hypot(re, im)  # an overflowing modulus gives -inf, as above
-    if isinstance(domain, UpperHalfPlane):
-        return im
-    if isinstance(domain, Disk):
-        c = domain.center
-        return domain.radius - np.hypot(re - c.real, im - c.imag)
-    if isinstance(domain, HalfPlane):
-        n = domain.normal
-        return re * n.real + im * n.imag - domain.offset
     raise TypeError(f"not a planar domain: {domain!r}")
 
 
@@ -221,16 +236,15 @@ def j_distance(domain: PlanarDomain, z: complex, w: complex) -> float:
     raise DomainError(f"|z - w| / min boundary distance overflows the float range for z = {z!r}, w = {w!r}")
 
 
-def j_distances(domain: PlanarDomain, zr, zi, wr, wi):
+def j_distances(domain: PlanarDomain, z: CArr, w: CArr):
     """j_distance for every pair (z[k], w[k]), NaN where j_distance raises.
 
-    log1p runs through math.log1p element by element (see the primitives
-    above).
+    log1p runs through math.log1p element by element (see CArr).
     """
     with np.errstate(all="ignore"):
-        bz = boundary_offsets(domain, zr, zi)
-        bw = boundary_offsets(domain, wr, wi)
-        x = np.hypot(zr - wr, zi - wi) / np.where(bz <= bw, bz, bw)
+        bz = signed_boundary_offset(domain, z)
+        bw = signed_boundary_offset(domain, w)
+        x = abs(z - w) / np.where(bz <= bw, bz, bw)
     # A finite x needs finite coordinates, so this is boundary_distance's check too.
     ok = (bz > 0.0) & (bw > 0.0) & (x < math.inf)
     j = np.full(x.shape, math.nan)

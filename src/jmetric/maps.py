@@ -22,9 +22,7 @@ from .domains import (
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
-    _c_abs,
-    _c_prod,
-    _c_quot,
+    CArr,
     _require_finite,
     contains,
     halfplane_frame,
@@ -137,72 +135,61 @@ class Compose(MapExpr):
             raise TypeError("Compose takes two MapExpr values")
 
 
+def _value(m: MapExpr, z, guard):
+    """m at z, a complex or a CArr of points.  guard(den, pole name, z) sees each
+    denominator before it divides: apply's raises, apply_arrays' records the points."""
+    if isinstance(m, Mobius):
+        den = m.c * z + m.d
+        guard(den, "Mobius pole", z)
+        return (m.a * z + m.b) / den
+    if isinstance(m, Blaschke):
+        w = cmath.exp(1j * m.rotation)
+        for a in m.zeros:
+            den = 1.0 - a.conjugate() * z
+            guard(den, "Blaschke pole", z)
+            w *= (z - a) / den
+        return w
+    if isinstance(m, Extremal):
+        den = m.b + z
+        guard(den, "pole of a - 1/(b+z)", z)
+        return m.a - 1.0 / den
+    if isinstance(m, Compose):
+        return _value(m.outer, _value(m.inner, z, guard), guard)
+    raise TypeError(f"not a map expression: {m!r}")
+
+
+def _raise_at_pole(den: complex, pole: str, z: complex):
+    if abs(den) < POLE_FLOOR:
+        raise PoleEncountered(f"{pole} at {z!r}")
+
+
 def apply(m: MapExpr, z: complex) -> complex:
     """Evaluate the map at z; PoleEncountered on denominators below 1e-300,
     DomainError on a denominator whose modulus overflows the float range."""
     try:
-        if isinstance(m, Mobius):
-            den = m.c * z + m.d
-            if abs(den) < POLE_FLOOR:
-                raise PoleEncountered(f"Mobius pole at {z!r}")
-            return (m.a * z + m.b) / den
-        if isinstance(m, Blaschke):
-            w = cmath.exp(1j * m.rotation)
-            for a in m.zeros:
-                den = 1.0 - a.conjugate() * z
-                if abs(den) < POLE_FLOOR:
-                    raise PoleEncountered(f"Blaschke pole at {z!r}")
-                w *= (z - a) / den
-            return w
-        if isinstance(m, Extremal):
-            den = m.b + z
-            if abs(den) < POLE_FLOOR:
-                raise PoleEncountered(f"pole of a - 1/(b+z) at {z!r}")
-            return m.a - 1.0 / den
-        if isinstance(m, Compose):
-            return apply(m.outer, apply(m.inner, z))
+        return _value(m, z, _raise_at_pole)
     except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
         raise DomainError(f"evaluating the map at {z!r} overflows the float range") from None
-    raise TypeError(f"not a map expression: {m!r}")
 
 
-def _pole(den_re, den_im):
-    """Where apply raises on this denominator: below POLE_FLOOR or overflowing."""
-    size, overflow = _c_abs(den_re, den_im)
-    return (size < POLE_FLOOR) | overflow
+def apply_arrays(m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
+    """apply at every point of z, as (f, bad).
 
-
-def apply_arrays(m: MapExpr, re, im):
-    """apply at every point (re[k], im[k]), as arrays (re, im, bad).
-
-    bad marks the points where apply raises; their values are meaningless.
+    bad marks the points where apply raises; their values in f are meaningless.
     """
+    bad = np.zeros(np.shape(z.real), dtype=bool)
+
+    def mark(den, pole, at):
+        size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
+        bad[...] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag))
+
     with np.errstate(all="ignore"):
-        if isinstance(m, Mobius):  # (a * z + b) / (c * z + d)
-            a, b, c, d = m.a, m.b, m.c, m.d
-            den_re, den_im = _c_prod(c.real, c.imag, re, im)
-            den_re, den_im = den_re + d.real, den_im + d.imag
-            num_re, num_im = _c_prod(a.real, a.imag, re, im)
-            return (*_c_quot(num_re + b.real, num_im + b.imag, den_re, den_im), _pole(den_re, den_im))
-        if isinstance(m, Blaschke):
-            rotation = cmath.exp(1j * m.rotation)
-            w_re, w_im = np.full(re.shape, rotation.real), np.full(re.shape, rotation.imag)
-            bad = np.zeros(re.shape, dtype=bool)
-            for a in m.zeros:  # w *= (z - a) / (1.0 - a.conjugate() * z)
-                den_re, den_im = _c_prod(a.real, -a.imag, re, im)
-                den_re, den_im = 1.0 - den_re, 0.0 - den_im
-                bad |= _pole(den_re, den_im)
-                w_re, w_im = _c_prod(w_re, w_im, *_c_quot(re - a.real, im - a.imag, den_re, den_im))
-            return w_re, w_im, bad
-        if isinstance(m, Extremal):  # a - 1.0 / (b + z)
-            den_re, den_im = m.b + re, 0.0 + im
-            q_re, q_im = _c_quot(1.0, 0.0, den_re, den_im)
-            return m.a - q_re, 0.0 - q_im, _pole(den_re, den_im)
-        if isinstance(m, Compose):
-            inner_re, inner_im, inner_bad = apply_arrays(m.inner, re, im)
-            out_re, out_im, outer_bad = apply_arrays(m.outer, inner_re, inner_im)
-            return out_re, out_im, inner_bad | outer_bad
-    raise TypeError(f"not a map expression: {m!r}")
+        try:
+            f = _value(m, z, mark)
+        except ZeroDivisionError:  # a constant inner map sits on the outer map's pole: every point is bad
+            f = complex(math.nan, math.nan)
+    # A degree-0 Blaschke product, alone or outermost, is one complex for every point.
+    return CArr(np.broadcast_to(f.real, bad.shape), np.broadcast_to(f.imag, bad.shape)), bad
 
 
 def derivative(m: MapExpr, z: complex) -> complex:
@@ -211,8 +198,7 @@ def derivative(m: MapExpr, z: complex) -> complex:
     try:
         if isinstance(m, Mobius):
             den = m.c * z + m.d
-            if abs(den) < POLE_FLOOR:
-                raise PoleEncountered(f"Mobius pole at {z!r}")
+            _raise_at_pole(den, "Mobius pole", z)
             return m.determinant() / (den * den)
         if isinstance(m, Blaschke):
             # Full product rule; safe at the zeros of the product itself.
@@ -220,8 +206,7 @@ def derivative(m: MapExpr, z: complex) -> complex:
             dfactors = []
             for a in m.zeros:
                 den = 1.0 - a.conjugate() * z
-                if abs(den) < POLE_FLOOR:
-                    raise PoleEncountered(f"Blaschke pole at {z!r}")
+                _raise_at_pole(den, "Blaschke pole", z)
                 factors.append((z - a) / den)
                 dfactors.append((1.0 - abs(a) ** 2) / (den * den))
             total = 0j
@@ -234,8 +219,7 @@ def derivative(m: MapExpr, z: complex) -> complex:
             return cmath.exp(1j * m.rotation) * total
         if isinstance(m, Extremal):
             den = m.b + z
-            if abs(den) < POLE_FLOOR:
-                raise PoleEncountered(f"pole of a - 1/(b+z) at {z!r}")
+            _raise_at_pole(den, "pole of a - 1/(b+z)", z)
             return 1.0 / (den * den)
         if isinstance(m, Compose):
             return derivative(m.outer, apply(m.inner, z)) * derivative(m.inner, z)

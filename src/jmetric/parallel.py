@@ -22,13 +22,15 @@ def default_threads() -> int:
 def run_ordered(worker, arg_tuples, threads: int = 1) -> list:
     """Run worker(*args) for every tuple, returning results in input order.
 
-    The worker must be a picklable top-level function when threads > 1.
+    A pool of min(threads, len(tasks), CPUs) processes runs them (a fork-started
+    pool starts every worker up front); with one, they run inline, and otherwise
+    the worker must be a picklable top-level function.
     """
     if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads!r}")
     tasks = list(arg_tuples)
-    if threads == 1 or len(tasks) <= 1:
+    workers = min(threads, len(tasks), default_threads())
+    if workers <= 1:
         return [worker(*args) for args in tasks]
-    workers = min(threads, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*tasks)))

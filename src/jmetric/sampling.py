@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import Disk, PlanarDomain, UnitDisk, boundary_offsets, halfplane_frame, signed_boundary_offset
+from .domains import CArr, Disk, PlanarDomain, UnitDisk, halfplane_frame, signed_boundary_offset
 from .errors import DomainError
 
 __all__ = [
@@ -119,8 +119,8 @@ def sample_interior_points(
     count: int,
     margin: float = 1e-3,
     span: float = HALFPLANE_SPAN,
-) -> tuple[np.ndarray, np.ndarray]:
-    """count interior points with boundary distance >= margin, as arrays (re, im).
+) -> CArr:
+    """count interior points with boundary distance >= margin.
 
     Disks draw, each round, as many candidates from the bounding square as
     points are still missing and keep those at `margin`; REJECTION_TRIES
@@ -134,15 +134,15 @@ def sample_interior_points(
             with np.errstate(all="ignore"):  # a square wider than the float range holds no finite point
                 x = (cx - r) + 2.0 * r * rng.random(count - re.size)
                 y = (cy - r) + 2.0 * r * rng.random(count - re.size)
-                keep = boundary_offsets(domain, x, y) >= margin
+                keep = signed_boundary_offset(domain, CArr(x, y)) >= margin
             re, im = np.concatenate((re, x[keep])), np.concatenate((im, y[keep]))
             if re.size == count:
-                return re, im
+                return CArr(re, im)
         raise DomainError(f"no point of {domain!r} at margin {margin!r} in {REJECTION_TRIES} rounds")
     base, tangent, normal = halfplane_frame(domain)
     t = rng.uniform(-span, span, count)
     h = rng.uniform(margin, span, count)
-    return base.real + t * tangent.real + h * normal.real, base.imag + t * tangent.imag + h * normal.imag
+    return CArr(base.real + t * tangent.real + h * normal.real, base.imag + t * tangent.imag + h * normal.imag)
 
 
 def sample_interior_pair(
@@ -171,20 +171,20 @@ def sample_interior_pairs(
     margin: float = 1e-3,
     separation: float = 1e-9,
     span: float = HALFPLANE_SPAN,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """count pairs of interior points at least `separation` apart, as arrays
-    (z.re, z.im, w.re, w.im).
+) -> tuple[CArr, CArr]:
+    """count pairs (z[k], w[k]) of interior points at least `separation` apart.
 
     Each round redraws only the w's still closer than `separation` to their
     z; REJECTION_TRIES rounds that leave one close raise DomainError.
     """
-    zr, zi = sample_interior_points(domain, rng, count, margin, span)
-    wr, wi = np.empty(count), np.empty(count)
+    z = sample_interior_points(domain, rng, count, margin, span)
+    w = CArr(np.empty(count), np.empty(count))
     close = np.arange(count)
     for _ in range(REJECTION_TRIES):
-        wr[close], wi[close] = sample_interior_points(domain, rng, close.size, margin, span)
-        close = close[np.hypot(zr[close] - wr[close], zi[close] - wi[close]) < separation]
+        redrawn = sample_interior_points(domain, rng, close.size, margin, span)
+        w.real[close], w.imag[close] = redrawn.real, redrawn.imag
+        close = close[abs(z[close] - w[close]) < separation]
         if not close.size:
-            return zr, zi, wr, wi
-    z = complex(zr[close[0]], zi[close[0]])
-    raise DomainError(f"no point {separation!r} away from {z!r} in {REJECTION_TRIES} rounds")
+            return z, w
+    first = complex(z.real[close[0]], z.imag[close[0]])
+    raise DomainError(f"no point {separation!r} away from {first!r} in {REJECTION_TRIES} rounds")

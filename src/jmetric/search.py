@@ -283,7 +283,7 @@ def estimate_lipschitz(
     domain.  An explicit dst overrides both, subject to the same sampled
     certification.  Anything else raises SelfMapViolation.  best_ratio is
     always reproducible by re-evaluating ratio_objective at the reported
-    witness.
+    witness; a best ratio past THEORETICAL_CEILING + 1e-9 raises JmetricError.
     """
     cfg = SearchConfig() if cfg is None else cfg
     if dst is not None:
@@ -362,6 +362,9 @@ def estimate_lipschitz(
 
     witness_z = region.point(best_coords[0], best_coords[1])
     witness_w = region.point(best_coords[2], best_coords[3])
+    if best > THEORETICAL_CEILING + 1e-9:  # past the proven ceiling, the ratio is rounding noise
+        where = f"z = {format_complex(witness_z)}, w = {format_complex(witness_w)}"
+        raise JmetricError(f"best ratio {best!r} at {where} exceeds the proven ceiling {THEORETICAL_CEILING}")
     cstar = None
     if dst == src and isinstance(src, (UnitDisk, Disk)) and (src.center, src.radius) == (0j, 1.0):
         cstar = (1.0 + abs(apply(m, 0j)), 2.0)

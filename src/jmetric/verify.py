@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import (
+    CArr,
     Disk,
     HalfPlane,
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
-    boundary_offsets,
     j_distance,
     j_distances,
     pseudo_hyperbolic_disk,
@@ -246,18 +246,21 @@ def check_lipschitz_pair(
     return j_distance(dst, fz, fw) / j_src
 
 
+def _trusted(domain: PlanarDomain, f):
+    """Whether the image f (a complex, or a CArr for a bool array) is finite and
+    at least IMAGE_TRUST * (1 + |f|) inside the domain; abs() may overflow."""
+    offset = signed_boundary_offset(domain, f)
+    # A non-finite image has an inf or nan size, which no finite offset meets.
+    return (IMAGE_TRUST * (1.0 + abs(f)) <= offset) & (offset < math.inf)
+
+
 def _trusted_images(domain: PlanarDomain, m: MapExpr, z: complex, w: complex):
-    """(f(z), f(w)), or None on a pole hit or an image that is not finite
-    or lies within IMAGE_TRUST * (1 + |f|) of the domain boundary."""
+    """(f(z), f(w)), or None on a pole hit or an image that _trusted rejects."""
     try:
-        images = apply(m, z), apply(m, w)
-        for f in images:
-            # A non-finite image has an inf or nan size, which no finite offset meets.
-            if not IMAGE_TRUST * (1.0 + abs(f)) <= signed_boundary_offset(domain, f) < math.inf:
-                return None
+        fz, fw = apply(m, z), apply(m, w)
+        return (fz, fw) if _trusted(domain, fz) and _trusted(domain, fw) else None
     except (PoleEncountered, DomainError, OverflowError):  # past ~1.3e308 apply or abs(f) overflows
         return None
-    return images
 
 
 def guarded_ratio(
@@ -273,35 +276,25 @@ def guarded_ratio(
     images = _trusted_images(dst, m, z, w)
     if images is None:
         return None
-    fz, fw = images
     try:
         j_src = j_distance(src, z, w)
         if j_src == 0.0:
             return None
-        ratio = j_distance(dst, fz, fw) / j_src
+        ratio = j_distance(dst, *images) / j_src
     except (PointOutsideDomain, DomainError):  # DomainError: |z - w| overflowed
         return None
     return ratio if math.isfinite(ratio) else None
 
 
-def _trusted_points(domain: PlanarDomain, re, im):
-    """_trusted_images' test of one image, at every point (re[k], im[k])."""
-    offset = boundary_offsets(domain, re, im)
-    return (IMAGE_TRUST * (1.0 + np.hypot(re, im)) <= offset) & (offset < math.inf)
-
-
-def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, zr, zi, wr, wi):
+def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: CArr, w: CArr):
     """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
     with np.errstate(all="ignore"):
-        fzr, fzi, bad_z = apply_arrays(m, zr, zi)
-        fwr, fwi, bad_w = apply_arrays(m, wr, wi)
-        trusted = _trusted_points(dst, fzr, fzi) & _trusted_points(dst, fwr, fwi) & ~(bad_z | bad_w)
-        keep = np.flatnonzero(trusted)
+        fz, bad_z = apply_arrays(m, z)
+        fw, bad_w = apply_arrays(m, w)
+        keep = np.flatnonzero(_trusted(dst, fz) & _trusted(dst, fw) & ~(bad_z | bad_w))
         # A zero or raising j_src, or a raising j_dst, leaves a non-finite ratio.
-        ratio = j_distances(dst, fzr[keep], fzi[keep], fwr[keep], fwi[keep]) / j_distances(
-            src, zr[keep], zi[keep], wr[keep], wi[keep]
-        )
-    out = np.full(len(zr), math.nan)
+        ratio = j_distances(dst, fz[keep], fw[keep]) / j_distances(src, z[keep], w[keep])
+    out = np.full(np.shape(z.real), math.nan)
     out[keep] = np.where(np.isfinite(ratio), ratio, math.nan)
     return out
 
@@ -614,14 +607,14 @@ def _ceiling_chunk(kind, seed, index, pairs):
     worst, witness, skipped = math.inf, {}, 0
     for start in range(0, pairs, _CHUNK):
         count = min(_CHUNK, pairs - start)
-        zr, zi, wr, wi = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        margin = 2.0 - guarded_ratios(src, dst, m, zr, zi, wr, wi)
+        z, w = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        margin = 2.0 - guarded_ratios(src, dst, m, z, w)
         scored = ~np.isnan(margin)
         skipped += count - int(np.count_nonzero(scored))
         k = int(np.argmin(np.where(scored, margin, math.inf)))  # the first of equal margins, as with <
         if margin[k] < worst:
             worst = float(margin[k])
-            witness = _witness(_PAIR, (m, src, dst, complex(zr[k], zi[k]), complex(wr[k], wi[k])))
+            witness = _witness(_PAIR, (m, src, dst, complex(z.real[k], z.imag[k]), complex(w.real[k], w.imag[k])))
     return worst, witness, skipped
 
 

@@ -1,14 +1,18 @@
-"""Array kernels against their scalar twins, bit for bit.
+"""The one-formula contract: each formula, run on a CArr, returns per element
+the bits it returns on a complex.
 
-Every array kernel (complex primitives, boundary offsets, j distances, map
-evaluation, the guarded ratio, the ceiling chunk's scoring) must return
-exactly what a loop over its scalar twin returns: the same bits, and NaN
-where the scalar raises or returns None.  The array samplers have no scalar
-twin, since they draw whole blocks from the chunk's generator; their tests
-check margins, separations, bounded rejection and reproducibility instead.
+CArr's operators must match CPython's complex arithmetic bit for bit, for
+CArr, complex and float operands on either side.  On top of them, map
+evaluation, boundary offsets, j distances, the guarded ratio and the ceiling
+chunk's scoring must return exactly what a loop over the scalar call
+returns: the same bits, and NaN (or a bad mark) where the scalar raises or
+returns None.  The array samplers draw whole blocks from the chunk's
+generator and have no scalar counterpart; their tests check margins,
+separations, bounded rejection and reproducibility instead.
 """
 
 import math
+import operator
 import struct
 import time
 
@@ -19,14 +23,11 @@ from hypothesis import strategies as st
 
 import jmetric.verify as verify_module
 from jmetric.domains import (
+    CArr,
     Disk,
     HalfPlane,
     UnitDisk,
     UpperHalfPlane,
-    _c_abs,
-    _c_prod,
-    _c_quot,
-    boundary_offsets,
     j_distance,
     j_distances,
     signed_boundary_offset,
@@ -57,7 +58,8 @@ ANY = st.floats(allow_nan=False, allow_infinity=False)
 MODEST = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 TINY = st.floats(min_value=-1e-290, max_value=1e-290, allow_nan=False)
 HUGE = st.floats(min_value=1e306, max_value=1.7e308) | st.floats(min_value=-1.7e308, max_value=-1e306)
-COORD = MODEST | ANY | TINY | HUGE
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+COORD = MODEST | ANY | TINY | HUGE | SIGNED_ZERO
 POINTS = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=32)
 
 DOMAINS = [
@@ -79,41 +81,83 @@ def same(scalar: complex | float, re, im=None) -> bool:
     return bits(scalar.real) == bits(float(re)) and bits(scalar.imag) == bits(float(im))
 
 
-def arrays(points):
-    return np.array([p[0] for p in points], dtype=float), np.array([p[1] for p in points], dtype=float)
+def carr(points) -> CArr:
+    return CArr(np.array([p[0] for p in points], dtype=float), np.array([p[1] for p in points], dtype=float))
+
+
+def element(z: CArr, k: int) -> complex:
+    return complex(z.real[k], z.imag[k])
 
 
 # ---------------------------------------------------------------------------
-# Complex primitives
+# CArr against CPython's complex
 # ---------------------------------------------------------------------------
+
+
+def _cpython(op, p, q) -> complex:
+    """op(p, q) in CPython; NaN where it raises ZeroDivisionError, as a CArr gives."""
+    try:
+        return complex(op(p, q))
+    except ZeroDivisionError:
+        return complex(math.nan, math.nan)
 
 
 @PROPERTY
-@given(POINTS, POINTS)
-def test_complex_primitives_match_cpython(left, right):
+@given(POINTS, POINTS, COORD)
+@example([(1.0, -0.0)], [(math.inf, 1.0)], 2.0)
+@example([(0.3, 0.0)], [(0.0, -0.0)], 0.0)
+def test_complex_primitives_match_cpython(left, right, x):
     n = min(len(left), len(right))
-    ar, ai = arrays(left[:n])
-    br, bi = arrays(right[:n])
+    a, b = carr(left[:n]), carr(right[:n])
+    c = element(b, 0)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with np.errstate(all="ignore"):
+            cases = [
+                (op(a, b), lambda k: (element(a, k), element(b, k))),
+                (op(a, c), lambda k: (element(a, k), c)),
+                (op(c, a), lambda k: (c, element(a, k))),
+                (op(a, x), lambda k: (element(a, k), x)),
+                (op(x, a), lambda k: (x, element(a, k))),
+                (op(np.float64(x), a), lambda k: (x, element(a, k))),  # numpy defers to the CArr
+            ]
+        for got, operands in cases:
+            assert isinstance(got, CArr)
+            for k in range(n):
+                p, q = operands(k)
+                assert same(_cpython(op, p, q), got.real[k], got.imag[k]), (op.__name__, p, q)
     with np.errstate(all="ignore"):
-        pr, pi = _c_prod(ar, ai, br, bi)
-        qr, qi = _c_quot(ar, ai, br, bi)
-        size, overflow = _c_abs(ar, ai)
+        size, conj = abs(a), a.conjugate()
     for k in range(n):
-        a, b = complex(ar[k], ai[k]), complex(br[k], bi[k])
-        assert same(a * b, pr[k], pi[k])
-        if b != 0:
-            assert same(a / b, qr[k], qi[k])
+        z = element(a, k)
+        assert same(z.conjugate(), conj.real[k], conj.imag[k])
         try:
-            assert same(abs(a), size[k]) and not overflow[k]
-        except OverflowError:
-            assert overflow[k]
+            assert same(abs(z), size[k])
+        except OverflowError:  # where CPython raises, the CArr modulus is inf
+            assert math.isinf(size[k])
 
 
 def test_quotient_takes_the_imaginary_branch_and_the_float_promotion():
     # |Re b| < |Im b| scales by Im b; a float numerator is (x, 0.0).
     b = complex(0.3, -7.0)
-    qr, qi = _c_quot(1.0, 0.0, np.array([b.real]), np.array([b.imag]))
-    assert same(1.0 / b, qr[0], qi[0])
+    q = 1.0 / CArr(np.array([b.real]), np.array([b.imag]))
+    assert same(1.0 / b, q.real[0], q.imag[0])
+
+
+def test_the_interpreter_promotes_a_real_operand_to_complex():
+    # CArr reads a float x as (x, 0.0), as CPython 3.10-3.13 do.  CPython 3.14
+    # follows C99 Annex G instead (0.0 + (1-0j) keeps -0.0, 2.0 * (inf+1j) is
+    # (inf+2j)), and CArr's bits would then differ from complex's.
+    message = "this interpreter does not promote a real operand x to complex(x, 0.0); CArr no longer matches it"
+    assert bits((0.0 + complex(1.0, -0.0)).imag) == bits(0.0), message
+    scaled = 2.0 * complex(math.inf, 1.0)
+    assert math.isinf(scaled.real) and math.isnan(scaled.imag), message
+
+
+def test_a_numpy_warning_outside_errstate_fails_the_run():
+    # pyproject.toml turns warnings into errors: a CArr division by zero that
+    # escapes an np.errstate block in a shared formula fails Tier-1.
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        1.0 / CArr(np.array([0.0]), np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +169,9 @@ def test_quotient_takes_the_imaginary_branch_and_the_float_promotion():
 @PROPERTY
 @given(POINTS)
 def test_boundary_offsets_match_the_scalar(domain, points):
-    re, im = arrays(points)
+    z = carr(points)
     with np.errstate(all="ignore"):
-        offsets = boundary_offsets(domain, re, im)
+        offsets = signed_boundary_offset(domain, z)
     for k, (x, y) in enumerate(points):
         assert same(signed_boundary_offset(domain, complex(x, y)), offsets[k])
 
@@ -146,18 +190,17 @@ def _scalar_j(domain, z, w):
 @example([(1e308, 1.0)], [(-1e308, 1.0)])
 def test_j_distances_match_the_scalar(domain, left, right):
     n = min(len(left), len(right))
-    zr, zi = arrays(left[:n])
-    wr, wi = arrays(right[:n])
-    j = j_distances(domain, zr, zi, wr, wi)
+    z, w = carr(left[:n]), carr(right[:n])
+    j = j_distances(domain, z, w)
     for k in range(n):
-        assert same(_scalar_j(domain, complex(zr[k], zi[k]), complex(wr[k], wi[k])), j[k])
+        assert same(_scalar_j(domain, element(z, k), element(w, k)), j[k])
 
 
 def test_j_distances_of_points_inside():
     rng = np.random.default_rng(3)
-    zr, zi, wr, wi = rng.uniform(-0.7, 0.7, (4, 200))
-    j = j_distances(UnitDisk(), zr, zi, wr, wi)
-    assert all(same(j_distance(UnitDisk(), complex(zr[k], zi[k]), complex(wr[k], wi[k])), j[k]) for k in range(200))
+    z, w = CArr(*rng.uniform(-0.7, 0.7, (2, 200))), CArr(*rng.uniform(-0.7, 0.7, (2, 200)))
+    j = j_distances(UnitDisk(), z, w)
+    assert all(same(j_distance(UnitDisk(), element(z, k), element(w, k)), j[k]) for k in range(200))
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +249,19 @@ def _scalar_apply(m, z):
 @given(maps(), POINTS, st.lists(TINY, max_size=3))
 @example(Mobius(1, 0, 1.4, 1), [(1.2e308, 1.2e308)], [])
 @example(Extremal(0.0, 0.0), [(0.0, 0.0)], [0.0])
+@example(Blaschke(0.7, ()), [(0.5, 0.5), (1e308, -1e308)], [])  # a constant, broadcast
+@example(Compose(Extremal(1.0, 2.0), Blaschke(0.7, ())), [(0.5, 0.5), (-3.0, 0.0)], [])
+@example(Compose(Mobius(1, 0, 1, -1), Blaschke(0.0, ())), [(0.5, 0.5), (-3.0, 0.0)], [])  # constant on the pole
 def test_apply_arrays_match_apply(m, points, nudges):
     points = points + [(p.real + t, p.imag - t) for p in _poles(m) for t in nudges + [0.0]]
-    re, im = arrays(points)
-    out_re, out_im, bad = apply_arrays(m, re, im)
+    z = carr(points)
+    f, bad = apply_arrays(m, z)
+    assert f.real.shape == f.imag.shape == bad.shape == (len(points),)
     for k in range(len(points)):
-        f = _scalar_apply(m, complex(re[k], im[k]))
-        assert bad[k] == (f is None)
-        if f is not None:
-            assert same(f, out_re[k], out_im[k])
+        scalar = _scalar_apply(m, element(z, k))
+        assert bad[k] == (scalar is None)
+        if scalar is not None:
+            assert same(scalar, f.real[k], f.imag[k])
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +282,10 @@ CASES = [
 @example(Mobius(1, 1j, 0, 1), [(0.0, 1e-300)], [(0.0, 1e10)])
 def test_guarded_ratios_match_guarded_ratio(src, dst, m, left, right):
     n = min(len(left), len(right))
-    zr, zi = arrays(left[:n])
-    wr, wi = arrays(right[:n])
-    ratio = guarded_ratios(src, dst, m, zr, zi, wr, wi)
+    z, w = carr(left[:n]), carr(right[:n])
+    ratio = guarded_ratios(src, dst, m, z, w)
     for k in range(n):
-        scalar = guarded_ratio(src, dst, m, complex(zr[k], zi[k]), complex(wr[k], wi[k]))
+        scalar = guarded_ratio(src, dst, m, element(z, k), element(w, k))
         assert same(math.nan if scalar is None else scalar, ratio[k])
 
 
@@ -247,12 +293,12 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
     # The Cayley map sends the half-plane onto the unit disk; 1.2 times it
     # sends most pairs partly outside, which both forms skip.
     rng = substream(5, 0)
-    zr, zi, wr, wi = sample_interior_pairs(UpperHalfPlane(), rng, 500, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    z, w = sample_interior_pairs(UpperHalfPlane(), rng, 500, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
     skipped = []
     for m in (_CAYLEY, Mobius(1.2, -1.2j, 1, 1j)):
-        ratio = guarded_ratios(UpperHalfPlane(), UnitDisk(), m, zr, zi, wr, wi)
+        ratio = guarded_ratios(UpperHalfPlane(), UnitDisk(), m, z, w)
         for k in range(500):
-            scalar = guarded_ratio(UpperHalfPlane(), UnitDisk(), m, complex(zr[k], zi[k]), complex(wr[k], wi[k]))
+            scalar = guarded_ratio(UpperHalfPlane(), UnitDisk(), m, element(z, k), element(w, k))
             assert same(math.nan if scalar is None else scalar, ratio[k])
         skipped.append(int(np.isnan(ratio).sum()))
     assert skipped[0] == 0 and 0 < skipped[1] < 500
@@ -267,25 +313,25 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
 @pytest.mark.parametrize("count", [0, 1, 7, 3000])
 def test_points_and_pairs_keep_margin_and_separation(domain, count):
     rng = substream(11, 2)
-    re, im = sample_interior_points(domain, rng, count, 1e-2, 10.0)
-    zr, zi, wr, wi = sample_interior_pairs(domain, rng, count, 1e-2, 0.05, 10.0)
-    assert all(len(column) == count for column in (re, im, zr, zi, wr, wi))
-    for x, y in ((re, im), (zr, zi), (wr, wi)):
-        assert (boundary_offsets(domain, x, y) >= 1e-2).all()
-    assert (np.hypot(zr - wr, zi - wi) >= 0.05).all()
+    points = sample_interior_points(domain, rng, count, 1e-2, 10.0)
+    z, w = sample_interior_pairs(domain, rng, count, 1e-2, 0.05, 10.0)
+    for x in (points, z, w):
+        assert x.real.shape == x.imag.shape == (count,)
+        assert (signed_boundary_offset(domain, x) >= 1e-2).all()
+    assert (abs(z - w) >= 0.05).all()
 
 
 def test_large_separation_redraws_only_the_close_pairs():
     # Separation 0 redraws nothing; separation 1 redraws the w's of a good
     # share of unit-disk pairs, and only those.
-    zr, zi, wr, wi = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 0.0)
-    far = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 1.0)
-    assert all(len(column) == 2000 for column in far)
-    assert (np.hypot(far[0] - far[2], far[1] - far[3]) >= 1.0).all()
-    close = np.hypot(zr - wr, zi - wi) < 1.0
+    z, w = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 0.0)
+    far_z, far_w = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 1.0)
+    assert far_w.real.shape == (2000,)
+    assert (abs(far_z - far_w) >= 1.0).all()
+    close = abs(z - w) < 1.0
     assert 100 < close.sum() < 1900
-    assert np.array_equal(far[0], zr) and np.array_equal(far[1], zi)
-    assert np.array_equal(far[2][~close], wr[~close]) and (far[2][close] != wr[close]).all()
+    assert np.array_equal(far_z.real, z.real) and np.array_equal(far_z.imag, z.imag)
+    assert np.array_equal(far_w.real[~close], w.real[~close]) and (far_w.real[close] != w.real[close]).all()
 
 
 @pytest.mark.parametrize(
@@ -310,7 +356,7 @@ def test_same_generator_state_gives_the_same_arrays(domain):
     a, b = substream(5, 4), substream(5, 4)
     first = sample_interior_pairs(domain, a, 500, 1e-2, 0.5, 10.0)
     second = sample_interior_pairs(domain, b, 500, 1e-2, 0.5, 10.0)
-    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+    assert all(np.array_equal(x.real, y.real) and np.array_equal(x.imag, y.imag) for x, y in zip(first, second))
     assert a.random() == b.random()
 
 
@@ -334,9 +380,9 @@ def _reference_ceiling_chunk(kind, seed, index, pairs):
     worst, witness, skipped = math.inf, {}, 0
     for start in range(0, pairs, _CHUNK):
         count = min(_CHUNK, pairs - start)
-        zr, zi, wr, wi = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        zs, ws = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
         for k in range(count):
-            z, w = complex(zr[k], zi[k]), complex(wr[k], wi[k])
+            z, w = element(zs, k), element(ws, k)
             ratio = guarded_ratio(src, dst, m, z, w)
             if ratio is None:
                 skipped += 1

@@ -231,6 +231,13 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["best_ratio"] <= 2.0 + 1e-9
 
+    def test_ratio_past_the_ceiling_is_exit_3(self, capsys):
+        # At |z| ~ 8e4 the images of a pair 1e-7 apart differ by one ulp: the
+        # computed ratio 14.6 is rounding noise above the proven ceiling 2.
+        code, out, err = run(capsys, "search", "--domain", "upperhalfplane", "--map", "extremal:1,1", "--grid", "12")
+        assert (code, out) == (3, "")
+        assert "best ratio 14.6087" in err and "z = -272.72727" in err and "proven ceiling 2.0" in err
+
     def test_zero_threads_is_exit_2(self, capsys):
         code, out, _ = run(
             capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--threads", "0"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import jmetric.parallel as parallel_module
 import jmetric.verify as verify_module
 from jmetric.domains import UnitDisk, UpperHalfPlane
 from jmetric.errors import CoincidentPoints, DomainError, JmetricError
@@ -311,6 +312,39 @@ def test_nonpositive_threads_rejected(threads):
         lipschitz_ceiling("disk", 2, 10, 0, threads)
 
 
+class _PoolStopped(Exception):
+    pass
+
+
+def test_pool_never_asks_for_more_workers_than_cpus(monkeypatch):
+    # A stand-in executor records the pool size it is asked for and starts no process.
+    requested = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            raise _PoolStopped
+
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(parallel_module, "default_threads", lambda: 3)
+    with pytest.raises(_PoolStopped):
+        run_suite("g-negativity", 4096 * 5000, 0, threads=100_000)  # 5,000 chunks
+    with pytest.raises(_PoolStopped):
+        parallel_module.run_ordered(abs, [(-1,), (-2,)], 100_000)
+    assert requested == [3, 2]
+    monkeypatch.setattr(parallel_module, "default_threads", lambda: 1)
+    assert parallel_module.run_ordered(abs, [(-1,), (-2,)], 8) == [1, 2]  # one CPU runs inline
+    assert requested == [3, 2]
+
+
 class _Stuck:
     """A uniform source that returns 0.0 forever."""
 
@@ -350,7 +384,7 @@ class TestRobustness:
     def test_ceiling_with_every_pair_skipped_fails(self, monkeypatch):
         import jmetric.verify
 
-        monkeypatch.setattr(jmetric.verify, "guarded_ratios", lambda src, dst, m, zr, *rest: np.full(len(zr), np.nan))
+        monkeypatch.setattr(jmetric.verify, "guarded_ratios", lambda src, dst, m, z, w: np.full(z.real.shape, np.nan))
         report = lipschitz_ceiling("disk", maps=2, pairs_per_map=50, seed=0)
         assert report.skipped == 100
         assert report.passed is False
