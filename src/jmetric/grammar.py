@@ -18,6 +18,7 @@ parse(format(x)) always reproduces x.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from .domains import Disk, HalfPlane, PlanarDomain, UnitDisk, UpperHalfPlane
@@ -65,8 +66,11 @@ class _Cursor:
         match = pattern.match(self.text, self.pos)
         if match is None:
             raise ParseError("expected a decimal real", self.pos, ("real",))
+        value = float(match.group())
+        if math.isinf(value):
+            raise ParseError(f"real literal {match.group()!r} overflows the float range", self.pos, ("real",))
         self.pos = match.end()
-        return float(match.group())
+        return value
 
     def done(self):
         if self.pos != len(self.text):

@@ -165,7 +165,12 @@ def _raise_at_pole(den: complex, pole: str, z: complex):
 
 def apply(m: MapExpr, z: complex) -> complex:
     """Evaluate the map at z; PoleEncountered on denominators below 1e-300,
-    DomainError on a denominator whose modulus overflows the float range."""
+    DomainError on a non-finite z or a denominator whose modulus overflows the
+    float range."""
+    # abs() of a complex with a NaN part can raise an OverflowError left over from an
+    # earlier libm call, so a non-finite point is refused before any arithmetic.
+    if not cmath.isfinite(z):
+        raise DomainError(f"cannot evaluate a map at the non-finite point {z!r}")
     try:
         return _value(m, z, _raise_at_pole)
     except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
@@ -177,7 +182,7 @@ def apply_arrays(m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
 
     bad marks the points where apply raises; their values in f are meaningless.
     """
-    bad = np.zeros(np.shape(z.real), dtype=bool)
+    bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
 
     def mark(den, pole, at):
         size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
@@ -195,6 +200,8 @@ def apply_arrays(m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
 def derivative(m: MapExpr, z: complex) -> complex:
     """Complex derivative at z via the closed forms and the chain rule;
     PoleEncountered and DomainError as for apply."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"cannot differentiate a map at the non-finite point {z!r}")
     try:
         if isinstance(m, Mobius):
             den = m.c * z + m.d

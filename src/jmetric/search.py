@@ -3,9 +3,11 @@
 The supremum of j_dst(f(z), f(w)) / j_src(z, w) over interior pairs is
 estimated by a deterministic tensor grid over the four real coordinates of
 (z, w) followed by coordinatewise pattern search from the best grid cells
-and from local-distortion seed points.  Only lower bounds are ever claimed:
-the supremum is typically attained in boundary or infinity limits, so no
-finite search can certify an upper bound; the ceiling 2 comes from theory.
+and from local-distortion seed points; the grid is scored one guarded_ratios
+call per block of z rows, the pattern search stays scalar.  Only lower
+bounds are ever claimed: the supremum is typically attained in boundary or
+infinity limits, so no finite search can certify an upper bound; the
+ceiling 2 comes from theory.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .domains import (
+    CArr,
     Disk,
     PlanarDomain,
     UnitDisk,
@@ -35,7 +40,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .verify import check_lipschitz_pair, guarded_ratio
+from .verify import check_lipschitz_pair, guarded_ratio, guarded_ratios
 
 __all__ = [
     "SearchConfig",
@@ -216,21 +221,18 @@ class _Region:
 
 
 def _grid_chunk(src, dst, m, separation, points, lo, hi, keep):
-    """Evaluate pairs (points[i], points[j]) for i in [lo, hi); return the
-    chunk's evaluation count and its `keep` best (ratio, i, j) entries."""
-    found = []
-    evals = 0
-    for i in range(lo, hi):
-        z = points[i]
-        for j, w in enumerate(points):
-            if abs(z - w) < separation:
-                continue
-            value = ratio_objective(src, dst, m, z, w)
-            evals += 1
-            if value != -math.inf:
-                found.append((value, i, j))
-    found.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
-    return evals, found[:keep]
+    """Score the pairs (points[i], points[j]) for i in [lo, hi) that are at least
+    separation apart in one guarded_ratios call; return their count and the
+    `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j)."""
+    n = len(points.real)
+    i = np.repeat(np.arange(lo, hi), n)
+    j = np.tile(np.arange(n), hi - lo)
+    far = ~(abs(points[i] - points[j]) < separation)
+    i, j = i[far], j[far]
+    ratio = guarded_ratios(src, dst, m, points[i], points[j])
+    found = np.flatnonzero(~np.isnan(ratio))
+    best = found[np.lexsort((j[found], i[found], -ratio[found]))[:keep]]
+    return len(i), [(float(ratio[k]), int(i[k]), int(j[k])) for k in best]
 
 
 def _refine(src, dst, m, region, cfg, coords, value):
@@ -298,10 +300,11 @@ def estimate_lipschitz(
 
     region = _Region(src, cfg)
     coords = region.grid_coords()
-    points = [region.point(a, b) for a, b in coords]
+    grid = np.array([region.point(a, b) for a, b in coords], dtype=complex)
+    points = CArr(grid.real, grid.imag)
     keep = max(cfg.refine_seeds, 1)
 
-    rows = len(points)
+    rows = len(coords)
     tasks = []
     lo = 0
     while lo < rows:
@@ -317,10 +320,6 @@ def estimate_lipschitz(
 
     best = -math.inf
     best_coords: tuple[float, float, float, float] | None = None
-    if top:
-        best = top[0][0]
-        best_coords = coords[top[0][1]] + coords[top[0][2]]
-
     seeds: list[tuple[tuple[float, float, float, float], float]] = []
     for value, i, j in top[:keep]:
         seeds.append((coords[i] + coords[j], value))
@@ -392,8 +391,8 @@ def extremal_ratio(t: float) -> float:
     Tends to 2 as t grows; evaluated through log1p (and a factored form for
     enormous t) so both tails stay accurate.
     """
-    if not t > 0.0:
-        raise DomainError(f"extremal_ratio needs t > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"extremal_ratio needs a finite t > 0, got {t!r}")
     if t > 1e150:
         # 1 + t sqrt(1+t^2) = t^2 (1/t^2 + sqrt(1 + 1/t^2)); avoids t*t overflow.
         u2 = (1.0 / t) ** 2

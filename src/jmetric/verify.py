@@ -225,8 +225,8 @@ def check_g_negativity(c: float, x: float) -> float:
     """Value of g(X) = cX + sqrt(1 + c^2 X^2) - (1 + X); negative on (0, T)."""
     if not 0.5 <= c <= 1.0:
         raise DomainError(f"check_g_negativity needs c in [1/2, 1], got {c!r}")
-    if not x > 0.0:
-        raise DomainError(f"check_g_negativity needs X > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"check_g_negativity needs a finite X > 0, got {x!r}")
     return c * x + math.sqrt(1.0 + c * c * x * x) - (1.0 + x)
 
 

@@ -3,10 +3,10 @@ the bits it returns on a complex.
 
 CArr's operators must match CPython's complex arithmetic bit for bit, for
 CArr, complex and float operands on either side.  On top of them, map
-evaluation, boundary offsets, j distances, the guarded ratio and the ceiling
-chunk's scoring must return exactly what a loop over the scalar call
-returns: the same bits, and NaN (or a bad mark) where the scalar raises or
-returns None.  The array samplers draw whole blocks from the chunk's
+evaluation, boundary offsets, j distances, the guarded ratio, and the scoring
+of the ceiling chunk and of the search grid must return exactly what a loop
+over the scalar call returns: the same bits, and NaN (or a bad mark) where
+the scalar raises or returns None.  The array samplers draw whole blocks from the chunk's
 generator and have no scalar counterpart; their tests check margins,
 separations, bounded rejection and reproducibility instead.
 """
@@ -33,8 +33,9 @@ from jmetric.domains import (
     signed_boundary_offset,
 )
 from jmetric.errors import DomainError, JmetricError
-from jmetric.maps import Blaschke, Compose, Extremal, Mobius, apply, apply_arrays
+from jmetric.maps import Blaschke, Compose, Extremal, Mobius, apply, apply_arrays, mobius_image_domain
 from jmetric.sampling import Uniforms, sample_interior_pairs, sample_interior_points, substream
+from jmetric.search import _GRID_ROWS_PER_CHUNK, SearchConfig, _grid_chunk, _Region, ratio_objective
 from jmetric.verify import (
     HALFPLANE_SPAN,
     PAIR_MARGIN,
@@ -252,6 +253,8 @@ def _scalar_apply(m, z):
 @example(Blaschke(0.7, ()), [(0.5, 0.5), (1e308, -1e308)], [])  # a constant, broadcast
 @example(Compose(Extremal(1.0, 2.0), Blaschke(0.7, ())), [(0.5, 0.5), (-3.0, 0.0)], [])
 @example(Compose(Mobius(1, 0, 1, -1), Blaschke(0.0, ())), [(0.5, 0.5), (-3.0, 0.0)], [])  # constant on the pole
+@example(Mobius(1, 0, 0, 1), [(math.inf, 0.0), (0.5, math.nan), (0.5, 0.5)], [])  # apply refuses non-finite points
+@example(Blaschke(0.7, ()), [(-math.inf, 0.0), (0.5, 0.5)], [])
 def test_apply_arrays_match_apply(m, points, nudges):
     points = points + [(p.real + t, p.imag - t) for p in _poles(m) for t in nudges + [0.0]]
     z = carr(points)
@@ -416,3 +419,64 @@ def test_ceiling_chunk_keeps_the_first_of_equal_margins(monkeypatch):
     new = _ceiling_chunk("disk", 4, 1, 5000)
     assert new == _reference_ceiling_chunk("disk", 4, 1, 5000)
     assert new[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The search grid chunk against a per-pair scoring loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_grid_chunk(src, dst, m, separation, points, lo, hi, keep):
+    """Evaluate pairs (points[i], points[j]) for i in [lo, hi); return the
+    chunk's evaluation count and its `keep` best (ratio, i, j) entries."""
+    found = []
+    evals = 0
+    for i in range(lo, hi):
+        z = points[i]
+        for j, w in enumerate(points):
+            if abs(z - w) < separation:
+                continue
+            value = ratio_objective(src, dst, m, z, w)
+            evals += 1
+            if value != -math.inf:
+                found.append((value, i, j))
+    found.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
+    return evals, found[:keep]
+
+
+GRID_CASES = {
+    "automorphism": (UnitDisk(), UnitDisk(), Blaschke(0.0, (0.5,))),
+    "extremal": (UpperHalfPlane(), UpperHalfPlane(), Extremal(1.0, 1.0)),
+    "cayley": (UpperHalfPlane(), mobius_image_domain(_CAYLEY, UpperHalfPlane()), _CAYLEY),
+    "blaschke3": (UnitDisk(), UnitDisk(), Blaschke(0.0, (0.5, 0.5j, -0.5))),
+    # A shift sends part of the disk outside it, so some pairs are infeasible.
+    "infeasible": (UnitDisk(), UnitDisk(), Mobius(1, 0.5, 0, 1)),
+    # Every pair scores exactly 1.0, so (i, j) alone orders the entries.
+    "ties": (UnitDisk(), UnitDisk(), Mobius(1, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_grid_chunk_matches_the_per_pair_loop(name):
+    src, dst, m = GRID_CASES[name]
+    region = _Region(src, SearchConfig(grid_per_axis=10))
+    points = [region.point(a, b) for a, b in region.grid_coords()]
+    rows = len(points)
+    assert rows % _GRID_ROWS_PER_CHUNK != 0  # the last block is partial
+    last = (rows - 1) // _GRID_ROWS_PER_CHUNK * _GRID_ROWS_PER_CHUNK
+    blocks = [(0, _GRID_ROWS_PER_CHUNK), (last, rows), (5, 6)]
+    # A separation equal to the spacing of two grid neighbours puts pairs on the < edge.
+    spacing = abs(points[1] - points[0])
+    assert sum(abs(z - w) == spacing for z in points for w in points) > 0
+    grid = carr([(p.real, p.imag) for p in points])
+    for separation in (1e-7, spacing):
+        for lo, hi in blocks:
+            for keep in (1, 16, rows * rows):
+                evals, top = _grid_chunk(src, dst, m, separation, grid, lo, hi, keep)
+                ref_evals, ref_top = _reference_grid_chunk(src, dst, m, separation, points, lo, hi, keep)
+                assert evals == ref_evals
+                assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
+                assert all(type(i) is int and type(j) is int for _, i, j in top)
+    if name == "infeasible":
+        evals, top = _grid_chunk(src, dst, m, 1e-7, grid, 0, rows, rows * rows)
+        assert 0 < len(top) < evals

@@ -91,6 +91,21 @@ class TestMapEval:
         code, out, _ = run(capsys, "map-eval", "--map", "mobius:1,0,1.4,1", "--z", "1.2e308+1.2e308i")
         assert (code, out) == (3, "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--map", "extremal:0,0", "--z", "1e400", "--output", "json"),
+            ("--map", "extremal:0,0", "--z", "1+1e400i"),
+            ("--map", "mobius:1,0,0,1", "--z", "1e400"),
+            ("--map", "mobius:1,0,0,-1e400", "--z", "1"),
+            ("--map", "extremal:0,0", "--z", "1", "--domain", "disk:0,0,1e999"),
+        ],
+        ids=["z-json", "z-imag", "mobius-z", "coefficient", "domain"],
+    )
+    def test_overflowing_literal_is_exit_2(self, capsys, argv):
+        code, out, _ = run(capsys, "map-eval", *argv)
+        assert (code, out) == (2, "")
+
     def test_domain_guard(self, capsys):
         code, out, _ = run(
             capsys, "map-eval", "--map", "blaschke:0;[0.5+0i]", "--z", "0.25",

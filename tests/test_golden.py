@@ -1,10 +1,11 @@
 """Byte-identity gate for the seeded reports.
 
 Pins the exact JSON, skip count and margin convention of every suite, both
-Schwarz-Pick equality runs, the three ceiling kinds and one distortion
-search at seed 42.  A change that alters the draw order or the arithmetic
-must update GOLDEN on purpose; print the names of the entries that differ,
-then the current values, with
+Schwarz-Pick equality runs, the three ceiling kinds and three distortion
+searches (a disk automorphism, extremal 1,1 and the Cayley map) at seed 42.
+A change that alters the draw order or the arithmetic must update GOLDEN on
+purpose; print the names of the entries that differ, then the current
+values, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,8 +14,8 @@ import pprint
 
 import pytest
 
-from jmetric.domains import UnitDisk
-from jmetric.maps import Blaschke
+from jmetric.domains import UnitDisk, UpperHalfPlane
+from jmetric.maps import Blaschke, Extremal, Mobius
 from jmetric.search import SearchConfig, estimate_lipschitz
 from jmetric.verify import SUITE_NAMES, lipschitz_ceiling, run_schwarz_pick_equality, run_suite
 
@@ -36,20 +37,30 @@ def _cases():
     return cases
 
 
-def _search_json():
-    cfg = SearchConfig(grid_per_axis=8, seed=SEED)
-    return estimate_lipschitz(UnitDisk(), Blaschke(0.0, (0.5,)), cfg).to_json()
+# The half-plane searches cover the log-spaced height grid; the Cayley map is
+# not a self-map, so it is searched against its computed image domain.
+_SEARCHES = {
+    "search/automorphism": (UnitDisk(), Blaschke(0.0, (0.5,))),
+    "search/extremal": (UpperHalfPlane(), Extremal(1.0, 1.0)),
+    "search/cayley": (UpperHalfPlane(), Mobius(1.0, -1j, 1.0, 1j)),
+}
+
+
+def _search_json(name):
+    src, m = _SEARCHES[name]
+    return estimate_lipschitz(src, m, SearchConfig(grid_per_axis=8, seed=SEED)).to_json()
 
 
 def capture() -> dict:
     out = {name: _report_fields(run()) for name, run in _cases().items()}
-    out["search/automorphism"] = _search_json()
+    out.update((name, _search_json(name)) for name in _SEARCHES)
     return out
 
 
 # Captured at seed 42 before the suite engine became one table-driven fold; the
 # ceiling/* entries after ceiling pairs came to be drawn by vectorized
-# rejection from each chunk's generator.
+# rejection from each chunk's generator; search/extremal and search/cayley
+# while the search grid still scored its pairs one at a time.
 GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.35851422238054464,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.4676181265553023+0.2536503295530257i","w":"-0.3071069610477659-0.46670108755699724i"}}',
                   0,
                   'absolute'),
@@ -75,6 +86,8 @@ GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"se
                         0,
                         'absolute'),
  'search/automorphism': '{"best_ratio":1.4974270517249664,"witness_z":"-0.14285700000000204+2.1287351569139188e-09i","witness_w":"0.1428569999999999-4.257470397094564e-09i","evaluations":16005,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.4974270517249664,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
+ 'search/cayley': '{"best_ratio":1.662591320919834,"witness_z":"54.11955287646776+372.75937203149397i","witness_w":"1000.0+372.75937203149397i","evaluations":15379,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.662591320919834,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/extremal': '{"best_ratio":1.9999995813135971,"witness_z":"-1.0000000308666057+0.0026826957952797263i","witness_w":"-1000.0+0.0026826957952797263i","evaluations":17224,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.9999995813135971,"theoretical_ceiling":2.0,"cstar_interval":null}',
  'suite/bound-2-3': ('{"suite":"bound-2-3","samples":5000,"seed":42,"passed":true,"worst_margin":4.422787880375978e-08,"worst_witness":{"map":"compose(blaschke:6.17241104198212;[0.03894083513341271-0.6280410296722813i],blaschke:4.3127851666531845;[-0.013534259014944759-0.9131545878512816i])","z":"-0.05034945876231456+0.4480635533026929i"}}',
                      0,
                      'absolute'),
@@ -110,7 +123,8 @@ def test_report_bytes(name):
 
 
 def test_search_bytes():
-    assert _search_json() == GOLDEN["search/automorphism"]
+    for name in _SEARCHES:
+        assert _search_json(name) == GOLDEN[name], name
 
 
 if __name__ == "__main__":

@@ -28,12 +28,13 @@ class TestComplexForms:
             ("-0.5", -0.5 + 0j),
             ("1e-3+2.5e4i", 1e-3 + 2.5e4j),
             ("-1.5e2-0.5i", -150 - 0.5j),
+            ("1e-400+1i", 1j),  # underflow to 0 is accepted
         ],
     )
     def test_parse(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("bad", ["2i", "1+i", "", "abc", "1+2", "1 + 2i"])
+    @pytest.mark.parametrize("bad", ["2i", "1+i", "", "abc", "1+2", "1 + 2i", "1e400", "1-1e400i", "-2e308"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_complex(bad)
@@ -63,6 +64,18 @@ class TestComplexForms:
             parse_complex("0.5+zi")
         assert info.value.position == 4
         assert "real" in info.value.expected
+
+    def test_overflowing_real_is_reported_at_its_start(self):
+        # inf is not in the grammar, so a literal that rounds to it could not be printed back.
+        for parse, text, position in (
+            (parse_complex, "0.5+1e309i", 4),
+            (parse_map, "extremal:0,-1e400", 11),
+            (parse_domain, "disk:0,0,1e999", 9),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.position == position
+            assert "overflows" in str(info.value)
 
 
 class TestDomainForms:

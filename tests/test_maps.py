@@ -1,8 +1,12 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jmetric
 from jmetric.domains import (
     Disk,
     UnitDisk,
@@ -313,6 +317,39 @@ def test_nan_never_reaches_a_map():
         Extremal(float("inf"), 0.0)
     with pytest.raises(DomainError):
         Blaschke(float("nan"), ())
+
+
+NON_FINITE = [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0)]
+NON_FINITE_MAPS = [Mobius(1, 0, 0, 1), Blaschke(0.0, (0.5,)), Extremal(0.0, 1.0), Compose(Extremal(0.0, 1.0), IDENTITY)]
+
+
+def test_non_finite_point_raises_domain_error():
+    # math.exp(-1000.0) underflows and leaves errno at ERANGE, which abs() of a
+    # complex with a NaN part does not reset; the second pass runs after it.
+    for _ in range(2):
+        for m in NON_FINITE_MAPS:
+            for z in NON_FINITE:
+                with pytest.raises(DomainError):
+                    apply(m, z)
+                with pytest.raises(DomainError):
+                    derivative(m, z)
+        assert math.exp(-1000.0) == 0.0
+
+
+def test_non_finite_point_raises_domain_error_in_a_fresh_interpreter():
+    code = (
+        "import math\n"
+        "from jmetric.errors import DomainError\n"
+        "from jmetric.maps import Mobius, apply\n"
+        "try:\n"
+        "    print(apply(Mobius(1, 0, 0, 1), complex(math.inf, 0.0)))\n"
+        "except DomainError:\n"
+        "    print('DomainError')\n"
+    )
+    # The package's own source root, whether it is installed or on PYTHONPATH.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jmetric.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout == "DomainError\n", out.stderr
 
 
 def test_overflowing_denominator_raises_domain_error():

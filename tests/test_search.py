@@ -110,6 +110,10 @@ class TestExtremalRatio:
         with pytest.raises(DomainError):
             extremal_ratio(-1.0)
 
+    def test_rejects_infinite(self):
+        with pytest.raises(DomainError):
+            extremal_ratio(math.inf)
+
 
 class TestExtremalSweep:
     def geometric_offsets(self):
@@ -188,9 +192,11 @@ class TestEstimateLipschitz:
             assert report.best_ratio <= 2.0 + 1e-9
 
     def test_thread_count_invariance(self):
-        lone = estimate_lipschitz(D, HALF_AUT, QUICK, threads=1)
-        dual = estimate_lipschitz(D, HALF_AUT, QUICK, threads=2)
-        assert lone.to_json() == dual.to_json()
+        # The Cayley map is searched against its computed image domain.
+        for src, m in ((D, HALF_AUT), (H, Mobius(1, -1j, 1, 1j))):
+            lone = estimate_lipschitz(src, m, QUICK, threads=1)
+            dual = estimate_lipschitz(src, m, QUICK, threads=2)
+            assert lone.to_json() == dual.to_json()
 
     def test_mobius_gets_image_destination(self):
         double = Mobius(2, 0, 0, 1)

@@ -162,6 +162,8 @@ class TestGFunction:
             check_g_negativity(0.4, 1.0)
         with pytest.raises(DomainError):
             check_g_negativity(0.6, 0.0)
+        with pytest.raises(DomainError):
+            check_g_negativity(0.75, math.inf)
 
 
 class TestLipschitzPair:
