@@ -4,10 +4,10 @@ The supremum of j_dst(f(z), f(w)) / j_src(z, w) over interior pairs is
 estimated by a deterministic tensor grid over the four real coordinates of
 (z, w) followed by coordinatewise pattern search from the best grid cells
 and from local-distortion seed points; the grid is scored one guarded_ratios
-call per block of z rows, the pattern search stays scalar.  Only lower
-bounds are ever claimed: the supremum is typically attained in boundary or
-infinity limits, so no finite search can certify an upper bound; the
-ceiling 2 comes from theory.
+call per block of z rows (on a pool only from 2**20 pairs per worker), the
+pattern search stays scalar.  Only lower bounds are ever claimed: the
+supremum is typically attained in boundary or infinity limits, so no finite
+search can certify an upper bound; the ceiling 2 comes from theory.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
 # do not depend on the worker count.
 _GRID_ROWS_PER_CHUNK = 16
+
+# Grid pairs per pool worker; smaller grids are scored inline (2-CPU Xeon, extremal
+# map: 331,776 pairs take 0.13 s inline and 0.22 s on two workers, 2,560,000 pairs
+# 1.35 s inline and 0.82 s on two).
+_PAIRS_PER_WORKER = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -305,24 +310,19 @@ def estimate_lipschitz(
     keep = max(cfg.refine_seeds, 1)
 
     rows = len(coords)
-    tasks = []
-    lo = 0
-    while lo < rows:
-        hi = min(lo + _GRID_ROWS_PER_CHUNK, rows)
-        tasks.append((src, dst, m, cfg.separation_floor, points, lo, hi, keep))
-        lo = hi
+    tasks = [(src, dst, m, cfg.separation_floor, points, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
+             for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
     evaluations = 0
     top: list[tuple[float, int, int]] = []
-    for chunk_evals, chunk_top in run_ordered(_grid_chunk, tasks, threads):
+    workers = min(threads, max(1, rows * rows // _PAIRS_PER_WORKER))
+    for chunk_evals, chunk_top in run_ordered(_grid_chunk, tasks, workers):
         evaluations += chunk_evals
         top.extend(chunk_top)
     top.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
 
     best = -math.inf
     best_coords: tuple[float, float, float, float] | None = None
-    seeds: list[tuple[tuple[float, float, float, float], float]] = []
-    for value, i, j in top[:keep]:
-        seeds.append((coords[i] + coords[j], value))
+    seeds = [(coords[i] + coords[j], value) for value, i, j in top[:keep]]
 
     # Local-distortion seeds: near-coincident pairs at the most expanding
     # grid points, covering suprema reached in the z -> w limit.

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import jmetric.search as search_module
 from jmetric.domains import UnitDisk, UpperHalfPlane
 from jmetric.errors import DomainError, SelfMapViolation
 from jmetric.maps import Blaschke, Extremal, Mobius
@@ -191,12 +192,27 @@ class TestEstimateLipschitz:
             report = estimate_lipschitz(D, m, QUICK)
             assert report.best_ratio <= 2.0 + 1e-9
 
-    def test_thread_count_invariance(self):
-        # The Cayley map is searched against its computed image domain.
+    def test_thread_count_invariance(self, monkeypatch):
+        # One pair per worker is enough, so the QUICK grid really runs on two
+        # workers.  The Cayley map is searched against its computed image domain.
+        monkeypatch.setattr(search_module, "_PAIRS_PER_WORKER", 1)
         for src, m in ((D, HALF_AUT), (H, Mobius(1, -1j, 1, 1j))):
             lone = estimate_lipschitz(src, m, QUICK, threads=1)
             dual = estimate_lipschitz(src, m, QUICK, threads=2)
             assert lone.to_json() == dual.to_json()
+
+    @pytest.mark.parametrize(
+        ("pairs_per_worker", "threads", "workers"),
+        [(1 << 20, 2, 1), (10_000, 2, 1), (5_000, 2, 2), (5_000, 8, 2), (1, 3, 3)],
+    )
+    def test_grid_workers_scale_with_pairs(self, monkeypatch, pairs_per_worker, threads, workers):
+        # The QUICK grid on the half-plane has 100 points, so 10,000 pairs.
+        seen = []
+        real = search_module.run_ordered
+        monkeypatch.setattr(search_module, "_PAIRS_PER_WORKER", pairs_per_worker)
+        monkeypatch.setattr(search_module, "run_ordered", lambda f, tasks, n: seen.append(n) or real(f, tasks, 1))
+        estimate_lipschitz(H, Extremal(1.0, 1.0), QUICK, threads=threads)
+        assert seen == [workers]
 
     def test_mobius_gets_image_destination(self):
         double = Mobius(2, 0, 0, 1)
