@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 
 from .errors import JmetricError, ParseError
-from .grammar import _to_json, format_complex, parse_complex, parse_domain, parse_map
+from .grammar import _to_json, format_complex, parse_complex, parse_domain, parse_map, parse_real
 from .maps import apply
 from .domains import boundary_distance, j_distance
 from .parallel import default_threads
@@ -93,15 +93,15 @@ class _Options:
         return value
 
     def number(self, name, kind, default=None, minimum=None):
-        """The option converted by kind (int or float); required when
-        default is None."""
+        """The option converted by kind (int, or parse_real for a finite
+        decimal real); required when default is None."""
         raw = self.require(name) if default is None else self.get(name)
         if raw is None:
             return default
         try:
             value = kind(raw)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
+        except (ValueError, ParseError):
+            noun = "an integer" if kind is int else "a finite decimal real"
             raise ParseError(f"--{name} must be {noun}, got {raw!r}", 0) from None
         if minimum is not None and value < minimum:
             raise ParseError(f"--{name} must be at least {minimum}, got {value!r}", 0)
@@ -193,8 +193,8 @@ def _cmd_search(opt: _Options, style: str):
     dst_text = opt.get("dst-domain")
     dst = parse_domain(dst_text) if dst_text is not None else None
     cfg = SearchConfig(
-        boundary_margin=opt.number("margin", float, 1e-6),
-        separation_floor=opt.number("separation", float, 1e-7),
+        boundary_margin=opt.number("margin", parse_real, 1e-6),
+        separation_floor=opt.number("separation", parse_real, 1e-7),
         grid_per_axis=opt.number("grid", int, 24),
         refine_rounds=opt.number("rounds", int, 60),
         seed=opt.number("seed", int, 0, minimum=0),
@@ -211,13 +211,13 @@ def _cmd_search(opt: _Options, style: str):
 
 
 def _cmd_extremal(opt: _Options, style: str):
-    a = opt.number("a", float, 0.0)
-    b = opt.number("b", float, 0.0)
+    a = opt.number("a", parse_real, 0.0)
+    b = opt.number("b", parse_real, 0.0)
     raw = opt.require("t")
     try:
-        ts = [float(part) for part in raw.split(",") if part != ""]
-    except ValueError:
-        raise ParseError(f"--t must be a comma list of numbers, got {raw!r}", 0) from None
+        ts = [parse_real(part) for part in raw.split(",") if part != ""]
+    except ParseError:
+        raise ParseError(f"--t must be a comma list of finite decimal reals, got {raw!r}", 0) from None
     if not ts:
         raise ParseError("--t must name at least one offset", 0)
     rows = extremal_sweep(ts, a, b)
@@ -229,7 +229,7 @@ def _cmd_extremal(opt: _Options, style: str):
 
 
 def _cmd_bounds(opt: _Options, style: str):
-    lo, hi = cstar_bounds(opt.number("a", float))
+    lo, hi = cstar_bounds(opt.number("a", parse_real))
     if style == "json":
         return 0, _to_json({"lower": lo, "upper": hi})
     return 0, f"{_fmt9(lo)} {_fmt9(hi)}"

@@ -26,6 +26,7 @@ from .errors import ParseError
 from .maps import Blaschke, Compose, Extremal, MapExpr, Mobius
 
 __all__ = [
+    "parse_real",
     "parse_complex",
     "format_complex",
     "format_real",
@@ -107,6 +108,14 @@ def _parse_cx(cur: _Cursor) -> complex:
         cur.expect("i")
         return complex(real, imag if ch == "+" else -imag)
     return complex(real, 0.0)
+
+
+def parse_real(text: str) -> float:
+    """A signed decimal real; nan, inf and literals past the float range are ParseErrors."""
+    cur = _Cursor(text)
+    x = cur.take_real(signed=True)
+    cur.done()
+    return x
 
 
 def parse_complex(text: str) -> complex:

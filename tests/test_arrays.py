@@ -11,6 +11,7 @@ generator and have no scalar counterpart; their tests check margins,
 separations, bounded rejection and reproducibility instead.
 """
 
+import logging
 import math
 import operator
 import struct
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import jmetric.maps as maps_module
 import jmetric.verify as verify_module
 from jmetric.domains import (
     CArr,
@@ -28,12 +30,22 @@ from jmetric.domains import (
     HalfPlane,
     UnitDisk,
     UpperHalfPlane,
+    contains,
     j_distance,
     j_distances,
     signed_boundary_offset,
 )
-from jmetric.errors import DomainError, JmetricError
-from jmetric.maps import Blaschke, Compose, Extremal, Mobius, apply, apply_arrays, mobius_image_domain
+from jmetric.errors import DomainError, JmetricError, PoleEncountered
+from jmetric.maps import (
+    Blaschke,
+    Compose,
+    Extremal,
+    Mobius,
+    apply,
+    apply_arrays,
+    maps_into_sampled,
+    mobius_image_domain,
+)
 from jmetric.sampling import Uniforms, sample_interior_pairs, sample_interior_points, substream
 from jmetric.search import _GRID_ROWS_PER_CHUNK, SearchConfig, _grid_chunk, _Region, ratio_objective
 from jmetric.verify import (
@@ -480,3 +492,89 @@ def test_grid_chunk_matches_the_per_pair_loop(name):
     if name == "infeasible":
         evals, top = _grid_chunk(src, dst, m, 1e-7, grid, 0, rows, rows * rows)
         assert 0 < len(top) < evals
+
+
+# ---------------------------------------------------------------------------
+# Sampled certification against its per-point loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_maps_into_sampled(m, src, dst, n, seed):
+    """The per-point loop maps_into_sampled ran before it was batched, over the
+    points the batched version draws."""
+    points = maps_module.sample_interior_points(src, substream(seed, 0), n, margin=1e-6)
+    for k in range(n):
+        z = element(points, k)
+        try:
+            w = apply(m, z)
+        except PoleEncountered as exc:
+            logging.getLogger("jmetric.maps").warning("certification of %r hit a pole: %s", m, exc)
+            return False
+        if not contains(dst, w):
+            return False
+    return True
+
+
+INVERSION = Mobius(0, 1, 1, 0)  # 1/z: pole at 0, sends H to the lower half-plane
+
+CERTIFY_CASES = {
+    "cayley": (UpperHalfPlane(), UnitDisk(), _CAYLEY),
+    "blaschke3": (UnitDisk(), UnitDisk(), Blaschke(0.0, (0.5, 0.5j, -0.5))),
+    "extremal": (UpperHalfPlane(), UpperHalfPlane(), Extremal(1.0, 1.0)),
+    # Leaves the domain at some points but not all.
+    "shift": (UnitDisk(), UnitDisk(), Mobius(1, 0.5, 0, 1)),
+    "inversion": (UpperHalfPlane(), UpperHalfPlane(), INVERSION),
+    # The constant inner map 1 sits on the outer map's pole, so every point is a pole hit.
+    "pole": (UnitDisk(), UnitDisk(), Compose(Mobius(1, 0, 1, -1), Blaschke(0.0, ()))),
+}
+
+
+def _certify_both(caplog, m, src, dst, n, seed):
+    """(verdict, logged messages) of maps_into_sampled and of the reference loop."""
+    out = []
+    for certify in (maps_into_sampled, _reference_maps_into_sampled):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="jmetric.maps"):
+            verdict = certify(m, src, dst, n, seed)
+        out.append((verdict, [r.getMessage() for r in caplog.records]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_CASES))
+def test_maps_into_sampled_matches_the_per_point_loop(caplog, name):
+    src, dst, m = CERTIFY_CASES[name]
+    for seed, n in ((42, 1000), (7, 1), (7, 37)):
+        new, ref = _certify_both(caplog, m, src, dst, n, seed)
+        assert new == ref
+    expected = name in ("cayley", "blaschke3", "extremal")
+    assert new[0] is expected
+    assert bool(new[1]) is (name == "pole")
+
+
+@pytest.mark.parametrize(
+    "points, verdict, pole_logged",
+    [
+        ([-0.5j, -2j, -1 - 1j], True, False),
+        ([-0.5j, 0.5j, 0j], False, False),  # leaves H before the pole: no pole warning
+        ([-0.5j, 0j, 0.5j], False, True),
+        ([0j], False, True),
+        ([-0.5j, -1j, 0.25 + 0.5j, 0j], False, False),
+    ],
+)
+def test_maps_into_sampled_fails_at_the_first_failing_point(caplog, monkeypatch, points, verdict, pole_logged):
+    chosen = carr([(p.real, p.imag) for p in points])
+    monkeypatch.setattr(maps_module, "sample_interior_points", lambda src, rng, count, margin: chosen)
+    new, ref = _certify_both(caplog, INVERSION, UnitDisk(), UpperHalfPlane(), len(points), 0)
+    assert new == ref
+    assert new[0] is verdict
+    assert bool(new[1]) is pole_logged
+
+
+def test_maps_into_sampled_raises_where_the_loop_raises(monkeypatch):
+    # The denominator 1.5e308(1+i) is finite, but its modulus overflows.
+    m = Mobius(1, 1, complex(1.5e308, 1.5e308), 0)
+    chosen = carr([(0.5, 0.0), (1.0, 0.0)])
+    monkeypatch.setattr(maps_module, "sample_interior_points", lambda src, rng, count, margin: chosen)
+    for certify in (maps_into_sampled, _reference_maps_into_sampled):
+        with pytest.raises(DomainError):
+            certify(m, UnitDisk(), UnitDisk(), 2, 0)

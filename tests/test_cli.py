@@ -335,6 +335,48 @@ class TestBounds:
         assert code == 3
 
 
+SEARCH = ("search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--grid", "4", "--rounds", "2")
+
+
+class TestRealFlags:
+    """Real-valued flags take the grammar's decimal literals and nothing else."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("extremal", "--a", "0", "--b", "0", "--t", "1e400"),
+            ("extremal", "--t", "1,nan"),
+            ("extremal", "--a", "inf", "--t", "1"),
+            ("extremal", "--b", "-1e400", "--t", "1"),
+            ("bounds", "--a", "nan"),
+            ("bounds", "--a", "1e400"),
+            (*SEARCH, "--margin", "nan"),
+            (*SEARCH, "--separation", "inf"),
+            (*SEARCH, "--margin", "1e-6 "),
+        ],
+        ids=["t-overflow", "t-nan", "a-inf", "b-overflow", "bounds-nan", "bounds-overflow",
+             "margin-nan", "separation-inf", "margin-space"],
+    )
+    def test_non_literal_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "non-finite" not in err and "(inf" not in err
+
+    def test_config_value_is_parsed_like_a_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=nan\n")
+        code, out, err = run(capsys, "bounds", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "--a must be a finite decimal real, got 'nan'" in err
+
+    @pytest.mark.parametrize("literal", ["0.5", ".5", "+0.5", "5e-1", "0.50", "5.E-1"])
+    def test_accepted_literals_keep_their_value(self, capsys, literal):
+        assert run(capsys, "bounds", "--a", literal) == (0, "1.5 2\n", "")
+
+    def test_offset_list_keeps_skipping_empty_parts(self, capsys):
+        assert run(capsys, "extremal", "--t", "1,,10,") == run(capsys, "extremal", "--t", "1,10")
+
+
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

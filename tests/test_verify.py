@@ -326,15 +326,15 @@ def test_pool_never_asks_for_more_workers_than_cpus(monkeypatch):
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, *iterables):
             raise _PoolStopped
 
+        def shutdown(self, wait=True):
+            pass
+
+    # Start from no pool, and drop the cached stand-in when the test ends.
+    parallel_module._shutdown()
+    monkeypatch.setattr(parallel_module, "_pool", None)
     monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(parallel_module, "default_threads", lambda: 3)
     with pytest.raises(_PoolStopped):
