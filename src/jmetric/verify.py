@@ -6,7 +6,8 @@ means the property held with room to spare, and a suite passes when the
 worst margin stays above minus its tolerance.  Identity and bounded
 inequality suites track absolute slack (identities normalized by their
 magnitude scale); the unbounded inequality chains track slack relative to
-the dominating side.
+the dominating side; the Schwarz-Pick suites track slack over its rounding
+scale (see _sp_margin).
 
 Samples whose image points are numerically boundary-coincident (computed
 boundary distance below 1e-9 relative to the image magnitude) or not finite
@@ -127,8 +128,17 @@ def _sp_slack(distance, z: complex, w: complex, fz: complex, fw: complex) -> flo
     return distance(z, w) - distance(fz, fw)
 
 
-def _sp_equality(distance, z: complex, w: complex, fz: complex, fw: complex) -> float:
-    return -abs(_sp_slack(distance, z, w, fz, fw))
+def _sp_margin(distance, domain: PlanarDomain, z, w, fz, fw):
+    """Slack over its rounding scale 1 + |f(z)|/d(f(z)) + |f(w)|/d(f(w)), d the
+    boundary distance: an image rounded by u|f| moves its distance by about
+    u|f|/d(f), so a composition of automorphisms (slack 0) whose images near
+    the boundary leave a slack of -1e-12 still scores within tolerance."""
+    scale = 1.0 + abs(fz) / signed_boundary_offset(domain, fz) + abs(fw) / signed_boundary_offset(domain, fw)
+    return _sp_slack(distance, z, w, fz, fw) / scale
+
+
+def _sp_equality(distance, domain: PlanarDomain, z, w, fz, fw):
+    return -abs(_sp_margin(distance, domain, z, w, fz, fw))
 
 
 def check_schwarz_pick_halfplane(m: MapExpr, z: complex, w: complex) -> float:
@@ -505,16 +515,16 @@ def _trial_lipschitz_pair(u):
     return None if ratio is None else (2.0 - ratio, (m, src, src, z, w))
 
 
-_SP_HALF = functools.partial(_sp_slack, pseudo_hyperbolic_halfplane)
-_SP_DISK = functools.partial(_sp_slack, pseudo_hyperbolic_disk)
+_SP_HALF = functools.partial(_sp_margin, pseudo_hyperbolic_halfplane, _HALF)
+_SP_DISK = functools.partial(_sp_margin, pseudo_hyperbolic_disk, _DISK)
 _STEP_1_2 = functools.partial(_relative_slack, _step_1_2_sides)
 _STEP_2_2 = functools.partial(_relative_slack, _step_2_2_sides)
 
 _SUITES = {
     "identity-halfplane": _suite(_trial_identity_halfplane, ("x", "y"), 1e-10),
     "identity-disk": _suite(_trial_identity_disk, ("x", "y"), 1e-10),
-    "schwarz-pick-halfplane": _images_suite(_HALF, random_halfplane_map, _SP_HALF, 1e-12),
-    "schwarz-pick-disk": _images_suite(_DISK, random_disk_map, _SP_DISK, 1e-12),
+    "schwarz-pick-halfplane": _images_suite(_HALF, random_halfplane_map, _SP_HALF, 1e-12, "rounding-scaled"),
+    "schwarz-pick-disk": _images_suite(_DISK, random_disk_map, _SP_DISK, 1e-12, "rounding-scaled"),
     "step-1-2": _images_suite(_HALF, random_halfplane_map, _STEP_1_2, 1e-10, "relative"),
     "step-2-2": _images_suite(_DISK, random_disk_map, _STEP_2_2, 1e-10, "relative"),
     "bound-2-3": _suite(_trial_bound_2_3, ("map", "z"), 1e-10),
@@ -524,13 +534,15 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# Automorphism-only Schwarz-Pick rows scoring -|slack|.
+# Automorphism-only Schwarz-Pick rows scoring -|margin|.
 _EQUALITY = {
     "halfplane": _images_suite(
-        _HALF, random_halfplane_mobius, functools.partial(_sp_equality, pseudo_hyperbolic_halfplane), 1e-12
+        _HALF, random_halfplane_mobius, functools.partial(_sp_equality, pseudo_hyperbolic_halfplane, _HALF),
+        1e-12, "rounding-scaled",
     ),
     "disk": _images_suite(
-        _DISK, random_disk_automorphism, functools.partial(_sp_equality, pseudo_hyperbolic_disk), 1e-12
+        _DISK, random_disk_automorphism, functools.partial(_sp_equality, pseudo_hyperbolic_disk, _DISK),
+        1e-12, "rounding-scaled",
     ),
 }
 
@@ -551,8 +563,8 @@ def run_all_suites(samples: int = 10_000, seed: int = 0, threads: int = 1) -> li
 def run_schwarz_pick_equality(
     kind: str, samples: int = 10_000, seed: int = 0, threads: int = 1
 ) -> CheckReport:
-    """Automorphism-only Schwarz-Pick run scoring -|slack|: passing means the
-    contraction is an equality to within 1e-12 on every draw."""
+    """Automorphism-only Schwarz-Pick run scoring -|margin|: passing means the
+    contraction is an equality to within 1e-12 of its rounding scale on every draw."""
     try:
         row = _EQUALITY[kind]
     except KeyError:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,8 +7,10 @@ import pytest
 
 import jmetric.parallel as parallel_module
 import jmetric.verify as verify_module
-from jmetric.domains import UnitDisk, UpperHalfPlane
+from jmetric.domains import UnitDisk, UpperHalfPlane, pseudo_hyperbolic_disk, pseudo_hyperbolic_halfplane
+from jmetric.domains import signed_boundary_offset
 from jmetric.errors import CoincidentPoints, DomainError, JmetricError
+from jmetric.grammar import parse_complex, parse_map
 from jmetric.maps import Blaschke, Extremal, Mobius, apply
 from jmetric.sampling import Uniforms, sample_interior_pair, substream
 from jmetric.verify import (
@@ -261,22 +264,79 @@ class TestSuites:
         assert run_suite("step-1-2", 200, 0).margin_convention == "relative"
         assert run_suite("step-2-2", 200, 0).margin_convention == "relative"
         assert run_suite("lipschitz-pair", 200, 0).margin_convention == "absolute"
+        assert run_suite("schwarz-pick-disk", 200, 0).margin_convention == "rounding-scaled"
+        assert run_schwarz_pick_equality("halfplane", 200, 0).margin_convention == "rounding-scaled"
 
     def test_witness_recomputes_worst_margin(self):
-        from jmetric.grammar import parse_complex, parse_map
-
         report = run_suite("schwarz-pick-disk", samples=5000, seed=21)
         wit = report.worst_witness
-        slack = check_schwarz_pick_disk(
-            parse_map(wit["map"]), parse_complex(wit["z"]), parse_complex(wit["w"])
-        )
-        assert slack == report.worst_margin
+        m, z, w = parse_map(wit["map"]), parse_complex(wit["z"]), parse_complex(wit["w"])
+        fz, fw = apply(m, z), apply(m, w)
+        scale = 1.0 + abs(fz) / signed_boundary_offset(D, fz) + abs(fw) / signed_boundary_offset(D, fw)
+        assert check_schwarz_pick_disk(m, z, w) / scale == report.worst_margin
 
         report = run_suite("identity-halfplane", samples=5000, seed=21)
         wit = report.worst_witness
         x, y = parse_complex(wit["x"]), parse_complex(wit["y"])
         margin = -abs(check_identity_halfplane(x, y)) / (1.0 + abs(x) ** 2 + abs(y) ** 2)
         assert margin == report.worst_margin
+
+
+# Worst witnesses of two 8,192-sample runs (seeds 438127250 and 451881940) that
+# failed while Schwarz-Pick margins were absolute slacks.  Each map is a
+# composition of automorphisms, so the true slack is 0; an image lies 9.1e-6
+# from the unit circle, and at height 1.3e-4 at modulus 1.06.
+SCHWARZ_PICK_MISFIRES = [
+    (
+        UnitDisk(), pseudo_hyperbolic_disk, check_schwarz_pick_disk,
+        "compose(blaschke:0.32354516143999834;[0.7168178527343763-0.6097020477367073i],"
+        "blaschke:2.8305392759572117;[0.028759621228598008+0.9491020327306826i])",
+        "-0.43166084258630644-0.8938236486772599i", "-0.4761776735614487-0.7773987048813116i",
+        -1.2601031329495527e-12,
+    ),
+    (
+        UpperHalfPlane(), pseudo_hyperbolic_halfplane, check_schwarz_pick_halfplane,
+        "compose(mobius:-1.0841333278868657,-0.6447715799908229,1.1561331207972039,0.5513009592699509,"
+        "mobius:0.7913121203892177,-0.15392256854167385,1.9630831267142725,-0.21182392378877823)",
+        "6.975201777550637+1.2964928758194978i", "8.987280562836514+1.6067241311593654i",
+        -1.0501599589929356e-12,
+    ),
+]
+
+
+@pytest.mark.parametrize("domain, distance, check, text, z, w, slack", SCHWARZ_PICK_MISFIRES, ids=["disk", "halfplane"])
+def test_schwarz_pick_rounding_noise_is_within_tolerance(domain, distance, check, text, z, w, slack):
+    m, z, w = parse_map(text), parse_complex(z), parse_complex(w)
+    assert check(m, z, w) == slack < -1e-12  # the absolute slack misses the tolerance
+    images = apply(m, z), apply(m, w)
+    assert verify_module._sp_margin(distance, domain, z, w, *images) >= -1e-12
+    assert verify_module._sp_equality(distance, domain, z, w, *images) >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, automorphism, off",
+    [
+        ("halfplane", Mobius(2, 1, 1, 1), Mobius(2, 1 - 1e-9j, 1, 1)),
+        ("disk", Mobius(1, -0.5, -0.5, 1), Mobius(1 + 1e-9, -0.5, -0.5, 1)),
+    ],
+)
+def test_schwarz_pick_runs_fail_a_map_just_off_an_automorphism(monkeypatch, kind, automorphism, off):
+    # Both rows draw the one map given; one coefficient 1e-9 off an
+    # automorphism makes a map that is no self-map, and both runs must see it.
+    domain, distance = (H, pseudo_hyperbolic_halfplane) if kind == "halfplane" else (D, pseudo_hyperbolic_disk)
+    for m, passed in ((automorphism, True), (off, False)):
+        for table, key, score in (
+            (verify_module._SUITES, f"schwarz-pick-{kind}", verify_module._sp_margin),
+            (verify_module._EQUALITY, kind, verify_module._sp_equality),
+        ):
+            row = verify_module._images_suite(
+                domain, lambda u: m, functools.partial(score, distance, domain), 1e-12, "rounding-scaled"
+            )
+            monkeypatch.setitem(table, key, row)
+        contraction = run_suite(f"schwarz-pick-{kind}", 5000, 42)
+        equality = run_schwarz_pick_equality(kind, 5000, 42)
+        assert contraction.passed is equality.passed is passed, (contraction.worst_margin, equality.worst_margin)
+        assert contraction.skipped == equality.skipped == 0
 
 
 class TestCeilings:
