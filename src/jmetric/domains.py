@@ -119,6 +119,12 @@ class CArr:
     def __getitem__(self, index):
         return CArr(self.real[index], self.imag[index])
 
+    def __setitem__(self, index, value):
+        self.real[index], self.imag[index] = value.real, value.imag
+
+    def at(self, k: int) -> complex:
+        return complex(self.real[k], self.imag[k])
+
     def __add__(self, other):
         return CArr(self.real + other.real, self.imag + other.imag)
 
@@ -139,15 +145,17 @@ class CArr:
         """_Py_c_quot, Smith's algorithm (R. L. Smith, CACM 1962): divide through by
         the part of other with the larger modulus, then by denom.  NaN where other
         is 0 or has a NaN part.  self may be any operand, for __rtruediv__."""
-        ar, ai = self.real, self.imag
         # As arrays, a scalar divisor of 0 gives NaN rather than ZeroDivisionError.
         br, bi = np.asarray(other.real, dtype=float), np.asarray(other.imag, dtype=float)
         by_re = np.abs(br) >= np.abs(bi)
-        ratio = np.where(by_re, bi / br, br / bi)
-        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
-        return CArr(re, im)
+        # Each branch of _Py_c_quot is the other with the parts of both operands
+        # swapped, and + and * commute bit for bit, so one formula serves both.
+        p, q = np.where(by_re, br, bi), np.where(by_re, bi, br)
+        s, t = np.where(by_re, self.real, self.imag), np.where(by_re, self.imag, self.real)
+        ratio = q / p
+        denom = p + q * ratio
+        s_ratio = s * ratio
+        return CArr((s + t * ratio) / denom, np.where(by_re, t - s_ratio, s_ratio - t) / denom)
 
     def __rtruediv__(self, other):
         return CArr.__truediv__(other, self)
@@ -254,14 +262,15 @@ def j_distances(domain: PlanarDomain, z: CArr, w: CArr):
 
 
 def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
-    """|(z - w) / (1 - conj(w) z)| for two points of the unit disk."""
-    if not (abs(z) < 1.0 and abs(w) < 1.0):
+    """|(z - w) / (1 - conj(w) z)| for two points of the unit disk (or two CArr of them)."""
+    if not np.all((abs(z) < 1.0) & (abs(w) < 1.0)):
         raise PointOutsideDomain("pseudo_hyperbolic_disk needs points inside the unit disk")
     return abs((z - w) / (1.0 - w.conjugate() * z))
 
 
 def pseudo_hyperbolic_halfplane(z: complex, w: complex) -> float:
-    """|(z - w) / (z - conj(w))| for two points of the upper half-plane."""
-    if not (cmath.isfinite(z) and cmath.isfinite(w) and z.imag > 0.0 and w.imag > 0.0):
+    """|(z - w) / (z - conj(w))| for two points of the upper half-plane (or two CArr of them)."""
+    finite = np.isfinite(z.real) & np.isfinite(w.real) & (z.imag < math.inf) & (w.imag < math.inf)
+    if not np.all(finite & (z.imag > 0.0) & (w.imag > 0.0)):
         raise PointOutsideDomain("pseudo_hyperbolic_halfplane needs points with Im > 0")
     return abs((z - w) / (z - w.conjugate()))

@@ -10,6 +10,7 @@ compositions involving other variants stay structural.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .sampling import sample_interior_points, substream
 
 __all__ = [
     "MapExpr",
+    "MapBatch",
     "Mobius",
     "Blaschke",
     "Extremal",
@@ -65,6 +67,27 @@ IMAGE_AMBIGUITY_TOL = 1e-12
 @dataclass(frozen=True)
 class MapExpr:
     """Base tag for the map variants below."""
+
+    @classmethod
+    def of_arrays(cls, *params):
+        """Many maps of this variant in one, each parameter an array over the maps (a
+        CArr if complex), for apply_arrays; the values are not checked."""
+        m = object.__new__(cls)
+        for f, value in zip(dataclasses.fields(cls), params):
+            object.__setattr__(m, f.name, value)
+        return m
+
+    def at(self, k: int) -> MapExpr:
+        """Map k of maps made by of_arrays, checked; a parameter that is no array is shared."""
+
+        def pick(value):
+            if isinstance(value, tuple):
+                return tuple(map(pick, value))
+            if isinstance(value, (MapExpr, MapBatch, CArr)):
+                return value.at(k)
+            return float(value[k]) if isinstance(value, np.ndarray) else value
+
+        return type(self)(*(pick(getattr(self, f.name)) for f in dataclasses.fields(self)))
 
 
 @dataclass(frozen=True)
@@ -134,15 +157,41 @@ class Compose(MapExpr):
             raise TypeError("Compose takes two MapExpr values")
 
 
+@dataclass(frozen=True)
+class MapBatch:
+    """One map per sample, as groups (increasing sample indices, maps made by
+    MapExpr.of_arrays over those samples, whose parameters may be batches)."""
+
+    groups: tuple
+
+    def __getitem__(self, k: int) -> MapExpr:
+        for index, m in self.groups:
+            pos = int(np.searchsorted(index, k))
+            if pos < index.size and index[pos] == k:
+                return m.at(pos)
+        raise IndexError(f"no sample {k!r} in the batch")
+
+    at = __getitem__
+
+
+def _turn(rotation):
+    """e^(i rotation) as cmath.exp gives it, for a float or an array of floats: the
+    libm cos and sin of rotation + 0.0 (the imaginary part of 1j * rotation)."""
+    if isinstance(rotation, np.ndarray):
+        t = (rotation + 0.0).tolist()
+        return CArr(np.fromiter(map(math.cos, t), float, len(t)), np.fromiter(map(math.sin, t), float, len(t)))
+    return cmath.exp(1j * rotation)
+
+
 def _value(m: MapExpr, z, guard):
-    """m at z, a complex or a CArr of points.  guard(den, pole name, z) sees each
-    denominator before it divides: apply's raises, apply_arrays' records the points."""
+    """m at z, a complex or a CArr of points (then m's parameters may be arrays).  guard(den,
+    pole name, z) sees each denominator before it divides: apply's raises, apply_arrays' marks."""
     if isinstance(m, Mobius):
         den = m.c * z + m.d
         guard(den, "Mobius pole", z)
         return (m.a * z + m.b) / den
     if isinstance(m, Blaschke):
-        w = cmath.exp(1j * m.rotation)
+        w = _turn(m.rotation)
         for a in m.zeros:
             den = 1.0 - a.conjugate() * z
             guard(den, "Blaschke pole", z)
@@ -176,16 +225,33 @@ def apply(m: MapExpr, z: complex) -> complex:
         raise DomainError(f"evaluating the map at {z!r} overflows the float range") from None
 
 
-def apply_arrays(m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
-    """apply at every point of z, as (f, bad).
+def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
+    """apply at every point of z, as (f, bad); a MapBatch applies map k at z[..., k].
 
-    bad marks the points where apply raises; their values in f are meaningless.
+    bad marks the points where apply raises; their values in f are meaningless.  A
+    composition of two batches runs in two passes, and bad also marks where its
+    inner value is not finite (where the outer map is evaluated at inf or NaN).
     """
+    if isinstance(m, MapBatch):
+        f, bad = CArr(np.empty(z.real.shape), np.empty(z.real.shape)), np.empty(z.real.shape, bool)
+        for index, part in m.groups:
+            f[..., index], bad[..., index] = apply_arrays(part, z[..., index])
+        return f, bad
+    if isinstance(m, Compose) and isinstance(m.inner, MapBatch):
+        inner, bad = apply_arrays(m.inner, z)
+        f, outer_bad = apply_arrays(m.outer, inner)
+        return f, bad | outer_bad
     bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
 
     def mark(den, pole, at):
-        size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
-        bad[...] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag))
+        # |den| lies between the larger part and sqrt(2) times it, so only a larger part
+        # below POLE_FLOOR or past 1e308 needs the modulus (NaN parts stay unmarked).
+        big = np.maximum(np.abs(den.real), np.abs(den.imag))
+        near = (big < POLE_FLOOR) | (big > 1e308)
+        if near.any():
+            size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
+            overflow = np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag)
+            bad[...] |= near & ((size < POLE_FLOOR) | overflow)
 
     with np.errstate(all="ignore"):
         try:
@@ -259,8 +325,8 @@ def compose_maps(outer: MapExpr, inner: MapExpr) -> MapExpr:
 
 def image_modulus_bound(a_mod: float, r: float) -> float:
     """(r + a_mod) / (1 + a_mod * r): modulus ceiling for a disk self-map
-    with |f(0)| = a_mod evaluated at |z| <= r."""
-    if not (0.0 <= a_mod < 1.0) or not (0.0 <= r < 1.0):
+    with |f(0)| = a_mod evaluated at |z| <= r (a_mod, r floats or arrays)."""
+    if not np.all((0.0 <= a_mod) & (a_mod < 1.0) & (0.0 <= r) & (r < 1.0)):
         raise DomainError(f"image_modulus_bound needs arguments in [0, 1), got {a_mod!r}, {r!r}")
     return (r + a_mod) / (1.0 + a_mod * r)
 

@@ -14,13 +14,12 @@ boundary distance below 1e-9 relative to the image magnitude) or not finite
 cannot be evaluated meaningfully in floating point and are skipped; the skip
 count is kept on the report, and a run that skipped every sample fails.
 
-Every suite is one row (kernel, tolerance, margin convention) of the
-``_SUITES`` table; the kernel maps (seed, chunk index, count) to that
-chunk's (worst margin, witness, skip count).  ``_suite(trial, keys, ...)``
-builds the row from a trial, which draws one sample from the chunk's Philox
-substream and returns (margin, values), or None to skip it; ``keys`` names
-the witness entry of each value, formatted only when a sample sets a new
-worst margin.  To add a suite, write its trial and add a row.
+Every suite is one row (trial, witness keys, tolerance, margin convention) of
+``_ROWS``.  A trial draws a whole chunk from the chunk's Philox substream, maps
+as parameter arrays grouped by shape and points as arrays, and returns its
+margins (NaN for a skip) and a function giving sample k's witness values.
+Each formula runs on complex numbers and on CArr, so the public scalar checks
+reproduce a witness's margin bit for bit.  To add a suite, add a row.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .maps import (
     Blaschke,
     Compose,
     Extremal,
+    MapBatch,
     MapExpr,
     Mobius,
     apply,
@@ -58,14 +58,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .sampling import (
-    REJECTION_TRIES,
-    Uniforms,
-    sample_interior,
-    sample_interior_pair,
-    sample_interior_pairs,
-    substream,
-)
+from .sampling import REJECTION_TRIES, Uniforms, sample_interior_pairs, sample_interior_points, substream
 
 __all__ = [
     "CheckReport",
@@ -108,19 +101,24 @@ _DISK = UnitDisk()
 
 
 # ---------------------------------------------------------------------------
-# Scalar checks
+# Scalar checks; each formula also runs on CArr points
 # ---------------------------------------------------------------------------
+
+
+def _sq(x):
+    """x * x: `** 2` calls pow() on a float but multiplies on an array."""
+    return x * x
 
 
 def check_identity_halfplane(x: complex, y: complex) -> float:
     """Residual of |x - conj(y)|^2 - |x - y|^2 = 4 Im x Im y (zero on all of C)."""
-    return abs(x - y.conjugate()) ** 2 - abs(x - y) ** 2 - 4.0 * x.imag * y.imag
+    return _sq(abs(x - y.conjugate())) - _sq(abs(x - y)) - 4.0 * x.imag * y.imag
 
 
 def check_identity_disk(x: complex, y: complex) -> float:
     """Residual of |1 - conj(x) y|^2 - |x - y|^2 = (1 - |x|^2)(1 - |y|^2)."""
-    lhs = abs(1.0 - x.conjugate() * y) ** 2 - abs(x - y) ** 2
-    rhs = (1.0 - abs(x) ** 2) * (1.0 - abs(y) ** 2)
+    lhs = _sq(abs(1.0 - x.conjugate() * y)) - _sq(abs(x - y))
+    rhs = (1.0 - _sq(abs(x))) * (1.0 - _sq(abs(y)))
     return lhs - rhs
 
 
@@ -166,10 +164,8 @@ def _images_inside(domain: PlanarDomain, m: MapExpr, z: complex, w: complex) -> 
 
 
 def _step_1_2_sides(z: complex, w: complex, fz: complex, fw: complex) -> tuple[float, float]:
-    s = z.imag if z.imag <= w.imag else w.imag
-    big_s = fz.imag if fz.imag <= fw.imag else fw.imag
-    lhs = abs(fz - fw) / big_s
-    rhs = (abs(z - w) / s) * math.sqrt(1.0 + lhs)
+    lhs = abs(fz - fw) / np.minimum(fz.imag, fw.imag)
+    rhs = (abs(z - w) / np.minimum(z.imag, w.imag)) * np.sqrt(1.0 + lhs)
     return lhs, rhs
 
 
@@ -177,28 +173,27 @@ def check_step_1_2(m: MapExpr, z: complex, w: complex) -> float:
     """Slack of |f(z)-f(w)|/S <= (|z-w|/s) sqrt(1 + |f(z)-f(w)|/S) on the
     half-plane, with s, S the smaller source/image heights."""
     lhs, rhs = _step_1_2_sides(z, w, *_images_inside(_HALF, m, z, w))
-    return rhs - lhs
+    return float(rhs - lhs)
 
 
 def _step_2_2_sides(z: complex, w: complex, fz: complex, fw: complex) -> tuple[float, float]:
-    if abs(fz) < abs(fw):
-        fz, fw = fw, fz
-    r = max(abs(z), abs(w))
-    lhs = abs(fz - fw) / (1.0 - abs(fz))
-    rhs = (abs(z - w) / (1.0 - r)) * ((1.0 + abs(fz)) / (1.0 + r)) * math.sqrt(1.0 + lhs)
+    big = np.maximum(abs(fz), abs(fw))
+    r = np.maximum(abs(z), abs(w))
+    lhs = abs(fz - fw) / (1.0 - big)
+    rhs = (abs(z - w) / (1.0 - r)) * ((1.0 + big) / (1.0 + r)) * np.sqrt(1.0 + lhs)
     return lhs, rhs
 
 
 def check_step_2_2(m: MapExpr, z: complex, w: complex) -> float:
-    """Slack of the disk analogue, with the points labeled so the image of
-    the first has the larger modulus and r = max(|z|, |w|)."""
+    """Slack of the disk analogue, with the image of larger modulus in the
+    bound's (1 + |f|) and r = max(|z|, |w|)."""
     lhs, rhs = _step_2_2_sides(z, w, *_images_inside(_DISK, m, z, w))
-    return rhs - lhs
+    return float(rhs - lhs)
 
 
 def _relative_slack(sides, z: complex, w: complex, fz: complex, fw: complex) -> float:
     lhs, rhs = sides(z, w, fz, fw)
-    return (rhs - lhs) / max(1.0, rhs)
+    return (rhs - lhs) / np.maximum(1.0, rhs)
 
 
 def check_bound_2_3(m: MapExpr, z: complex) -> float:
@@ -222,13 +217,21 @@ def g_threshold(c: float) -> float:
     return 2.0 * (1.0 - c) / (2.0 * c - 1.0)
 
 
+def _threshold(a_mod, r):
+    return (2.0 * a_mod * r + 1.0 - a_mod) / (a_mod * (1.0 - r))
+
+
 def g_threshold_from_modulus(a_mod: float, r: float) -> float:
     """Same threshold written as (2 a r + 1 - a)/(a (1 - r)) with a = |f(0)|."""
     if not (0.0 <= a_mod < 1.0) or not (0.0 <= r < 1.0):
         raise DomainError(f"g_threshold_from_modulus needs arguments in [0, 1), got {a_mod!r}, {r!r}")
     if a_mod == 0.0:
         return math.inf
-    return (2.0 * a_mod * r + 1.0 - a_mod) / (a_mod * (1.0 - r))
+    return _threshold(a_mod, r)
+
+
+def _g(c, x):
+    return c * x + np.sqrt(1.0 + c * c * x * x) - (1.0 + x)
 
 
 def check_g_negativity(c: float, x: float) -> float:
@@ -237,7 +240,7 @@ def check_g_negativity(c: float, x: float) -> float:
         raise DomainError(f"check_g_negativity needs c in [1/2, 1], got {c!r}")
     if not 0.0 < x < math.inf:
         raise DomainError(f"check_g_negativity needs a finite X > 0, got {x!r}")
-    return c * x + math.sqrt(1.0 + c * c * x * x) - (1.0 + x)
+    return float(_g(c, x))
 
 
 def check_lipschitz_pair(
@@ -273,6 +276,25 @@ def _trusted_images(domain: PlanarDomain, m: MapExpr, z: complex, w: complex):
         return None
 
 
+def _stack(*points: CArr) -> CArr:
+    return CArr(np.stack([p.real for p in points]), np.stack([p.imag for p in points]))
+
+
+def _trusted_arrays(domain: PlanarDomain, m, z: CArr, w: CArr):
+    """(f(z), f(w), indices of the pairs _trusted_images keeps); call under np.errstate.
+
+    A MapBatch maps z and w stacked: its groups are small, so one pass per group
+    halves the cost that does not grow with the group.  A single map's blocks are
+    large, and run faster unstacked.
+    """
+    if isinstance(m, MapBatch):
+        f, bad = apply_arrays(m, _stack(z, w))
+        return f[0], f[1], np.flatnonzero((_trusted(domain, f) & ~bad).all(axis=0))
+    fz, bad_z = apply_arrays(m, z)
+    fw, bad_w = apply_arrays(m, w)
+    return fz, fw, np.flatnonzero(_trusted(domain, fz) & _trusted(domain, fw) & ~(bad_z | bad_w))
+
+
 def guarded_ratio(
     src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: complex, w: complex
 ) -> float | None:
@@ -296,12 +318,10 @@ def guarded_ratio(
     return ratio if math.isfinite(ratio) else None
 
 
-def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: CArr, w: CArr):
+def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr | MapBatch, z: CArr, w: CArr):
     """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
     with np.errstate(all="ignore"):
-        fz, bad_z = apply_arrays(m, z)
-        fw, bad_w = apply_arrays(m, w)
-        keep = np.flatnonzero(_trusted(dst, fz) & _trusted(dst, fw) & ~(bad_z | bad_w))
+        fz, fw, keep = _trusted_arrays(dst, m, z, w)
         # A zero or raising j_src, or a raising j_dst, leaves a non-finite ratio.
         ratio = j_distances(dst, fz[keep], fw[keep]) / j_distances(src, z[keep], w[keep])
     out = np.full(np.shape(z.real), math.nan)
@@ -310,58 +330,80 @@ def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: CArr, w:
 
 
 # ---------------------------------------------------------------------------
-# Seeded map families
+# Seeded map families: n maps drawn as parameter arrays, grouped by shape
 # ---------------------------------------------------------------------------
 
 
-def random_blaschke(u: Uniforms, max_zeros: int = 4) -> Blaschke:
-    count = min(1 + int(u.next() * max_zeros), max_zeros)
-    zeros = []
-    for _ in range(count):
-        rho = 0.95 * math.sqrt(u.next())
-        phi = 2.0 * math.pi * u.next()
-        zeros.append(complex(rho * math.cos(phi), rho * math.sin(phi)))
-    return Blaschke(2.0 * math.pi * u.next(), tuple(zeros))
-
-
-def random_disk_automorphism(u: Uniforms) -> Blaschke:
-    return random_blaschke(u, max_zeros=1)
-
-
-def random_disk_map(u: Uniforms) -> MapExpr:
-    if u.next() < 0.7:
-        return random_blaschke(u)
-    return Compose(random_blaschke(u, 2), random_blaschke(u, 2))
-
-
-def random_halfplane_mobius(u: Uniforms) -> Mobius:
-    """Real coefficients with determinant >= 0.1: an automorphism of the
-    upper half-plane."""
+def _halfplane_mobius(rng, n: int) -> Mobius:
+    """Real coefficients in [-2, 2) with determinant >= 0.1: automorphisms of
+    the upper half-plane.  Each round redraws the maps still below 0.1."""
+    coeffs, todo = np.empty((4, n)), np.arange(n)
     for _ in range(REJECTION_TRIES):
-        a = u.uniform(-2.0, 2.0)
-        b = u.uniform(-2.0, 2.0)
-        c = u.uniform(-2.0, 2.0)
-        d = u.uniform(-2.0, 2.0)
-        if a * d - b * c >= 0.1:
-            return Mobius(a, b, c, d)
-    raise DomainError(f"no half-plane Moebius map with determinant >= 0.1 in {REJECTION_TRIES} draws")
+        coeffs[:, todo] = -2.0 + 4.0 * rng.random((4, todo.size))
+        a, b, c, d = coeffs[:, todo]
+        todo = todo[a * d - b * c < 0.1]
+        if not todo.size:
+            return Mobius.of_arrays(*coeffs)
+    raise DomainError(f"no half-plane Moebius map with determinant >= 0.1 in {REJECTION_TRIES} rounds")
 
 
-def random_extremal(u: Uniforms) -> Extremal:
-    return Extremal(u.uniform(-3.0, 3.0), u.uniform(-3.0, 3.0))
+def _extremal(rng, n: int) -> Extremal:
+    return Extremal.of_arrays(*(-3.0 + 6.0 * rng.random((2, n))))
 
 
-def _random_halfplane_atom(u: Uniforms) -> MapExpr:
-    return random_halfplane_mobius(u) if u.next() < 0.5 else random_extremal(u)
+def _blaschke(zeros: int, rng, n: int) -> Blaschke:
+    """Blaschke products with `zeros` zeros of modulus below 0.95."""
+    rho, phi = 0.95 * np.sqrt(rng.random((zeros, n))), 2.0 * math.pi * rng.random((zeros, n))
+    points = tuple(CArr(r * np.cos(p), r * np.sin(p)) for r, p in zip(rho, phi))
+    return Blaschke.of_arrays(2.0 * math.pi * rng.random(n), points)
 
 
-def random_halfplane_map(u: Uniforms) -> MapExpr:
-    pick = u.next()
-    if pick < 0.35:
-        return random_halfplane_mobius(u)
-    if pick < 0.7:
-        return random_extremal(u)
-    return Compose(_random_halfplane_atom(u), _random_halfplane_atom(u))
+def _grouped(rng, shape, drawers) -> MapBatch:
+    """Sample k's map drawn by drawers[shape[k]]; each drawer draws its maps at once, in drawer order."""
+    groups = [(np.flatnonzero(shape == s), draw) for s, draw in enumerate(drawers)]
+    return MapBatch(tuple((index, draw(rng, index.size)) for index, draw in groups if index.size))
+
+
+def _compositions(atoms):
+    """Drawer of compositions outer o inner, each picked from `atoms` by a uniform.
+    Outer and inner maps are batches of their own, so each atom runs once per pass."""
+
+    def draw(rng, n: int) -> Compose:
+        picks = (len(atoms) * rng.random((2, n))).astype(int)
+        return Compose.of_arrays(*(_grouped(rng, pick, atoms) for pick in picks))
+
+    return draw
+
+
+_HALF_ATOMS = (_halfplane_mobius, _extremal)
+_BLASCHKE = tuple(functools.partial(_blaschke, zeros) for zeros in (1, 2, 3, 4))
+_HALF_SHAPES = _HALF_ATOMS + (_compositions(_HALF_ATOMS),)
+_DISK_SHAPES = _BLASCHKE + (_compositions(_BLASCHKE[:2]),)
+
+
+def _halfplane_maps(rng, n: int) -> MapBatch:
+    """35% Moebius automorphisms, 35% extremal maps, 30% compositions of two of either."""
+    u = rng.random(n)
+    return _grouped(rng, np.where(u < 0.35, 0, np.where(u < 0.7, 1, 2)), _HALF_SHAPES)
+
+
+def _halfplane_automorphisms(rng, n: int) -> MapBatch:
+    return _grouped(rng, np.zeros(n, int), _HALF_ATOMS[:1])
+
+
+def _blaschke_maps(rng, n: int) -> MapBatch:
+    """Blaschke products with 1 to 4 zeros, equally likely."""
+    return _grouped(rng, (4.0 * rng.random(n)).astype(int), _BLASCHKE)
+
+
+def _disk_automorphisms(rng, n: int) -> MapBatch:
+    return _grouped(rng, np.zeros(n, int), _BLASCHKE[:1])
+
+
+def _disk_maps(rng, n: int) -> MapBatch:
+    """70% as _blaschke_maps, 30% compositions of two products with 1 or 2 zeros each."""
+    u = rng.random((2, n))
+    return _grouped(rng, np.where(u[0] < 0.7, (4.0 * u[1]).astype(int), 4), _DISK_SHAPES)
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +441,20 @@ class CheckReport:
         )
 
 
-def _report(suite, samples, seed, chunks, tolerance, convention) -> CheckReport:
-    """Fold per-chunk (worst, witness, skipped) results, in chunk order."""
+def _first_worst(chunks):
+    """Fold (worst, witness, skipped) triples in order; the first of equal margins wins."""
     worst, witness, skipped = math.inf, {}, 0
     for margin, wit, skip in chunks:
         skipped += skip
         if margin < worst:
             worst, witness = margin, wit
+    return worst, witness, skipped
+
+
+def _report(suite, samples, seed, chunks, tolerance, convention) -> CheckReport:
+    worst, witness, skipped = _first_worst(chunks)
     passed = skipped < samples and worst >= -tolerance
     return CheckReport(suite, samples, seed, passed, worst, witness, convention, skipped)
-
-
-def _run_chunked(row, suite, samples, seed, threads) -> CheckReport:
-    if samples < 1:
-        raise DomainError(f"samples must be at least 1, got {samples!r}")
-    kernel, tolerance, convention = row
-    full, rest = divmod(samples, _CHUNK)
-    sizes = [_CHUNK] * full + ([rest] if rest else [])
-    tasks = [(seed, index, size) for index, size in enumerate(sizes)]
-    return _report(suite, samples, seed, run_ordered(kernel, tasks, threads), tolerance, convention)
 
 
 # Witness formatter by key: maps and domains print in grammar form, c and X
@@ -429,131 +466,149 @@ def _witness(keys, values) -> dict:
     return {key: _WITNESS_FORMAT.get(key, format_complex)(value) for key, value in zip(keys, values)}
 
 
-def _fold_chunk(trial, keys, seed, index, count):
-    """Worst margin, its witness and the skip count of one chunk of a suite."""
-    u = Uniforms(substream(seed, index))
-    worst, witness, skipped = math.inf, {}, 0
-    for _ in range(count):
-        sample = trial(u)
-        if sample is None:
-            skipped += 1
-        elif sample[0] < worst:
-            worst = sample[0]
-            witness = _witness(keys, sample[1])
-    return worst, witness, skipped
+def _fold(margins, keys, values):
+    """(worst margin, its witness, skip count) of one chunk's margins, NaN marking
+    a skip; only the worst sample's values(k) are formatted."""
+    scored = ~np.isnan(margins)
+    k = int(np.argmin(np.where(scored, margins, math.inf)))  # the first of equal margins, as with <
+    skipped = margins.size - int(np.count_nonzero(scored))
+    if margins[k] < math.inf:
+        return float(margins[k]), _witness(keys, values(k)), skipped
+    return math.inf, {}, skipped
 
 
-def _suite(trial, keys, tolerance, convention="absolute"):
-    """Table row for a suite made of `trial` draws.  The kernel pickles for
-    the pool and carries _fold_chunk's name for tools that label workers."""
-    kernel = functools.update_wrapper(functools.partial(_fold_chunk, trial, keys), _fold_chunk)
-    return kernel, tolerance, convention
+def _suite_chunk(name, seed, index, count):
+    """Worst margin, its witness and the skip count of chunk `index` of suite row `name`."""
+    trial, keys, _, _ = _ROWS[name]
+    margins, values = trial(substream(seed, index), count)
+    return _fold(margins, keys, values)
 
 
-_PAIR = ("map", "src", "dst", "z", "w")
+def _run_chunked(name, samples, seed, threads) -> CheckReport:
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples!r}")
+    _, _, tolerance, convention = _ROWS[name]
+    full, rest = divmod(samples, _CHUNK)
+    sizes = [_CHUNK] * full + ([rest] if rest else [])
+    tasks = [(name, seed, index, size) for index, size in enumerate(sizes)]
+    return _report(name, samples, seed, run_ordered(_suite_chunk, tasks, threads), tolerance, convention)
 
 
-def _random_cnum(u: Uniforms) -> complex:
-    return complex(u.uniform(-8.0, 8.0), u.uniform(-8.0, 8.0))
+def _identity_trial(margin):
+    """Two points per sample, uniform on the square [-8, 8)^2."""
+
+    def trial(rng, n):
+        v = -8.0 + 16.0 * rng.random((4, n))
+        x, y = CArr(v[0], v[1]), CArr(v[2], v[3])
+        return margin(x, y), lambda k: (x.at(k), y.at(k))
+
+    return trial
 
 
-def _trial_identity_halfplane(u):
-    x, y = _random_cnum(u), _random_cnum(u)
-    return -abs(check_identity_halfplane(x, y)) / (1.0 + abs(x) ** 2 + abs(y) ** 2), (x, y)
+def _identity_halfplane_margin(x, y):
+    return -abs(check_identity_halfplane(x, y)) / (1.0 + _sq(abs(x)) + _sq(abs(y)))
 
 
-def _trial_identity_disk(u):
-    x, y = _random_cnum(u), _random_cnum(u)
-    return -abs(check_identity_disk(x, y)) / ((1.0 + abs(x) ** 2) * (1.0 + abs(y) ** 2)), (x, y)
+def _identity_disk_margin(x, y):
+    return -abs(check_identity_disk(x, y)) / ((1.0 + _sq(abs(x))) * (1.0 + _sq(abs(y))))
 
 
-def _trial_images(domain, family, score, u):
-    """A map from `family` and a pair, scored on their trusted images."""
-    m = family(u)
-    z, w = sample_interior_pair(domain, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-    images = _trusted_images(domain, m, z, w)
-    if images is None:
-        return None
-    fz, fw = images
-    return score(z, w, fz, fw), (m, z, w)
+def _images_trial(domain, family, score):
+    """A map from `family` and a pair per sample, scored on their trusted images."""
+
+    def trial(rng, n):
+        m = family(rng, n)
+        z, w = sample_interior_pairs(domain, rng, n, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        margins = np.full(n, math.nan)
+        with np.errstate(all="ignore"):
+            fz, fw, keep = _trusted_arrays(domain, m, z, w)
+            margins[keep] = score(z[keep], w[keep], fz[keep], fw[keep])
+        return margins, lambda k: (m[k], z.at(k), w.at(k))
+
+    return trial
 
 
-def _images_suite(domain, family, score, tolerance, convention="absolute"):
-    trial = functools.partial(_trial_images, domain, family, score)
-    return _suite(trial, ("map", "z", "w"), tolerance, convention)
+def _trial_bound_2_3(rng, n):
+    m = _disk_maps(rng, n)
+    z = sample_interior_points(_DISK, rng, n, PAIR_MARGIN)
+    margins = np.full(n, math.nan)
+    with np.errstate(all="ignore"):
+        f, bad = apply_arrays(m, _stack(CArr(np.zeros(n), np.zeros(n)), z))
+        keep = np.flatnonzero(~bad.any(axis=0) & (abs(f[0]) < 1.0))  # where check_bound_2_3 does not raise
+        margins[keep] = image_modulus_bound(abs(f[0][keep]), abs(z[keep])) - abs(f[1][keep])
+    return margins, lambda k: (m[k], z.at(k))
 
 
-def _trial_bound_2_3(u):
-    m = random_disk_map(u)
-    z = sample_interior(_DISK, u, PAIR_MARGIN)
-    try:
-        return check_bound_2_3(m, z), (m, z)
-    except (PoleEncountered, DomainError):
-        return None
-
-
-def _trial_g_negativity(u):
-    a_mod = 0.999 * u.next()
-    r = 0.999 * u.next()
+def _trial_g_negativity(rng, n):
+    a_mod, r = 0.999 * rng.random((2, n))
     c = (1.0 + a_mod) / (2.0 * (1.0 + a_mod * r))
-    cap = min(g_threshold_from_modulus(a_mod, r), 1e6)
-    x, tries = cap * u.next(), 1
-    while x <= 0.0:
-        if tries == REJECTION_TRIES:
-            raise DomainError(f"no positive X below {cap!r} in {tries} draws")
-        x, tries = cap * u.next(), tries + 1
-    return -check_g_negativity(c, x), (c, x)
+    with np.errstate(divide="ignore"):  # a_mod = 0 has no threshold, and the cap holds
+        cap = np.minimum(_threshold(a_mod, r), 1e6)
+    x, todo = np.empty(n), np.arange(n)
+    for _ in range(REJECTION_TRIES):
+        x[todo] = cap[todo] * rng.random(todo.size)
+        todo = todo[x[todo] <= 0.0]
+        if not todo.size:
+            return -_g(c, x), lambda k: (float(c[k]), float(x[k]))
+    raise DomainError(f"no positive X below the cap in {REJECTION_TRIES} rounds")
 
 
-def _trial_lipschitz_pair(u):
-    if u.next() < 0.5:
-        src, m = _HALF, random_halfplane_map(u)
-    else:
-        src, m = _DISK, random_disk_map(u)
-    z, w = sample_interior_pair(src, u, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-    ratio = guarded_ratio(src, src, m, z, w)
-    return None if ratio is None else (2.0 - ratio, (m, src, src, z, w))
+def _trial_lipschitz_pair(rng, n):
+    """A half-plane or a disk self-map and pair per sample, scored as 2 - guarded ratio."""
+    on_half = rng.random(n) < 0.5
+    margins, parts = np.empty(n), []
+    for src, family, index in ((_HALF, _halfplane_maps, on_half), (_DISK, _disk_maps, ~on_half)):
+        index = np.flatnonzero(index)
+        m = family(rng, index.size)
+        z, w = sample_interior_pairs(src, rng, index.size, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        margins[index] = 2.0 - guarded_ratios(src, src, m, z, w)
+        parts.append((src, m, z, w))
+
+    def values(k):
+        src, m, z, w = parts[0 if on_half[k] else 1]
+        pos = int(np.count_nonzero(on_half[:k] == on_half[k]))
+        return m[pos], src, src, z.at(pos), w.at(pos)
+
+    return margins, values
 
 
+_IMAGE = ("map", "z", "w")
+_PAIR = ("map", "src", "dst", "z", "w")
 _SP_HALF = functools.partial(_sp_margin, pseudo_hyperbolic_halfplane, _HALF)
 _SP_DISK = functools.partial(_sp_margin, pseudo_hyperbolic_disk, _DISK)
+_EQ_HALF = functools.partial(_sp_equality, pseudo_hyperbolic_halfplane, _HALF)
+_EQ_DISK = functools.partial(_sp_equality, pseudo_hyperbolic_disk, _DISK)
 _STEP_1_2 = functools.partial(_relative_slack, _step_1_2_sides)
 _STEP_2_2 = functools.partial(_relative_slack, _step_2_2_sides)
 
-_SUITES = {
-    "identity-halfplane": _suite(_trial_identity_halfplane, ("x", "y"), 1e-10),
-    "identity-disk": _suite(_trial_identity_disk, ("x", "y"), 1e-10),
-    "schwarz-pick-halfplane": _images_suite(_HALF, random_halfplane_map, _SP_HALF, 1e-12, "rounding-scaled"),
-    "schwarz-pick-disk": _images_suite(_DISK, random_disk_map, _SP_DISK, 1e-12, "rounding-scaled"),
-    "step-1-2": _images_suite(_HALF, random_halfplane_map, _STEP_1_2, 1e-10, "relative"),
-    "step-2-2": _images_suite(_DISK, random_disk_map, _STEP_2_2, 1e-10, "relative"),
-    "bound-2-3": _suite(_trial_bound_2_3, ("map", "z"), 1e-10),
-    "g-negativity": _suite(_trial_g_negativity, ("c", "X"), 1e-12),
-    "lipschitz-pair": _suite(_trial_lipschitz_pair, _PAIR, 1e-9),
-}
-
-SUITE_NAMES = tuple(_SUITES)
-
-# Automorphism-only Schwarz-Pick rows scoring -|margin|.
-_EQUALITY = {
-    "halfplane": _images_suite(
-        _HALF, random_halfplane_mobius, functools.partial(_sp_equality, pseudo_hyperbolic_halfplane, _HALF),
-        1e-12, "rounding-scaled",
+# name: (trial, witness keys, tolerance, margin convention).  The -equality rows
+# are the automorphism-only Schwarz-Pick runs, scoring -|margin|.
+_ROWS = {
+    "identity-halfplane": (_identity_trial(_identity_halfplane_margin), ("x", "y"), 1e-10, "absolute"),
+    "identity-disk": (_identity_trial(_identity_disk_margin), ("x", "y"), 1e-10, "absolute"),
+    "schwarz-pick-halfplane": (_images_trial(_HALF, _halfplane_maps, _SP_HALF), _IMAGE, 1e-12, "rounding-scaled"),
+    "schwarz-pick-disk": (_images_trial(_DISK, _disk_maps, _SP_DISK), _IMAGE, 1e-12, "rounding-scaled"),
+    "step-1-2": (_images_trial(_HALF, _halfplane_maps, _STEP_1_2), _IMAGE, 1e-10, "relative"),
+    "step-2-2": (_images_trial(_DISK, _disk_maps, _STEP_2_2), _IMAGE, 1e-10, "relative"),
+    "bound-2-3": (_trial_bound_2_3, ("map", "z"), 1e-10, "absolute"),
+    "g-negativity": (_trial_g_negativity, ("c", "X"), 1e-12, "absolute"),
+    "lipschitz-pair": (_trial_lipschitz_pair, _PAIR, 1e-9, "absolute"),
+    "schwarz-pick-halfplane-equality": (
+        _images_trial(_HALF, _halfplane_automorphisms, _EQ_HALF), _IMAGE, 1e-12, "rounding-scaled"
     ),
-    "disk": _images_suite(
-        _DISK, random_disk_automorphism, functools.partial(_sp_equality, pseudo_hyperbolic_disk, _DISK),
-        1e-12, "rounding-scaled",
+    "schwarz-pick-disk-equality": (
+        _images_trial(_DISK, _disk_automorphisms, _EQ_DISK), _IMAGE, 1e-12, "rounding-scaled"
     ),
 }
+
+SUITE_NAMES = tuple(name for name in _ROWS if not name.endswith("-equality"))
 
 
 def run_suite(name: str, samples: int = 10_000, seed: int = 0, threads: int = 1) -> CheckReport:
     """Run one named suite; see SUITE_NAMES for the catalog."""
-    try:
-        row = _SUITES[name]
-    except KeyError:
-        raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}") from None
-    return _run_chunked(row, name, samples, seed, threads)
+    if name not in SUITE_NAMES:
+        raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    return _run_chunked(name, samples, seed, threads)
 
 
 def run_all_suites(samples: int = 10_000, seed: int = 0, threads: int = 1) -> list[CheckReport]:
@@ -565,11 +620,9 @@ def run_schwarz_pick_equality(
 ) -> CheckReport:
     """Automorphism-only Schwarz-Pick run scoring -|margin|: passing means the
     contraction is an equality to within 1e-12 of its rounding scale on every draw."""
-    try:
-        row = _EQUALITY[kind]
-    except KeyError:
-        raise DomainError(f"kind must be 'halfplane' or 'disk', got {kind!r}") from None
-    return _run_chunked(row, f"schwarz-pick-{kind}-equality", samples, seed, threads)
+    if kind not in ("halfplane", "disk"):
+        raise DomainError(f"kind must be 'halfplane' or 'disk', got {kind!r}")
+    return _run_chunked(f"schwarz-pick-{kind}-equality", samples, seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +631,9 @@ def run_schwarz_pick_equality(
 
 _CAYLEY = Mobius(1.0, -1j, 1.0, 1j)
 _CEILING_KINDS = ("halfplane", "disk", "mobius-images")
+# Uniforms of one _random_image_source_and_mobius try: the pick, up to three
+# for the source and eight for the coefficients.
+_IMAGE_DRAWS = 12
 
 
 def _random_image_source_and_mobius(u: Uniforms):
@@ -604,30 +660,24 @@ def _random_image_source_and_mobius(u: Uniforms):
     raise DomainError(f"no Moebius map with its pole off {src!r} in {REJECTION_TRIES} draws")
 
 
+def _ceiling_block(src, dst, m, rng, count):
+    z, w = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    return _fold(2.0 - guarded_ratios(src, dst, m, z, w), _PAIR, lambda k: (m, src, dst, z.at(k), w.at(k)))
+
+
 def _ceiling_chunk(kind, seed, index, pairs):
     """One map's pairs, drawn from the chunk's generator after the map and
     scored in blocks of _CHUNK, bit for bit as guarded_ratio scores them."""
     rng = substream(seed, index)
-    u = Uniforms(rng)
     if kind == "halfplane":
-        src, dst, m = _HALF, _HALF, random_halfplane_map(u)
+        src, dst, m = _HALF, _HALF, _halfplane_maps(rng, 1)[0]
     elif kind == "disk":
-        src, dst, m = _DISK, _DISK, random_blaschke(u, 4)
+        src, dst, m = _DISK, _DISK, _blaschke_maps(rng, 1)[0]
     else:  # "mobius-images"; lipschitz_ceiling checks the kind on entry
-        src, m = (_HALF, _CAYLEY) if index == 0 else _random_image_source_and_mobius(u)
+        src, m = (_HALF, _CAYLEY) if index == 0 else _random_image_source_and_mobius(Uniforms(rng, _IMAGE_DRAWS))
         dst = mobius_image_domain(m, src)
-    worst, witness, skipped = math.inf, {}, 0
-    for start in range(0, pairs, _CHUNK):
-        count = min(_CHUNK, pairs - start)
-        z, w = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        margin = 2.0 - guarded_ratios(src, dst, m, z, w)
-        scored = ~np.isnan(margin)
-        skipped += count - int(np.count_nonzero(scored))
-        k = int(np.argmin(np.where(scored, margin, math.inf)))  # the first of equal margins, as with <
-        if margin[k] < worst:
-            worst = float(margin[k])
-            witness = _witness(_PAIR, (m, src, dst, complex(z.real[k], z.imag[k]), complex(w.real[k], w.imag[k])))
-    return worst, witness, skipped
+    counts = [min(_CHUNK, pairs - start) for start in range(0, pairs, _CHUNK)]
+    return _first_worst(_ceiling_block(src, dst, m, rng, count) for count in counts)
 
 
 def lipschitz_ceiling(

@@ -6,9 +6,11 @@ CArr, complex and float operands on either side.  On top of them, map
 evaluation, boundary offsets, j distances, the guarded ratio, and the scoring
 of the ceiling chunk and of the search grid must return exactly what a loop
 over the scalar call returns: the same bits, and NaN (or a bad mark) where
-the scalar raises or returns None.  The array samplers draw whole blocks from the chunk's
-generator and have no scalar counterpart; their tests check margins,
-separations, bounded rejection and reproducibility instead.
+the scalar raises or returns None.  The suite rows score each chunk on arrays
+too, and must give every sample the bits the public scalar checks give it on
+the sample's rebuilt map and points.  The array samplers draw whole blocks
+from the chunk's generator and have no scalar counterpart; their tests check
+margins, separations, bounded rejection and reproducibility instead.
 """
 
 import logging
@@ -54,9 +56,14 @@ from jmetric.verify import (
     PAIR_SEPARATION,
     _CAYLEY,
     _CHUNK,
+    _IMAGE_DRAWS,
     _PAIR,
+    _ROWS,
+    _blaschke_maps,
     _ceiling_chunk,
+    _halfplane_maps,
     _random_image_source_and_mobius,
+    _suite_chunk,
     _witness,
     guarded_ratio,
     guarded_ratios,
@@ -279,6 +286,32 @@ def test_apply_arrays_match_apply(m, points, nudges):
             assert same(scalar, f.real[k], f.imag[k])
 
 
+@pytest.mark.parametrize(
+    "family, domain",
+    [
+        (verify_module._halfplane_maps, UpperHalfPlane()),
+        (verify_module._disk_maps, UnitDisk()),
+        (verify_module._blaschke_maps, UnitDisk()),
+    ],
+    ids=["halfplane", "disk", "blaschke"],
+)
+def test_map_batches_match_apply_on_each_rebuilt_map(family, domain):
+    # Each sample's map, rebuilt as a checked map, gives the batch's bits at its
+    # own point; compositions of batches run in two passes.
+    rng = substream(13, 0)
+    batch = family(rng, 600)
+    z = sample_interior_points(domain, rng, 600, PAIR_MARGIN, HALFPLANE_SPAN)
+    f, bad = apply_arrays(batch, z)
+    shapes = set()
+    for k in range(600):
+        m = batch[k]
+        shapes.add((type(m), type(m.inner)) if isinstance(m, Compose) else (type(m), len(getattr(m, "zeros", ()))))
+        scalar = _scalar_apply(m, element(z, k))
+        assert bad[k] == (scalar is None)
+        assert scalar is None or same(scalar, f.real[k], f.imag[k])
+    assert len(shapes) >= 3
+
+
 # ---------------------------------------------------------------------------
 # Guarded ratio
 # ---------------------------------------------------------------------------
@@ -384,12 +417,12 @@ def _reference_ceiling_chunk(kind, seed, index, pairs):
     """The chunk's own pairs, drawn in the same _CHUNK blocks, scored one
     by one with the scalar guarded_ratio and kept on a strict <."""
     rng = substream(seed, index)
-    u = Uniforms(rng)
     if kind == "halfplane":
-        src, dst, m = UpperHalfPlane(), UpperHalfPlane(), verify_module.random_halfplane_map(u)
+        src, dst, m = UpperHalfPlane(), UpperHalfPlane(), _halfplane_maps(rng, 1)[0]
     elif kind == "disk":
-        src, dst, m = UnitDisk(), UnitDisk(), verify_module.random_blaschke(u, 4)
+        src, dst, m = UnitDisk(), UnitDisk(), _blaschke_maps(rng, 1)[0]
     else:
+        u = Uniforms(rng, _IMAGE_DRAWS)
         src, m = (UpperHalfPlane(), _CAYLEY) if index == 0 else _random_image_source_and_mobius(u)
         dst = verify_module.mobius_image_domain(m, src)
     worst, witness, skipped = math.inf, {}, 0
@@ -425,12 +458,54 @@ def test_ceiling_chunk_matches_the_per_pair_loop_on_skipped_pairs(monkeypatch):
     assert 5000 in skips and any(0 < s < 5000 for s in skips)
 
 
-def test_ceiling_chunk_keeps_the_first_of_equal_margins(monkeypatch):
+def test_ceiling_chunk_keeps_the_first_of_equal_margins(draw_only):
     # The identity scores every pair at exactly 1.0: the witness is the first pair.
-    monkeypatch.setattr(verify_module, "random_blaschke", lambda u, max_zeros: Blaschke(0.0, (0j,)))
+    draw_only(Blaschke(0.0, (0j,)))
     new = _ceiling_chunk("disk", 4, 1, 5000)
     assert new == _reference_ceiling_chunk("disk", 4, 1, 5000)
     assert new[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Suite chunks against a per-sample loop of the public scalar checks
+# ---------------------------------------------------------------------------
+
+
+def _reference_suite_chunk(scalar_margin, name, seed, index, count):
+    """The chunk's own draws, each sample scored with the public scalar checks
+    on its rebuilt map and points and kept on a strict <; every sample's
+    margin must have the bits the batched trial gives it, NaN for a skip."""
+    trial, keys, _, _ = _ROWS[name]
+    margins, values = trial(substream(seed, index), count)
+    worst, witness, skipped = math.inf, {}, 0
+    for k in range(count):
+        margin = scalar_margin(name, values(k))
+        assert same(margin, margins[k]), (name, k, values(k))
+        if math.isnan(margin):
+            skipped += 1
+        elif margin < worst:
+            worst, witness = margin, _witness(keys, values(k))
+    return worst, witness, skipped
+
+
+@pytest.mark.parametrize("name", sorted(_ROWS))
+@pytest.mark.parametrize("count", [4095, 4096, 4097])
+def test_suite_chunk_matches_the_per_sample_loop(scalar_margin, name, count):
+    assert _suite_chunk(name, 42, 2, count) == _reference_suite_chunk(scalar_margin, name, 42, 2, count)
+
+
+def test_suite_chunk_keeps_the_first_of_equal_margins_and_counts_skips(scalar_margin, draw_only):
+    # The identity scores every Schwarz-Pick sample at exactly 0.0: the witness
+    # is the first sample.  A shift sends some pairs out of the disk: skipped.
+    for m, first in ((Blaschke(0.0, (0j,)), True), (Mobius(1, 0.5, 0, 1), False)):
+        draw_only(m)
+        new = _suite_chunk("schwarz-pick-disk", 4, 1, 3000)
+        assert new == _reference_suite_chunk(scalar_margin, "schwarz-pick-disk", 4, 1, 3000)
+        margins, values = _ROWS["schwarz-pick-disk"][0](substream(4, 1), 3000)
+        if first:
+            assert new == (0.0, _witness(("map", "z", "w"), values(0)), 0)
+        else:
+            assert 0 < new[2] < 3000
 
 
 # ---------------------------------------------------------------------------

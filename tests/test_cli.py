@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from jmetric import cli
@@ -148,12 +149,10 @@ class TestVerify:
     def test_failed_suite_is_exit_1(self, capsys, monkeypatch):
         import jmetric.verify
 
-        def broken(seed, index, count):
-            return -1.0, {"x": "0.0"}, 0
+        def broken(rng, count):
+            return np.full(count, -1.0), lambda k: (0j, 0j)
 
-        monkeypatch.setitem(
-            jmetric.verify._SUITES, "identity-disk", (broken, 1e-10, "absolute")
-        )
+        monkeypatch.setitem(jmetric.verify._ROWS, "identity-disk", (broken, ("x", "y"), 1e-10, "absolute"))
         code, out, _ = run(capsys, "verify", "--suite", "identity-disk", "--samples", "10")
         assert code == 1
         assert json.loads(out)["passed"] is False
@@ -161,12 +160,10 @@ class TestVerify:
     def test_all_fails_when_one_suite_fails(self, capsys, monkeypatch):
         import jmetric.verify
 
-        def broken(seed, index, count):
-            return -1.0, {"x": "0.0"}, 0
+        def broken(rng, count):
+            return np.full(count, -1.0), lambda k: (0j, 0j)
 
-        monkeypatch.setitem(
-            jmetric.verify._SUITES, "identity-disk", (broken, 1e-10, "absolute")
-        )
+        monkeypatch.setitem(jmetric.verify._ROWS, "identity-disk", (broken, ("x", "y"), 1e-10, "absolute"))
         code, out, _ = run(capsys, "verify", "--suite", "all", "--samples", "10")
         assert code == 1
         payloads = json.loads(out)
@@ -175,12 +172,10 @@ class TestVerify:
     def test_every_sample_skipped_is_a_failure(self, capsys, monkeypatch):
         import jmetric.verify
 
-        def skip_all(seed, index, count):
-            return float("inf"), {}, count
+        def skip_all(rng, count):
+            return np.full(count, np.nan), None
 
-        monkeypatch.setitem(
-            jmetric.verify._SUITES, "identity-disk", (skip_all, 1e-10, "absolute")
-        )
+        monkeypatch.setitem(jmetric.verify._ROWS, "identity-disk", (skip_all, ("x", "y"), 1e-10, "absolute"))
         code, out, _ = run(capsys, "verify", "--suite", "identity-disk", "--samples", "10")
         assert code == 1
         payload = json.loads(out)

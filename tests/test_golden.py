@@ -57,64 +57,63 @@ def capture() -> dict:
     return out
 
 
-# Captured at seed 42 before the suite engine became one table-driven fold; the
-# ceiling/* entries after ceiling pairs came to be drawn by vectorized
-# rejection from each chunk's generator; search/extremal and search/cayley
-# while the search grid still scored its pairs one at a time; the Schwarz-Pick
-# suite/* and equality/* entries after their margins became slack over its
+# Captured at seed 42: the search/* entries while the search grid still scored
+# its pairs one at a time; the suite/*, equality/* and ceiling/* entries after
+# suite chunks came to draw their maps and points as arrays, the ceiling maps
+# through the same families, and the Schwarz-Pick margins to be slack over its
 # rounding scale.
-GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.35851422238054464,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.4676181265553023+0.2536503295530257i","w":"-0.3071069610477659-0.46670108755699724i"}}',
+GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.34851105099397084,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.3282539794630479+0.1818003935620276i","w":"-0.38794038982024115-0.14814861736905427i"}}',
                   0,
                   'absolute'),
- 'ceiling/disk/10000': ('{"suite":"lipschitz-ceiling-disk","samples":40000,"seed":42,"passed":true,"worst_margin":0.31488174503140587,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"-0.03111924608068284-0.1571316160635845i","w":"0.1304411764412825+0.08689499407259715i"}}',
+ 'ceiling/disk/10000': ('{"suite":"lipschitz-ceiling-disk","samples":40000,"seed":42,"passed":true,"worst_margin":0.3078684173196131,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.30991754648577463+0.19226397006645413i","w":"-0.2921230087795019-0.22202320239337214i"}}',
                         0,
                         'absolute'),
- 'ceiling/halfplane': ('{"suite":"lipschitz-ceiling-halfplane","samples":2000,"seed":42,"passed":true,"worst_margin":0.12921245677058035,"worst_witness":{"map":"mobius:0.13685239816313421,1.3749903629917517,-0.6355353615982691,-0.15619346756596597","src":"upperhalfplane","dst":"upperhalfplane","z":"-0.048570252868195496+0.5856340597172207i","w":"8.107868474403944+0.4581211638848373i"}}',
+ 'ceiling/halfplane': ('{"suite":"lipschitz-ceiling-halfplane","samples":2000,"seed":42,"passed":true,"worst_margin":0.0917710698251184,"worst_witness":{"map":"extremal:2.2304435544436423,-0.9007319784635959","src":"upperhalfplane","dst":"upperhalfplane","z":"-8.011509117002047+0.5681861905326463i","w":"0.7899936266569956+0.6516966454625771i"}}',
                        0,
                        'absolute'),
- 'ceiling/halfplane/10000': ('{"suite":"lipschitz-ceiling-halfplane","samples":40000,"seed":42,"passed":true,"worst_margin":0.09804189805356223,"worst_witness":{"map":"mobius:-1.4337707048834707,-0.9196278598090122,1.496151458691363,-1.3193418930761398","src":"upperhalfplane","dst":"upperhalfplane","z":"0.9874440846755981+0.9673826128427875i","w":"-8.384509489455407+1.0023023140526761i"}}',
+ 'ceiling/halfplane/10000': ('{"suite":"lipschitz-ceiling-halfplane","samples":40000,"seed":42,"passed":true,"worst_margin":0.0865040678628537,"worst_witness":{"map":"extremal:2.2304435544436423,-0.9007319784635959","src":"upperhalfplane","dst":"upperhalfplane","z":"1.1664262657485853+0.8785808462352265i","w":"-9.773825297680219+0.8650008384039526i"}}',
                              0,
                              'absolute'),
- 'ceiling/mobius-images': ('{"suite":"lipschitz-ceiling-mobius-images","samples":2000,"seed":42,"passed":true,"worst_margin":0.2330157691116006,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.688049943420906-0.7478731396631069i","w":"-0.19646814355260722-0.705445567677355i"}}',
+ 'ceiling/mobius-images': ('{"suite":"lipschitz-ceiling-mobius-images","samples":2000,"seed":42,"passed":true,"worst_margin":0.3127569853485428,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.01868096398920649-0.7892200088671697i","w":"-0.9276257657040684-0.779259999436458i"}}',
                            0,
                            'absolute'),
- 'ceiling/mobius-images/10000': ('{"suite":"lipschitz-ceiling-mobius-images","samples":40000,"seed":42,"passed":true,"worst_margin":0.1978003930935135,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.093957237554821-0.6863982221364395i","w":"-0.7549733934976739-0.8521959832099286i"}}',
+ 'ceiling/mobius-images/10000': ('{"suite":"lipschitz-ceiling-mobius-images","samples":40000,"seed":42,"passed":true,"worst_margin":0.2023245280147723,"worst_witness":{"map":"mobius:0.16027069727528698-1.4275861318565588i,-0.3626371376717161+0.162671231071009i,1.375678185933526+1.9656309137455716i,-1.7456027286900677-1.813765227777393i","src":"disk:-0.4099261582811371,-0.7981909774324465,1.300954414392715","dst":"disk:0.6986767531182023,-0.5253467515159008,0.9511602126808294","z":"-0.15279369870218962-0.5654809986925589i","w":"-0.7344428704534965-0.9118748999264665i"}}',
                                  0,
                                  'absolute'),
- 'equality/disk': ('{"suite":"schwarz-pick-disk-equality","samples":5000,"seed":42,"passed":true,"worst_margin":-1.1306939942254358e-16,"worst_witness":{"map":"blaschke:1.187678318220504;[-0.23259898287760597+0.13859077503210795i]","z":"0.03743032629257659-0.1591252211658174i","w":"-0.24936240257271436-0.5205038953818977i"}}',
+ 'equality/disk': ('{"suite":"schwarz-pick-disk-equality","samples":5000,"seed":42,"passed":true,"worst_margin":-1.686888333539992e-16,"worst_witness":{"map":"blaschke:2.5875863554995715;[-0.7069569183440323-0.018115088354507397i]","z":"-0.595050604947511+0.002108544763472331i","w":"-0.842722630547855-0.1243836901777351i"}}',
                    0,
                    'rounding-scaled'),
- 'equality/halfplane': ('{"suite":"schwarz-pick-halfplane-equality","samples":5000,"seed":42,"passed":true,"worst_margin":-9.994766266591132e-17,"worst_witness":{"map":"mobius:1.9880372823628276,-1.8648156672063374,0.899141030433201,-0.4842250304469622","z":"-4.318186742795804+3.7099071263040586i","w":"-6.373054782811705+5.801268245521096i"}}',
+ 'equality/halfplane': ('{"suite":"schwarz-pick-halfplane-equality","samples":5000,"seed":42,"passed":true,"worst_margin":-1.0190989824136378e-16,"worst_witness":{"map":"mobius:1.3816582022879302,1.3154270061709505,-1.4083901995428234,-0.19301418078054944","z":"6.957210059048272+7.022995661558206i","w":"7.114609918642209+9.476659196454067i"}}',
                         0,
                         'rounding-scaled'),
  'search/automorphism': '{"best_ratio":1.4974270517249664,"witness_z":"-0.14285700000000204+2.1287351569139188e-09i","witness_w":"0.1428569999999999-4.257470397094564e-09i","evaluations":16005,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.4974270517249664,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
  'search/cayley': '{"best_ratio":1.662591320919834,"witness_z":"54.11955287646776+372.75937203149397i","witness_w":"1000.0+372.75937203149397i","evaluations":15379,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.662591320919834,"theoretical_ceiling":2.0,"cstar_interval":null}',
  'search/extremal': '{"best_ratio":1.9999995813135971,"witness_z":"-1.0000000308666057+0.0026826957952797263i","witness_w":"-1000.0+0.0026826957952797263i","evaluations":17224,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.9999995813135971,"theoretical_ceiling":2.0,"cstar_interval":null}',
- 'suite/bound-2-3': ('{"suite":"bound-2-3","samples":5000,"seed":42,"passed":true,"worst_margin":4.422787880375978e-08,"worst_witness":{"map":"compose(blaschke:6.17241104198212;[0.03894083513341271-0.6280410296722813i],blaschke:4.3127851666531845;[-0.013534259014944759-0.9131545878512816i])","z":"-0.05034945876231456+0.4480635533026929i"}}',
+ 'suite/bound-2-3': ('{"suite":"bound-2-3","samples":5000,"seed":42,"passed":true,"worst_margin":1.5040011835942835e-07,"worst_witness":{"map":"compose(blaschke:3.853153957015737;[0.5707687226123264-0.5239658166287049i],blaschke:4.052101543125645;[0.007592919551136445+0.7978843621404805i])","z":"-0.06824634136298657-0.9820539991815835i"}}',
                      0,
                      'absolute'),
- 'suite/g-negativity': ('{"suite":"g-negativity","samples":5000,"seed":42,"passed":true,"worst_margin":2.4737486187476065e-05,"worst_witness":{"c":0.5523826248394449,"X":8.5448831293555}}',
+ 'suite/g-negativity': ('{"suite":"g-negativity","samples":5000,"seed":42,"passed":true,"worst_margin":2.81270114976806e-06,"worst_witness":{"c":0.9348259610029422,"X":4.316926626408599e-05}}',
                         0,
                         'absolute'),
- 'suite/identity-disk': ('{"suite":"identity-disk","samples":5000,"seed":42,"passed":true,"worst_margin":-7.812628453770823e-16,"worst_witness":{"x":"1.8044496053371368-2.5514854426374463i","y":"4.630135345334756+3.3693167154167405i"}}',
+ 'suite/identity-disk': ('{"suite":"identity-disk","samples":5000,"seed":42,"passed":true,"worst_margin":-7.644312463414823e-16,"worst_witness":{"x":"3.4550794838884507+7.725681732497611i","y":"7.286525828053669+5.274429571256945i"}}',
                          0,
                          'absolute'),
- 'suite/identity-halfplane': ('{"suite":"identity-halfplane","samples":5000,"seed":42,"passed":true,"worst_margin":-7.523204521568439e-16,"worst_witness":{"x":"-6.114133860284262-2.358106503339245i","y":"6.653184068580815-7.931377749765309i"}}',
+ 'suite/identity-halfplane': ('{"suite":"identity-halfplane","samples":5000,"seed":42,"passed":true,"worst_margin":-6.875765446175718e-16,"worst_witness":{"x":"-7.483698841559587-6.392500609182564i","y":"4.745690433900133+4.927965191274575i"}}',
                               0,
                               'absolute'),
- 'suite/lipschitz-pair': ('{"suite":"lipschitz-pair","samples":5000,"seed":42,"passed":true,"worst_margin":0.20768138015393456,"worst_witness":{"map":"compose(blaschke:5.508540937788233;[0.09443460768899183+0.8781068972839836i],blaschke:3.0779432993296614;[0.10270646422032481-0.577488500977303i])","src":"unitdisk","dst":"unitdisk","z":"-0.1143915631314647-0.43235770860333056i","w":"0.2980416734757705+0.29848231602565756i"}}',
+ 'suite/lipschitz-pair': ('{"suite":"lipschitz-pair","samples":5000,"seed":42,"passed":true,"worst_margin":0.18984249522211627,"worst_witness":{"map":"compose(blaschke:0.802442461795429;[-0.2703827478700574-0.7630497132710372i],blaschke:5.815655850679771;[-0.4767482766830163-0.6981439850548347i])","src":"unitdisk","dst":"unitdisk","z":"-0.5688396648375391+0.23180124427723503i","w":"-0.43024145257587376-0.4297183886633096i"}}',
                           0,
                           'absolute'),
- 'suite/schwarz-pick-disk': ('{"suite":"schwarz-pick-disk","samples":5000,"seed":42,"passed":true,"worst_margin":-1.2603930471797557e-16,"worst_witness":{"map":"compose(blaschke:2.446132850457567;[-0.3753169423342854+0.19656242378875022i],blaschke:2.9958834242242687;[-0.5524874059285027+0.4394472900109069i])","z":"-0.43144718272510807+0.703232188832245i","w":"0.15865656372770598+0.04889282512466808i"}}',
+ 'suite/schwarz-pick-disk': ('{"suite":"schwarz-pick-disk","samples":5000,"seed":42,"passed":true,"worst_margin":-8.931448937908914e-17,"worst_witness":{"map":"blaschke:0.7733199577550067;[0.20843509048099138+0.7183595994382123i]","z":"-0.36142831298962896+0.5107059088343819i","w":"-0.27907129494536465+0.47149370283438397i"}}',
                              0,
                              'rounding-scaled'),
- 'suite/schwarz-pick-halfplane': ('{"suite":"schwarz-pick-halfplane","samples":5000,"seed":42,"passed":true,"worst_margin":-5.484101849485376e-16,"worst_witness":{"map":"compose(mobius:0.5147392060523655,-0.814453139769995,0.7265363726982859,1.3266483208318798,extremal:-1.8987052475925372,1.016240757435681)","z":"-9.310203733106308+6.316439547557669i","w":"-9.117335178298942+5.744466642064945i"}}',
+ 'suite/schwarz-pick-halfplane': ('{"suite":"schwarz-pick-halfplane","samples":5000,"seed":42,"passed":true,"worst_margin":-3.028611073194945e-16,"worst_witness":{"map":"compose(mobius:-0.7775638663917959,1.5069906762267027,-0.6569795849416709,-0.834680352679134,mobius:0.8413620144961498,1.820181075714951,-0.9096219386165152,0.050263565647612474)","z":"9.80327624055517+3.7744044087272095i","w":"9.319872537073127+3.400549901766794i"}}',
                                   0,
                                   'rounding-scaled'),
- 'suite/step-1-2': ('{"suite":"step-1-2","samples":5000,"seed":42,"passed":true,"worst_margin":7.773211714277167e-05,"worst_witness":{"map":"extremal:2.7476581044917436,-1.943008349891289","z":"-8.136054894163738+8.569760714920529i","w":"-7.770209815741698+8.547001512854905i"}}',
+ 'suite/step-1-2': ('{"suite":"step-1-2","samples":5000,"seed":42,"passed":true,"worst_margin":1.343541422086248e-05,"worst_witness":{"map":"extremal:-0.3161177763820828,1.4201237763161156","z":"3.0790377337872776+9.127192054349043i","w":"3.1240777910006496+9.165132744536935i"}}',
                     0,
                     'relative'),
- 'suite/step-2-2': ('{"suite":"step-2-2","samples":5000,"seed":42,"passed":true,"worst_margin":0.004005227485531126,"worst_witness":{"map":"blaschke:1.5514401844529186;[0.27779116527047276+0.6319226244853418i,-0.8489745487188811+0.03076457385733148i,-0.6281951845525875+0.36644230476107204i]","z":"-0.4712845941843431-0.34899178867352454i","w":"-0.4700200939727017-0.36175412975988275i"}}',
+ 'suite/step-2-2': ('{"suite":"step-2-2","samples":5000,"seed":42,"passed":true,"worst_margin":0.0003968409834365569,"worst_witness":{"map":"blaschke:4.6433877786790445;[0.0329440411494273-0.8432089301580745i]","z":"-0.3425859394328221-0.0472673970061781i","w":"-0.3467337096619372-0.020512867714125305i"}}',
                     0,
                     'relative')}
 

@@ -12,7 +12,7 @@ from jmetric.grammar import (
 )
 from jmetric.maps import Blaschke, Compose, Extremal, Mobius
 from jmetric.sampling import Uniforms, substream
-from jmetric.verify import random_blaschke, random_extremal, random_halfplane_mobius
+from jmetric.verify import _disk_maps, _halfplane_maps
 
 
 class TestComplexForms:
@@ -114,18 +114,12 @@ class TestMapForms:
         assert isinstance(parsed, Compose) and isinstance(parsed.outer, Compose)
 
     def test_round_trip_random(self):
-        u = Uniforms(substream(67, 0))
-        for _ in range(300):
-            pick = u.next()
-            if pick < 0.3:
-                m = random_blaschke(u)
-            elif pick < 0.6:
-                m = random_halfplane_mobius(u)
-            elif pick < 0.8:
-                m = random_extremal(u)
-            else:
-                m = Compose(random_extremal(u), random_halfplane_mobius(u))
-            assert parse_map(format_map(m)) == m
+        # Blaschke products, Moebius and extremal maps, and compositions of each.
+        rng = substream(67, 0)
+        for batch in (_disk_maps(rng, 150), _halfplane_maps(rng, 150)):
+            for k in range(150):
+                m = batch[k]
+                assert parse_map(format_map(m)) == m
             assert format_map(parse_map(format_map(m))) == format_map(m)
 
     def test_complex_coefficients_round_trip(self):

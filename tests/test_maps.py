@@ -31,7 +31,7 @@ from jmetric.maps import (
     mobius_inverse,
 )
 from jmetric.sampling import Uniforms, sample_interior, substream
-from jmetric.verify import random_blaschke, random_halfplane_map, random_halfplane_mobius
+from jmetric.verify import _blaschke_maps, _disk_maps, _halfplane_automorphisms, _halfplane_maps
 
 IDENTITY = Mobius(1, 0, 0, 1)
 CAYLEY = Mobius(1, -1j, 1, 1j)
@@ -76,15 +76,10 @@ class TestDerivative:
 
     def test_matches_central_differences(self):
         u = Uniforms(substream(2024, 0))
+        rng = substream(2024, 1)
         step = 1e-6
-        for _ in range(1000):
-            pick = u.next()
-            if pick < 0.4:
-                m, domain = random_blaschke(u), D
-            elif pick < 0.8:
-                m, domain = random_halfplane_map(u), H
-            else:
-                m, domain = Compose(random_blaschke(u, 2), random_blaschke(u, 2)), D
+        disk, half = _disk_maps(rng, 500), _halfplane_maps(rng, 500)
+        for m, domain in [(disk[k], D) for k in range(500)] + [(half[k], H) for k in range(500)]:
             z = sample_interior(domain, u, margin=1e-2)
             got = derivative(m, z)
             fd = (apply(m, z + step) - apply(m, z - step)) / (2.0 * step)
@@ -97,11 +92,11 @@ class TestMobiusAlgebra:
         return [complex(u.uniform(-2, 2), u.uniform(0.1, 2)) for _ in range(count)]
 
     def test_compose_matches_pointwise(self):
-        u = Uniforms(substream(11, 0))
+        maps = _halfplane_automorphisms(substream(11, 0), 400)
         pts = self.sample_points()
-        for _ in range(200):
-            m1 = random_halfplane_mobius(u)
-            m2 = random_halfplane_mobius(u)
+        for k in range(200):
+            m1 = maps[2 * k]
+            m2 = maps[2 * k + 1]
             m = mobius_compose(m1, m2)
             for z in pts[:10]:
                 assert abs(apply(m, z) - apply(m1, apply(m2, z))) < 1e-12
@@ -122,19 +117,19 @@ class TestMobiusAlgebra:
         assert (inv.a, inv.b, inv.c, inv.d) == (1j, 1j, -1 + 0j, 1 + 0j)
 
     def test_inverse_round_trip(self):
-        u = Uniforms(substream(17, 0))
+        maps = _halfplane_automorphisms(substream(17, 0), 100)
         pts = self.sample_points()
-        for _ in range(100):
-            m = random_halfplane_mobius(u)
+        for k in range(100):
+            m = maps[k]
             back = mobius_compose(m, mobius_inverse(m))
             for z in pts[:10]:
                 assert abs(apply(back, z) - z) < 1e-12
 
     def test_associativity_pointwise(self):
-        u = Uniforms(substream(23, 0))
+        maps = _halfplane_automorphisms(substream(23, 0), 3000)
         pts = self.sample_points(10)
-        for _ in range(1000):
-            m1, m2, m3 = (random_halfplane_mobius(u) for _ in range(3))
+        for k in range(0, 3000, 3):
+            m1, m2, m3 = maps[k], maps[k + 1], maps[k + 2]
             left = mobius_compose(mobius_compose(m1, m2), m3)
             right = mobius_compose(m1, mobius_compose(m2, m3))
             for z in pts[:3]:
@@ -145,8 +140,8 @@ class TestMobiusAlgebra:
             Mobius(1, 2, 2, 4)
 
     def test_compose_maps_collapses_mobius_chains(self):
-        u = Uniforms(substream(53, 0))
-        m1, m2 = random_halfplane_mobius(u), random_halfplane_mobius(u)
+        maps = _halfplane_automorphisms(substream(53, 0), 2)
+        m1, m2 = maps[0], maps[1]
         collapsed = compose_maps(m1, m2)
         assert isinstance(collapsed, Mobius)
         for z in self.sample_points(10):
@@ -157,8 +152,9 @@ class TestMobiusAlgebra:
 
 def test_halfplane_mobius_height_identity():
     u = Uniforms(substream(31, 0))
-    for _ in range(500):
-        m = random_halfplane_mobius(u)
+    maps = _halfplane_automorphisms(substream(31, 1), 500)
+    for k in range(500):
+        m = maps[k]
         det = (m.a * m.d - m.b * m.c).real
         z = complex(u.uniform(-50, 50), u.uniform(1e-3, 50))
         expected = det * z.imag / abs(m.c * z + m.d) ** 2
@@ -178,8 +174,9 @@ def test_extremal_height_identity():
 
 def test_blaschke_is_strict_disk_self_map():
     u = Uniforms(substream(41, 0))
-    for _ in range(10_000):
-        m = random_blaschke(u)
+    maps = _blaschke_maps(substream(41, 1), 10_000)
+    for k in range(10_000):
+        m = maps[k]
         z = sample_interior(D, u, margin=1e-3)
         assert abs(apply(m, z)) < 1.0
 

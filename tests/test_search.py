@@ -18,7 +18,7 @@ from jmetric.search import (
     ratio_objective,
     sweep_to_csv,
 )
-from jmetric.verify import random_blaschke, random_halfplane_map
+from jmetric.verify import _blaschke_maps, _halfplane_maps
 
 D = UnitDisk()
 H = UpperHalfPlane()
@@ -66,13 +66,11 @@ class TestLocalDistortion:
 
     def test_matches_coincident_ratio_limit(self):
         u = Uniforms(substream(113, 0))
+        disk_maps, half_maps = _blaschke_maps(substream(113, 1), 1000), _halfplane_maps(substream(113, 2), 1000)
         step = 1e-5
         checked = 0
-        while checked < 100:
-            if u.next() < 0.5:
-                m, domain = random_blaschke(u), D
-            else:
-                m, domain = random_halfplane_map(u), H
+        for k in range(1000):
+            m, domain = (disk_maps[k], D) if u.next() < 0.5 else (half_maps[k], H)
             z = sample_interior(domain, u, margin=1e-2)
             ratio = ratio_objective(domain, domain, m, z, z + step)
             if ratio == -math.inf:
@@ -80,6 +78,9 @@ class TestLocalDistortion:
             ld = local_distortion(domain, m, z)
             assert abs(ratio - ld) <= 1e-3 * max(ld, 1e-6)
             checked += 1
+            if checked == 100:
+                break
+        assert checked == 100
 
 
 class TestExtremalRatio:
@@ -186,9 +187,9 @@ class TestEstimateLipschitz:
         assert again == report.best_ratio
 
     def test_ceiling_on_corpus(self):
-        u = Uniforms(substream(127, 0))
-        for _ in range(3):
-            m = random_blaschke(u)
+        maps = _blaschke_maps(substream(127, 0), 3)
+        for k in range(3):
+            m = maps[k]
             report = estimate_lipschitz(D, m, QUICK)
             assert report.best_ratio <= 2.0 + 1e-9
 

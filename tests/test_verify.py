@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -8,9 +7,8 @@ import pytest
 import jmetric.parallel as parallel_module
 import jmetric.verify as verify_module
 from jmetric.domains import UnitDisk, UpperHalfPlane, pseudo_hyperbolic_disk, pseudo_hyperbolic_halfplane
-from jmetric.domains import signed_boundary_offset
 from jmetric.errors import CoincidentPoints, DomainError, JmetricError
-from jmetric.grammar import parse_complex, parse_map
+from jmetric.grammar import parse_complex, parse_domain, parse_map
 from jmetric.maps import Blaschke, Extremal, Mobius, apply
 from jmetric.sampling import Uniforms, sample_interior_pair, substream
 from jmetric.verify import (
@@ -29,10 +27,6 @@ from jmetric.verify import (
     g_threshold_from_modulus,
     guarded_ratio,
     lipschitz_ceiling,
-    random_blaschke,
-    random_disk_map,
-    random_halfplane_map,
-    random_halfplane_mobius,
     run_schwarz_pick_equality,
     run_suite,
 )
@@ -94,8 +88,9 @@ class TestInequalityChain:
 
     def test_step_1_2_nonnegative_on_samples(self):
         u = Uniforms(substream(73, 0))
-        for _ in range(2000):
-            m = random_halfplane_map(u)
+        maps = verify_module._halfplane_maps(substream(73, 1), 2000)
+        for k in range(2000):
+            m = maps[k]
             z, w = sample_interior_pair(H, u)
             assert check_step_1_2(m, z, w) >= -1e-10 * 10  # raw slack, unnormalized
 
@@ -199,15 +194,17 @@ def test_chain_implies_ceiling():
     # whenever the intermediate bounds hold, the distortion ratio obeys the
     # factor-2 ceiling on the same inputs
     u = Uniforms(substream(97, 0))
-    for _ in range(2000):
-        m = random_halfplane_map(u)
+    half_maps = verify_module._halfplane_maps(substream(97, 1), 2000)
+    disk_maps = verify_module._disk_maps(substream(97, 2), 2000)
+    for k in range(2000):
+        m = half_maps[k]
         z, w = sample_interior_pair(H, u)
         if check_step_1_2(m, z, w) >= -1e-10:
             ratio = guarded_ratio(H, H, m, z, w)
             if ratio is not None:
                 assert ratio <= 2.0 + 1e-9
-    for _ in range(2000):
-        m = random_disk_map(u)
+    for k in range(2000):
+        m = disk_maps[k]
         z, w = sample_interior_pair(D, u)
         if check_step_2_2(m, z, w) >= -1e-10:
             ratio = guarded_ratio(D, D, m, z, w)
@@ -217,8 +214,9 @@ def test_chain_implies_ceiling():
 
 def test_disk_pairs_stay_inside_g_window():
     u = Uniforms(substream(101, 0))
-    for _ in range(2000):
-        m = random_blaschke(u)
+    maps = verify_module._blaschke_maps(substream(101, 1), 2000)
+    for k in range(2000):
+        m = maps[k]
         z, w = sample_interior_pair(D, u)
         r = max(abs(z), abs(w))
         x = abs(z - w) / (1.0 - r)
@@ -255,9 +253,10 @@ class TestSuites:
             assert report.passed, f"{kind}: worst={report.worst_margin}"
 
     def test_thread_count_invariance(self):
-        lone = run_suite("schwarz-pick-disk", samples=10_000, seed=5, threads=1)
-        dual = run_suite("schwarz-pick-disk", samples=10_000, seed=5, threads=2)
-        assert lone.to_json() == dual.to_json()
+        # 10,000 samples are three chunks, so two threads run a pool.
+        for run in ALL_RUNS.values():
+            lone, dual = run(10_000, 5, 1), run(10_000, 5, 2)
+            assert lone.to_json() == dual.to_json() and lone.skipped == dual.skipped, lone.suite
 
     def test_margin_conventions_recorded(self):
         assert run_suite("identity-disk", 200, 0).margin_convention == "absolute"
@@ -267,20 +266,24 @@ class TestSuites:
         assert run_suite("schwarz-pick-disk", 200, 0).margin_convention == "rounding-scaled"
         assert run_schwarz_pick_equality("halfplane", 200, 0).margin_convention == "rounding-scaled"
 
-    def test_witness_recomputes_worst_margin(self):
-        report = run_suite("schwarz-pick-disk", samples=5000, seed=21)
-        wit = report.worst_witness
-        m, z, w = parse_map(wit["map"]), parse_complex(wit["z"]), parse_complex(wit["w"])
-        fz, fw = apply(m, z), apply(m, w)
-        scale = 1.0 + abs(fz) / signed_boundary_offset(D, fz) + abs(fw) / signed_boundary_offset(D, fw)
-        assert check_schwarz_pick_disk(m, z, w) / scale == report.worst_margin
+    def test_witness_recomputes_worst_margin(self, scalar_margin):
+        # The witness map and points, parsed back from the report, give the
+        # worst margin again through the public scalar checks.
+        parse = {"map": parse_map, "src": parse_domain, "dst": parse_domain, "c": float, "X": float}
+        for name, run in ALL_RUNS.items():
+            report = run(5000, 21, 1)
+            values = tuple(parse.get(key, parse_complex)(text) for key, text in report.worst_witness.items())
+            assert scalar_margin(name, values) == report.worst_margin, name
 
-        report = run_suite("identity-halfplane", samples=5000, seed=21)
-        wit = report.worst_witness
-        x, y = parse_complex(wit["x"]), parse_complex(wit["y"])
-        margin = -abs(check_identity_halfplane(x, y)) / (1.0 + abs(x) ** 2 + abs(y) ** 2)
-        assert margin == report.worst_margin
 
+# Every suite row, by report name, as run(samples, seed, threads).
+ALL_RUNS = {
+    name: (lambda samples, seed, threads, name=name: run_suite(name, samples, seed, threads)) for name in SUITE_NAMES
+}
+for _kind in ("halfplane", "disk"):
+    ALL_RUNS[f"schwarz-pick-{_kind}-equality"] = (
+        lambda samples, seed, threads, kind=_kind: run_schwarz_pick_equality(kind, samples, seed, threads)
+    )
 
 # Worst witnesses of two 8,192-sample runs (seeds 438127250 and 451881940) that
 # failed while Schwarz-Pick margins were absolute slacks.  Each map is a
@@ -304,7 +307,9 @@ SCHWARZ_PICK_MISFIRES = [
 ]
 
 
-@pytest.mark.parametrize("domain, distance, check, text, z, w, slack", SCHWARZ_PICK_MISFIRES, ids=["disk", "halfplane"])
+@pytest.mark.parametrize(
+    "domain, distance, check, text, z, w, slack", SCHWARZ_PICK_MISFIRES, ids=["disk", "halfplane"]
+)
 def test_schwarz_pick_rounding_noise_is_within_tolerance(domain, distance, check, text, z, w, slack):
     m, z, w = parse_map(text), parse_complex(z), parse_complex(w)
     assert check(m, z, w) == slack < -1e-12  # the absolute slack misses the tolerance
@@ -320,19 +325,11 @@ def test_schwarz_pick_rounding_noise_is_within_tolerance(domain, distance, check
         ("disk", Mobius(1, -0.5, -0.5, 1), Mobius(1 + 1e-9, -0.5, -0.5, 1)),
     ],
 )
-def test_schwarz_pick_runs_fail_a_map_just_off_an_automorphism(monkeypatch, kind, automorphism, off):
-    # Both rows draw the one map given; one coefficient 1e-9 off an
+def test_schwarz_pick_runs_fail_a_map_just_off_an_automorphism(draw_only, kind, automorphism, off):
+    # Every family draws the one map given; one coefficient 1e-9 off an
     # automorphism makes a map that is no self-map, and both runs must see it.
-    domain, distance = (H, pseudo_hyperbolic_halfplane) if kind == "halfplane" else (D, pseudo_hyperbolic_disk)
     for m, passed in ((automorphism, True), (off, False)):
-        for table, key, score in (
-            (verify_module._SUITES, f"schwarz-pick-{kind}", verify_module._sp_margin),
-            (verify_module._EQUALITY, kind, verify_module._sp_equality),
-        ):
-            row = verify_module._images_suite(
-                domain, lambda u: m, functools.partial(score, distance, domain), 1e-12, "rounding-scaled"
-            )
-            monkeypatch.setitem(table, key, row)
+        draw_only(m)
         contraction = run_suite(f"schwarz-pick-{kind}", 5000, 42)
         equality = run_schwarz_pick_equality(kind, 5000, 42)
         assert contraction.passed is equality.passed is passed, (contraction.worst_margin, equality.worst_margin)
@@ -417,6 +414,13 @@ class _Stuck:
         return lo
 
 
+class _StuckGenerator:
+    """A generator whose uniforms are all 0.0."""
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+
 class TestRobustness:
     @pytest.mark.parametrize(
         "call",
@@ -453,8 +457,9 @@ class TestRobustness:
         assert json.loads(report.to_json())["worst_margin"] is None
 
     def test_stuck_draws_raise_in_mobius_family(self):
-        with pytest.raises(DomainError):
-            random_halfplane_mobius(_Stuck())
+        for family in (verify_module._halfplane_maps, verify_module._halfplane_automorphisms):
+            with pytest.raises(DomainError, match="determinant"):
+                family(_StuckGenerator(), 5)
 
     def test_stuck_draws_raise_in_image_family(self):
         from jmetric.verify import _random_image_source_and_mobius
@@ -465,8 +470,8 @@ class TestRobustness:
     def test_stuck_draws_raise_in_g_negativity(self, monkeypatch):
         import jmetric.verify
 
-        monkeypatch.setattr(jmetric.verify, "Uniforms", lambda rng: _Stuck())
-        with pytest.raises(DomainError):
+        monkeypatch.setattr(jmetric.verify, "substream", lambda seed, index: _StuckGenerator())
+        with pytest.raises(DomainError, match="no positive X"):
             run_suite("g-negativity", samples=10, seed=0)
 
     def test_negative_seed_rejected(self):
