@@ -83,8 +83,10 @@ class MapExpr:
         def pick(value):
             if isinstance(value, tuple):
                 return tuple(map(pick, value))
-            if isinstance(value, (MapExpr, MapBatch, CArr)):
+            if isinstance(value, (MapExpr, CArr)):
                 return value.at(k)
+            if isinstance(value, MapBatch):
+                return value[k]
             return float(value[k]) if isinstance(value, np.ndarray) else value
 
         return type(self)(*(pick(getattr(self, f.name)) for f in dataclasses.fields(self)))
@@ -171,8 +173,6 @@ class MapBatch:
                 return m.at(pos)
         raise IndexError(f"no sample {k!r} in the batch")
 
-    at = __getitem__
-
 
 def _turn(rotation):
     """e^(i rotation) as cmath.exp gives it, for a float or an array of floats: the
@@ -226,7 +226,7 @@ def apply(m: MapExpr, z: complex) -> complex:
 
 
 def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
-    """apply at every point of z, as (f, bad); a MapBatch applies map k at z[..., k].
+    """apply at every point of z, as (f, bad); a MapBatch applies map k at z[k].
 
     bad marks the points where apply raises; their values in f are meaningless.  A
     composition of two batches runs in two passes, and bad also marks where its
@@ -235,7 +235,7 @@ def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
     if isinstance(m, MapBatch):
         f, bad = CArr(np.empty(z.real.shape), np.empty(z.real.shape)), np.empty(z.real.shape, bool)
         for index, part in m.groups:
-            f[..., index], bad[..., index] = apply_arrays(part, z[..., index])
+            f[index], bad[index] = apply_arrays(part, z[index])
         return f, bad
     if isinstance(m, Compose) and isinstance(m.inner, MapBatch):
         inner, bad = apply_arrays(m.inner, z)
@@ -244,14 +244,8 @@ def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
     bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
 
     def mark(den, pole, at):
-        # |den| lies between the larger part and sqrt(2) times it, so only a larger part
-        # below POLE_FLOOR or past 1e308 needs the modulus (NaN parts stay unmarked).
-        big = np.maximum(np.abs(den.real), np.abs(den.imag))
-        near = (big < POLE_FLOOR) | (big > 1e308)
-        if near.any():
-            size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
-            overflow = np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag)
-            bad[...] |= near & ((size < POLE_FLOOR) | overflow)
+        size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
+        bad[...] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag))
 
     with np.errstate(all="ignore"):
         try:

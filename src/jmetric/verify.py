@@ -276,20 +276,8 @@ def _trusted_images(domain: PlanarDomain, m: MapExpr, z: complex, w: complex):
         return None
 
 
-def _stack(*points: CArr) -> CArr:
-    return CArr(np.stack([p.real for p in points]), np.stack([p.imag for p in points]))
-
-
 def _trusted_arrays(domain: PlanarDomain, m, z: CArr, w: CArr):
-    """(f(z), f(w), indices of the pairs _trusted_images keeps); call under np.errstate.
-
-    A MapBatch maps z and w stacked: its groups are small, so one pass per group
-    halves the cost that does not grow with the group.  A single map's blocks are
-    large, and run faster unstacked.
-    """
-    if isinstance(m, MapBatch):
-        f, bad = apply_arrays(m, _stack(z, w))
-        return f[0], f[1], np.flatnonzero((_trusted(domain, f) & ~bad).all(axis=0))
+    """(f(z), f(w), indices of the pairs _trusted_images keeps); call under np.errstate."""
     fz, bad_z = apply_arrays(m, z)
     fw, bad_w = apply_arrays(m, w)
     return fz, fw, np.flatnonzero(_trusted(domain, fz) & _trusted(domain, fw) & ~(bad_z | bad_w))
@@ -533,9 +521,10 @@ def _trial_bound_2_3(rng, n):
     z = sample_interior_points(_DISK, rng, n, PAIR_MARGIN)
     margins = np.full(n, math.nan)
     with np.errstate(all="ignore"):
-        f, bad = apply_arrays(m, _stack(CArr(np.zeros(n), np.zeros(n)), z))
-        keep = np.flatnonzero(~bad.any(axis=0) & (abs(f[0]) < 1.0))  # where check_bound_2_3 does not raise
-        margins[keep] = image_modulus_bound(abs(f[0][keep]), abs(z[keep])) - abs(f[1][keep])
+        f0, bad_0 = apply_arrays(m, CArr(np.zeros(n), np.zeros(n)))
+        fz, bad_z = apply_arrays(m, z)
+        keep = np.flatnonzero(~(bad_0 | bad_z) & (abs(f0) < 1.0))  # where check_bound_2_3 does not raise
+        margins[keep] = image_modulus_bound(abs(f0[keep]), abs(z[keep])) - abs(fz[keep])
     return margins, lambda k: (m[k], z.at(k))
 
 

@@ -120,7 +120,7 @@ class TestMapForms:
             for k in range(150):
                 m = batch[k]
                 assert parse_map(format_map(m)) == m
-            assert format_map(parse_map(format_map(m))) == format_map(m)
+                assert format_map(parse_map(format_map(m))) == format_map(m)
 
     def test_complex_coefficients_round_trip(self):
         m = Mobius(1 + 2j, -0.5j, 0.25, 1 - 1j)
