@@ -195,8 +195,8 @@ def _cmd_search(opt: _Options, style: str):
     cfg = SearchConfig(
         boundary_margin=opt.number("margin", parse_real, 1e-6),
         separation_floor=opt.number("separation", parse_real, 1e-7),
-        grid_per_axis=opt.number("grid", int, 24),
-        refine_rounds=opt.number("rounds", int, 60),
+        grid_per_axis=opt.number("grid", int, 24, minimum=2),
+        refine_rounds=opt.number("rounds", int, 60, minimum=0),
         seed=opt.number("seed", int, 0, minimum=0),
     )
     threads = opt.number("threads", int, default_threads(), minimum=1)

@@ -244,21 +244,27 @@ def j_distance(domain: PlanarDomain, z: complex, w: complex) -> float:
     raise DomainError(f"|z - w| / min boundary distance overflows the float range for z = {z!r}, w = {w!r}")
 
 
-def j_distances(domain: PlanarDomain, z: CArr, w: CArr):
-    """j_distance for every pair (z[k], w[k]), NaN where j_distance raises.
+def _log1p_exact(x):
+    """math.log1p of every element of the float array x: the bits j_distance gets,
+    which np.log1p can miss by an ulp or so (see CArr)."""
+    return np.fromiter(map(math.log1p, x.tolist()), float, len(x))
 
-    log1p runs through math.log1p element by element (see CArr).
-    """
-    with np.errstate(all="ignore"):
-        bz = signed_boundary_offset(domain, z)
-        bw = signed_boundary_offset(domain, w)
-        x = abs(z - w) / np.where(bz <= bw, bz, bw)
+
+def _j(gap, bz, bw, log1p):
+    """j from the gaps |z - w| and the boundary offsets bz, bw of the pairs' points,
+    NaN where j_distance raises; log1p is _log1p_exact for j_distance's bits."""
+    x = gap / np.where(bz <= bw, bz, bw)  # under the caller's np.errstate
     # A finite x needs finite coordinates, so this is boundary_distance's check too.
     ok = (bz > 0.0) & (bw > 0.0) & (x < math.inf)
     j = np.full(x.shape, math.nan)
-    x = x[ok]
-    j[ok] = np.fromiter(map(math.log1p, x.tolist()), float, len(x))
+    j[ok] = log1p(x[ok])
     return j
+
+
+def j_distances(domain: PlanarDomain, z: CArr, w: CArr):
+    """j_distance for every pair (z[k], w[k]), NaN where j_distance raises."""
+    with np.errstate(all="ignore"):
+        return _j(abs(z - w), signed_boundary_offset(domain, z), signed_boundary_offset(domain, w), _log1p_exact)
 
 
 def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:

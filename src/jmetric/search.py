@@ -3,11 +3,14 @@
 The supremum of j_dst(f(z), f(w)) / j_src(z, w) over interior pairs is
 estimated by a deterministic tensor grid over the four real coordinates of
 (z, w) followed by coordinatewise pattern search from the best grid cells
-and from local-distortion seed points; the grid is scored one guarded_ratios
-call per block of z rows (on a pool only from 2**20 pairs per worker), the
-pattern search stays scalar.  Only lower bounds are ever claimed: the
-supremum is typically attained in boundary or infinity limits, so no finite
-search can certify an upper bound; the ceiling 2 comes from theory.
+and from local-distortion seed points.  The grid maps and guards each point
+once (guarded_ratios' per-point stage) and scores the pairs of each block of
+z rows from gathers of those values (its pair stage), rescoring with
+math.log1p only the pairs that can reach the block's top list (on a pool only
+from 2**20 pairs per worker); the pattern search stays scalar.  Only lower
+bounds are ever claimed: the supremum is typically attained in boundary or
+infinity limits, so no finite search can certify an upper bound; the ceiling
+2 comes from theory.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .domains import (
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
+    _log1p_exact,
     boundary_distance,
     halfplane_frame,
 )
@@ -40,7 +44,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .verify import check_lipschitz_pair, guarded_ratio, guarded_ratios
+from .verify import _pair_ratios, _point_stage, check_lipschitz_pair, guarded_ratio
 
 __all__ = [
     "SearchConfig",
@@ -60,13 +64,33 @@ THEORETICAL_CEILING = 2.0
 # math.exp overflows above this.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# Points per grid axis: 256 already makes ~2**32 pairs, and a row block's index
+# arrays grow with the square of it.
+_GRID_MAX = 256
+
 # z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
 # do not depend on the worker count.
 _GRID_ROWS_PER_CHUNK = 16
 
-# Grid pairs per pool worker; smaller grids are scored inline (2-CPU Xeon, extremal
-# map: 331,776 pairs take 0.13 s inline and 0.22 s on two workers, 2,560,000 pairs
-# 1.35 s inline and 0.82 s on two).
+# The grid scores every pair with np.log1p first and rescores with math.log1p only
+# the pairs whose first ratio r' is not finite or at least t * (1 - _LOG1P_SLACK),
+# t the keep-th largest finite r'.  That leaves the top list exact.  The two log1p
+# agree to 4 ulps (tests/test_arrays.py pins it over the grid's range of
+# arguments), a relative 4 * 2**-52 each, and the division rounds both ratios to
+# within u = 2**-53, so |r' - r| <= d * r with d = 2 * 4 * 2**-52 + 2 * 2**-53
+# ~ 2.0e-15 to first order (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 3).  The keep pairs with r' >= t have r >= t / (1 + d), so
+# the exact keep-th best T does too; a pair left out has r <= r' / (1 - d) <
+# t (1 - s) / (1 - d), below t / (1 + d) <= T whenever s >= 2d / (1 + d) ~ 4e-15.
+# Such a pair can enter neither the top list nor its tie order, and s = 1e-12
+# leaves a factor 250 to spare.
+_LOG1P_SLACK = 1e-12
+
+# Grid pairs per pool worker; smaller grids are scored inline.  2-CPU Xeon, extremal
+# map, median of 9 grids on a started pool: 331,776 pairs take 0.029 s inline and
+# 0.037 s on two workers, 1,048,576 pairs 0.136 s and 0.111 s, 2,560,000 pairs
+# 0.41 s and 0.29 s.  Two workers start to pay between the first two sizes, so
+# 2**20 pairs per worker stays.
 _PAIRS_PER_WORKER = 1 << 20
 
 
@@ -85,8 +109,8 @@ class SearchConfig:
             raise DomainError("boundary_margin must be positive")
         if not self.separation_floor > 0.0:
             raise DomainError("separation_floor must be positive")
-        if self.grid_per_axis < 2:
-            raise DomainError("grid_per_axis must be at least 2")
+        if not 2 <= self.grid_per_axis <= _GRID_MAX:
+            raise DomainError(f"grid_per_axis must be in [2, {_GRID_MAX}], got {self.grid_per_axis!r}")
         if self.refine_rounds < 0 or self.refine_seeds < 0:
             raise DomainError("refine_rounds and refine_seeds must be nonnegative")
         if not 0.0 < self.shrink_factor < 1.0:
@@ -225,19 +249,33 @@ class _Region:
         ]
 
 
-def _grid_chunk(src, dst, m, separation, points, lo, hi, keep):
+def _grid_chunk(stage, separation, points, lo, hi, keep):
     """Score the pairs (points[i], points[j]) for i in [lo, hi) that are at least
-    separation apart in one guarded_ratios call; return their count and the
-    `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j)."""
+    separation apart from the grid's per-point stage; return their count and the
+    `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j).
+
+    Every pair is scored with np.log1p, and only the pairs that can reach the top
+    (see _LOG1P_SLACK) are scored again with guarded_ratio's math.log1p, so the
+    entries carry guarded_ratio's bits."""
     n = len(points.real)
     i = np.repeat(np.arange(lo, hi), n)
     j = np.tile(np.arange(n), hi - lo)
-    far = ~(abs(points[i] - points[j]) < separation)
-    i, j = i[far], j[far]
-    ratio = guarded_ratios(src, dst, m, points[i], points[j])
+    with np.errstate(all="ignore"):
+        gap = abs(points[i] - points[j])
+        far = ~(gap < separation)
+        evaluations = int(np.count_nonzero(far))
+        far &= stage.usable[i] & stage.usable[j]
+        i, j, gap = i[far], j[far], gap[far]
+        ratio = _pair_ratios(stage.take(i), stage.take(j), gap, np.log1p)
+        finite = ratio[np.isfinite(ratio)]
+        if len(finite) > keep:
+            t = -np.partition(-finite, keep - 1)[keep - 1]
+            rescore = np.flatnonzero(~(ratio < t * (1.0 - _LOG1P_SLACK)))
+            i, j, gap = i[rescore], j[rescore], gap[rescore]
+        ratio = _pair_ratios(stage.take(i), stage.take(j), gap, _log1p_exact)
     found = np.flatnonzero(~np.isnan(ratio))
     best = found[np.lexsort((j[found], i[found], -ratio[found]))[:keep]]
-    return len(i), [(float(ratio[k]), int(i[k]), int(j[k])) for k in best]
+    return evaluations, [(float(ratio[k]), int(i[k]), int(j[k])) for k in best]
 
 
 def _refine(src, dst, m, region, cfg, coords, value):
@@ -310,7 +348,9 @@ def estimate_lipschitz(
     keep = max(cfg.refine_seeds, 1)
 
     rows = len(coords)
-    tasks = [(src, dst, m, cfg.separation_floor, points, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
+    with np.errstate(all="ignore"):
+        stage = _point_stage(src, dst, m, points)
+    tasks = [(stage, cfg.separation_floor, points, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
              for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
     evaluations = 0
     top: list[tuple[float, int, int]] = []

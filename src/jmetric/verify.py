@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from .domains import (
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
+    _j,
+    _log1p_exact,
     j_distance,
-    j_distances,
     pseudo_hyperbolic_disk,
     pseudo_hyperbolic_halfplane,
     signed_boundary_offset,
@@ -259,10 +261,10 @@ def check_lipschitz_pair(
     return j_distance(dst, fz, fw) / j_src
 
 
-def _trusted(domain: PlanarDomain, f):
-    """Whether the image f (a complex, or a CArr for a bool array) is finite and
-    at least IMAGE_TRUST * (1 + |f|) inside the domain; abs() may overflow."""
-    offset = signed_boundary_offset(domain, f)
+def _trusted(f, offset):
+    """Whether the image f (a complex, or a CArr for a bool array) is finite and at
+    least IMAGE_TRUST * (1 + |f|) inside the domain it is `offset` from the boundary
+    of (signed_boundary_offset); abs() may overflow."""
     # A non-finite image has an inf or nan size, which no finite offset meets.
     return (IMAGE_TRUST * (1.0 + abs(f)) <= offset) & (offset < math.inf)
 
@@ -271,16 +273,55 @@ def _trusted_images(domain: PlanarDomain, m: MapExpr, z: complex, w: complex):
     """(f(z), f(w)), or None on a pole hit or an image that _trusted rejects."""
     try:
         fz, fw = apply(m, z), apply(m, w)
-        return (fz, fw) if _trusted(domain, fz) and _trusted(domain, fw) else None
+        trusted = _trusted(fz, signed_boundary_offset(domain, fz)) and _trusted(fw, signed_boundary_offset(domain, fw))
+        return (fz, fw) if trusted else None
     except (PoleEncountered, DomainError, OverflowError):  # past ~1.3e308 apply or abs(f) overflows
         return None
 
 
+def _images(domain: PlanarDomain, m, z: CArr):
+    """(f, f's signed offset from the boundary of domain, mask of the points whose
+    image apply gives and _trusted accepts); call under np.errstate."""
+    f, bad = apply_arrays(m, z)
+    offset = signed_boundary_offset(domain, f)
+    return f, offset, _trusted(f, offset) & ~bad
+
+
 def _trusted_arrays(domain: PlanarDomain, m, z: CArr, w: CArr):
     """(f(z), f(w), indices of the pairs _trusted_images keeps); call under np.errstate."""
-    fz, bad_z = apply_arrays(m, z)
-    fw, bad_w = apply_arrays(m, w)
-    return fz, fw, np.flatnonzero(_trusted(domain, fz) & _trusted(domain, fw) & ~(bad_z | bad_w))
+    fz, _, ok_z = _images(domain, m, z)
+    fw, _, ok_w = _images(domain, m, w)
+    return fz, fw, np.flatnonzero(ok_z & ok_w)
+
+
+class _Points(NamedTuple):
+    """The per-point stage of guarded_ratios: a point's offset from the source
+    boundary, its image, the image's offset from the destination boundary, and
+    whether the image is usable (see _images)."""
+
+    offset: np.ndarray
+    f: CArr
+    f_offset: np.ndarray
+    usable: np.ndarray
+
+    def take(self, index) -> _Points:
+        return _Points(self.offset[index], self.f[index], self.f_offset[index], self.usable[index])
+
+
+def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr) -> _Points:
+    """_Points of every point of z; call under np.errstate."""
+    return _Points(signed_boundary_offset(src, z), *_images(dst, m, z))
+
+
+def _pair_ratios(pz: _Points, pw: _Points, gap, log1p):
+    """The pair stage of guarded_ratios: j_dst(f(z), f(w)) / j_src(z, w) for pairs of
+    points with usable images, from their per-point values pz, pw (gathered to the
+    pairs) and their gaps |z - w|; NaN where the ratio is not finite.  log1p as
+    for domains._j; call under np.errstate."""
+    j_dst = _j(abs(pz.f - pw.f), pz.f_offset, pw.f_offset, log1p)
+    # A zero j_src, or a NaN j, leaves a non-finite ratio.
+    ratio = j_dst / _j(gap, pz.offset, pw.offset, log1p)
+    return np.where(np.isfinite(ratio), ratio, math.nan)
 
 
 def guarded_ratio(
@@ -308,12 +349,11 @@ def guarded_ratio(
 
 def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr | MapBatch, z: CArr, w: CArr):
     """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
-    with np.errstate(all="ignore"):
-        fz, fw, keep = _trusted_arrays(dst, m, z, w)
-        # A zero or raising j_src, or a raising j_dst, leaves a non-finite ratio.
-        ratio = j_distances(dst, fz[keep], fw[keep]) / j_distances(src, z[keep], w[keep])
     out = np.full(np.shape(z.real), math.nan)
-    out[keep] = np.where(np.isfinite(ratio), ratio, math.nan)
+    with np.errstate(all="ignore"):
+        pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
+        keep = np.flatnonzero(pz.usable & pw.usable)
+        out[keep] = _pair_ratios(pz.take(keep), pw.take(keep), abs(z[keep] - w[keep]), _log1p_exact)
     return out
 
 

@@ -62,6 +62,7 @@ from jmetric.verify import (
     _blaschke_maps,
     _ceiling_chunk,
     _halfplane_maps,
+    _point_stage,
     _random_image_source_and_mobius,
     _suite_chunk,
     _witness,
@@ -540,6 +541,8 @@ GRID_CASES = {
     "infeasible": (UnitDisk(), UnitDisk(), Mobius(1, 0.5, 0, 1)),
     # Every pair scores exactly 1.0, so (i, j) alone orders the entries.
     "ties": (UnitDisk(), UnitDisk(), Mobius(1, 0, 0, 1)),
+    # Ratios all near 1 that differ in the last bits: nearly every pair is rescored.
+    "rotation": (UnitDisk(), UnitDisk(), Blaschke(0.7, (0j,))),
 }
 
 
@@ -556,17 +559,27 @@ def test_grid_chunk_matches_the_per_pair_loop(name):
     spacing = abs(points[1] - points[0])
     assert sum(abs(z - w) == spacing for z in points for w in points) > 0
     grid = carr([(p.real, p.imag) for p in points])
+    with np.errstate(all="ignore"):
+        stage = _point_stage(src, dst, m, grid)
     for separation in (1e-7, spacing):
         for lo, hi in blocks:
             for keep in (1, 16, rows * rows):
-                evals, top = _grid_chunk(src, dst, m, separation, grid, lo, hi, keep)
+                evals, top = _grid_chunk(stage, separation, grid, lo, hi, keep)
                 ref_evals, ref_top = _reference_grid_chunk(src, dst, m, separation, points, lo, hi, keep)
                 assert evals == ref_evals
                 assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
                 assert all(type(i) is int and type(j) is int for _, i, j in top)
     if name == "infeasible":
-        evals, top = _grid_chunk(src, dst, m, 1e-7, grid, 0, rows, rows * rows)
+        evals, top = _grid_chunk(stage, 1e-7, grid, 0, rows, rows * rows)
         assert 0 < len(top) < evals
+
+
+def test_np_log1p_is_within_4_ulps_of_math_log1p():
+    """The bound behind search._LOG1P_SLACK, over the |z - w| / offset ratios a grid
+    can produce; a numpy whose log1p is worse must fail here, not weaken the filter."""
+    x = 10.0 ** np.random.default_rng(20).uniform(-13.0, 13.0, 200_000)
+    exact = np.array([math.log1p(v) for v in x.tolist()])
+    assert np.all(np.abs(np.log1p(x) - exact) <= 4.0 * np.spacing(exact))
 
 
 # ---------------------------------------------------------------------------

@@ -255,12 +255,19 @@ class TestSearch:
         assert code == 2
         assert out == ""
 
-    def test_negative_rounds_is_exit_3(self, capsys):
-        code, out, _ = run(
+    def test_negative_rounds_is_exit_2(self, capsys):
+        code, out, err = run(
             capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--rounds", "-3"
         )
-        assert code == 3
-        assert out == ""
+        assert (code, out) == (2, "")
+        assert "--rounds must be at least 0" in err
+
+    def test_grid_below_two_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--grid", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "--grid must be at least 2" in err
 
     def test_negative_seed_is_exit_2(self, capsys):
         code, out, _ = run(

@@ -240,6 +240,13 @@ class TestEstimateLipschitz:
         with pytest.raises(DomainError):
             SearchConfig(shrink_factor=1.0)
 
+    def test_grid_cap(self):
+        # 256 points per axis already make ~2**32 pairs; past it the grid is refused
+        # before any point is built.
+        assert SearchConfig(grid_per_axis=256).grid_per_axis == 256
+        with pytest.raises(DomainError, match=r"grid_per_axis must be in \[2, 256\], got 257"):
+            SearchConfig(grid_per_axis=257)
+
     def test_report_json_shape(self):
         report = estimate_lipschitz(D, HALF_AUT, QUICK)
         payload = json.loads(report.to_json())
