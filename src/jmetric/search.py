@@ -250,8 +250,8 @@ class _Region:
 
 
 def _grid_chunk(stage, separation, points, lo, hi, keep):
-    """Score the pairs (points[i], points[j]) for i in [lo, hi) that are at least
-    separation apart from the grid's per-point stage; return their count and the
+    """Score, from the grid's per-point stage, the pairs (points[i], points[j]) for
+    i in [lo, hi) that are at least separation apart; return their count and the
     `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j).
 
     Every pair is scored with np.log1p, and only the pairs that can reach the top
