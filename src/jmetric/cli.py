@@ -13,6 +13,7 @@ key the command does not take is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 
@@ -36,6 +37,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jmetric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

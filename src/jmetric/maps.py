@@ -206,23 +206,81 @@ def _value(m: MapExpr, z, guard):
     raise TypeError(f"not a map expression: {m!r}")
 
 
+def _slope(m: MapExpr, z, guard):
+    """m' at z by the closed forms and the chain rule; z and guard as for _value."""
+    if isinstance(m, Mobius):
+        den = m.c * z + m.d
+        guard(den, "Mobius pole", z)
+        return m.determinant() / (den * den)
+    if isinstance(m, Blaschke):
+        # Full product rule; safe at the zeros of the product itself.
+        factors = []
+        dfactors = []
+        for a in m.zeros:
+            den = 1.0 - a.conjugate() * z
+            guard(den, "Blaschke pole", z)
+            factors.append((z - a) / den)
+            dfactors.append((1.0 - abs(a) ** 2) / (den * den))
+        total = 0j
+        for k in range(len(factors)):
+            term = dfactors[k]
+            for j in range(len(factors)):
+                if j != k:
+                    term *= factors[j]
+            total += term
+        return _turn(m.rotation) * total
+    if isinstance(m, Extremal):
+        den = m.b + z
+        guard(den, "pole of a - 1/(b+z)", z)
+        return 1.0 / (den * den)
+    if isinstance(m, Compose):
+        return _slope(m.outer, _value(m.inner, z, guard), guard) * _slope(m.inner, z, guard)
+    raise TypeError(f"not a map expression: {m!r}")
+
+
 def _raise_at_pole(den: complex, pole: str, z: complex):
     if abs(den) < POLE_FLOOR:
         raise PoleEncountered(f"{pole} at {z!r}")
 
 
-def apply(m: MapExpr, z: complex) -> complex:
-    """Evaluate the map at z; PoleEncountered on denominators below 1e-300,
-    DomainError on a non-finite z or a denominator whose modulus overflows the
-    float range."""
+def _at_point(formula, m: MapExpr, z: complex, verb: str) -> complex:
+    """formula (_value or _slope) of m at the point z, raising where apply and derivative do."""
     # abs() of a complex with a NaN part can raise an OverflowError left over from an
     # earlier libm call, so a non-finite point is refused before any arithmetic.
     if not cmath.isfinite(z):
-        raise DomainError(f"cannot evaluate a map at the non-finite point {z!r}")
+        raise DomainError(f"cannot {verb} a map at the non-finite point {z!r}")
     try:
-        return _value(m, z, _raise_at_pole)
-    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
-        raise DomainError(f"evaluating the map at {z!r} overflows the float range") from None
+        out = formula(m, z, _raise_at_pole)
+    except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den * den underflowing
+        out = complex(math.nan, math.nan)
+    if not cmath.isfinite(out):
+        raise DomainError(f"cannot {verb} the map at {z!r}: the result leaves the float range")
+    return out
+
+
+def apply(m: MapExpr, z: complex) -> complex:
+    """Evaluate the map at z; PoleEncountered on denominators below 1e-300, DomainError
+    on a non-finite z, or on a denominator or a value past the float range."""
+    return _at_point(_value, m, z, "evaluate")
+
+
+def _on_arrays(formula, m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
+    """formula (_value or _slope) of m at every point of z, as (values, bad); bad marks where
+    the scalar call (apply or derivative) raises, and the values there are meaningless."""
+    bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
+
+    def mark(den, pole, at):
+        size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
+        bad[...] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag))
+
+    with np.errstate(all="ignore"):
+        try:
+            f = formula(m, z, mark)
+        except ZeroDivisionError:  # a constant inner map sits on the outer map's pole: every point is bad
+            f = complex(math.nan, math.nan)
+    bad |= ~(np.isfinite(f.real) & np.isfinite(f.imag))
+    # A degree-0 Blaschke product, alone or outermost, is one complex for every point.
+    return CArr(np.broadcast_to(f.real, bad.shape), np.broadcast_to(f.imag, bad.shape)), bad
 
 
 def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
@@ -241,57 +299,13 @@ def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
         inner, bad = apply_arrays(m.inner, z)
         f, outer_bad = apply_arrays(m.outer, inner)
         return f, bad | outer_bad
-    bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
-
-    def mark(den, pole, at):
-        size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
-        bad[...] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag))
-
-    with np.errstate(all="ignore"):
-        try:
-            f = _value(m, z, mark)
-        except ZeroDivisionError:  # a constant inner map sits on the outer map's pole: every point is bad
-            f = complex(math.nan, math.nan)
-    # A degree-0 Blaschke product, alone or outermost, is one complex for every point.
-    return CArr(np.broadcast_to(f.real, bad.shape), np.broadcast_to(f.imag, bad.shape)), bad
+    return _on_arrays(_value, m, z)
 
 
 def derivative(m: MapExpr, z: complex) -> complex:
     """Complex derivative at z via the closed forms and the chain rule;
     PoleEncountered and DomainError as for apply."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"cannot differentiate a map at the non-finite point {z!r}")
-    try:
-        if isinstance(m, Mobius):
-            den = m.c * z + m.d
-            _raise_at_pole(den, "Mobius pole", z)
-            return m.determinant() / (den * den)
-        if isinstance(m, Blaschke):
-            # Full product rule; safe at the zeros of the product itself.
-            factors = []
-            dfactors = []
-            for a in m.zeros:
-                den = 1.0 - a.conjugate() * z
-                _raise_at_pole(den, "Blaschke pole", z)
-                factors.append((z - a) / den)
-                dfactors.append((1.0 - abs(a) ** 2) / (den * den))
-            total = 0j
-            for k in range(len(factors)):
-                term = dfactors[k]
-                for j in range(len(factors)):
-                    if j != k:
-                        term *= factors[j]
-                total += term
-            return cmath.exp(1j * m.rotation) * total
-        if isinstance(m, Extremal):
-            den = m.b + z
-            _raise_at_pole(den, "pole of a - 1/(b+z)", z)
-            return 1.0 / (den * den)
-        if isinstance(m, Compose):
-            return derivative(m.outer, apply(m.inner, z)) * derivative(m.inner, z)
-    except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den * den underflowing
-        raise DomainError(f"differentiating the map at {z!r} overflows the float range") from None
-    raise TypeError(f"not a map expression: {m!r}")
+    return _at_point(_slope, m, z, "differentiate")
 
 
 def mobius_compose(first: Mobius, second: Mobius) -> Mobius:
@@ -334,7 +348,7 @@ def maps_into_sampled(m: MapExpr, src: PlanarDomain, dst: PlanarDomain, n: int, 
     z = sample_interior_points(src, substream(seed, 0), n, margin=1e-6)
     f, bad = apply_arrays(m, z)
     with np.errstate(all="ignore"):  # contains() for every image; a bad one is never inside
-        inside = ~bad & np.isfinite(f.real) & np.isfinite(f.imag) & (signed_boundary_offset(dst, f) > 0.0)
+        inside = ~bad & (signed_boundary_offset(dst, f) > 0.0)
     if inside.all():
         return True
     first = int(np.argmin(inside))

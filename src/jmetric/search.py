@@ -4,10 +4,11 @@ The supremum of j_dst(f(z), f(w)) / j_src(z, w) over interior pairs is
 estimated by a deterministic tensor grid over the four real coordinates of
 (z, w) followed by coordinatewise pattern search from the best grid cells
 and from local-distortion seed points.  The grid maps and guards each point
-once (guarded_ratios' per-point stage) and scores the pairs of each block of
-z rows from gathers of those values (its pair stage), rescoring with
-math.log1p only the pairs that can reach the block's top list (on a pool only
-from 2**20 pairs per worker); the pattern search stays scalar.  Only lower
+once (guarded_ratios' per-point stage), ranks the local-distortion seeds from
+those values and the derivatives in one array pass, and scores the pairs of
+each block of z rows from gathers of those values (its pair stage), rescoring
+with math.log1p only the pairs that can reach the block's top list (on a pool
+only from 2**20 pairs per worker); the pattern search stays scalar.  Only lower
 bounds are ever claimed: the supremum is typically attained in boundary or
 infinity limits, so no finite search can certify an upper bound; the ceiling
 2 comes from theory.
@@ -37,6 +38,8 @@ from .maps import (
     Extremal,
     MapExpr,
     Mobius,
+    _on_arrays,
+    _slope,
     apply,
     derivative,
     is_self_map_sampled,
@@ -159,12 +162,8 @@ def ratio_objective(
 def local_distortion(src: PlanarDomain, m: MapExpr, z: complex) -> float:
     """Coincident-pair limit of the distortion ratio at z:
     |f'(z)| d(z, boundary) / d(f(z), boundary)."""
-    return _local_distortion(src, src, m, z)
-
-
-def _local_distortion(src, dst, m, z):
     fz = apply(m, z)
-    return abs(derivative(m, z)) * boundary_distance(src, z) / boundary_distance(dst, fz)
+    return abs(derivative(m, z)) * boundary_distance(src, z) / boundary_distance(src, fz)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +277,14 @@ def _grid_chunk(stage, separation, points, lo, hi, keep):
     return evaluations, [(float(ratio[k]), int(i[k]), int(j[k])) for k in best]
 
 
+def _distortion_order(m, points, stage):
+    """The grid points where apply and derivative do not raise and f(z) lies inside dst, by
+    decreasing local distortion, then by index (from the per-point stage); call under np.errstate."""
+    slope, bad = _on_arrays(_slope, m, points)
+    order = np.flatnonzero(~bad & np.isfinite(stage.f.real) & np.isfinite(stage.f.imag) & (stage.f_offset > 0.0))
+    return order[np.lexsort((order, -(abs(slope) * stage.offset / stage.f_offset)[order]))]
+
+
 def _refine(src, dst, m, region, cfg, coords, value):
     """Coordinatewise pattern search from one seed pair.
 
@@ -350,6 +357,7 @@ def estimate_lipschitz(
     rows = len(coords)
     with np.errstate(all="ignore"):
         stage = _point_stage(src, dst, m, points)
+        ranked = _distortion_order(m, points, stage)
     tasks = [(stage, cfg.separation_floor, points, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
              for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
     evaluations = 0
@@ -366,16 +374,8 @@ def estimate_lipschitz(
 
     # Local-distortion seeds: near-coincident pairs at the most expanding
     # grid points, covering suprema reached in the z -> w limit.
-    distortions = []
-    for idx, (a, b) in enumerate(coords):
-        try:
-            ld = _local_distortion(src, dst, m, region.point(a, b))
-        except JmetricError:
-            continue
-        distortions.append((ld, idx))
-    distortions.sort(key=lambda entry: (-entry[0], entry[1]))
     offset = max(10.0 * cfg.separation_floor, 1e-6)
-    for _, idx in distortions[: cfg.refine_seeds]:
+    for idx in ranked[: cfg.refine_seeds].tolist():
         a, b = coords[idx]
         for direction in (offset, -offset):
             wa, wb = region.clip(a + direction, b)

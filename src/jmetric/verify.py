@@ -262,21 +262,10 @@ def check_lipschitz_pair(
 
 
 def _trusted(f, offset):
-    """Whether the image f (a complex, or a CArr for a bool array) is finite and at
-    least IMAGE_TRUST * (1 + |f|) inside the domain it is `offset` from the boundary
-    of (signed_boundary_offset); abs() may overflow."""
-    # A non-finite image has an inf or nan size, which no finite offset meets.
-    return (IMAGE_TRUST * (1.0 + abs(f)) <= offset) & (offset < math.inf)
-
-
-def _trusted_images(domain: PlanarDomain, m: MapExpr, z: complex, w: complex):
-    """(f(z), f(w)), or None on a pole hit or an image that _trusted rejects."""
-    try:
-        fz, fw = apply(m, z), apply(m, w)
-        trusted = _trusted(fz, signed_boundary_offset(domain, fz)) and _trusted(fw, signed_boundary_offset(domain, fw))
-        return (fz, fw) if trusted else None
-    except (PoleEncountered, DomainError, OverflowError):  # past ~1.3e308 apply or abs(f) overflows
-        return None
+    """Whether the finite image f (a complex, or a CArr for a bool array; apply and
+    apply_arrays refuse the others) is at least IMAGE_TRUST * (1 + |f|) inside the domain
+    it is `offset` from the boundary of (signed_boundary_offset); abs() may overflow."""
+    return IMAGE_TRUST * (1.0 + abs(f)) <= offset
 
 
 def _images(domain: PlanarDomain, m, z: CArr):
@@ -285,13 +274,6 @@ def _images(domain: PlanarDomain, m, z: CArr):
     f, bad = apply_arrays(m, z)
     offset = signed_boundary_offset(domain, f)
     return f, offset, _trusted(f, offset) & ~bad
-
-
-def _trusted_arrays(domain: PlanarDomain, m, z: CArr, w: CArr):
-    """(f(z), f(w), indices of the pairs _trusted_images keeps); call under np.errstate."""
-    fz, _, ok_z = _images(domain, m, z)
-    fw, _, ok_w = _images(domain, m, w)
-    return fz, fw, np.flatnonzero(ok_z & ok_w)
 
 
 class _Points(NamedTuple):
@@ -334,15 +316,14 @@ def guarded_ratio(
     and image points whose computed boundary distance falls below the
     rounding trust floor.
     """
-    images = _trusted_images(dst, m, z, w)
-    if images is None:
-        return None
     try:
+        fz, fw = apply(m, z), apply(m, w)
+        trusted = _trusted(fz, signed_boundary_offset(dst, fz)) and _trusted(fw, signed_boundary_offset(dst, fw))
         j_src = j_distance(src, z, w)
-        if j_src == 0.0:
+        if not trusted or j_src == 0.0:
             return None
-        ratio = j_distance(dst, *images) / j_src
-    except (PointOutsideDomain, DomainError):  # DomainError: |z - w| overflowed
+        ratio = j_distance(dst, fz, fw) / j_src
+    except (PoleEncountered, PointOutsideDomain, DomainError, OverflowError):  # abs(f) may overflow
         return None
     return ratio if math.isfinite(ratio) else None
 
@@ -549,7 +530,9 @@ def _images_trial(domain, family, score):
         z, w = sample_interior_pairs(domain, rng, n, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
         margins = np.full(n, math.nan)
         with np.errstate(all="ignore"):
-            fz, fw, keep = _trusted_arrays(domain, m, z, w)
+            fz, _, ok_z = _images(domain, m, z)
+            fw, _, ok_w = _images(domain, m, w)
+            keep = np.flatnonzero(ok_z & ok_w)
             margins[keep] = score(z[keep], w[keep], fz[keep], fw[keep])
         return margins, lambda k: (m[k], z.at(k), w.at(k))
 

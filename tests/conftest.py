@@ -15,7 +15,7 @@ import pytest
 import jmetric.verify as verify_module
 from jmetric.domains import UnitDisk, UpperHalfPlane, signed_boundary_offset
 from jmetric.errors import DomainError, PoleEncountered
-from jmetric.maps import MapBatch
+from jmetric.maps import MapBatch, apply
 from jmetric.verify import (
     check_bound_2_3,
     check_g_negativity,
@@ -32,10 +32,13 @@ from jmetric.verify import (
 def _images_margin(name, m, z, w):
     disk = "disk" in name or name == "step-2-2"
     domain = UnitDisk() if disk else UpperHalfPlane()
-    images = verify_module._trusted_images(domain, m, z, w)
-    if images is None:
+    try:
+        fz, fw = apply(m, z), apply(m, w)
+        trusted = all(verify_module._trusted(f, signed_boundary_offset(domain, f)) for f in (fz, fw))
+    except (PoleEncountered, DomainError, OverflowError):  # abs(f) may overflow
         return math.nan
-    fz, fw = images
+    if not trusted:
+        return math.nan
     if name.startswith("schwarz-pick"):
         slack = (check_schwarz_pick_disk if disk else check_schwarz_pick_halfplane)(m, z, w)
         scale = 1.0 + abs(fz) / signed_boundary_offset(domain, fz) + abs(fw) / signed_boundary_offset(domain, fw)

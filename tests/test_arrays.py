@@ -3,8 +3,9 @@ the bits it returns on a complex.
 
 CArr's operators must match CPython's complex arithmetic bit for bit, for
 CArr, complex and float operands on either side.  On top of them, map
-evaluation, boundary offsets, j distances, the guarded ratio, and the scoring
-of the ceiling chunk and of the search grid must return exactly what a loop
+evaluation and differentiation, boundary offsets, j distances, the guarded
+ratio, the scoring of the ceiling chunk and of the search grid, and the
+ranking of the search's local-distortion seeds must return exactly what a loop
 over the scalar call returns: the same bits, and NaN (or a bad mark) where
 the scalar raises or returns None.  The suite rows score each chunk on arrays
 too, and must give every sample the bits the public scalar checks give it on
@@ -32,6 +33,7 @@ from jmetric.domains import (
     HalfPlane,
     UnitDisk,
     UpperHalfPlane,
+    boundary_distance,
     contains,
     j_distance,
     j_distances,
@@ -45,11 +47,19 @@ from jmetric.maps import (
     Mobius,
     apply,
     apply_arrays,
+    derivative,
     maps_into_sampled,
     mobius_image_domain,
 )
 from jmetric.sampling import Uniforms, sample_interior_pairs, sample_interior_points, substream
-from jmetric.search import _GRID_ROWS_PER_CHUNK, SearchConfig, _grid_chunk, _Region, ratio_objective
+from jmetric.search import (
+    _GRID_ROWS_PER_CHUNK,
+    SearchConfig,
+    _distortion_order,
+    _grid_chunk,
+    _Region,
+    ratio_objective,
+)
 from jmetric.verify import (
     HALFPLANE_SPAN,
     PAIR_MARGIN,
@@ -259,9 +269,9 @@ def _poles(m):
     return []
 
 
-def _scalar_apply(m, z):
+def _scalar(call, m, z):
     try:
-        return apply(m, z)
+        return call(m, z)
     except JmetricError:
         return None
 
@@ -275,16 +285,19 @@ def _scalar_apply(m, z):
 @example(Compose(Mobius(1, 0, 1, -1), Blaschke(0.0, ())), [(0.5, 0.5), (-3.0, 0.0)], [])  # constant on the pole
 @example(Mobius(1, 0, 0, 1), [(math.inf, 0.0), (0.5, math.nan), (0.5, 0.5)], [])  # apply refuses non-finite points
 @example(Blaschke(0.7, ()), [(-math.inf, 0.0), (0.5, 0.5)], [])
+@example(Mobius(1e300, 0, 0, 1e-300), [(1e10, 0.0), (0.5, 0.5)], [])  # a value past the float range
+@example(Extremal(0.0, 0.0), [(0.0, 1e-160), (0.0, 1e-200)], [])  # slopes past it: den * den subnormal, or 0
 def test_apply_arrays_match_apply(m, points, nudges):
+    # derivative and maps._slope on arrays keep the same contract.
     points = points + [(p.real + t, p.imag - t) for p in _poles(m) for t in nudges + [0.0]]
     z = carr(points)
-    f, bad = apply_arrays(m, z)
-    assert f.real.shape == f.imag.shape == bad.shape == (len(points),)
-    for k in range(len(points)):
-        scalar = _scalar_apply(m, element(z, k))
-        assert bad[k] == (scalar is None)
-        if scalar is not None:
-            assert same(scalar, f.real[k], f.imag[k])
+    for call, (f, bad) in ((apply, apply_arrays(m, z)), (derivative, maps_module._on_arrays(maps_module._slope, m, z))):
+        assert f.real.shape == f.imag.shape == bad.shape == (len(points),)
+        for k in range(len(points)):
+            scalar = _scalar(call, m, element(z, k))
+            assert bad[k] == (scalar is None)
+            if scalar is not None:
+                assert same(scalar, f.real[k], f.imag[k])
 
 
 @pytest.mark.parametrize(
@@ -307,7 +320,7 @@ def test_map_batches_match_apply_on_each_rebuilt_map(family, domain):
     for k in range(600):
         m = batch[k]
         shapes.add((type(m), type(m.inner)) if isinstance(m, Compose) else (type(m), len(getattr(m, "zeros", ()))))
-        scalar = _scalar_apply(m, element(z, k))
+        scalar = _scalar(apply, m, element(z, k))
         assert bad[k] == (scalar is None)
         assert scalar is None or same(scalar, f.real[k], f.imag[k])
     assert len(shapes) >= 3
@@ -572,6 +585,37 @@ def test_grid_chunk_matches_the_per_pair_loop(name):
     if name == "infeasible":
         evals, top = _grid_chunk(stage, 1e-7, grid, 0, rows, rows * rows)
         assert 0 < len(top) < evals
+
+
+def _reference_distortion_order(src, dst, m, points):
+    """The per-point loop that ranked the local-distortion seeds before they were
+    ranked in one array pass: the points whose local distortion the scalar calls
+    give, by (-distortion, index)."""
+    distortions = []
+    for idx, z in enumerate(points):
+        try:
+            fz = apply(m, z)
+            ld = abs(derivative(m, z)) * boundary_distance(src, z) / boundary_distance(dst, fz)
+        except JmetricError:
+            continue
+        distortions.append((ld, idx))
+    distortions.sort(key=lambda entry: (-entry[0], entry[1]))
+    return [idx for _, idx in distortions]
+
+
+# The benchmark's four search maps, and a shift some of whose grid images leave dst.
+@pytest.mark.parametrize("name", ["automorphism", "extremal", "cayley", "blaschke3", "infeasible"])
+@pytest.mark.parametrize("grid", [8, 24])
+def test_distortion_order_matches_the_per_point_loop(name, grid):
+    src, dst, m = GRID_CASES[name]
+    region = _Region(src, SearchConfig(grid_per_axis=grid))
+    points = [region.point(a, b) for a, b in region.grid_coords()]
+    z = carr([(p.real, p.imag) for p in points])
+    with np.errstate(all="ignore"):
+        order = _distortion_order(m, z, _point_stage(src, dst, m, z))
+    reference = _reference_distortion_order(src, dst, m, points)
+    assert order.tolist() == reference
+    assert (len(reference) < len(points)) is (name == "infeasible")
 
 
 def test_np_log1p_is_within_4_ulps_of_math_log1p():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jmetric
 from jmetric import cli
 from jmetric.cli import main
 from jmetric.search import extremal_ratio
@@ -91,6 +95,12 @@ class TestMapEval:
     def test_overflowing_evaluation_is_exit_3(self, capsys):
         code, out, _ = run(capsys, "map-eval", "--map", "mobius:1,0,1.4,1", "--z", "1.2e308+1.2e308i")
         assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("style", ["plain", "json"])
+    def test_value_past_the_float_range_is_exit_3(self, capsys, style):
+        code, out, err = run(capsys, "map-eval", "--map", "mobius:1e300,0,0,1e-300", "--z", "1e10", "--output", style)
+        assert (code, out) == (3, "")
+        assert "float range" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -424,3 +434,15 @@ def test_command_table_row(capsys, tmp_path, name):
     code, out, err = run(capsys, name, "--config", str(cfg))
     assert (code, out) == (2, "")
     assert "sampels" in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["verify", "--suite", "identity-halfplane", "--samples", "64", "--seed", "3", "--output", "plain"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jmetric.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "jmetric", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    # A handler error and an argparse error in this process leave the parser as it was.
+    assert run(capsys, "verify", "--suite", "nope")[:2] == (2, "")
+    assert run(capsys, "verify", "--output", "xml")[:2] == (2, "")
+    assert run(capsys, *argv)[:2] == (0, fresh.stdout)

@@ -1,8 +1,9 @@
 """Byte-identity gate for the seeded reports.
 
 Pins the exact JSON, skip count and margin convention of every suite, both
-Schwarz-Pick equality runs, the three ceiling kinds and three distortion
-searches (a disk automorphism, extremal 1,1 and the Cayley map) at seed 42.
+Schwarz-Pick equality runs, the three ceiling kinds, three distortion searches
+(a disk automorphism, extremal 1,1 and the Cayley map) at 8 points per axis and
+the benchmark's four at the default 24, all at seed 42.
 A change that alters the draw order or the arithmetic must update GOLDEN on
 purpose; print the names of the entries that differ, then the current
 values, with
@@ -39,16 +40,22 @@ def _cases():
 
 # The half-plane searches cover the log-spaced height grid; the Cayley map is
 # not a self-map, so it is searched against its computed image domain.
-_SEARCHES = {
-    "search/automorphism": (UnitDisk(), Blaschke(0.0, (0.5,))),
-    "search/extremal": (UpperHalfPlane(), Extremal(1.0, 1.0)),
-    "search/cayley": (UpperHalfPlane(), Mobius(1.0, -1j, 1.0, 1j)),
+_MAPS = {
+    "automorphism": (UnitDisk(), Blaschke(0.0, (0.5,))),
+    "extremal": (UpperHalfPlane(), Extremal(1.0, 1.0)),
+    "cayley": (UpperHalfPlane(), Mobius(1.0, -1j, 1.0, 1j)),
+    "blaschke3": (UnitDisk(), Blaschke(0.0, (0.5, 0.5j, -0.5))),
 }
+# search/<map> at 8 points per axis; search/<map>/24 are the benchmark's searches
+# (bench/workloads.py SEARCH_MAPS) at the default grid, where extremal's
+# local-distortion seeds (|f'| d(z) / d(f(z)) = 1 at every point) rank by rounding.
+_SEARCHES = {f"search/{name}": (name, 8) for name in ("automorphism", "extremal", "cayley")}
+_SEARCHES.update((f"search/{name}/24", (name, 24)) for name in _MAPS)
 
 
 def _search_json(name):
-    src, m = _SEARCHES[name]
-    return estimate_lipschitz(src, m, SearchConfig(grid_per_axis=8, seed=SEED)).to_json()
+    map_name, grid = _SEARCHES[name]
+    return estimate_lipschitz(*_MAPS[map_name], SearchConfig(grid_per_axis=grid, seed=SEED)).to_json()
 
 
 def capture() -> dict:
@@ -57,11 +64,12 @@ def capture() -> dict:
     return out
 
 
-# Captured at seed 42: the search/* entries while the search grid still scored
-# its pairs one at a time; the suite/*, equality/* and ceiling/* entries after
-# suite chunks came to draw their maps and points as arrays, the ceiling maps
-# through the same families, and the Schwarz-Pick margins to be slack over its
-# rounding scale.
+# Captured at seed 42: the search/<map> entries while the search grid still scored
+# its pairs one at a time; the search/<map>/24 entries while the local-distortion
+# seeds were still ranked one point at a time; the suite/*, equality/* and
+# ceiling/* entries after suite chunks came to draw their maps and points as
+# arrays, the ceiling maps through the same families, and the Schwarz-Pick
+# margins to be slack over its rounding scale.
 GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.34851105099397084,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.3282539794630479+0.1818003935620276i","w":"-0.38794038982024115-0.14814861736905427i"}}',
                   0,
                   'absolute'),
@@ -87,8 +95,12 @@ GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"se
                         0,
                         'rounding-scaled'),
  'search/automorphism': '{"best_ratio":1.4974270517249664,"witness_z":"-0.14285700000000204+2.1287351569139188e-09i","witness_w":"0.1428569999999999-4.257470397094564e-09i","evaluations":16005,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.4974270517249664,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
+ 'search/automorphism/24': '{"best_ratio":1.499762434729896,"witness_z":"-0.04347821739130439+0.0002972143766983019i","witness_w":"0.04347921739130431+3.7131065057604365e-05i","evaluations":180926,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.499762434729896,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
+ 'search/blaschke3/24': '{"best_ratio":1.044296675564465,"witness_z":"-0.8260861304347826-0.47826039130435277i","witness_w":"-0.47826039130435277-0.8260861304347826i","evaluations":181165,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.044296675564465,"theoretical_ceiling":2.0,"cstar_interval":[1.125,2.0]}',
  'search/cayley': '{"best_ratio":1.662591320919834,"witness_z":"54.11955287646776+372.75937203149397i","witness_w":"1000.0+372.75937203149397i","evaluations":15379,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.662591320919834,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/cayley/24': '{"best_ratio":1.9508198560741092,"witness_z":"-1000.0+67.00187503509576i","witness_w":"-3.8947748101276183+67.00187503509576i","evaluations":338766,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.9508198560741092,"theoretical_ceiling":2.0,"cstar_interval":null}',
  'search/extremal': '{"best_ratio":1.9999995813135971,"witness_z":"-1.0000000308666057+0.0026826957952797263i","witness_w":"-1000.0+0.0026826957952797263i","evaluations":17224,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.9999995813135971,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/extremal/24': '{"best_ratio":1.9999973109669136,"witness_z":"-1.0000000829280593+0.014924955450518296i","witness_w":"-1000.0+0.014924955450518296i","evaluations":343484,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.9999973109669136,"theoretical_ceiling":2.0,"cstar_interval":null}',
  'suite/bound-2-3': ('{"suite":"bound-2-3","samples":5000,"seed":42,"passed":true,"worst_margin":1.5040011835942835e-07,"worst_witness":{"map":"compose(blaschke:3.853153957015737;[0.5707687226123264-0.5239658166287049i],blaschke:4.052101543125645;[0.007592919551136445+0.7978843621404805i])","z":"-0.06824634136298657-0.9820539991815835i"}}',
                      0,
                      'absolute'),

@@ -360,6 +360,14 @@ def test_overflowing_derivative_raises_domain_error():
             derivative(m, complex(1.2e308, 1.2e308))
 
 
+def test_value_or_derivative_past_the_float_range_raises_domain_error():
+    # Every denominator is finite and far from a pole; the results are (inf, nan) and (-inf, -0).
+    with pytest.raises(DomainError):
+        apply(Mobius(1e300, 0, 0, 1e-300), 1e10 + 0j)
+    with pytest.raises(DomainError):
+        derivative(Extremal(0.0, 0.0), 1e-160j)
+
+
 @pytest.mark.parametrize("m, z", [(Extremal(0.0, 1e-200), 0j), (Mobius(0, 1, 1, 0), complex(1e-200, 0.0))])
 def test_underflowing_squared_denominator_raises_domain_error(m, z):
     # |den| is far above POLE_FLOOR, but den * den rounds to 0

@@ -277,6 +277,12 @@ def test_local_distortion_with_underflowing_derivative_raises_domain_error():
         local_distortion(H, Extremal(0.0, 1e-200), 1e-200j)
 
 
+def test_local_distortion_with_overflowing_derivative_raises_domain_error():
+    # den * den = -1e-320 is subnormal, so its reciprocal overflows to -inf.
+    with pytest.raises(DomainError):
+        local_distortion(H, Extremal(0.0, 0.0), 1e-160j)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_nonpositive_threads_rejected(threads):
     with pytest.raises(DomainError):
