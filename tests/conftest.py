@@ -34,10 +34,9 @@ def _images_margin(name, m, z, w):
     domain = UnitDisk() if disk else UpperHalfPlane()
     try:
         fz, fw = apply(m, z), apply(m, w)
-        trusted = all(verify_module._trusted(f, signed_boundary_offset(domain, f)) for f in (fz, fw))
+        if not all(verify_module._trusted(f, signed_boundary_offset(domain, f)) for f in (fz, fw)):
+            return math.nan
     except (PoleEncountered, DomainError, OverflowError):  # abs(f) may overflow
-        return math.nan
-    if not trusted:
         return math.nan
     if name.startswith("schwarz-pick"):
         slack = (check_schwarz_pick_disk if disk else check_schwarz_pick_halfplane)(m, z, w)
