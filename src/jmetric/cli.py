@@ -22,8 +22,8 @@ from .grammar import _to_json, format_complex, parse_complex, parse_domain, pars
 from .maps import apply
 from .domains import boundary_distance, j_distance
 from .parallel import default_threads
-from .search import SearchConfig, cstar_bounds, estimate_lipschitz, extremal_sweep, sweep_to_csv
-from .verify import SUITE_NAMES, run_all_suites, run_suite
+from .search import _ROUNDS_MAX, SearchConfig, cstar_bounds, estimate_lipschitz, extremal_sweep, sweep_to_csv
+from .verify import _SAMPLES_MAX, SUITE_NAMES, run_all_suites, run_suite
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -94,9 +94,9 @@ class _Options:
             raise ParseError(f"missing required option --{name}", 0)
         return value
 
-    def number(self, name, kind, default=None, minimum=None):
+    def number(self, name, kind, default=None, minimum=None, maximum=None):
         """The option converted by kind (int, or parse_real for a finite
-        decimal real); required when default is None."""
+        decimal real) and checked against the bounds; required when default is None."""
         raw = self.require(name) if default is None else self.get(name)
         if raw is None:
             return default
@@ -107,6 +107,8 @@ class _Options:
             raise ParseError(f"--{name} must be {noun}, got {raw!r}", 0) from None
         if minimum is not None and value < minimum:
             raise ParseError(f"--{name} must be at least {minimum}, got {value!r}", 0)
+        if maximum is not None and value > maximum:
+            raise ParseError(f"--{name} must be at most {maximum}, got {value!r}", 0)
         return value
 
 
@@ -165,7 +167,7 @@ def _report_plain(report) -> str:
 
 def _cmd_verify(opt: _Options, style: str):
     suite = opt.require("suite")
-    samples = opt.number("samples", int, 10_000, minimum=1)
+    samples = opt.number("samples", int, 10_000, minimum=1, maximum=_SAMPLES_MAX)
     seed = opt.number("seed", int, 0, minimum=0)
     threads = opt.number("threads", int, default_threads(), minimum=1)
     if suite == "all":
@@ -198,7 +200,7 @@ def _cmd_search(opt: _Options, style: str):
         boundary_margin=opt.number("margin", parse_real, 1e-6),
         separation_floor=opt.number("separation", parse_real, 1e-7),
         grid_per_axis=opt.number("grid", int, 24, minimum=2),
-        refine_rounds=opt.number("rounds", int, 60, minimum=0),
+        refine_rounds=opt.number("rounds", int, 60, minimum=0, maximum=_ROUNDS_MAX),
         seed=opt.number("seed", int, 0, minimum=0),
     )
     threads = opt.number("threads", int, default_threads(), minimum=1)

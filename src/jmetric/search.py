@@ -3,12 +3,12 @@
 The supremum of j_dst(f(z), f(w)) / j_src(z, w) over interior pairs is
 estimated by a deterministic tensor grid over the four real coordinates of
 (z, w) followed by coordinatewise pattern search from the best grid cells
-and from local-distortion seed points.  The grid maps and guards each point
-once (guarded_ratios' per-point stage), ranks the local-distortion seeds from
-those values and the derivatives in one array pass, and scores the pairs of
-each block of z rows from gathers of those values (its pair stage), rescoring
+and from local-distortion seed points, all scored through guarded_ratios'
+two stages.  The grid maps and guards each point once (the per-point stage),
+ranks the local-distortion seeds from those values and the derivatives, and
+scores each block of z rows from gathers of them (the pair stage), rescoring
 with math.log1p only the pairs that can reach the block's top list (on a pool
-only from 2**20 pairs per worker); the pattern search stays scalar.  Only lower
+only from 2**20 pairs per worker); the walks move in lockstep.  Only lower
 bounds are ever claimed: the supremum is typically attained in boundary or
 infinity limits, so no finite search can certify an upper bound; the ceiling
 2 comes from theory.
@@ -71,6 +71,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # arrays grow with the square of it.
 _GRID_MAX = 256
 
+# Walk rounds: each is four lockstep passes whether or not a walk moves, 1.2-1.8 ms for
+# a default search's 32 walks (2-CPU Xeon), so 10**4 rounds already take 12-18 s.
+_ROUNDS_MAX = 10_000
+
 # z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
 # do not depend on the worker count.
 _GRID_ROWS_PER_CHUNK = 16
@@ -114,8 +118,8 @@ class SearchConfig:
             raise DomainError("separation_floor must be positive")
         if not 2 <= self.grid_per_axis <= _GRID_MAX:
             raise DomainError(f"grid_per_axis must be in [2, {_GRID_MAX}], got {self.grid_per_axis!r}")
-        if self.refine_rounds < 0 or self.refine_seeds < 0:
-            raise DomainError("refine_rounds and refine_seeds must be nonnegative")
+        if not 0 <= self.refine_rounds <= _ROUNDS_MAX or self.refine_seeds < 0:
+            raise DomainError(f"refine_rounds must be in [0, {_ROUNDS_MAX}] and refine_seeds nonnegative")
         if not 0.0 < self.shrink_factor < 1.0:
             raise DomainError("shrink_factor must be in (0, 1)")
 
@@ -132,18 +136,9 @@ class SearchReport:
     cstar_interval: tuple[float, float] | None
 
     def to_json(self) -> str:
-        return _to_json(
-            {
-                "best_ratio": self.best_ratio,
-                "witness_z": format_complex(self.witness_z),
-                "witness_w": format_complex(self.witness_w),
-                "evaluations": self.evaluations,
-                "config": asdict(self.config),
-                "lower_bound_claim": self.lower_bound_claim,
-                "theoretical_ceiling": self.theoretical_ceiling,
-                "cstar_interval": list(self.cstar_interval) if self.cstar_interval else None,
-            }
-        )
+        fields = asdict(self)  # in field order, the config as a dict
+        fields.update(witness_z=format_complex(self.witness_z), witness_w=format_complex(self.witness_w))
+        return _to_json(fields)
 
 
 def ratio_objective(
@@ -172,16 +167,17 @@ def local_distortion(src: PlanarDomain, m: MapExpr, z: complex) -> float:
 
 
 class _Region:
-    """Admissible coordinates for one point of the pair.
+    """Admissible coordinates for one point of the pair, as float arrays.
 
     Disks use cartesian coordinates over the centered square with side
     2(r - margin) and containment rejection; half-planes use (tangent,
     height) frame coordinates over [-1/d', 1/d'] x [margin, 1/margin] with
-    d' = max(margin, 1e-3) and log-spaced heights.
+    d' = max(margin, 1e-3) and log-spaced heights.  Points are built through
+    CArr and the disk's radii by math.hypot, so each element gets the bits
+    the same formula gives on floats (np.hypot can differ in the last bit).
     """
 
     def __init__(self, domain: PlanarDomain, cfg: SearchConfig):
-        self.domain = domain
         self.margin = cfg.boundary_margin
         n = cfg.grid_per_axis
         if isinstance(domain, (UnitDisk, Disk)):
@@ -191,8 +187,8 @@ class _Region:
             self.cx, self.cy, self.reach = domain.center.real, domain.center.imag, domain.radius - self.margin
             lo_x, hi_x = self.cx - self.reach, self.cx + self.reach
             lo_y, hi_y = self.cy - self.reach, self.cy + self.reach
-            self.ax = [lo_x + i * (hi_x - lo_x) / (n - 1) for i in range(n)]
-            self.ay = [lo_y + i * (hi_y - lo_y) / (n - 1) for i in range(n)]
+            self.ax = np.array([lo_x + i * (hi_x - lo_x) / (n - 1) for i in range(n)])
+            self.ay = np.array([lo_y + i * (hi_y - lo_y) / (n - 1) for i in range(n)])
             self._step_x = (hi_x - lo_x) / (n - 1)
         else:
             self.kind = "half"
@@ -200,52 +196,51 @@ class _Region:
             span = 1.0 / max(self.margin, 1e-3)
             self.tlo, self.thi = -span, span
             self.hlo, self.hhi = self.margin, 1.0 / self.margin
-            self.ax = [self.tlo + i * (self.thi - self.tlo) / (n - 1) for i in range(n)]
+            self.ax = np.array([self.tlo + i * (self.thi - self.tlo) / (n - 1) for i in range(n)])
             log_lo, log_hi = math.log(self.hlo), math.log(self.hhi)
             step = (log_hi - log_lo) / (n - 1)
             # exp(step), the height ratio of neighbouring rows, must exceed 1 and be finite.
             if not 0.0 < step < _LOG_FLOAT_MAX:
                 raise DomainError(f"boundary_margin {self.margin!r} leaves no height range to search")
-            self.ay = [math.exp(log_lo + i * (log_hi - log_lo) / (n - 1)) for i in range(n)]
+            self.ay = np.array([math.exp(log_lo + i * (log_hi - log_lo) / (n - 1)) for i in range(n)])
             self._step_x = (self.thi - self.tlo) / (n - 1)
             self._growth = math.exp(step)
 
-    def point(self, a: float, b: float) -> complex:
+    def point(self, a, b) -> CArr:
         if self.kind == "disk":
-            return complex(a, b)
-        return self.base + a * self.tangent + b * self.normal
+            return CArr(a, b)
+        # A float operand of complex arithmetic is promoted to (x, 0.0).
+        return self.base + CArr(a, np.zeros_like(a)) * self.tangent + CArr(b, np.zeros_like(b)) * self.normal
 
-    def grid_coords(self) -> list[tuple[float, float]]:
-        coords = []
-        for a in self.ax:
-            for b in self.ay:
-                if self.kind == "disk":
-                    if math.hypot(a - self.cx, b - self.cy) > self.reach:
-                        continue
-                coords.append((a, b))
-        return coords
-
-    def clip(self, a: float, b: float) -> tuple[float, float]:
+    def grid(self):
+        """The grid's coordinate arrays (a, b), a-major; a disk keeps the points within reach."""
+        a, b = np.repeat(self.ax, len(self.ay)), np.tile(self.ay, len(self.ax))
         if self.kind == "disk":
-            dx, dy = a - self.cx, b - self.cy
-            rr = math.hypot(dx, dy)
-            if rr > self.reach:
-                scale = self.reach / rr
-                return self.cx + dx * scale, self.cy + dy * scale
-            return a, b
-        a = min(max(a, self.tlo), self.thi)
-        b = min(max(b, self.hlo), self.hhi)
+            inside = ~(_hypot(a - self.cx, b - self.cy) > self.reach)
+            a, b = a[inside], b[inside]
         return a, b
 
-    def initial_steps(self, coords: tuple[float, float, float, float]) -> list[float]:
+    def clip(self, a, b):
+        """(a, b) moved into the region: radially onto the reach of a disk, into
+        the box of a half-plane; call under np.errstate."""
         if self.kind == "disk":
-            return [self._step_x] * 4
-        return [
-            self._step_x,
-            coords[1] * (self._growth - 1.0),
-            self._step_x,
-            coords[3] * (self._growth - 1.0),
-        ]
+            dx, dy = a - self.cx, b - self.cy
+            rr = _hypot(dx, dy)
+            scale, out = self.reach / rr, rr > self.reach
+            return np.where(out, self.cx + dx * scale, a), np.where(out, self.cy + dy * scale, b)
+        return np.minimum(np.maximum(a, self.tlo), self.thi), np.minimum(np.maximum(b, self.hlo), self.hhi)
+
+    def initial_steps(self, coords):
+        """The 4 x W first steps of walks from the 4 x W coordinates."""
+        steps = np.full(np.shape(coords), self._step_x)
+        if self.kind == "half":
+            steps[1::2] = coords[1::2] * (self._growth - 1.0)
+        return steps
+
+
+def _hypot(x, y):
+    """math.hypot of every element pair of the float arrays x, y."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
 def _grid_chunk(stage, separation, points, lo, hi, keep):
@@ -285,40 +280,79 @@ def _distortion_order(m, points, stage):
     return order[np.lexsort((order, -(abs(slope) * stage.offset / stage.f_offset)[order]))]
 
 
-def _refine(src, dst, m, region, cfg, coords, value):
-    """Coordinatewise pattern search from one seed pair.
+def _pair_scores(src, dst, m, z: CArr, w: CArr):
+    """(guarded_ratio of every pair (z[k], w[k]), NaN where it gives None; |z - w|),
+    with z and w mapped in one per-point stage; call under np.errstate."""
+    n = len(z.real)
+    stage = _point_stage(src, dst, m, CArr(np.concatenate([z.real, w.real]), np.concatenate([z.imag, w.imag])))
+    pz, pw = stage.take(slice(None, n)), stage.take(slice(n, None))
+    gap = abs(z - w)
+    return np.where(pz.usable & pw.usable, _pair_ratios(pz, pw, gap, _log1p_exact), math.nan), gap
 
-    Steps double after a round with progress and shrink by shrink_factor
-    after a stalled one, so the walk can both travel and converge within
-    the round budget.
+
+def _seeds(src, dst, m, region, cfg, threads):
+    """The walks' seed pairs as 4 x S coordinates, their ratios (NaN where infeasible)
+    and the evaluations spent on them: the best grid pairs, then, at the most
+    expanding grid points in order, a near-coincident pair with w to the right of z,
+    or to its left where the right-hand w is within separation_floor; call under
+    np.errstate."""
+    a, b = region.grid()
+    points = region.point(a, b)
+    keep, rows = max(cfg.refine_seeds, 1), len(a)
+    stage = _point_stage(src, dst, m, points)
+    tasks = [(stage, cfg.separation_floor, points, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
+             for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
+    evaluations, top = 0, []
+    workers = min(threads, max(1, rows * rows // _PAIRS_PER_WORKER))
+    for chunk_evals, chunk_top in run_ordered(_grid_chunk, tasks, workers):
+        evaluations += chunk_evals
+        top.extend(chunk_top)
+    top = sorted(top, key=lambda entry: (-entry[0], entry[1], entry[2]))[:keep]
+    i, j = np.array([e[1] for e in top], dtype=int), np.array([e[2] for e in top], dtype=int)
+
+    # Local-distortion seeds cover suprema reached in the z -> w limit.
+    at = _distortion_order(m, points, stage)[: cfg.refine_seeds]
+    offset, both = max(10.0 * cfg.separation_floor, 1e-6), np.concatenate([at, at])
+    wa, wb = region.clip(a[both] + np.repeat([offset, -offset], len(at)), b[both])
+    ratio, gap = _pair_scores(src, dst, m, points[both], region.point(wa, wb))
+    far = ~(gap < cfg.separation_floor)
+    right = far[: len(at)]
+    pick = np.where(right, np.arange(len(at)), np.arange(len(at), 2 * len(at)))[right | far[len(at):]]
+    coords = np.concatenate([[a[i], b[i], a[j], b[j]], [a[both][pick], b[both][pick], wa[pick], wb[pick]]], axis=1)
+    ratios = np.concatenate([[e[0] for e in top], ratio[pick]])
+    return coords, ratios, evaluations + len(pick)
+
+
+def _walk(src, dst, m, region, cfg, coords, best):
+    """Coordinatewise pattern search (Hooke and Jeeves, JACM 1961) from the 4 x W seed
+    coordinates with ratios best, every walk in lockstep.
+
+    Per round and coordinate k, a walk moves by +step if that improves its ratio,
+    else by -step if that does; both signs of every walk are scored in one pass, and
+    a move counts as an evaluation where a walk on its own would have scored it.
+    Steps double after a round with progress and shrink by shrink_factor after a
+    stalled one, so a walk can both travel and converge within the round budget.
+    Returns each walk's ratio, coordinates and evaluations; call under np.errstate.
     """
-    steps = region.initial_steps(coords)
-    coords = list(coords)
-    best = value
-    evals = 0
+    steps, width = region.initial_steps(coords), len(best)
+    evals = np.zeros(width, dtype=int)
     for _ in range(cfg.refine_rounds):
-        improved = False
+        improved = np.zeros(width, dtype=bool)
         for k in range(4):
-            for sign in (1.0, -1.0):
-                cand = list(coords)
-                cand[k] += sign * steps[k]
-                cand[0], cand[1] = region.clip(cand[0], cand[1])
-                cand[2], cand[3] = region.clip(cand[2], cand[3])
-                z = region.point(cand[0], cand[1])
-                w = region.point(cand[2], cand[3])
-                if abs(z - w) < cfg.separation_floor:
-                    continue
-                candidate = ratio_objective(src, dst, m, z, w)
-                evals += 1
-                if candidate > best:
-                    coords, best = cand, candidate
-                    improved = True
-                    break
-        if improved:
-            steps = [s * 2.0 for s in steps]
-        else:
-            steps = [s * cfg.shrink_factor for s in steps]
-    return best, tuple(coords), evals
+            cand = np.concatenate([coords, coords], axis=1)
+            cand[k] += np.concatenate([steps[k], -steps[k]])
+            cand[:2], cand[2:] = region.clip(cand[0], cand[1]), region.clip(cand[2], cand[3])
+            ratio, gap = _pair_scores(src, dst, m, region.point(cand[0], cand[1]), region.point(cand[2], cand[3]))
+            far = ~(gap < cfg.separation_floor)
+            up = far & (ratio > np.concatenate([best, best]))
+            plus, minus = up[:width], up[width:] & ~up[:width]
+            evals += far[:width]
+            evals += far[width:] & ~plus
+            coords = np.where(plus, cand[:, :width], np.where(minus, cand[:, width:], coords))
+            best = np.where(plus, ratio[:width], np.where(minus, ratio[width:], best))
+            improved |= plus | minus
+        steps = steps * np.where(improved, 2.0, cfg.shrink_factor)
+    return best, coords, evals
 
 
 def estimate_lipschitz(
@@ -349,58 +383,15 @@ def estimate_lipschitz(
         raise SelfMapViolation(f"map is not a certified self-map of {src!r}")
 
     region = _Region(src, cfg)
-    coords = region.grid_coords()
-    grid = np.array([region.point(a, b) for a, b in coords], dtype=complex)
-    points = CArr(grid.real, grid.imag)
-    keep = max(cfg.refine_seeds, 1)
-
-    rows = len(coords)
     with np.errstate(all="ignore"):
-        stage = _point_stage(src, dst, m, points)
-        ranked = _distortion_order(m, points, stage)
-    tasks = [(stage, cfg.separation_floor, points, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
-             for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
-    evaluations = 0
-    top: list[tuple[float, int, int]] = []
-    workers = min(threads, max(1, rows * rows // _PAIRS_PER_WORKER))
-    for chunk_evals, chunk_top in run_ordered(_grid_chunk, tasks, workers):
-        evaluations += chunk_evals
-        top.extend(chunk_top)
-    top.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
-
-    best = -math.inf
-    best_coords: tuple[float, float, float, float] | None = None
-    seeds = [(coords[i] + coords[j], value) for value, i, j in top[:keep]]
-
-    # Local-distortion seeds: near-coincident pairs at the most expanding
-    # grid points, covering suprema reached in the z -> w limit.
-    offset = max(10.0 * cfg.separation_floor, 1e-6)
-    for idx in ranked[: cfg.refine_seeds].tolist():
-        a, b = coords[idx]
-        for direction in (offset, -offset):
-            wa, wb = region.clip(a + direction, b)
-            z = region.point(a, b)
-            w = region.point(wa, wb)
-            if abs(z - w) < cfg.separation_floor:
-                continue
-            value = ratio_objective(src, dst, m, z, w)
-            evaluations += 1
-            seeds.append(((a, b, wa, wb), value))
-            break
-
-    for seed_coords, seed_value in seeds:
-        if seed_value == -math.inf:
-            continue
-        value, at, extra = _refine(src, dst, m, region, cfg, seed_coords, seed_value)
-        evaluations += extra
-        if value > best:
-            best, best_coords = value, at
-
-    if best_coords is None:
+        coords, ratios, evaluations = _seeds(src, dst, m, region, cfg, threads)
+        live = ~np.isnan(ratios)
+        ratios, coords, evals = _walk(src, dst, m, region, cfg, coords[:, live], ratios[live])
+    if not len(ratios):
         raise DomainError("the search region contained no feasible pair")
-
-    witness_z = region.point(best_coords[0], best_coords[1])
-    witness_w = region.point(best_coords[2], best_coords[3])
+    k = int(np.argmax(ratios))  # the first walk to reach the best ratio
+    best, evaluations = float(ratios[k]), evaluations + int(evals.sum())
+    witness_z, witness_w = region.point(coords[0], coords[1]).at(k), region.point(coords[2], coords[3]).at(k)
     if best > THEORETICAL_CEILING + 1e-9:  # past the proven ceiling, the ratio is rounding noise
         where = f"z = {format_complex(witness_z)}, w = {format_complex(witness_w)}"
         raise JmetricError(f"best ratio {best!r} at {where} exceeds the proven ceiling {THEORETICAL_CEILING}")

@@ -98,6 +98,11 @@ IMAGE_TRUST = 1e-9
 
 _CHUNK = 4096
 
+# Samples per suite run and maps * pairs_per_map per ceiling: a run lists its tasks (one
+# per _CHUNK samples or per map, and a ceiling map one count per _CHUNK pairs) before it
+# draws, so 10**9 keeps a list near 244k entries; 10**12 samples would need 244M (tens of GB).
+_SAMPLES_MAX = 10**9
+
 _HALF = UpperHalfPlane()
 _DISK = UnitDisk()
 
@@ -494,8 +499,8 @@ def _suite_chunk(name, seed, index, count):
 
 
 def _run_chunked(name, samples, seed, threads) -> CheckReport:
-    if samples < 1:
-        raise DomainError(f"samples must be at least 1, got {samples!r}")
+    if not 1 <= samples <= _SAMPLES_MAX:
+        raise DomainError(f"samples must be in [1, {_SAMPLES_MAX}], got {samples!r}")
     _, _, tolerance, convention = _ROWS[name]
     full, rest = divmod(samples, _CHUNK)
     sizes = [_CHUNK] * full + ([rest] if rest else [])
@@ -702,8 +707,8 @@ def lipschitz_ceiling(
     "mobius-images" (map 0 is the Cayley map onto the unit disk, the rest are
     seeded Moebius maps evaluated against their computed image domains).
     """
-    if maps < 1 or pairs_per_map < 1:
-        raise DomainError(f"maps and pairs_per_map must be at least 1, got {maps!r} and {pairs_per_map!r}")
+    if maps < 1 or pairs_per_map < 1 or maps * pairs_per_map > _SAMPLES_MAX:
+        raise DomainError(f"maps, pairs_per_map must be >= 1, product <= {_SAMPLES_MAX}: {maps!r}, {pairs_per_map!r}")
     if kind not in _CEILING_KINDS:
         raise DomainError(f"unknown ceiling kind {kind!r}; choose from {', '.join(_CEILING_KINDS)}")
     tasks = [(kind, seed, index, pairs_per_map) for index in range(maps)]

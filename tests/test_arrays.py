@@ -4,9 +4,9 @@ the bits it returns on a complex.
 CArr's operators must match CPython's complex arithmetic bit for bit, for
 CArr, complex and float operands on either side.  On top of them, map
 evaluation and differentiation, boundary offsets, j distances, the guarded
-ratio, the scoring of the ceiling chunk and of the search grid, and the
-ranking of the search's local-distortion seeds must return exactly what a loop
-over the scalar call returns: the same bits, and NaN (or a bad mark) where
+ratio, the scoring of the ceiling chunk and of the search grid, the ranking of
+the search's local-distortion seeds, its region and its lockstep walks must
+return exactly what a loop over the scalar call returns: the same bits, and NaN (or a bad mark) where
 the scalar raises or returns None.  The suite rows score each chunk on arrays
 too, and must give every sample the bits the public scalar checks give it on
 the sample's rebuilt map and points.  The array samplers draw whole blocks
@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import jmetric.maps as maps_module
+import jmetric.search as search_module
 import jmetric.verify as verify_module
 from jmetric.domains import (
     CArr,
@@ -58,6 +59,8 @@ from jmetric.search import (
     _distortion_order,
     _grid_chunk,
     _Region,
+    _seeds,
+    _walk,
     ratio_objective,
 )
 from jmetric.verify import (
@@ -523,6 +526,154 @@ def test_suite_chunk_keeps_the_first_of_equal_margins_and_counts_skips(scalar_ma
 
 
 # ---------------------------------------------------------------------------
+# The search region and walks against their scalar methods and per-seed loop
+# ---------------------------------------------------------------------------
+
+
+class _ScalarRegion:
+    """The scalar _Region methods the search used before its walks ran in
+    lockstep, on the attributes of a _Region (its axes as Python floats)."""
+
+    def __init__(self, region):
+        vars(self).update(vars(region))
+        self.ax, self.ay = region.ax.tolist(), region.ay.tolist()
+
+    def point(self, a: float, b: float) -> complex:
+        if self.kind == "disk":
+            return complex(a, b)
+        return self.base + a * self.tangent + b * self.normal
+
+    def grid_coords(self) -> list[tuple[float, float]]:
+        coords = []
+        for a in self.ax:
+            for b in self.ay:
+                if self.kind == "disk":
+                    if math.hypot(a - self.cx, b - self.cy) > self.reach:
+                        continue
+                coords.append((a, b))
+        return coords
+
+    def clip(self, a: float, b: float) -> tuple[float, float]:
+        if self.kind == "disk":
+            dx, dy = a - self.cx, b - self.cy
+            rr = math.hypot(dx, dy)
+            if rr > self.reach:
+                scale = self.reach / rr
+                return self.cx + dx * scale, self.cy + dy * scale
+            return a, b
+        a = min(max(a, self.tlo), self.thi)
+        b = min(max(b, self.hlo), self.hhi)
+        return a, b
+
+    def initial_steps(self, coords: tuple[float, float, float, float]) -> list[float]:
+        if self.kind == "disk":
+            return [self._step_x] * 4
+        return [
+            self._step_x,
+            coords[1] * (self._growth - 1.0),
+            self._step_x,
+            coords[3] * (self._growth - 1.0),
+        ]
+
+
+def _reference_refine(src, dst, m, region, cfg, coords, value):
+    """The scalar pattern search from one seed pair that _walk runs in lockstep."""
+    steps = region.initial_steps(coords)
+    coords = list(coords)
+    best = value
+    evals = 0
+    for _ in range(cfg.refine_rounds):
+        improved = False
+        for k in range(4):
+            for sign in (1.0, -1.0):
+                cand = list(coords)
+                cand[k] += sign * steps[k]
+                cand[0], cand[1] = region.clip(cand[0], cand[1])
+                cand[2], cand[3] = region.clip(cand[2], cand[3])
+                z = region.point(cand[0], cand[1])
+                w = region.point(cand[2], cand[3])
+                if abs(z - w) < cfg.separation_floor:
+                    continue
+                candidate = ratio_objective(src, dst, m, z, w)
+                evals += 1
+                if candidate > best:
+                    coords, best = cand, candidate
+                    improved = True
+                    break
+        if improved:
+            steps = [s * 2.0 for s in steps]
+        else:
+            steps = [s * cfg.shrink_factor for s in steps]
+    return best, tuple(coords), evals
+
+
+def _check_distortion_seeds(src, dst, m, region, cfg, coords, ratios, ranked):
+    """Check that the local-distortion seeds close _seeds' list as the per-seed loop
+    scored them at the grid points `ranked`, in order; return their w coordinates."""
+    scalar = _ScalarRegion(region)
+    grid = scalar.grid_coords()
+    seeds, offset = [], max(10.0 * cfg.separation_floor, 1e-6)
+    for a, b in (grid[i] for i in ranked):
+        for direction in (offset, -offset):
+            wa, wb = scalar.clip(a + direction, b)
+            z = scalar.point(a, b)
+            w = scalar.point(wa, wb)
+            if abs(z - w) < cfg.separation_floor:
+                continue
+            seeds.append(((a, b, wa, wb), ratio_objective(src, dst, m, z, w)))
+            break
+    first = coords.shape[1] - len(seeds)
+    assert first == max(cfg.refine_seeds, 1)  # the grid seeds come first
+    for k, (seed_coords, value) in enumerate(seeds):
+        assert [bits(c) for c in coords[:, first + k].tolist()] == [bits(c) for c in seed_coords]
+        assert bits(-math.inf if math.isnan(ratios[first + k]) else ratios[first + k]) == bits(value)
+    return [seed_coords[2] for seed_coords, _ in seeds]
+
+
+# np.hypot and math.hypot differ in the last bit here (on glibc), and the point lies
+# outside the unit disk's reach, so clip must scale it by math.hypot's radius.
+_HYPOT_SPLIT = (-1.328224209852754, 1.4479321888150656)
+
+
+# On this grid np.hypot and math.hypot put two points on opposite sides of the reach.
+_HYPOT_SPLIT_GRID = SearchConfig(grid_per_axis=59, boundary_margin=1e-3)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_region_matches_the_scalar_methods(domain):
+    for cfg in (SearchConfig(grid_per_axis=12), _HYPOT_SPLIT_GRID):
+        region = _Region(domain, cfg)
+        a, b = region.grid()
+        assert [(bits(x), bits(y)) for x, y in zip(a.tolist(), b.tolist())] == [
+            (bits(x), bits(y)) for x, y in _ScalarRegion(region).grid_coords()
+        ]
+    region = _Region(domain, SearchConfig(grid_per_axis=12))
+    scalar = _ScalarRegion(region)
+    # Coordinates over twice the box, so that many fall outside the reach or the box.
+    rng = np.random.default_rng(31)
+    if region.kind == "disk":
+        a = region.cx + rng.uniform(-2.0, 2.0, 400) * region.reach
+        b = region.cy + rng.uniform(-2.0, 2.0, 400) * region.reach
+        if domain == UnitDisk():
+            a, b = np.append(a, _HYPOT_SPLIT[0]), np.append(b, _HYPOT_SPLIT[1])
+    else:
+        a = rng.uniform(2.0 * region.tlo, 2.0 * region.thi, 400)
+        b = np.exp(rng.uniform(math.log(region.hlo) - 3.0, math.log(region.hhi) + 3.0, 400))
+    with np.errstate(all="ignore"):
+        ca, cb = region.clip(a, b)
+    z = region.point(a, b)
+    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        assert (bits(ca[k]), bits(cb[k])) == tuple(map(bits, scalar.clip(x, y)))
+        assert same(scalar.point(x, y), z.real[k], z.imag[k])
+    assert not np.array_equal(ca, a)  # some coordinates were clipped
+    coords = np.stack([a[:100], b[:100], a[100:200], b[100:200]])
+    steps = region.initial_steps(coords)
+    for k in range(100):
+        reference = scalar.initial_steps(tuple(coords[:, k].tolist()))
+        assert [bits(s) for s in steps[:, k].tolist()] == [bits(s) for s in reference]
+
+
+# ---------------------------------------------------------------------------
 # The search grid chunk against a per-pair scoring loop
 # ---------------------------------------------------------------------------
 
@@ -562,7 +713,7 @@ GRID_CASES = {
 @pytest.mark.parametrize("name", sorted(GRID_CASES))
 def test_grid_chunk_matches_the_per_pair_loop(name):
     src, dst, m = GRID_CASES[name]
-    region = _Region(src, SearchConfig(grid_per_axis=10))
+    region = _ScalarRegion(_Region(src, SearchConfig(grid_per_axis=10)))
     points = [region.point(a, b) for a, b in region.grid_coords()]
     rows = len(points)
     assert rows % _GRID_ROWS_PER_CHUNK != 0  # the last block is partial
@@ -608,7 +759,7 @@ def _reference_distortion_order(src, dst, m, points):
 @pytest.mark.parametrize("grid", [8, 24])
 def test_distortion_order_matches_the_per_point_loop(name, grid):
     src, dst, m = GRID_CASES[name]
-    region = _Region(src, SearchConfig(grid_per_axis=grid))
+    region = _ScalarRegion(_Region(src, SearchConfig(grid_per_axis=grid)))
     points = [region.point(a, b) for a, b in region.grid_coords()]
     z = carr([(p.real, p.imag) for p in points])
     with np.errstate(all="ignore"):
@@ -616,6 +767,57 @@ def test_distortion_order_matches_the_per_point_loop(name, grid):
     reference = _reference_distortion_order(src, dst, m, points)
     assert order.tolist() == reference
     assert (len(reference) < len(points)) is (name == "infeasible")
+
+
+# The cases of the grid chunk test, which include maps with infeasible pairs and
+# all-equal ratios.
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(grid_per_axis=8),
+        SearchConfig(grid_per_axis=24),
+        SearchConfig(grid_per_axis=8, refine_rounds=0),
+        SearchConfig(grid_per_axis=8, refine_seeds=0),
+    ],
+    ids=["grid8", "grid24", "rounds0", "seeds0"],
+)
+def test_walk_matches_the_per_seed_loop(name, cfg):
+    src, dst, m = GRID_CASES[name]
+    region = _Region(src, cfg)
+    scalar = _ScalarRegion(region)
+    with np.errstate(all="ignore"):
+        coords, ratios, _ = _seeds(src, dst, m, region, cfg, 1)
+        live = ~np.isnan(ratios)
+        best, at, evals = _walk(src, dst, m, region, cfg, coords[:, live], ratios[live])
+        points = region.point(*region.grid())
+        ranked = _distortion_order(m, points, _point_stage(src, dst, m, points))[: cfg.refine_seeds]
+    _check_distortion_seeds(src, dst, m, region, cfg, coords, ratios, ranked)
+    assert len(ranked) == cfg.refine_seeds
+    walks = 0
+    for k, seed in enumerate(np.flatnonzero(live).tolist()):
+        reference = _reference_refine(src, dst, m, scalar, cfg, tuple(coords[:, seed].tolist()), float(ratios[seed]))
+        assert bits(best[k]) == bits(reference[0])
+        assert [bits(c) for c in at[:, k].tolist()] == [bits(c) for c in reference[1]]
+        assert evals[k] == reference[2]
+        walks += reference[2]
+    assert len(best) > 0
+    assert (walks > 0) is (cfg.refine_rounds > 0)
+
+
+def test_distortion_seeds_step_left_at_the_region_edge(monkeypatch):
+    """At the right edge of a half-plane's box, z + offset clips back onto z, so the
+    seed takes its w to the left of z."""
+    src, dst, m = GRID_CASES["extremal"]
+    cfg = SearchConfig(grid_per_axis=8, refine_seeds=6)
+    region = _Region(src, cfg)
+    a, _ = region.grid()
+    ranked = np.concatenate([np.arange(3), np.flatnonzero(a == region.thi)])[: cfg.refine_seeds]
+    monkeypatch.setattr(search_module, "_distortion_order", lambda *_: ranked)
+    with np.errstate(all="ignore"):
+        coords, ratios, _ = _seeds(src, dst, m, region, cfg, 1)
+    w_real = _check_distortion_seeds(src, dst, m, region, cfg, coords, ratios, ranked)
+    assert [wa < a[i] for wa, i in zip(w_real, ranked)] == [False] * 3 + [True] * 3
 
 
 def test_np_log1p_is_within_4_ulps_of_math_log1p():

@@ -272,6 +272,18 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert "--rounds must be at least 0" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "identity-disk", "--samples", "1000000001"),
+            ("search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--rounds", "10001"),
+        ],
+    )
+    def test_counts_past_their_cap_are_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{argv[-2]} must be at most {int(argv[-1]) - 1}, got {argv[-1]}" in err
+
     def test_grid_below_two_is_exit_2(self, capsys):
         code, out, err = run(
             capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--grid", "1"

@@ -299,6 +299,12 @@ def test_negative_refine_counts_rejected(field):
         SearchConfig(**{field: -3})
 
 
+def test_refine_rounds_past_the_cap_rejected():
+    assert SearchConfig(refine_rounds=search_module._ROUNDS_MAX).refine_rounds == 10_000
+    with pytest.raises(DomainError, match=r"refine_rounds must be in \[0, 10000\]"):
+        SearchConfig(refine_rounds=search_module._ROUNDS_MAX + 1)
+
+
 def test_overflowing_pair_infeasible():
     z = complex(1.7e308, 1.7e308)
     assert ratio_objective(H, H, Mobius(1, 0, 0, 1e10), z, 20j) == -math.inf

@@ -363,6 +363,37 @@ class TestCeilings:
             lipschitz_ceiling("nonsense", 4, 10, 0, 2)
 
 
+class TestRunSizeCaps:
+    """One past a cap raises before the run lists its tasks; at the cap the run starts
+    (and here stops at run_ordered)."""
+
+    @pytest.fixture(autouse=True)
+    def no_chunks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("run_ordered called")
+
+        monkeypatch.setattr(verify_module, "run_ordered", refuse)
+
+    def test_samples_past_the_cap_rejected(self):
+        cap = verify_module._SAMPLES_MAX
+        with pytest.raises(DomainError, match=rf"samples must be in \[1, {cap}\], got {cap + 1}"):
+            run_suite("identity-disk", cap + 1)
+        with pytest.raises(DomainError, match="samples must be in"):
+            run_schwarz_pick_equality("disk", cap + 1)
+        with pytest.raises(AssertionError, match="run_ordered called"):
+            run_suite("identity-disk", cap)
+
+    @pytest.mark.parametrize("maps, pairs", [(1, 10**9 + 1), (2, 5 * 10**8 + 1), (10**5, 10**4 + 1)])
+    def test_ceiling_pairs_past_the_cap_rejected(self, maps, pairs):
+        assert maps * pairs > verify_module._SAMPLES_MAX
+        with pytest.raises(DomainError, match="product <= 1000000000"):
+            lipschitz_ceiling("disk", maps, pairs)
+
+    def test_ceiling_pairs_at_the_cap_start(self):
+        with pytest.raises(AssertionError, match="run_ordered called"):
+            lipschitz_ceiling("disk", 1, verify_module._SAMPLES_MAX)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_nonpositive_threads_rejected(threads):
     with pytest.raises(DomainError):
