@@ -6,12 +6,13 @@ CArr, complex and float operands on either side.  On top of them, map
 evaluation and differentiation, boundary offsets, j distances, the guarded
 ratio, the scoring of the ceiling chunk and of the search grid, the ranking of
 the search's local-distortion seeds, its region and its lockstep walks must
-return exactly what a loop over the scalar call returns: the same bits, and NaN (or a bad mark) where
-the scalar raises or returns None.  The suite rows score each chunk on arrays
-too, and must give every sample the bits the public scalar checks give it on
-the sample's rebuilt map and points.  The array samplers draw whole blocks
-from the chunk's generator and have no scalar counterpart; their tests check
-margins, separations, bounded rejection and reproducibility instead.
+return exactly what a loop over the scalar call returns: the same bits, and
+NaN (or a bad mark) where the scalar raises or returns None.  The suite rows
+score each chunk on arrays too, and must give every sample the bits the
+public scalar checks give it on the sample's rebuilt map and points.  The
+array samplers draw whole blocks from the chunk's generator and have no
+scalar counterpart; their tests check margins, separations, bounded
+rejection and reproducibility instead.
 """
 
 import logging
