@@ -22,7 +22,7 @@ from .grammar import _to_json, format_complex, parse_complex, parse_domain, pars
 from .maps import apply
 from .domains import boundary_distance, j_distance
 from .parallel import default_threads
-from .search import _ROUNDS_MAX, SearchConfig, cstar_bounds, estimate_lipschitz, extremal_sweep, sweep_to_csv
+from .search import _GRID_MAX, _ROUNDS_MAX, SearchConfig, cstar_bounds, estimate_lipschitz, extremal_sweep, sweep_to_csv
 from .verify import _SAMPLES_MAX, SUITE_NAMES, run_all_suites, run_suite
 
 
@@ -199,7 +199,7 @@ def _cmd_search(opt: _Options, style: str):
     cfg = SearchConfig(
         boundary_margin=opt.number("margin", parse_real, 1e-6),
         separation_floor=opt.number("separation", parse_real, 1e-7),
-        grid_per_axis=opt.number("grid", int, 24, minimum=2),
+        grid_per_axis=opt.number("grid", int, 24, minimum=2, maximum=_GRID_MAX),
         refine_rounds=opt.number("rounds", int, 60, minimum=0, maximum=_ROUNDS_MAX),
         seed=opt.number("seed", int, 0, minimum=0),
     )

@@ -47,7 +47,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .verify import _pair_ratios, _point_stage, check_lipschitz_pair, guarded_ratio
+from .verify import _pair_ratios, _point_stage, _ranked_ratios, check_lipschitz_pair, guarded_ratio
 
 __all__ = [
     "SearchConfig",
@@ -78,20 +78,6 @@ _ROUNDS_MAX = 10_000
 # z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
 # do not depend on the worker count.
 _GRID_ROWS_PER_CHUNK = 16
-
-# The grid scores every pair with np.log1p first and rescores with math.log1p only
-# the pairs whose first ratio r' is not finite or at least t * (1 - _LOG1P_SLACK),
-# t the keep-th largest finite r'.  That leaves the top list exact.  The two log1p
-# agree to 4 ulps (tests/test_arrays.py pins it over the grid's range of
-# arguments), a relative 4 * 2**-52 each, and the division rounds both ratios to
-# within u = 2**-53, so |r' - r| <= d * r with d = 2 * 4 * 2**-52 + 2 * 2**-53
-# ~ 2.0e-15 to first order (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, ch. 3).  The keep pairs with r' >= t have r >= t / (1 + d), so
-# the exact keep-th best T does too; a pair left out has r <= r' / (1 - d) <
-# t (1 - s) / (1 - d), below t / (1 + d) <= T whenever s >= 2d / (1 + d) ~ 4e-15.
-# Such a pair can enter neither the top list nor its tie order, and s = 1e-12
-# leaves a factor 250 to spare.
-_LOG1P_SLACK = 1e-12
 
 # Grid pairs per pool worker; smaller grids are scored inline.  2-CPU Xeon, extremal
 # map, median of 9 grids on a started pool: 331,776 pairs take 0.029 s inline and
@@ -248,9 +234,7 @@ def _grid_chunk(stage, separation, points, lo, hi, keep):
     i in [lo, hi) that are at least separation apart; return their count and the
     `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j).
 
-    Every pair is scored with np.log1p, and only the pairs that can reach the top
-    (see _LOG1P_SLACK) are scored again with guarded_ratio's math.log1p, so the
-    entries carry guarded_ratio's bits."""
+    The entries carry guarded_ratio's bits (see verify._ranked_ratios)."""
     n = len(points.real)
     i = np.repeat(np.arange(lo, hi), n)
     j = np.tile(np.arange(n), hi - lo)
@@ -260,13 +244,8 @@ def _grid_chunk(stage, separation, points, lo, hi, keep):
         evaluations = int(np.count_nonzero(far))
         far &= stage.usable[i] & stage.usable[j]
         i, j, gap = i[far], j[far], gap[far]
-        ratio = _pair_ratios(stage.take(i), stage.take(j), gap, np.log1p)
-        finite = ratio[np.isfinite(ratio)]
-        if len(finite) > keep:
-            t = -np.partition(-finite, keep - 1)[keep - 1]
-            rescore = np.flatnonzero(~(ratio < t * (1.0 - _LOG1P_SLACK)))
-            i, j, gap = i[rescore], j[rescore], gap[rescore]
-        ratio = _pair_ratios(stage.take(i), stage.take(j), gap, _log1p_exact)
+        ratio, exact = _ranked_ratios(stage.take(i), stage.take(j), gap, keep, 0.0)
+        i, j, ratio = i[exact], j[exact], ratio[exact]
     found = np.flatnonzero(~np.isnan(ratio))
     best = found[np.lexsort((j[found], i[found], -ratio[found]))[:keep]]
     return evaluations, [(float(ratio[k]), int(i[k]), int(j[k])) for k in best]

@@ -311,6 +311,42 @@ def _pair_ratios(pz: _Points, pw: _Points, gap, log1p):
     return np.where(np.isfinite(ratio), ratio, math.nan)
 
 
+# _ranked_ratios serves callers that rank v = c - r ascending and keep the `keep`
+# lowest, the first of equal values first: the search grid its top ratios (c = 0),
+# the ceiling its worst margin 2 - r (c = 2).  It scores every pair with np.log1p,
+# then rescores with math.log1p each NaN pair and each pair with v' <= t + s (c +
+# |t| + 2**-1022), t the keep-th lowest finite v'.  np.log1p is within 4 ulps of
+# math.log1p and equal to it on subnormals (tests/test_arrays.py pins both over every
+# argument _j can pass), so r' is within d r + 2**-1075 of r, d = 8 * 2**-52 +
+# 2 * 2**-53 ~ 2.0e-15 to first order (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 3).  v rounds at its own ulp, which for c = 2 is 2's ulp
+# however small r is, so |v' - v| <= e (c + |v|) + 2**-1075, e = d + 2 * 2**-53.  The
+# exact keep-th lowest T is then at most t + e (c + |t|), and a pair left out has
+# v > T whenever s >= 2e / (1 - e): it can enter neither the kept values nor their
+# tie order.  A slack relative to r would miss the ceiling's witness where r is small
+# and many pairs round to one margin.  s = 1e-12 leaves a factor 200.  The bound
+# also needs both passes to give NaN on the same pairs: np.log1p is 0 only at 0
+# and finite (also pinned), and a ratio that overflows in one pass only lies within
+# d of the float max, far above what trusted images reach (2 up to rounding).
+_LOG1P_SLACK = 1e-12
+
+
+def _ranked_ratios(pz: _Points, pw: _Points, gap, keep, c):
+    """_pair_ratios of the pairs, with math.log1p (guarded_ratio's bits) on every pair
+    that can be among the `keep` lowest values of c - ratio or tie with them, and with
+    np.log1p elsewhere (see _LOG1P_SLACK); returns the ratios and the index of the
+    exact ones.  Call under np.errstate."""
+    ratio = _pair_ratios(pz, pw, gap, np.log1p)
+    v = c - ratio
+    finite = v[~np.isnan(v)]
+    exact = np.arange(ratio.size)
+    if finite.size > keep:
+        t = np.partition(finite, keep - 1)[keep - 1]
+        exact = np.flatnonzero(~(v > t + _LOG1P_SLACK * (c + abs(t) + 2.0**-1022)))
+    ratio[exact] = _pair_ratios(pz.take(exact), pw.take(exact), gap[exact], _log1p_exact)
+    return ratio, exact
+
+
 def guarded_ratio(
     src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: complex, w: complex
 ) -> float | None:
@@ -333,14 +369,20 @@ def guarded_ratio(
     return ratio if math.isfinite(ratio) else None
 
 
-def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr | MapBatch, z: CArr, w: CArr):
-    """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
+def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score):
+    """score(pz, pw, gap) of the pairs (z[k], w[k]) whose images are both usable, from
+    their per-point stages and gaps |z - w|; NaN for the other pairs."""
     out = np.full(np.shape(z.real), math.nan)
     with np.errstate(all="ignore"):
         pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
         keep = np.flatnonzero(pz.usable & pw.usable)
-        out[keep] = _pair_ratios(pz.take(keep), pw.take(keep), abs(z[keep] - w[keep]), _log1p_exact)
+        out[keep] = score(pz.take(keep), pw.take(keep), abs(z[keep] - w[keep]))
     return out
+
+
+def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr | MapBatch, z: CArr, w: CArr):
+    """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
+    return _scored_pairs(src, dst, m, z, w, functools.partial(_pair_ratios, log1p=_log1p_exact))
 
 
 # ---------------------------------------------------------------------------
@@ -679,12 +721,14 @@ def _random_image_source_and_mobius(u: Uniforms):
 
 def _ceiling_block(src, dst, m, rng, count):
     z, w = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-    return _fold(2.0 - guarded_ratios(src, dst, m, z, w), _PAIR, lambda k: (m, src, dst, z.at(k), w.at(k)))
+    ratio = _scored_pairs(src, dst, m, z, w, lambda pz, pw, gap: _ranked_ratios(pz, pw, gap, 1, 2.0)[0])
+    return _fold(2.0 - ratio, _PAIR, lambda k: (m, src, dst, z.at(k), w.at(k)))
 
 
 def _ceiling_chunk(kind, seed, index, pairs):
     """One map's pairs, drawn from the chunk's generator after the map and
-    scored in blocks of _CHUNK, bit for bit as guarded_ratio scores them."""
+    scored in blocks of _CHUNK; each block's worst margin, witness and skip
+    count are bit for bit what guarded_ratio gives (see _LOG1P_SLACK)."""
     rng = substream(seed, index)
     if kind == "halfplane":
         src, dst, m = _HALF, _HALF, _halfplane_maps(rng, 1)[0]

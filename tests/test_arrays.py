@@ -74,10 +74,12 @@ from jmetric.verify import (
     _PAIR,
     _ROWS,
     _blaschke_maps,
+    _ceiling_block,
     _ceiling_chunk,
     _halfplane_maps,
     _point_stage,
     _random_image_source_and_mobius,
+    _ranked_ratios,
     _suite_chunk,
     _witness,
     guarded_ratio,
@@ -484,6 +486,51 @@ def test_ceiling_chunk_keeps_the_first_of_equal_margins(draw_only):
     assert new[0] == 1.0
 
 
+def _reference_ceiling_block(src, dst, m, rng, count):
+    """One block of pairs scored one by one with guarded_ratio, kept on a strict <."""
+    worst, witness, skipped = math.inf, {}, 0
+    zs, ws = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    for k in range(count):
+        z, w = element(zs, k), element(ws, k)
+        ratio = guarded_ratio(src, dst, m, z, w)
+        if ratio is None:
+            skipped += 1
+        elif 2.0 - ratio < worst:
+            worst, witness = 2.0 - ratio, _witness(_PAIR, (m, src, dst, z, w))
+    return worst, witness, skipped
+
+
+# Contractions by 1e-4, 1e-9 and 1e-14: every margin 2 - r lies within r of 2, so
+# for the last map it spans a few dozen ulps of 2 and many pairs share each margin.
+_SHRINKING = [Mobius(1e-4, 0, 0, 1), Mobius(1e-9, 0.5, 0, 1), Mobius(1, 0, 0, 1e14)]
+
+
+@pytest.mark.parametrize("m", _SHRINKING)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ceiling_block_matches_the_per_pair_loop_where_margins_tie(m, seed):
+    disk = UnitDisk()
+    new = _ceiling_block(disk, disk, m, substream(seed, 0), 4096)
+    assert new == _reference_ceiling_block(disk, disk, m, substream(seed, 0), 4096)
+
+
+def test_ranked_ratios_rescore_every_pair_on_the_worst_margin():
+    # With f(z) = 1e-14 z, three pairs share the worst margin 2 - r, and the first of
+    # them, the ceiling's witness, has a ratio 0.6% below the largest.  A rescore
+    # slack of 1e-12 relative to r would leave it out; the slack in margin space
+    # (verify._LOG1P_SLACK) must rescore all three.
+    disk, m = UnitDisk(), _SHRINKING[2]
+    z, w = sample_interior_pairs(disk, substream(0, 0), 4096, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    with np.errstate(all="ignore"):
+        pz, pw = _point_stage(disk, disk, m, z), _point_stage(disk, disk, m, w)
+        ratio, exact = _ranked_ratios(pz, pw, abs(z - w), 1, 2.0)
+    reference = guarded_ratios(disk, disk, m, z, w)
+    margin = 2.0 - reference
+    ties = np.flatnonzero(margin == np.nanmin(margin))
+    assert len(ties) == 3 and set(ties) <= set(exact)
+    assert all(bits(a) == bits(b) for a, b in zip(ratio[exact], reference[exact]))
+    assert reference[ties[0]] < np.nanmax(reference) * (1.0 - 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Suite chunks against a per-sample loop of the public scalar checks
 # ---------------------------------------------------------------------------
@@ -822,11 +869,25 @@ def test_distortion_seeds_step_left_at_the_region_edge(monkeypatch):
 
 
 def test_np_log1p_is_within_4_ulps_of_math_log1p():
-    """The bound behind search._LOG1P_SLACK, over the |z - w| / offset ratios a grid
-    can produce; a numpy whose log1p is worse must fail here, not weaken the filter."""
-    x = 10.0 ** np.random.default_rng(20).uniform(-13.0, 13.0, 200_000)
+    """The bound behind verify._LOG1P_SLACK, the rescore rule of verify._ranked_ratios
+    that the search grid and the ceiling share, over every argument _j can pass: any
+    finite x >= 0, from the gap ratio of two near-coincident images to one that only
+    just fits the float range.  A numpy whose log1p is worse must fail here, not
+    weaken the filter."""
+    rng = np.random.default_rng(20)
+    normal = 10.0 ** rng.uniform(-308.0, 308.0, 200_000)
+    subnormal = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
+    edges = np.array([0.0, 5e-324, 2.0**-1022, 2.0**-53, 1.0, 1e300, 1.7976931348623157e308])
+    x = np.concatenate([normal, subnormal, edges])
     exact = np.array([math.log1p(v) for v in x.tolist()])
-    assert np.all(np.abs(np.log1p(x) - exact) <= 4.0 * np.spacing(exact))
+    got = np.log1p(x)
+    assert np.all(np.abs(got - exact) <= 4.0 * np.spacing(exact))
+    # Equal where the result is subnormal, so the bound is relative there too.
+    tiny = exact < 2.0**-1022
+    assert np.array_equal(got[tiny], exact[tiny])
+    # Zero only at zero and finite everywhere, so both passes skip the same pairs.
+    assert np.array_equal(got == 0.0, x == 0.0)
+    assert np.all(np.isfinite(got))
 
 
 # ---------------------------------------------------------------------------

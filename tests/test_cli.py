@@ -277,6 +277,7 @@ class TestSearch:
         [
             ("verify", "--suite", "identity-disk", "--samples", "1000000001"),
             ("search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--rounds", "10001"),
+            ("search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--grid", "257"),
         ],
     )
     def test_counts_past_their_cap_are_exit_2(self, capsys, argv):

@@ -481,7 +481,12 @@ class TestRobustness:
     def test_ceiling_with_every_pair_skipped_fails(self, monkeypatch):
         import jmetric.verify
 
-        monkeypatch.setattr(jmetric.verify, "guarded_ratios", lambda src, dst, m, z, w: np.full(z.real.shape, np.nan))
+        stage = jmetric.verify._point_stage
+
+        def unusable(src, dst, m, z):
+            return stage(src, dst, m, z)._replace(usable=np.zeros(z.real.shape, bool))
+
+        monkeypatch.setattr(jmetric.verify, "_point_stage", unusable)
         report = lipschitz_ceiling("disk", maps=2, pairs_per_map=50, seed=0)
         assert report.skipped == 100
         assert report.passed is False
