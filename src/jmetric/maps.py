@@ -25,7 +25,6 @@ from .domains import (
     UpperHalfPlane,
     CArr,
     _require_finite,
-    halfplane_frame,
     signed_boundary_offset,
 )
 from .errors import DomainError, PoleEncountered, UnsupportedImage
@@ -208,34 +207,26 @@ def _value(m: MapExpr, z, guard):
 
 def _slope(m: MapExpr, z, guard):
     """m' at z by the closed forms and the chain rule; z and guard as for _value."""
-    if isinstance(m, Mobius):
-        den = m.c * z + m.d
-        guard(den, "Mobius pole", z)
-        return m.determinant() / (den * den)
     if isinstance(m, Blaschke):
-        # Full product rule; safe at the zeros of the product itself.
-        factors = []
-        dfactors = []
+        # The product rule one factor at a time; safe at the zeros of the product itself.
+        value, slope = _turn(m.rotation), 0j
         for a in m.zeros:
             den = 1.0 - a.conjugate() * z
             guard(den, "Blaschke pole", z)
-            factors.append((z - a) / den)
-            dfactors.append((1.0 - abs(a) ** 2) / (den * den))
-        total = 0j
-        for k in range(len(factors)):
-            term = dfactors[k]
-            for j in range(len(factors)):
-                if j != k:
-                    term *= factors[j]
-            total += term
-        return _turn(m.rotation) * total
-    if isinstance(m, Extremal):
-        den = m.b + z
-        guard(den, "pole of a - 1/(b+z)", z)
-        return 1.0 / (den * den)
+            factor = (z - a) / den
+            slope = slope * factor + value * ((1.0 - abs(a) ** 2) / (den * den))
+            value = value * factor
+        return slope
     if isinstance(m, Compose):
         return _slope(m.outer, _value(m.inner, z, guard), guard) * _slope(m.inner, z, guard)
-    raise TypeError(f"not a map expression: {m!r}")
+    if isinstance(m, Mobius):
+        det, den, pole = m.determinant(), m.c * z + m.d, "Mobius pole"
+    elif isinstance(m, Extremal):
+        det, den, pole = 1.0, m.b + z, "pole of a - 1/(b+z)"
+    else:
+        raise TypeError(f"not a map expression: {m!r}")
+    guard(den, pole, z)
+    return det / (den * den)
 
 
 def _raise_at_pole(den: complex, pole: str, z: complex):
@@ -371,20 +362,6 @@ def is_self_map_sampled(m: MapExpr, domain: PlanarDomain, n: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _circumcircle(q1: complex, q2: complex, q3: complex) -> tuple[complex, float]:
-    w1 = q2 - q1
-    w2 = q3 - q1
-    cross = w1.real * w2.imag - w1.imag * w2.real
-    if cross == 0.0:
-        raise UnsupportedImage("image boundary points are collinear; cannot fit a circle")
-    n1 = w1.real * w1.real + w1.imag * w1.imag
-    n2 = w2.real * w2.real + w2.imag * w2.imag
-    x = (n1 * w2.imag - n2 * w1.imag) / (2.0 * cross)
-    y = (n2 * w1.real - n1 * w2.real) / (2.0 * cross)
-    center = q1 + complex(x, y)
-    return center, abs(center - q1)
-
-
 def _canonical_disk(center: complex, radius: float) -> PlanarDomain:
     if center == 0j and radius == 1.0:
         return UnitDisk()
@@ -397,107 +374,47 @@ def _canonical_halfplane(normal: complex, offset: float) -> PlanarDomain:
     return HalfPlane(normal, offset)
 
 
-def _line_through(q1: complex, q2: complex, witness: complex) -> PlanarDomain:
-    """Half-plane bounded by the line q1-q2 that contains the witness point."""
-    direction = q2 - q1
-    length = abs(direction)
-    if length == 0.0:
-        raise UnsupportedImage("degenerate image line")
-    normal = 1j * direction / length
-    offset = q1.real * normal.real + q1.imag * normal.imag
-    side = witness.real * normal.real + witness.imag * normal.imag - offset
-    if side == 0.0:
-        raise UnsupportedImage("orientation witness landed on the image boundary")
-    if side < 0.0:
-        normal = -normal
-        offset = -offset
-    return _canonical_halfplane(normal, offset)
-
-
-def _disk_boundary_triple(domain: Disk | UnitDisk, avoid: complex | None) -> tuple[complex, complex, complex]:
-    center, radius = domain.center, domain.radius
-    for base in (0.0, 0.4, 0.9, 1.3):
-        pts = tuple(center + radius * cmath.exp(1j * (base + k * 2.0 * math.pi / 3.0)) for k in range(3))
-        if avoid is None or min(abs(p - avoid) for p in pts) >= 1e-3 * radius:
-            return pts
-    return pts
-
-
 def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
     """Exact image of a disk or half-plane under a Moebius map.
 
-    Determined from three boundary points plus one interior orientation
-    witness.  The boundary's point at infinity (half-plane sources) maps to
-    a/c, and a pole sitting exactly on the source boundary turns the image
-    boundary into a line; a pole merely within 1e-12 of the boundary is
-    ambiguous and raises UnsupportedImage, as does a pole strictly inside
-    the source (the image would be a circle exterior).
+    The source is {Q(z) < 0} with Q(z) = A|z|^2 + 2 Re(conj(B) z) + C and
+    s = sqrt(|B|^2 - AC); substituting z = (dw - b)/(a - cw) gives the image's
+    form (A', B', C') with |B'|^2 - A'C' = |ad - bc|^2 s^2 (Schwerdtfeger,
+    Geometry of Complex Numbers, ch. I), so the image is the disk of center
+    -B'/A' and radius |ad - bc| s / A'.  A' = |c|^2 Q(-d/c) is 0 exactly when
+    the pole lies on the source boundary, and the image is then a half-plane;
+    a pole within 1e-12 of the boundary is ambiguous and raises
+    UnsupportedImage, as does a pole strictly inside the source (the image
+    would be a circle exterior).
     """
     if not isinstance(m, Mobius):
         raise TypeError("mobius_image_domain needs a plain Mobius map")
-    is_disk = isinstance(domain, (UnitDisk, Disk))
-    is_half = isinstance(domain, (UpperHalfPlane, HalfPlane))
-    if not (is_disk or is_half):
+    if isinstance(domain, (UnitDisk, Disk)):
+        center, s = domain.center, domain.radius
+        A, B, C = 1.0, -center, abs(center) ** 2 - s * s
+    elif isinstance(domain, (UpperHalfPlane, HalfPlane)):
+        normal, offset = (1j, 0.0) if isinstance(domain, UpperHalfPlane) else (domain.normal, domain.offset)
+        A, B, C, s = 0.0, -normal / 2.0, offset, abs(normal) / 2.0
+    else:
         raise TypeError(f"not a planar domain: {domain!r}")
+    a, b, c, d = m.a, m.b, m.c, m.d
 
-    if m.c == 0:
-        # Affine map: no finite pole.  Disks map to disks with the same
-        # center image; half-planes map to half-planes.
-        if is_disk:
-            return _canonical_disk(apply(m, domain.center), abs(m.a / m.d) * domain.radius)
-        base, tangent, normal = halfplane_frame(domain)
-        q1 = apply(m, base)
-        q2 = apply(m, base + tangent)
-        witness = apply(m, base + normal)
-        return _line_through(q1, q2, witness)
-
-    pole = -m.d / m.c
-    sigma = signed_boundary_offset(domain, pole)
-
+    sigma = -math.inf if c == 0 else signed_boundary_offset(domain, -d / c)
     if sigma > 0.0:
         raise UnsupportedImage("pole lies inside the source domain; the image is a circle exterior")
     if sigma != 0.0 and -sigma <= IMAGE_AMBIGUITY_TOL:
         raise UnsupportedImage(
             f"pole within {IMAGE_AMBIGUITY_TOL} of the source boundary; image shape is ambiguous"
         )
-
-    if is_disk:
-        center, radius = domain.center, domain.radius
-        witness_src = center if abs(center - pole) >= POLE_FLOOR else center + 0.5 * radius
-        witness = apply(m, witness_src)
-        if sigma == 0.0:
-            # Pole exactly on the circle: the image boundary is a line.  The
-            # cardinal boundary points are exact floats, so classic cases
-            # (e.g. unit disk onto the upper half-plane) stay exact.
-            cardinals = [
-                complex(center.real + radius, center.imag),
-                complex(center.real, center.imag + radius),
-                complex(center.real - radius, center.imag),
-                complex(center.real, center.imag - radius),
-            ]
-            far = sorted(range(4), key=lambda k: (-abs(cardinals[k] - pole), k))
-            q1 = apply(m, cardinals[far[0]])
-            q2 = apply(m, cardinals[far[1]])
-            return _line_through(q1, q2, witness)
-        pts = _disk_boundary_triple(domain, pole)
-        q1, q2, q3 = (apply(m, p) for p in pts)
-        image_center, image_radius = _circumcircle(q1, q2, q3)
-        if abs(witness - image_center) >= image_radius:
-            raise UnsupportedImage("orientation witness fell outside the fitted image circle")
-        return _canonical_disk(image_center, image_radius)
-
-    base, tangent, normal = halfplane_frame(domain)
-    witness = apply(m, base + normal) if abs(base + normal - pole) >= POLE_FLOOR else apply(m, base + 2 * normal)
-    if sigma == 0.0:
-        # Pole on the boundary line: line image; step away from the pole.
-        tp = (pole - base).real * tangent.real + (pole - base).imag * tangent.imag
-        q1 = apply(m, base + (tp + 1.0) * tangent)
-        q2 = apply(m, base + (tp - 1.0) * tangent)
-        return _line_through(q1, q2, witness)
-    q1 = apply(m, base)
-    q2 = apply(m, base + tangent)
-    q3 = m.a / m.c  # image of the boundary line's point at infinity
-    image_center, image_radius = _circumcircle(q1, q2, q3)
-    if abs(witness - image_center) >= image_radius:
-        raise UnsupportedImage("orientation witness fell outside the fitted image circle")
-    return _canonical_disk(image_center, image_radius)
+    if math.isinf(sigma):  # no pole, or one past the float range: the map is affine
+        A2 = A * abs(d) ** 2
+    else:  # |c|^2 Q(-d/c) = -|c| sigma |c| (2s - sigma) on a disk, grouped so that neither factor underflows
+        A2 = -(abs(c) * sigma) * (abs(c) * (2.0 * s - sigma) if A else abs(c))
+    B2 = (
+        B.conjugate() * d * a.conjugate() + B * b.conjugate() * c - A * b.conjugate() * d - C * a.conjugate() * c
+    ).conjugate()
+    if A2 == 0.0:
+        C2 = A * abs(b) ** 2 + C * abs(a) ** 2 - 2.0 * (B.conjugate() * b * a.conjugate()).real
+        size = abs(B2)
+        return _canonical_halfplane(-B2 / size, C2 / (2.0 * size))
+    return _canonical_disk(-B2 / A2, abs(m.determinant()) * s / A2)

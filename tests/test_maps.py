@@ -9,6 +9,7 @@ import pytest
 import jmetric
 from jmetric.domains import (
     Disk,
+    HalfPlane,
     UnitDisk,
     UpperHalfPlane,
     contains,
@@ -208,6 +209,38 @@ class TestImageDomain:
         with pytest.raises(UnsupportedImage):
             mobius_image_domain(m, D)
 
+    # z -> z / (1e-170 z + 1): its pole at -1e170 is far outside every source below.
+    FAR_POLE = Mobius(1, 0, 1e-170, 1)
+
+    def test_far_pole_keeps_the_unit_disk_radius(self):
+        # |c|^2 Q(pole) is 1 here, but |c|^2 alone underflows to 0.
+        image = mobius_image_domain(self.FAR_POLE, D)
+        assert isinstance(image, Disk) and image.radius == 1.0
+
+    def test_far_pole_on_the_real_line_fixes_halfplane(self):
+        assert mobius_image_domain(self.FAR_POLE, H) == UpperHalfPlane()
+
+    def test_far_pole_keeps_the_disk_center(self):
+        assert mobius_image_domain(self.FAR_POLE, Disk(0.5 + 0.5j, 2.0)).center == 0.5 + 0.5j
+
+    def test_pole_on_the_disk_boundary_gives_a_halfplane(self):
+        src = Disk(0.5 + 0.25j, 1.5)
+        m = Mobius(1, 2j, 1, -2 - 0.25j)  # pole at 2+0.25j, on the boundary circle
+        assert signed_boundary_offset(src, -m.d / m.c) == 0.0
+        image = mobius_image_domain(m, src)
+        assert isinstance(image, HalfPlane)
+        for k in range(1, 100):  # k = 0 is the pole itself
+            theta = 2.0 * math.pi * k / 100.0
+            p = src.center + src.radius * cmath.exp(1j * theta)
+            assert abs(signed_boundary_offset(image, apply(m, p))) <= 1e-9
+        assert contains(image, apply(m, src.center))
+
+    def test_pole_past_the_float_range_is_affine(self):
+        m = Mobius(1, 0, 1e-300, 1e10)  # the pole, -1e310, rounds to -inf
+        assert mobius_image_domain(m, H) == UpperHalfPlane()
+        image = mobius_image_domain(m, Disk(1 + 1j, 0.5))
+        assert abs(image.center - (1e-10 + 1e-10j)) <= 1e-25 and abs(image.radius - 5e-11) <= 1e-25
+
     def test_sampled_consistency(self):
         u = Uniforms(substream(47, 0))
         from jmetric.verify import _random_image_source_and_mobius
@@ -228,7 +261,7 @@ class TestImageDomain:
             assert abs(signed_boundary_offset(image, apply(m, p))) <= 1e-9
 
     def test_tilted_halfplane_source(self):
-        from jmetric.domains import HalfPlane, halfplane_frame
+        from jmetric.domains import halfplane_frame
 
         normal = complex(math.cos(2.2), math.sin(2.2))
         src = HalfPlane(normal, 0.75)
@@ -245,8 +278,6 @@ class TestImageDomain:
             assert abs(signed_boundary_offset(image, apply(m, p))) <= 1e-9
 
     def test_affine_tilted_halfplane(self):
-        from jmetric.domains import HalfPlane
-
         normal = complex(math.cos(0.5), math.sin(0.5))
         src = HalfPlane(normal, -0.5)
         m = Mobius(2j, 1 - 1j, 0, 1)  # affine rotation-scale plus shift

@@ -1,5 +1,6 @@
 """Hypothesis properties: the j metric axioms, pseudo-hyperbolic invariance,
-text round trips, and the totality of guarded_ratio.
+text round trips, the totality of guarded_ratio, and a failing property
+reported without ending the pytest session.
 
 Every property runs derandomized (fixed example sequence, no example
 database) so Tier-1 stays deterministic.
@@ -7,6 +8,10 @@ database) so Tier-1 stays deterministic.
 
 import cmath
 import math
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
@@ -189,3 +194,44 @@ def test_guarded_ratio_never_raises_on_finite_inputs(src, dst, m, z, w):
     value = guarded_ratio(src, dst, m, z, w)
     assert value is None or math.isfinite(value)
     assert ratio_objective(src, dst, m, z, w) == (-math.inf if value is None else value)
+
+
+_FAILING_PROPERTY = """
+    import numpy as np
+    from hypothesis import given, settings, strategies as st
+
+
+    @settings(derandomize=True, database=None)
+    @given(st.integers())
+    def test_failing_property(x):
+        assert x < 0
+
+
+    def test_numpy_overflow():
+        np.float64(1e308) * 10.0
+
+
+    def test_passing():
+        pass
+"""
+
+
+def test_failing_property_leaves_the_session_running(tmp_path):
+    # Reporting a failing example imports hypothesis.extra._patching, and with it
+    # libcst where installed, whose DeprecationWarning must not become an error
+    # inside a pytest hook; a numpy warning must still fail its test.
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent(_FAILING_PROPERTY))
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+        + ["-q", "-rA", "test_probe.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    outcomes = {"test_failing_property": "FAILED", "test_numpy_overflow": "FAILED", "test_passing": "PASSED"}
+    for name, outcome in outcomes.items():
+        assert f"{outcome} test_probe.py::{name}" in run.stdout, run.stdout
