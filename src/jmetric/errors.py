@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one integer-argument check."""
+
+import math
+import numbers
 
 
 class JmetricError(Exception):
@@ -19,6 +22,12 @@ class UnsupportedImage(JmetricError):
 
 class DomainError(JmetricError):
     """A scalar argument violates its documented range."""
+
+
+def check_integer(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """Raise DomainError unless value is an integer (a bool is not one) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 class CoincidentPoints(JmetricError):

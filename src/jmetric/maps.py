@@ -27,7 +27,7 @@ from .domains import (
     _require_finite,
     signed_boundary_offset,
 )
-from .errors import DomainError, PoleEncountered, UnsupportedImage
+from .errors import DomainError, PoleEncountered, UnsupportedImage, check_integer
 from .sampling import sample_interior_points, substream
 
 __all__ = [
@@ -334,8 +334,7 @@ def maps_into_sampled(m: MapExpr, src: PlanarDomain, dst: PlanarDomain, n: int, 
     """Sampled certification that m sends n seeded interior points of src
     into dst.  A certification aid, not a proof; pole hits count as failure
     and are logged when the first failing point is one."""
-    if n < 1:
-        raise DomainError(f"need at least one sample point, got {n!r}")
+    check_integer("n", n, 1)
     z = sample_interior_points(src, substream(seed, 0), n, margin=1e-6)
     f, bad = apply_arrays(m, z)
     with np.errstate(all="ignore"):  # contains() for every image; a bad one is never inside

@@ -20,7 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .errors import DomainError
+from .errors import check_integer
 
 __all__ = ["default_threads", "run_ordered"]
 
@@ -67,8 +67,7 @@ def run_ordered(worker, arg_tuples, threads: int = 1) -> list:
     A pool that loses a worker raises BrokenProcessPool and is discarded, so
     the next call starts a fresh one.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be at least 1, got {threads!r}")
+    check_integer("threads", threads, 1)
     tasks = list(arg_tuples)
     workers = min(threads, len(tasks), default_threads())
     if workers <= 1:

@@ -7,9 +7,9 @@ not depend on how many workers ran the chunks, which is what makes suite
 reports bit-reproducible across thread counts.
 
 The scalar samplers (sample_interior, sample_interior_pair) make per-sample
-draws through a buffered ``Uniforms``; the array samplers
-(sample_interior_points, sample_interior_pairs) draw whole blocks straight
-from the chunk's generator.
+draws through a buffered ``Uniforms``; the array sampler
+sample_interior_points draws whole blocks straight from the chunk's
+generator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import CArr, Disk, PlanarDomain, UnitDisk, halfplane_frame, signed_boundary_offset
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 __all__ = [
     "substream",
@@ -25,7 +25,6 @@ __all__ = [
     "sample_interior",
     "sample_interior_points",
     "sample_interior_pair",
-    "sample_interior_pairs",
 ]
 
 # Extent of the sampling box used for the unbounded half-plane domains.
@@ -41,8 +40,7 @@ REJECTION_TRIES = 10_000
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the stream keyed by `seed` (>= 0)."""
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed!r}")
+    check_integer("seed", seed, 0)
     bg = np.random.Philox(seed)
     if index:
         bg = bg.jumped(index)
@@ -163,28 +161,3 @@ def sample_interior_pair(
         tries += 1
     return z, w
 
-
-def sample_interior_pairs(
-    domain: PlanarDomain,
-    rng: np.random.Generator,
-    count: int,
-    margin: float = 1e-3,
-    separation: float = 1e-9,
-    span: float = HALFPLANE_SPAN,
-) -> tuple[CArr, CArr]:
-    """count pairs (z[k], w[k]) of interior points at least `separation` apart.
-
-    Each round redraws only the w's still closer than `separation` to their
-    z; REJECTION_TRIES rounds that leave one close raise DomainError.
-    """
-    z = sample_interior_points(domain, rng, count, margin, span)
-    w = CArr(np.empty(count), np.empty(count))
-    close = np.arange(count)
-    for _ in range(REJECTION_TRIES):
-        redrawn = sample_interior_points(domain, rng, close.size, margin, span)
-        w.real[close], w.imag[close] = redrawn.real, redrawn.imag
-        close = close[abs(z[close] - w[close]) < separation]
-        if not close.size:
-            return z, w
-    first = complex(z.real[close[0]], z.imag[close[0]])
-    raise DomainError(f"no point {separation!r} away from {first!r} in {REJECTION_TRIES} rounds")

@@ -32,7 +32,7 @@ from .domains import (
     boundary_distance,
     halfplane_frame,
 )
-from .errors import DomainError, JmetricError, SelfMapViolation
+from .errors import DomainError, JmetricError, SelfMapViolation, check_integer
 from .grammar import _to_json, format_complex
 from .maps import (
     Extremal,
@@ -102,10 +102,10 @@ class SearchConfig:
             raise DomainError("boundary_margin must be positive")
         if not self.separation_floor > 0.0:
             raise DomainError("separation_floor must be positive")
-        if not 2 <= self.grid_per_axis <= _GRID_MAX:
-            raise DomainError(f"grid_per_axis must be in [2, {_GRID_MAX}], got {self.grid_per_axis!r}")
-        if not 0 <= self.refine_rounds <= _ROUNDS_MAX or self.refine_seeds < 0:
-            raise DomainError(f"refine_rounds must be in [0, {_ROUNDS_MAX}] and refine_seeds nonnegative")
+        check_integer("grid_per_axis", self.grid_per_axis, 2, _GRID_MAX)
+        check_integer("refine_rounds", self.refine_rounds, 0, _ROUNDS_MAX)
+        check_integer("refine_seeds", self.refine_seeds, 0)
+        check_integer("seed", self.seed, 0)
         if not 0.0 < self.shrink_factor < 1.0:
             raise DomainError("shrink_factor must be in (0, 1)")
 

@@ -11,8 +11,9 @@ scale (see _sp_margin).
 
 Samples whose image points are numerically boundary-coincident (computed
 boundary distance below 1e-9 relative to the image magnitude) or not finite
-cannot be evaluated meaningfully in floating point and are skipped; the skip
-count is kept on the report, and a run that skipped every sample fails.
+cannot be evaluated meaningfully in floating point and are skipped, as are
+pairs closer than PAIR_SEPARATION; the skip count is kept on the report, and a
+run that skipped every sample fails.
 
 Every suite is one row (trial, witness keys, tolerance, margin convention) of
 ``_ROWS``.  A trial draws a whole chunk from the chunk's Philox substream, maps
@@ -45,7 +46,7 @@ from .domains import (
     pseudo_hyperbolic_halfplane,
     signed_boundary_offset,
 )
-from .errors import CoincidentPoints, DomainError, PoleEncountered, PointOutsideDomain
+from .errors import CoincidentPoints, DomainError, PoleEncountered, PointOutsideDomain, check_integer
 from .grammar import _to_json, format_complex, format_domain, format_map
 from .maps import (
     Blaschke,
@@ -60,7 +61,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .sampling import REJECTION_TRIES, Uniforms, sample_interior_pairs, sample_interior_points, substream
+from .sampling import REJECTION_TRIES, Uniforms, sample_interior_points, substream
 
 __all__ = [
     "CheckReport",
@@ -87,7 +88,8 @@ __all__ = [
 # Sampling policy shared by all suites.  The half-plane box is kept modest:
 # slack roundoff grows like 1e-16 * |f| / Im f, and a span of 10 keeps that
 # comfortably below the 1e-12 contraction tolerances while X = |z-w|/s still
-# reaches ~1e4.
+# reaches ~1e4.  A pair closer than PAIR_SEPARATION is skipped where its gap
+# is scored.
 PAIR_MARGIN = 1e-3
 PAIR_SEPARATION = 1e-9
 HALFPLANE_SPAN = 10.0
@@ -369,20 +371,29 @@ def guarded_ratio(
     return ratio if math.isfinite(ratio) else None
 
 
-def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score):
-    """score(pz, pw, gap) of the pairs (z[k], w[k]) whose images are both usable, from
-    their per-point stages and gaps |z - w|; NaN for the other pairs."""
-    out = np.full(np.shape(z.real), math.nan)
-    with np.errstate(all="ignore"):
-        pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
-        keep = np.flatnonzero(pz.usable & pw.usable)
-        out[keep] = score(pz.take(keep), pw.take(keep), abs(z[keep] - w[keep]))
-    return out
-
-
 def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr | MapBatch, z: CArr, w: CArr):
     """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
-    return _scored_pairs(src, dst, m, z, w, functools.partial(_pair_ratios, log1p=_log1p_exact))
+    with np.errstate(all="ignore"):
+        pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
+        return np.where(pz.usable & pw.usable, _pair_ratios(pz, pw, abs(z - w), _log1p_exact), math.nan)
+
+
+def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:
+    """n pairs at PAIR_MARGIN, z then w as two blocks; the scorers skip the close ones."""
+    z = sample_interior_points(domain, rng, n, PAIR_MARGIN, HALFPLANE_SPAN)
+    return z, sample_interior_points(domain, rng, n, PAIR_MARGIN, HALFPLANE_SPAN)
+
+
+def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score):
+    """score(pz, pw, gap) of the pairs (z[k], w[k]) PAIR_SEPARATION apart with usable images,
+    from their per-point stages and gaps |z - w|; NaN for the other pairs."""
+    out = np.full(np.shape(z.real), math.nan)
+    with np.errstate(all="ignore"):
+        gap = abs(z - w)
+        pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
+        keep = np.flatnonzero(~(gap < PAIR_SEPARATION) & pz.usable & pw.usable)
+        out[keep] = score(pz.take(keep), pw.take(keep), gap[keep])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +552,8 @@ def _suite_chunk(name, seed, index, count):
 
 
 def _run_chunked(name, samples, seed, threads) -> CheckReport:
-    if not 1 <= samples <= _SAMPLES_MAX:
-        raise DomainError(f"samples must be in [1, {_SAMPLES_MAX}], got {samples!r}")
+    check_integer("samples", samples, 1, _SAMPLES_MAX)
+    check_integer("seed", seed, 0)
     _, _, tolerance, convention = _ROWS[name]
     full, rest = divmod(samples, _CHUNK)
     sizes = [_CHUNK] * full + ([rest] if rest else [])
@@ -574,12 +585,12 @@ def _images_trial(domain, family, score):
 
     def trial(rng, n):
         m = family(rng, n)
-        z, w = sample_interior_pairs(domain, rng, n, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+        z, w = _pairs(domain, rng, n)
         margins = np.full(n, math.nan)
         with np.errstate(all="ignore"):
             fz, _, ok_z = _images(domain, m, z)
             fw, _, ok_w = _images(domain, m, w)
-            keep = np.flatnonzero(ok_z & ok_w)
+            keep = np.flatnonzero(~(abs(z - w) < PAIR_SEPARATION) & ok_z & ok_w)
             margins[keep] = score(z[keep], w[keep], fz[keep], fw[keep])
         return margins, lambda k: (m[k], z.at(k), w.at(k))
 
@@ -619,8 +630,8 @@ def _trial_lipschitz_pair(rng, n):
     for src, family, index in ((_HALF, _halfplane_maps, on_half), (_DISK, _disk_maps, ~on_half)):
         index = np.flatnonzero(index)
         m = family(rng, index.size)
-        z, w = sample_interior_pairs(src, rng, index.size, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        margins[index] = 2.0 - guarded_ratios(src, src, m, z, w)
+        z, w = _pairs(src, rng, index.size)
+        margins[index] = 2.0 - _scored_pairs(src, src, m, z, w, functools.partial(_pair_ratios, log1p=_log1p_exact))
         parts.append((src, m, z, w))
 
     def values(k):
@@ -720,7 +731,7 @@ def _random_image_source_and_mobius(u: Uniforms):
 
 
 def _ceiling_block(src, dst, m, rng, count):
-    z, w = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    z, w = _pairs(src, rng, count)
     ratio = _scored_pairs(src, dst, m, z, w, lambda pz, pw, gap: _ranked_ratios(pz, pw, gap, 1, 2.0)[0])
     return _fold(2.0 - ratio, _PAIR, lambda k: (m, src, dst, z.at(k), w.at(k)))
 
@@ -751,7 +762,10 @@ def lipschitz_ceiling(
     "mobius-images" (map 0 is the Cayley map onto the unit disk, the rest are
     seeded Moebius maps evaluated against their computed image domains).
     """
-    if maps < 1 or pairs_per_map < 1 or maps * pairs_per_map > _SAMPLES_MAX:
+    check_integer("maps", maps, 1)
+    check_integer("pairs_per_map", pairs_per_map, 1)
+    check_integer("seed", seed, 0)
+    if maps * pairs_per_map > _SAMPLES_MAX:
         raise DomainError(f"maps, pairs_per_map must be >= 1, product <= {_SAMPLES_MAX}: {maps!r}, {pairs_per_map!r}")
     if kind not in _CEILING_KINDS:
         raise DomainError(f"unknown ceiling kind {kind!r}; choose from {', '.join(_CEILING_KINDS)}")

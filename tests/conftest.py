@@ -17,6 +17,7 @@ from jmetric.domains import UnitDisk, UpperHalfPlane, signed_boundary_offset
 from jmetric.errors import DomainError, PoleEncountered
 from jmetric.maps import MapBatch, apply
 from jmetric.verify import (
+    PAIR_SEPARATION,
     check_bound_2_3,
     check_g_negativity,
     check_identity_disk,
@@ -32,6 +33,8 @@ from jmetric.verify import (
 def _images_margin(name, m, z, w):
     disk = "disk" in name or name == "step-2-2"
     domain = UnitDisk() if disk else UpperHalfPlane()
+    if abs(z - w) < PAIR_SEPARATION:
+        return math.nan
     try:
         fz, fw = apply(m, z), apply(m, w)
         if not all(verify_module._trusted(f, signed_boundary_offset(domain, f)) for f in (fz, fw)):
@@ -64,7 +67,7 @@ def _scalar_margin(name, values):
         return -check_g_negativity(*values)
     if name == "lipschitz-pair":
         m, src, dst, z, w = values
-        ratio = guarded_ratio(src, dst, m, z, w)
+        ratio = None if abs(z - w) < PAIR_SEPARATION else guarded_ratio(src, dst, m, z, w)
         return math.nan if ratio is None else 2.0 - ratio
     return _images_margin(name, *values)
 

@@ -10,9 +10,10 @@ return exactly what a loop over the scalar call returns: the same bits, and
 NaN (or a bad mark) where the scalar raises or returns None.  The suite rows
 score each chunk on arrays too, and must give every sample the bits the
 public scalar checks give it on the sample's rebuilt map and points.  The
-array samplers draw whole blocks from the chunk's generator and have no
-scalar counterpart; their tests check margins, separations, bounded
-rejection and reproducibility instead.
+array sampler draws whole blocks from the chunk's generator and has no
+scalar counterpart; its tests check margins, bounded rejection and
+reproducibility instead, and that a pair closer than PAIR_SEPARATION is
+skipped where it is scored.
 """
 
 import logging
@@ -42,6 +43,7 @@ from jmetric.domains import (
     signed_boundary_offset,
 )
 from jmetric.errors import DomainError, JmetricError, PoleEncountered
+from jmetric.grammar import format_complex
 from jmetric.maps import (
     Blaschke,
     Compose,
@@ -53,7 +55,7 @@ from jmetric.maps import (
     maps_into_sampled,
     mobius_image_domain,
 )
-from jmetric.sampling import Uniforms, sample_interior_pairs, sample_interior_points, substream
+from jmetric.sampling import Uniforms, sample_interior_points, substream
 from jmetric.search import (
     _GRID_ROWS_PER_CHUNK,
     SearchConfig,
@@ -77,6 +79,7 @@ from jmetric.verify import (
     _ceiling_block,
     _ceiling_chunk,
     _halfplane_maps,
+    _pairs,
     _point_stage,
     _random_image_source_and_mobius,
     _ranked_ratios,
@@ -361,7 +364,7 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
     # The Cayley map sends the half-plane onto the unit disk; 1.2 times it
     # sends most pairs partly outside, which both forms skip.
     rng = substream(5, 0)
-    z, w = sample_interior_pairs(UpperHalfPlane(), rng, 500, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    z, w = _pairs(UpperHalfPlane(), rng, 500)
     skipped = []
     for m in (_CAYLEY, Mobius(1.2, -1.2j, 1, 1j)):
         ratio = guarded_ratios(UpperHalfPlane(), UnitDisk(), m, z, w)
@@ -380,37 +383,25 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
 @pytest.mark.parametrize("count", [0, 1, 7, 3000])
 def test_points_and_pairs_keep_margin_and_separation(domain, count):
+    # The suites' pairs are two point blocks that nothing keeps apart; none of these
+    # comes within PAIR_SEPARATION, where the scorers would skip it.
     rng = substream(11, 2)
     points = sample_interior_points(domain, rng, count, 1e-2, 10.0)
-    z, w = sample_interior_pairs(domain, rng, count, 1e-2, 0.05, 10.0)
-    for x in (points, z, w):
+    z, w = _pairs(domain, rng, count)
+    for x, margin in ((points, 1e-2), (z, PAIR_MARGIN), (w, PAIR_MARGIN)):
         assert x.real.shape == x.imag.shape == (count,)
-        assert (signed_boundary_offset(domain, x) >= 1e-2).all()
-    assert (abs(z - w) >= 0.05).all()
-
-
-def test_large_separation_redraws_only_the_close_pairs():
-    # Separation 0 redraws nothing; separation 1 redraws the w's of a good
-    # share of unit-disk pairs, and only those.
-    z, w = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 0.0)
-    far_z, far_w = sample_interior_pairs(UnitDisk(), substream(3, 1), 2000, PAIR_MARGIN, 1.0)
-    assert far_w.real.shape == (2000,)
-    assert (abs(far_z - far_w) >= 1.0).all()
-    close = abs(z - w) < 1.0
-    assert 100 < close.sum() < 1900
-    assert np.array_equal(far_z.real, z.real) and np.array_equal(far_z.imag, z.imag)
-    assert np.array_equal(far_w.real[~close], w.real[~close]) and (far_w.real[close] != w.real[close]).all()
+        assert (signed_boundary_offset(domain, x) >= margin).all()
+    assert (abs(z - w) >= PAIR_SEPARATION).all()
 
 
 @pytest.mark.parametrize(
     "draw, error",
     [
         (lambda rng: sample_interior_points(UnitDisk(), rng, 3, 1 - 1e-9), "no point of"),
-        (lambda rng: sample_interior_pairs(UnitDisk(), rng, 3, PAIR_MARGIN, 3.0), "away from"),
         # the bounding square is wider than the float range: every candidate overflows
         (lambda rng: sample_interior_points(Disk(0j, 1e308), rng, 3), "no point of"),
     ],
-    ids=["margin", "separation", "huge-disk"],
+    ids=["margin", "huge-disk"],
 )
 def test_unreachable_points_raise_in_bounded_time(draw, error):
     start = time.perf_counter()
@@ -422,8 +413,8 @@ def test_unreachable_points_raise_in_bounded_time(draw, error):
 @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
 def test_same_generator_state_gives_the_same_arrays(domain):
     a, b = substream(5, 4), substream(5, 4)
-    first = sample_interior_pairs(domain, a, 500, 1e-2, 0.5, 10.0)
-    second = sample_interior_pairs(domain, b, 500, 1e-2, 0.5, 10.0)
+    first = [sample_interior_points(domain, a, 500, 1e-2, 10.0) for _ in range(2)]
+    second = [sample_interior_points(domain, b, 500, 1e-2, 10.0) for _ in range(2)]
     assert all(np.array_equal(x.real, y.real) and np.array_equal(x.imag, y.imag) for x, y in zip(first, second))
     assert a.random() == b.random()
 
@@ -434,8 +425,8 @@ def test_same_generator_state_gives_the_same_arrays(domain):
 
 
 def _reference_ceiling_chunk(kind, seed, index, pairs):
-    """The chunk's own pairs, drawn in the same _CHUNK blocks, scored one
-    by one with the scalar guarded_ratio and kept on a strict <."""
+    """The chunk's own pairs, drawn and scored in the same _CHUNK blocks by
+    _reference_ceiling_block, the blocks kept on a strict <."""
     rng = substream(seed, index)
     if kind == "halfplane":
         src, dst, m = UpperHalfPlane(), UpperHalfPlane(), _halfplane_maps(rng, 1)[0]
@@ -447,16 +438,10 @@ def _reference_ceiling_chunk(kind, seed, index, pairs):
         dst = verify_module.mobius_image_domain(m, src)
     worst, witness, skipped = math.inf, {}, 0
     for start in range(0, pairs, _CHUNK):
-        count = min(_CHUNK, pairs - start)
-        zs, ws = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
-        for k in range(count):
-            z, w = element(zs, k), element(ws, k)
-            ratio = guarded_ratio(src, dst, m, z, w)
-            if ratio is None:
-                skipped += 1
-            elif 2.0 - ratio < worst:
-                worst = 2.0 - ratio
-                witness = _witness(_PAIR, (m, src, dst, z, w))
+        margin, block_witness, block_skipped = _reference_ceiling_block(src, dst, m, rng, min(_CHUNK, pairs - start))
+        skipped += block_skipped
+        if margin < worst:
+            worst, witness = margin, block_witness
     return worst, witness, skipped
 
 
@@ -487,12 +472,13 @@ def test_ceiling_chunk_keeps_the_first_of_equal_margins(draw_only):
 
 
 def _reference_ceiling_block(src, dst, m, rng, count):
-    """One block of pairs scored one by one with guarded_ratio, kept on a strict <."""
+    """One block of pairs, z then w drawn as two point blocks, scored one by one with
+    guarded_ratio (a pair closer than PAIR_SEPARATION skipped), kept on a strict <."""
     worst, witness, skipped = math.inf, {}, 0
-    zs, ws = sample_interior_pairs(src, rng, count, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    zs, ws = (sample_interior_points(src, rng, count, PAIR_MARGIN, HALFPLANE_SPAN) for _ in range(2))
     for k in range(count):
         z, w = element(zs, k), element(ws, k)
-        ratio = guarded_ratio(src, dst, m, z, w)
+        ratio = None if abs(z - w) < PAIR_SEPARATION else guarded_ratio(src, dst, m, z, w)
         if ratio is None:
             skipped += 1
         elif 2.0 - ratio < worst:
@@ -519,7 +505,7 @@ def test_ranked_ratios_rescore_every_pair_on_the_worst_margin():
     # slack of 1e-12 relative to r would leave it out; the slack in margin space
     # (verify._LOG1P_SLACK) must rescore all three.
     disk, m = UnitDisk(), _SHRINKING[2]
-    z, w = sample_interior_pairs(disk, substream(0, 0), 4096, PAIR_MARGIN, PAIR_SEPARATION, HALFPLANE_SPAN)
+    z, w = _pairs(disk, substream(0, 0), 4096)
     with np.errstate(all="ignore"):
         pz, pw = _point_stage(disk, disk, m, z), _point_stage(disk, disk, m, w)
         ratio, exact = _ranked_ratios(pz, pw, abs(z - w), 1, 2.0)
@@ -571,6 +557,37 @@ def test_suite_chunk_keeps_the_first_of_equal_margins_and_counts_skips(scalar_ma
             assert new == (0.0, _witness(("map", "z", "w"), values(0)), 0)
         else:
             assert 0 < new[2] < 3000
+
+
+_CLOSE_PAIR_RUNS = {
+    "ceiling-block": lambda n: _ceiling_block(UnitDisk(), UnitDisk(), Blaschke(0.3, (0.5j,)), substream(1, 0), n),
+    "step-1-2": lambda n: _suite_chunk("step-1-2", 1, 0, n),
+    "schwarz-pick-disk-equality": lambda n: _suite_chunk("schwarz-pick-disk-equality", 1, 0, n),
+    "lipschitz-pair": lambda n: _suite_chunk("lipschitz-pair", 1, 0, n),
+}
+
+
+@pytest.mark.parametrize("name", _CLOSE_PAIR_RUNS)
+def test_a_pair_closer_than_the_separation_is_skipped_and_counted(monkeypatch, name):
+    draw, run, close = verify_module._pairs, _CLOSE_PAIR_RUNS[name], []
+
+    def pairs(domain, rng, n):
+        # Pair 0 of every block drawn is moved 1e-10 apart, well inside PAIR_SEPARATION.
+        z, w = draw(domain, rng, n)
+        if n:
+            w.real[0], w.imag[0] = z.real[0] + 1e-10, z.imag[0]
+            close.append(format_complex(element(z, 0)))
+        return z, w
+
+    unmoved = run(64)
+    monkeypatch.setattr(verify_module, "_pairs", pairs)
+    # Alone, the close pair leaves nothing to score: no margin and no witness.
+    assert run(1) == (math.inf, {}, 1)
+    # Among 63 others, it is counted and is never the witness.
+    close.clear()
+    margin, witness, skipped = run(64)
+    assert margin < math.inf and witness["z"] not in close
+    assert 1 <= len(close) <= skipped <= unmoved[2] + len(close)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import jmetric
 from jmetric import cli
 from jmetric.cli import main
+from jmetric.maps import Mobius
 from jmetric.search import extremal_ratio
 import jmetric.verify as verify_module
 
@@ -92,6 +93,11 @@ class TestMapEval:
         code, _, _ = run(capsys, "map-eval", "--map", "mobius:1,0,0", "--z", "0")
         assert code == 2
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "map-eval", "--map", "extremal:0,0", "--z", "0+1i", "--output", "json")
+        assert code == 0
+        assert json.loads(out) == {"map": "extremal:0,0", "z": "0.0+1.0i", "value": "0.0+1.0i"}
+
     def test_overflowing_evaluation_is_exit_3(self, capsys):
         code, out, _ = run(capsys, "map-eval", "--map", "mobius:1,0,1.4,1", "--z", "1.2e308+1.2e308i")
         assert (code, out) == (3, "")
@@ -166,6 +172,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "identity-disk", "--samples", "10")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_plain_report_counts_skips(self, capsys, draw_only):
+        # A shift sends some disk pairs out of the disk: those samples are skipped.
+        draw_only(Mobius(1, 0.5, 0, 1))
+        argv = ["verify", "--suite", "schwarz-pick-disk", "--samples", "300", "--seed", "4", "--threads", "1"]
+        code, out, _ = run(capsys, *argv, "--output", "plain")
+        skipped = verify_module.run_suite("schwarz-pick-disk", 300, 4, 1).skipped
+        assert 0 < skipped < 300
+        assert code == 1 and out.startswith("schwarz-pick-disk: FAIL samples=300 seed=4 worst_margin=")
+        assert out.endswith(f" convention=rounding-scaled skipped={skipped}\n")
 
     def test_all_fails_when_one_suite_fails(self, capsys, monkeypatch):
         import jmetric.verify
@@ -339,6 +355,20 @@ class TestExtremal:
         code, _, _ = run(capsys, "extremal", "--t", "1,zebra")
         assert code == 2
 
+    def test_no_offsets_exit_2(self, capsys):
+        code, out, err = run(capsys, "extremal", "--t", ",")
+        assert (code, out) == (2, "")
+        assert "--t must name at least one offset" in err
+
+    def test_json_and_plain(self, capsys):
+        code, out, _ = run(capsys, "extremal", "--a", "0", "--b", "0", "--t", "1,10", "--output", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["t"] for row in rows] == [1.0, 10.0]
+        assert all(row["closed_form"] == extremal_ratio(row["t"]) and row["abs_rel_gap"] <= 1e-9 for row in rows)
+        code, out, _ = run(capsys, "extremal", "--a", "0", "--b", "0", "--t", "1,10", "--output", "plain")
+        assert (code, out) == (0, "1 1.2715533 1.2715533\n10 1.92670906 1.92670906\n")
+
     def test_negative_offset_exit_3(self, capsys):
         code, _, _ = run(capsys, "extremal", "--t", "-1")
         assert code == 3
@@ -416,6 +446,12 @@ class TestConfigFile:
         code, out, _ = run(capsys, "dist", "--config", str(cfg), "--w", "0+0i")
         assert code == 0
         assert out == "0.693147181\n"  # log 2
+
+    def test_blank_and_comment_lines_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# unit disk\n\ndomain=unitdisk\n   \nz=0.5+0i\n  # w below\nw=-0.5+0i\n")
+        code, out, _ = run(capsys, "dist", "--config", str(cfg))
+        assert (code, out) == (0, "1.09861229\n")
 
     def test_malformed_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -87,6 +87,13 @@ class TestDerivative:
             assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
 
 
+def test_map_batch_index_past_its_samples_is_an_index_error():
+    batch = _disk_maps(substream(5, 0), 3)
+    assert isinstance(batch[2], (Blaschke, Compose))
+    with pytest.raises(IndexError, match="no sample 3"):
+        batch[3]
+
+
 class TestMobiusAlgebra:
     def sample_points(self, count=100, seed=3):
         u = Uniforms(substream(seed, 0))
@@ -204,6 +211,12 @@ class TestImageDomain:
         with pytest.raises(UnsupportedImage):
             mobius_image_domain(Mobius(0, 1, 1, 0), D)
 
+    def test_non_mobius_map_or_domain_is_a_type_error(self):
+        with pytest.raises(TypeError, match="plain Mobius"):
+            mobius_image_domain(Extremal(0.0, 0.0), H)
+        with pytest.raises(TypeError, match="not a planar domain"):
+            mobius_image_domain(IDENTITY, 0.5j)
+
     def test_near_tangent_pole_ambiguous(self):
         m = Mobius(1, 0, 1, 1 + 1e-13)  # pole at -(1 + 1e-13), almost on the circle
         with pytest.raises(UnsupportedImage):
@@ -302,6 +315,11 @@ class TestSelfMapSampling:
 
     def test_cayley_into_disk(self):
         assert maps_into_sampled(CAYLEY, H, D, 1000, 42)
+
+    @pytest.mark.parametrize("n, seed", [(2.5, 42), (True, 42), (0, 42), (10, 1.5), (10, -1)])
+    def test_non_integer_count_or_seed_rejected(self, n, seed):
+        with pytest.raises(DomainError, match="must be an integer in"):
+            maps_into_sampled(CAYLEY, H, D, n, seed)
 
 
 class TestImageModulusBound:

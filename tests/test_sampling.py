@@ -77,3 +77,9 @@ def test_empty_prefetch_rejected():
 def test_negative_seed_rejected():
     with pytest.raises(DomainError):
         substream(-1, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_non_integer_seed_rejected(seed):
+    with pytest.raises(DomainError, match="seed must be an integer in"):
+        substream(seed, 0)

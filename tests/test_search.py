@@ -244,7 +244,7 @@ class TestEstimateLipschitz:
         # 256 points per axis already make ~2**32 pairs; past it the grid is refused
         # before any point is built.
         assert SearchConfig(grid_per_axis=256).grid_per_axis == 256
-        with pytest.raises(DomainError, match=r"grid_per_axis must be in \[2, 256\], got 257"):
+        with pytest.raises(DomainError, match=r"grid_per_axis must be an integer in \[2, 256\], got 257"):
             SearchConfig(grid_per_axis=257)
 
     def test_report_json_shape(self):
@@ -299,9 +299,38 @@ def test_negative_refine_counts_rejected(field):
         SearchConfig(**{field: -3})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("grid_per_axis", 8.5), ("grid_per_axis", True), ("refine_rounds", 2.0), ("refine_seeds", 2.5), ("seed", -1),
+     ("seed", 1.5)],
+)
+def test_non_integer_or_negative_config_rejected(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be an integer in"):
+        SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-7, math.nan])
+def test_nonpositive_separation_floor_rejected(floor):
+    with pytest.raises(DomainError, match="separation_floor must be positive"):
+        SearchConfig(separation_floor=floor)
+
+
+def test_margin_at_the_disk_radius_leaves_no_region():
+    with pytest.raises(DomainError, match="boundary_margin leaves no interior to search"):
+        estimate_lipschitz(D, HALF_AUT, SearchConfig(boundary_margin=1.0))
+
+
+def test_images_all_within_the_trust_floor_leave_no_feasible_pair():
+    # f(z) = z / 1e10 + 1 - 1e-9 sends the disk into itself, but every image lies
+    # within 1.1e-9 of the circle, under the trust floor IMAGE_TRUST (1 + |f|).
+    m = Mobius(1.0, 1e10 - 10.0, 0, 1e10)
+    with pytest.raises(DomainError, match="no feasible pair"):
+        estimate_lipschitz(D, m, SearchConfig(grid_per_axis=8))
+
+
 def test_refine_rounds_past_the_cap_rejected():
     assert SearchConfig(refine_rounds=search_module._ROUNDS_MAX).refine_rounds == 10_000
-    with pytest.raises(DomainError, match=r"refine_rounds must be in \[0, 10000\]"):
+    with pytest.raises(DomainError, match=r"refine_rounds must be an integer in \[0, 10000\]"):
         SearchConfig(refine_rounds=search_module._ROUNDS_MAX + 1)
 
 

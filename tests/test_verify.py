@@ -7,7 +7,7 @@ import pytest
 import jmetric.parallel as parallel_module
 import jmetric.verify as verify_module
 from jmetric.domains import UnitDisk, UpperHalfPlane, pseudo_hyperbolic_disk, pseudo_hyperbolic_halfplane
-from jmetric.errors import CoincidentPoints, DomainError, JmetricError
+from jmetric.errors import CoincidentPoints, DomainError, JmetricError, PointOutsideDomain
 from jmetric.grammar import parse_complex, parse_domain, parse_map
 from jmetric.maps import Blaschke, Extremal, Mobius, apply
 from jmetric.sampling import Uniforms, sample_interior_pair, substream
@@ -113,6 +113,21 @@ class TestInequalityChain:
     def test_bound_2_3_square_hand_value(self):
         assert abs(check_bound_2_3(SQUARE, 0.7 + 0j) - 0.21) < 1e-15
 
+    @pytest.mark.parametrize(
+        "check, args, message",
+        [
+            (check_step_1_2, (IDENTITY, -1j, 1j), "points must lie in upperhalfplane"),
+            (check_step_1_2, (Mobius(1, -5j, 0, 1), 1j, 2j), "image points left upperhalfplane"),
+            (check_step_2_2, (IDENTITY, 0.5 + 0j, 1.5 + 0j), "points must lie in unitdisk"),
+            (check_step_2_2, (Mobius(1, 0.9, 0, 1), 0.5 + 0j, 0.1 + 0j), "image points left unitdisk"),
+            (check_bound_2_3, (SQUARE, 1.0 + 0j), "point must lie in the unit disk"),
+        ],
+        ids=["step-1-2-point", "step-1-2-image", "step-2-2-point", "step-2-2-image", "bound-2-3-point"],
+    )
+    def test_points_or_images_outside_the_domain_raise(self, check, args, message):
+        with pytest.raises(PointOutsideDomain, match=message):
+            check(*args)
+
 
 class TestGFunction:
     def test_threshold_hand_value(self):
@@ -145,6 +160,12 @@ class TestGFunction:
             t_c = g_threshold(c)
             t_ar = g_threshold_from_modulus(a, r)
             assert abs(t_c - t_ar) <= 1e-12 * max(1.0, t_ar)
+
+    def test_threshold_from_modulus_edges(self):
+        assert g_threshold_from_modulus(0.0, 0.5) == math.inf
+        for a_mod, r in ((1.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, math.nan)):
+            with pytest.raises(DomainError, match="needs arguments in"):
+                g_threshold_from_modulus(a_mod, r)
 
     def test_g_negativity_hand_value(self):
         got = check_g_negativity(0.6, 2.0)
@@ -361,6 +382,8 @@ class TestCeilings:
         monkeypatch.setattr(verify_module, "run_ordered", no_chunks)
         with pytest.raises(DomainError, match="halfplane, disk, mobius-images"):
             lipschitz_ceiling("nonsense", 4, 10, 0, 2)
+        with pytest.raises(DomainError, match="kind must be 'halfplane' or 'disk', got 'wedge'"):
+            run_schwarz_pick_equality("wedge", 10, 0)
 
 
 class TestRunSizeCaps:
@@ -376,9 +399,9 @@ class TestRunSizeCaps:
 
     def test_samples_past_the_cap_rejected(self):
         cap = verify_module._SAMPLES_MAX
-        with pytest.raises(DomainError, match=rf"samples must be in \[1, {cap}\], got {cap + 1}"):
+        with pytest.raises(DomainError, match=rf"samples must be an integer in \[1, {cap}\], got {cap + 1}"):
             run_suite("identity-disk", cap + 1)
-        with pytest.raises(DomainError, match="samples must be in"):
+        with pytest.raises(DomainError, match="samples must be an integer in"):
             run_schwarz_pick_equality("disk", cap + 1)
         with pytest.raises(AssertionError, match="run_ordered called"):
             run_suite("identity-disk", cap)
@@ -393,10 +416,39 @@ class TestRunSizeCaps:
         with pytest.raises(AssertionError, match="run_ordered called"):
             lipschitz_ceiling("disk", 1, verify_module._SAMPLES_MAX)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_suite("identity-disk", True),
+            lambda: run_suite("identity-disk", 2.5),
+            lambda: run_suite("identity-disk", 10, 1.5),
+            lambda: run_suite("identity-disk", 10, -1),
+            lambda: run_schwarz_pick_equality("disk", np.float64(10)),
+            lambda: lipschitz_ceiling("disk", 2.5, 10),
+            lambda: lipschitz_ceiling("disk", 2, False),
+            lambda: lipschitz_ceiling("disk", 2, 10, "0"),
+        ],
+        ids=["samples-bool", "samples-float", "seed-float", "seed-negative", "samples-numpy-float",
+             "maps-float", "pairs-bool", "seed-str"],
+    )
+    def test_non_integer_arguments_rejected_before_any_chunk(self, call):
+        with pytest.raises(DomainError, match="must be an integer in"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        with pytest.raises(AssertionError, match="run_ordered called"):
+            run_suite("identity-disk", np.int64(10), np.uint32(3))
+
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_nonpositive_threads_rejected(threads):
     with pytest.raises(DomainError):
+        run_suite("identity-disk", 10, 0, threads)
+
+
+@pytest.mark.parametrize("threads", [1.5, True])
+def test_non_integer_threads_rejected(threads):
+    with pytest.raises(DomainError, match=r"threads must be an integer in \[1, inf\]"):
         run_suite("identity-disk", 10, 0, threads)
     with pytest.raises(DomainError):
         lipschitz_ceiling("disk", 2, 10, 0, threads)
