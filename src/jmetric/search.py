@@ -350,6 +350,7 @@ def estimate_lipschitz(
     always reproducible by re-evaluating ratio_objective at the reported
     witness; a best ratio past THEORETICAL_CEILING + 1e-9 raises JmetricError.
     """
+    check_integer("threads", threads, 1)
     cfg = SearchConfig() if cfg is None else cfg
     if dst is not None:
         if not maps_into_sampled(m, src, dst, 1000, cfg.seed):

@@ -289,6 +289,13 @@ def test_nonpositive_threads_rejected(threads):
         estimate_lipschitz(D, HALF_AUT, QUICK, threads)
 
 
+@pytest.mark.parametrize("threads", [1.5, True])
+def test_non_integer_threads_rejected(threads):
+    # _seeds caps threads at the worker count, so run_ordered alone would see 1.
+    with pytest.raises(DomainError, match=r"threads must be an integer in \[1, inf\]"):
+        estimate_lipschitz(D, HALF_AUT, QUICK, threads)
+
+
 def test_overflowing_image_infeasible():
     assert ratio_objective(H, H, Mobius(1e300, 0, 0, 1e-10), 1j, 2j) == -math.inf
 

@@ -444,6 +444,8 @@ class TestRunSizeCaps:
 def test_nonpositive_threads_rejected(threads):
     with pytest.raises(DomainError):
         run_suite("identity-disk", 10, 0, threads)
+    with pytest.raises(DomainError):
+        lipschitz_ceiling("disk", 2, 10, 0, threads)
 
 
 @pytest.mark.parametrize("threads", [1.5, True])
