@@ -55,6 +55,9 @@ _log = logging.getLogger(__name__)
 # a search region can produce, so only true poles trigger it.
 POLE_FLOOR = 1e-300
 
+# Below this, max(|Re den|, |Im den|) leaves |den| finite: sqrt(2) * max / 2 < max.
+_HYPOT_SAFE = np.finfo(float).max / 2
+
 MOBIUS_DEGENERACY_TOL = 1e-12
 BLASCHKE_ZERO_BOUND = 1.0 - 1e-12
 
@@ -261,8 +264,15 @@ def _on_arrays(formula, m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
     bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
 
     def mark(den, pole, at):
-        size = np.hypot(den.real, den.imag)  # abs() raises where this overflows on finite parts
-        bad[...] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(den.real) & np.isfinite(den.imag))
+        # top <= |den| <= sqrt(2) top (tests/test_arrays.py pins it for np.hypot), so a
+        # den with top in [POLE_FLOOR, _HYPOT_SAFE] is neither a pole hit nor an overflow.
+        top = np.maximum(abs(den.real), abs(den.imag))
+        sure = (top >= POLE_FLOOR) & (top <= _HYPOT_SAFE)
+        if not sure.all():
+            odd = np.broadcast_to(~sure, bad.shape)  # a complex den, from a constant inner map, is every point's
+            x, y = np.broadcast_to(den.real, bad.shape)[odd], np.broadcast_to(den.imag, bad.shape)[odd]
+            size = np.hypot(x, y)  # abs() raises where this overflows on finite parts
+            bad[odd] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(x) & np.isfinite(y))
 
     with np.errstate(all="ignore"):
         try:
@@ -270,6 +280,8 @@ def _on_arrays(formula, m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
         except ZeroDivisionError:  # a constant inner map sits on the outer map's pole: every point is bad
             f = complex(math.nan, math.nan)
     bad |= ~(np.isfinite(f.real) & np.isfinite(f.imag))
+    if isinstance(f, CArr) and f.real.shape == bad.shape:
+        return f, bad
     # A degree-0 Blaschke product, alone or outermost, is one complex for every point.
     return CArr(np.broadcast_to(f.real, bad.shape), np.broadcast_to(f.imag, bad.shape)), bad
 

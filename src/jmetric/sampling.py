@@ -57,8 +57,7 @@ class Uniforms:
     __slots__ = ("_rng", "_buf", "_pos")
 
     def __init__(self, rng: np.random.Generator, prefetch: int = 4096):
-        if prefetch < 1:
-            raise DomainError(f"prefetch must be at least 1, got {prefetch!r}")
+        check_integer("prefetch", prefetch, 1)
         self._rng = rng
         self._buf = rng.random(prefetch).tolist()
         self._pos = 0
@@ -121,21 +120,24 @@ def sample_interior_points(
     """count interior points with boundary distance >= margin.
 
     Disks draw, each round, as many candidates from the bounding square as
-    points are still missing and keep those at `margin`; REJECTION_TRIES
-    rounds that leave points missing raise DomainError.  Half-planes draw the
-    box coordinates t and h of sample_interior as two arrays.
+    points are still missing, as one (2, n) draw of x and y (the stream of
+    two n-draws), and write those at `margin` into one buffer;
+    REJECTION_TRIES rounds that leave points missing raise DomainError.
+    Half-planes draw the box coordinates t and h of sample_interior as two
+    arrays.
     """
+    check_integer("count", count, 0)
     if isinstance(domain, (UnitDisk, Disk)):
         cx, cy, r = _disk_box(domain, margin)
-        re = im = np.empty(0)
-        for _ in range(REJECTION_TRIES):
-            with np.errstate(all="ignore"):  # a square wider than the float range holds no finite point
-                x = (cx - r) + 2.0 * r * rng.random(count - re.size)
-                y = (cy - r) + 2.0 * r * rng.random(count - re.size)
-                keep = signed_boundary_offset(domain, CArr(x, y)) >= margin
-            re, im = np.concatenate((re, x[keep])), np.concatenate((im, y[keep]))
-            if re.size == count:
-                return CArr(re, im)
+        corner, out, filled = np.array([[cx - r], [cy - r]]), np.empty((2, count)), 0
+        with np.errstate(all="ignore"):  # a square wider than the float range holds no finite point
+            for _ in range(REJECTION_TRIES):
+                xy = corner + 2.0 * r * rng.random((2, count - filled))
+                kept = np.compress(signed_boundary_offset(domain, CArr(xy[0], xy[1])) >= margin, xy, axis=1)
+                out[:, filled : filled + kept.shape[1]] = kept
+                filled += kept.shape[1]
+                if filled == count:
+                    return CArr(out[0], out[1])
         raise DomainError(f"no point of {domain!r} at margin {margin!r} in {REJECTION_TRIES} rounds")
     base, tangent, normal = halfplane_frame(domain)
     t = rng.uniform(-span, span, count)

@@ -387,12 +387,15 @@ def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:
 def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score):
     """score(pz, pw, gap) of the pairs (z[k], w[k]) PAIR_SEPARATION apart with usable images,
     from their per-point stages and gaps |z - w|; NaN for the other pairs."""
-    out = np.full(np.shape(z.real), math.nan)
     with np.errstate(all="ignore"):
         gap = abs(z - w)
         pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
-        keep = np.flatnonzero(~(gap < PAIR_SEPARATION) & pz.usable & pw.usable)
-        out[keep] = score(pz.take(keep), pw.take(keep), gap[keep])
+        keep = ~(gap < PAIR_SEPARATION) & pz.usable & pw.usable
+        if keep.all():
+            return score(pz, pw, gap)
+        index = np.flatnonzero(keep)
+        out = np.full(np.shape(z.real), math.nan)
+        out[index] = score(pz.take(index), pw.take(index), gap[index])
     return out
 
 

@@ -20,6 +20,7 @@ import logging
 import math
 import operator
 import struct
+import sys
 import time
 
 import numpy as np
@@ -296,6 +297,14 @@ def _scalar(call, m, z):
 @example(Blaschke(0.7, ()), [(-math.inf, 0.0), (0.5, 0.5)], [])
 @example(Mobius(1e300, 0, 0, 1e-300), [(1e10, 0.0), (0.5, 0.5)], [])  # a value past the float range
 @example(Extremal(0.0, 0.0), [(0.0, 1e-160), (0.0, 1e-200)], [])  # slopes past it: den * den subnormal, or 0
+# A constant inner value puts every point's denominator at 1e-301i: every point is a pole hit.
+@example(Compose(Extremal(0.0, -1.0), Blaschke(1e-301, ())), [(0.5, 0.5), (-3.0, 0.0), (0.0, 2.0)], [])
+# Denominators (den = z) one ulp around the pole floor, below it with |den| near it, subnormal,
+# and at the float max / 2 bound of the pole guard's larger part and past it.
+@example(Extremal(0.0, 0.0), [(math.nextafter(1e-300, 0.0), 0.0), (1e-300, 0.0), (0.0, math.nextafter(1e-300, 1.0))], [])
+@example(Extremal(0.0, 0.0), [(1e-300 / math.sqrt(2.0), 1e-300 / math.sqrt(2.0)), (-7.0711e-301, 7.0711e-301)], [])
+@example(Extremal(0.0, 0.0), [(5e-324, 0.0), (1e-310, -1e-310), (2.0**-1022, 2.0**-1022)], [])
+@example(Extremal(0.0, 0.0), [(1e307, 1e307), (8.98846567431158e307, 0.0), (9e307, -9e307), (1.3e308, 1.3e308)], [])
 def test_apply_arrays_match_apply(m, points, nudges):
     # derivative and maps._slope on arrays keep the same contract.
     points = points + [(p.real + t, p.imag - t) for p in _poles(m) for t in nudges + [0.0]]
@@ -883,6 +892,32 @@ def test_distortion_seeds_step_left_at_the_region_edge(monkeypatch):
         coords, ratios, _ = _seeds(src, dst, m, region, cfg, 1)
     w_real = _check_distortion_seeds(src, dst, m, region, cfg, coords, ratios, ranked)
     assert [wa < a[i] for wa, i in zip(w_real, ranked)] == [False] * 3 + [True] * 3
+
+
+def test_np_hypot_lies_between_the_larger_part_and_1_5_times_it():
+    """The bound behind maps._on_arrays' pole guard: with top = max(|x|, |y|), top <=
+    np.hypot(x, y) <= 1.5 top, so a top in [POLE_FLOOR, float max / 2] is neither a pole
+    hit nor past the float range and needs no hypot.  np.hypot is libm's; a libm that
+    breaks the bound must fail here, not mark the wrong points."""
+    rng = np.random.default_rng(18)
+    n = 200_000
+    with np.errstate(all="ignore"):
+        x = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1075, 1024, n)) * rng.choice([-1.0, 1.0], n)
+        # The smaller part anywhere from 0 to the larger one, over 60 binades below it.
+        y = x * rng.uniform(-1.0, 1.0, n) * 2.0 ** -rng.integers(0, 60, n)
+        edges = [0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300 / math.sqrt(2.0), 1e-300, 1.0]
+        edges += [1e307, maps_module._HYPOT_SAFE, sys.float_info.max, math.inf]
+        edges += [-e for e in edges]
+        ex, ey = (a.ravel() for a in np.meshgrid(edges, edges))
+        x, y = np.concatenate([x, y, ex]), np.concatenate([y, x, ey])
+        top = np.maximum(abs(x), abs(y))
+        size = np.hypot(x, y)
+        assert np.all(top <= size) and np.all(size <= 1.5 * top)
+    # A NaN part, either one, leaves top NaN, outside the bracket, so hypot decides that point.
+    edges, nan = np.array(edges + [math.nan]), np.full(len(edges) + 1, math.nan)
+    for x, y in ((edges, nan), (nan, edges)):
+        top = np.maximum(abs(x), abs(y))
+        assert not np.any((top >= maps_module.POLE_FLOOR) & (top <= maps_module._HYPOT_SAFE))
 
 
 def test_np_log1p_is_within_4_ulps_of_math_log1p():
