@@ -29,7 +29,6 @@ __all__ = [
     "contains",
     "boundary_distance",
     "j_distance",
-    "j_distances",
     "CArr",
     "pseudo_hyperbolic_disk",
     "pseudo_hyperbolic_halfplane",
@@ -259,12 +258,6 @@ def _j(gap, bz, bw, log1p):
     j = np.full(x.shape, math.nan)
     j[ok] = log1p(x[ok])
     return j
-
-
-def j_distances(domain: PlanarDomain, z: CArr, w: CArr):
-    """j_distance for every pair (z[k], w[k]), NaN where j_distance raises."""
-    with np.errstate(all="ignore"):
-        return _j(abs(z - w), signed_boundary_offset(domain, z), signed_boundary_offset(domain, w), _log1p_exact)
 
 
 def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:

@@ -396,10 +396,23 @@ def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
     the pole lies on the source boundary, and the image is then a half-plane;
     a pole within 1e-12 of the boundary is ambiguous and raises
     UnsupportedImage, as does a pole strictly inside the source (the image
-    would be a circle exterior).
+    would be a circle exterior) and a form past the float range.
+
+    The image depends only on the ratios of a, b, c, d, and A', B', C' and
+    ad - bc are homogeneous of degree 2 in them, so the four are first scaled
+    by the power of 2 that brings their largest component into [1/2, 1): that
+    changes no bit of an image (unless a product underflows) and keeps the
+    squares of huge coefficients in range.
     """
     if not isinstance(m, Mobius):
         raise TypeError("mobius_image_domain needs a plain Mobius map")
+    try:
+        return _mobius_image(m, domain)
+    except OverflowError as exc:  # float ** and abs() raise past the float range
+        raise UnsupportedImage(f"the image of {domain!r} has a form past the float range") from exc
+
+
+def _mobius_image(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
     if isinstance(domain, (UnitDisk, Disk)):
         center, s = domain.center, domain.radius
         A, B, C = 1.0, -center, abs(center) ** 2 - s * s
@@ -417,6 +430,8 @@ def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
         raise UnsupportedImage(
             f"pole within {IMAGE_AMBIGUITY_TOL} of the source boundary; image shape is ambiguous"
         )
+    k = 2.0 ** -math.frexp(max(abs(v) for x in (a, b, c, d) for v in (x.real, x.imag)))[1]
+    a, b, c, d = (complex(x.real * k, x.imag * k) for x in (a, b, c, d))
     if math.isinf(sigma):  # no pole, or one past the float range: the map is affine
         A2 = A * abs(d) ** 2
     else:  # |c|^2 Q(-d/c) = -|c| sigma |c| (2s - sigma) on a disk, grouped so that neither factor underflows
@@ -428,4 +443,4 @@ def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
         C2 = A * abs(b) ** 2 + C * abs(a) ** 2 - 2.0 * (B.conjugate() * b * a.conjugate()).real
         size = abs(B2)
         return _canonical_halfplane(-B2 / size, C2 / (2.0 * size))
-    return _canonical_disk(-B2 / A2, abs(m.determinant()) * s / A2)
+    return _canonical_disk(-B2 / A2, abs(a * d - b * c) * s / A2)

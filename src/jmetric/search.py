@@ -3,15 +3,15 @@
 The supremum of j_dst(f(z), f(w)) / j_src(z, w) over interior pairs is
 estimated by a deterministic tensor grid over the four real coordinates of
 (z, w) followed by coordinatewise pattern search from the best grid cells
-and from local-distortion seed points, all scored through guarded_ratios'
-two stages.  The grid maps and guards each point once (the per-point stage),
+and from local-distortion seed points, all scored through verify's two
+stages.  The grid maps and guards each point once (the per-point stage),
 ranks the local-distortion seeds from those values and the derivatives, and
 scores each block of z rows from gathers of them (the pair stage), rescoring
 with math.log1p only the pairs that can reach the block's top list (on a pool
-only from 2**20 pairs per worker); the walks move in lockstep.  Only lower
-bounds are ever claimed: the supremum is typically attained in boundary or
-infinity limits, so no finite search can certify an upper bound; the ceiling
-2 comes from theory.
+only from 2**20 pairs per worker); the seeds and the lockstep walks score
+through verify._guarded_ratios.  Only lower bounds are ever claimed: the
+supremum is typically attained in boundary or infinity limits, so no finite
+search can certify an upper bound; the ceiling 2 comes from theory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .domains import (
     PlanarDomain,
     UnitDisk,
     UpperHalfPlane,
-    _log1p_exact,
     boundary_distance,
     halfplane_frame,
 )
@@ -47,7 +46,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .verify import _pair_ratios, _point_stage, _ranked_ratios, check_lipschitz_pair, guarded_ratio
+from .verify import _guarded_ratios, _point_stage, _ranked_ratios, check_lipschitz_pair, guarded_ratio
 
 __all__ = [
     "SearchConfig",
@@ -98,10 +97,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.boundary_margin > 0.0:
-            raise DomainError("boundary_margin must be positive")
-        if not self.separation_floor > 0.0:
-            raise DomainError("separation_floor must be positive")
+        for name in ("boundary_margin", "separation_floor"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
         check_integer("grid_per_axis", self.grid_per_axis, 2, _GRID_MAX)
         check_integer("refine_rounds", self.refine_rounds, 0, _ROUNDS_MAX)
         check_integer("refine_seeds", self.refine_seeds, 0)
@@ -259,16 +257,6 @@ def _distortion_order(m, points, stage):
     return order[np.lexsort((order, -(abs(slope) * stage.offset / stage.f_offset)[order]))]
 
 
-def _pair_scores(src, dst, m, z: CArr, w: CArr):
-    """(guarded_ratio of every pair (z[k], w[k]), NaN where it gives None; |z - w|),
-    with z and w mapped in one per-point stage; call under np.errstate."""
-    n = len(z.real)
-    stage = _point_stage(src, dst, m, CArr(np.concatenate([z.real, w.real]), np.concatenate([z.imag, w.imag])))
-    pz, pw = stage.take(slice(None, n)), stage.take(slice(n, None))
-    gap = abs(z - w)
-    return np.where(pz.usable & pw.usable, _pair_ratios(pz, pw, gap, _log1p_exact), math.nan), gap
-
-
 def _seeds(src, dst, m, region, cfg, threads):
     """The walks' seed pairs as 4 x S coordinates, their ratios (NaN where infeasible)
     and the evaluations spent on them: the best grid pairs, then, at the most
@@ -293,7 +281,7 @@ def _seeds(src, dst, m, region, cfg, threads):
     at = _distortion_order(m, points, stage)[: cfg.refine_seeds]
     offset, both = max(10.0 * cfg.separation_floor, 1e-6), np.concatenate([at, at])
     wa, wb = region.clip(a[both] + np.repeat([offset, -offset], len(at)), b[both])
-    ratio, gap = _pair_scores(src, dst, m, points[both], region.point(wa, wb))
+    ratio, gap = _guarded_ratios(src, dst, m, points[both], region.point(wa, wb))
     far = ~(gap < cfg.separation_floor)
     right = far[: len(at)]
     pick = np.where(right, np.arange(len(at)), np.arange(len(at), 2 * len(at)))[right | far[len(at):]]
@@ -321,7 +309,7 @@ def _walk(src, dst, m, region, cfg, coords, best):
             cand = np.concatenate([coords, coords], axis=1)
             cand[k] += np.concatenate([steps[k], -steps[k]])
             cand[:2], cand[2:] = region.clip(cand[0], cand[1]), region.clip(cand[2], cand[3])
-            ratio, gap = _pair_scores(src, dst, m, region.point(cand[0], cand[1]), region.point(cand[2], cand[3]))
+            ratio, gap = _guarded_ratios(src, dst, m, region.point(cand[0], cand[1]), region.point(cand[2], cand[3]))
             far = ~(gap < cfg.separation_floor)
             up = far & (ratio > np.concatenate([best, best]))
             plus, minus = up[:width], up[width:] & ~up[:width]

@@ -12,8 +12,8 @@ scale (see _sp_margin).
 Samples whose image points are numerically boundary-coincident (computed
 boundary distance below 1e-9 relative to the image magnitude) or not finite
 cannot be evaluated meaningfully in floating point and are skipped, as are
-pairs closer than PAIR_SEPARATION; the skip count is kept on the report, and a
-run that skipped every sample fails.
+pairs closer than PAIR_SEPARATION: one _scored_pairs admits every pair that
+suites and ceilings score.  A run keeps its skip count and fails if it skipped all.
 
 Every suite is one row (trial, witness keys, tolerance, margin convention) of
 ``_ROWS``.  A trial draws a whole chunk from the chunk's Philox substream, maps
@@ -77,7 +77,6 @@ __all__ = [
     "check_g_negativity",
     "check_lipschitz_pair",
     "guarded_ratio",
-    "guarded_ratios",
     "run_suite",
     "run_all_suites",
     "run_schwarz_pick_equality",
@@ -88,8 +87,7 @@ __all__ = [
 # Sampling policy shared by all suites.  The half-plane box is kept modest:
 # slack roundoff grows like 1e-16 * |f| / Im f, and a span of 10 keeps that
 # comfortably below the 1e-12 contraction tolerances while X = |z-w|/s still
-# reaches ~1e4.  A pair closer than PAIR_SEPARATION is skipped where its gap
-# is scored.
+# reaches ~1e4.  _scored_pairs skips a pair closer than PAIR_SEPARATION.
 PAIR_MARGIN = 1e-3
 PAIR_SEPARATION = 1e-9
 HALFPLANE_SPAN = 10.0
@@ -275,18 +273,10 @@ def _trusted(f, offset):
     return IMAGE_TRUST * (1.0 + abs(f)) <= offset
 
 
-def _images(domain: PlanarDomain, m, z: CArr):
-    """(f, f's signed offset from the boundary of domain, mask of the points whose
-    image apply gives and _trusted accepts); call under np.errstate."""
-    f, bad = apply_arrays(m, z)
-    offset = signed_boundary_offset(domain, f)
-    return f, offset, _trusted(f, offset) & ~bad
-
-
 class _Points(NamedTuple):
-    """The per-point stage of guarded_ratios: a point's offset from the source
-    boundary, its image, the image's offset from the destination boundary, and
-    whether the image is usable (see _images)."""
+    """The per-point stage of _guarded_ratios and _scored_pairs: a point's offset from
+    the source boundary, its image, the image's offset from the destination boundary,
+    and whether the image is usable (apply gives it and _trusted accepts it)."""
 
     offset: np.ndarray
     f: CArr
@@ -299,11 +289,13 @@ class _Points(NamedTuple):
 
 def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr) -> _Points:
     """_Points of every point of z; call under np.errstate."""
-    return _Points(signed_boundary_offset(src, z), *_images(dst, m, z))
+    f, bad = apply_arrays(m, z)
+    f_offset = signed_boundary_offset(dst, f)
+    return _Points(signed_boundary_offset(src, z), f, f_offset, _trusted(f, f_offset) & ~bad)
 
 
 def _pair_ratios(pz: _Points, pw: _Points, gap, log1p):
-    """The pair stage of guarded_ratios: j_dst(f(z), f(w)) / j_src(z, w) for pairs of
+    """The pair stage of _guarded_ratios: j_dst(f(z), f(w)) / j_src(z, w) for pairs of
     points with usable images, from their per-point values pz, pw (gathered to the
     pairs) and their gaps |z - w|; NaN where the ratio is not finite.  log1p as
     for domains._j; call under np.errstate."""
@@ -371,11 +363,14 @@ def guarded_ratio(
     return ratio if math.isfinite(ratio) else None
 
 
-def guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr | MapBatch, z: CArr, w: CArr):
-    """guarded_ratio for every pair (z[k], w[k]), NaN where it returns None."""
-    with np.errstate(all="ignore"):
-        pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
-        return np.where(pz.usable & pw.usable, _pair_ratios(pz, pw, abs(z - w), _log1p_exact), math.nan)
+def _guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: CArr, w: CArr):
+    """(guarded_ratio of every pair (z[k], w[k]), NaN where it gives None; |z - w|),
+    with z and w mapped in one per-point stage; call under np.errstate."""
+    n = len(z.real)
+    stage = _point_stage(src, dst, m, CArr(np.concatenate([z.real, w.real]), np.concatenate([z.imag, w.imag])))
+    pz, pw = stage.take(slice(None, n)), stage.take(slice(n, None))
+    gap = abs(z - w)
+    return np.where(pz.usable & pw.usable, _pair_ratios(pz, pw, gap, _log1p_exact), math.nan), gap
 
 
 def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:
@@ -385,17 +380,17 @@ def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:
 
 
 def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score):
-    """score(pz, pw, gap) of the pairs (z[k], w[k]) PAIR_SEPARATION apart with usable images,
-    from their per-point stages and gaps |z - w|; NaN for the other pairs."""
+    """score(z, w, pz, pw, gap) of the pairs (z[k], w[k]) PAIR_SEPARATION apart with usable images,
+    from the pairs, their per-point stages and gaps |z - w|; NaN for the other pairs."""
     with np.errstate(all="ignore"):
         gap = abs(z - w)
         pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
         keep = ~(gap < PAIR_SEPARATION) & pz.usable & pw.usable
         if keep.all():
-            return score(pz, pw, gap)
+            return score(z, w, pz, pw, gap)
         index = np.flatnonzero(keep)
         out = np.full(np.shape(z.real), math.nan)
-        out[index] = score(pz.take(index), pw.take(index), gap[index])
+        out[index] = score(z[index], w[index], pz.take(index), pw.take(index), gap[index])
     return out
 
 
@@ -589,12 +584,7 @@ def _images_trial(domain, family, score):
     def trial(rng, n):
         m = family(rng, n)
         z, w = _pairs(domain, rng, n)
-        margins = np.full(n, math.nan)
-        with np.errstate(all="ignore"):
-            fz, _, ok_z = _images(domain, m, z)
-            fw, _, ok_w = _images(domain, m, w)
-            keep = np.flatnonzero(~(abs(z - w) < PAIR_SEPARATION) & ok_z & ok_w)
-            margins[keep] = score(z[keep], w[keep], fz[keep], fw[keep])
+        margins = _scored_pairs(domain, domain, m, z, w, lambda z, w, pz, pw, gap: score(z, w, pz.f, pw.f))
         return margins, lambda k: (m[k], z.at(k), w.at(k))
 
     return trial
@@ -634,7 +624,8 @@ def _trial_lipschitz_pair(rng, n):
         index = np.flatnonzero(index)
         m = family(rng, index.size)
         z, w = _pairs(src, rng, index.size)
-        margins[index] = 2.0 - _scored_pairs(src, src, m, z, w, functools.partial(_pair_ratios, log1p=_log1p_exact))
+        ratio = _scored_pairs(src, src, m, z, w, lambda z, w, pz, pw, gap: _pair_ratios(pz, pw, gap, _log1p_exact))
+        margins[index] = 2.0 - ratio
         parts.append((src, m, z, w))
 
     def values(k):
@@ -735,7 +726,7 @@ def _random_image_source_and_mobius(u: Uniforms):
 
 def _ceiling_block(src, dst, m, rng, count):
     z, w = _pairs(src, rng, count)
-    ratio = _scored_pairs(src, dst, m, z, w, lambda pz, pw, gap: _ranked_ratios(pz, pw, gap, 1, 2.0)[0])
+    ratio = _scored_pairs(src, dst, m, z, w, lambda z, w, pz, pw, gap: _ranked_ratios(pz, pw, gap, 1, 2.0)[0])
     return _fold(2.0 - ratio, _PAIR, lambda k: (m, src, dst, z.at(k), w.at(k)))
 
 

@@ -321,6 +321,15 @@ class TestSearch:
         assert (code, out) == (3, "")
         assert "margin" in err
 
+    def test_huge_mobius_coefficients_search_their_image(self, capsys):
+        # The image domain's forms square the 1e200 coefficients; float ** raised OverflowError.
+        code, out, _ = run(
+            capsys, "search", "--domain", "upperhalfplane", "--map", "mobius:0+1e200i,1e200,1,1e200",
+            "--grid", "4", "--rounds", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["best_ratio"] <= 2.0 + 1e-9
+
     @pytest.mark.parametrize("margin", ["1e-200", "2"])
     def test_margin_without_height_range_is_exit_3(self, capsys, margin):
         code, out, _ = run(

@@ -254,6 +254,18 @@ class TestImageDomain:
         image = mobius_image_domain(m, Disk(1 + 1j, 0.5))
         assert abs(image.center - (1e-10 + 1e-10j)) <= 1e-25 and abs(image.radius - 5e-11) <= 1e-25
 
+    def test_huge_coefficients_keep_a_representable_image(self):
+        # |d|^2 = 1e400 overflowed float **; the image depends only on the coefficients' ratios.
+        assert mobius_image_domain(Mobius(1, 0, 0, 1e200), D) == Disk(0j, 1e-200)
+        # f(z) = (1e200 i z + 1e200) / (z + 1e200) sends the real line to the line through
+        # f(0) = 1 and f(inf) = 1e200 i, and f(i) = 0 lies inside.
+        assert mobius_image_domain(Mobius(1e200j, 1e200, 1, 1e200), H) == HalfPlane(-1 - 1e-200j, -1.0)
+
+    def test_source_form_past_the_float_range_is_unsupported(self):
+        # The source's own form holds |center|^2 = 1e400.
+        with pytest.raises(UnsupportedImage, match="past the float range"):
+            mobius_image_domain(Mobius(1, 0, 1, -1e200 - 5), Disk(1e200 + 0j, 1.0))
+
     def test_sampled_consistency(self):
         u = Uniforms(substream(47, 0))
         from jmetric.verify import _random_image_source_and_mobius

@@ -235,6 +235,9 @@ class TestEstimateLipschitz:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SearchConfig(boundary_margin=0.0)
+        for margin in (math.inf, math.nan):  # math.log of an infinite margin raised ValueError
+            with pytest.raises(DomainError, match="boundary_margin must be positive and finite"):
+                SearchConfig(boundary_margin=margin)
         with pytest.raises(DomainError):
             SearchConfig(grid_per_axis=1)
         with pytest.raises(DomainError):
@@ -316,7 +319,7 @@ def test_non_integer_or_negative_config_rejected(field, value):
         SearchConfig(**{field: value})
 
 
-@pytest.mark.parametrize("floor", [0.0, -1e-7, math.nan])
+@pytest.mark.parametrize("floor", [0.0, -1e-7, math.nan, math.inf])
 def test_nonpositive_separation_floor_rejected(floor):
     with pytest.raises(DomainError, match="separation_floor must be positive"):
         SearchConfig(separation_floor=floor)
