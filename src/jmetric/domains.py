@@ -262,7 +262,11 @@ def _j(gap, bz, bw, log1p):
 
 def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
     """|(z - w) / (1 - conj(w) z)| for two points of the unit disk (or two CArr of them)."""
-    if not np.all((abs(z) < 1.0) & (abs(w) < 1.0)):
+    try:
+        inside = np.all((abs(z) < 1.0) & (abs(w) < 1.0))
+    except OverflowError:  # abs() of a complex past ~1.3e308 per coordinate: far outside
+        inside = False
+    if not inside:
         raise PointOutsideDomain("pseudo_hyperbolic_disk needs points inside the unit disk")
     return abs((z - w) / (1.0 - w.conjugate() * z))
 

@@ -396,7 +396,8 @@ def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
     the pole lies on the source boundary, and the image is then a half-plane;
     a pole within 1e-12 of the boundary is ambiguous and raises
     UnsupportedImage, as does a pole strictly inside the source (the image
-    would be a circle exterior) and a form past the float range.
+    would be a circle exterior) and a form past the float range or so small
+    that it underflows to 0.
 
     The image depends only on the ratios of a, b, c, d, and A', B', C' and
     ad - bc are homogeneous of degree 2 in them, so the four are first scaled
@@ -408,8 +409,8 @@ def mobius_image_domain(m: Mobius, domain: PlanarDomain) -> PlanarDomain:
         raise TypeError("mobius_image_domain needs a plain Mobius map")
     try:
         return _mobius_image(m, domain)
-    except OverflowError as exc:  # float ** and abs() raise past the float range
-        raise UnsupportedImage(f"the image of {domain!r} has a form past the float range") from exc
+    except (OverflowError, ZeroDivisionError) as exc:  # float ** and abs() past the range, or a form underflowing to 0
+        raise UnsupportedImage(f"the image of {domain!r} has a form past the float range or underflowing to 0") from exc
 
 
 def _mobius_image(m: Mobius, domain: PlanarDomain) -> PlanarDomain:

@@ -118,14 +118,22 @@ def _sq(x):
 
 
 def check_identity_halfplane(x: complex, y: complex) -> float:
-    """Residual of |x - conj(y)|^2 - |x - y|^2 = 4 Im x Im y (zero on all of C)."""
-    return _sq(abs(x - y.conjugate())) - _sq(abs(x - y)) - 4.0 * x.imag * y.imag
+    """Residual of |x - conj(y)|^2 - |x - y|^2 = 4 Im x Im y (zero on all of C);
+    DomainError where a modulus is past the float range."""
+    try:
+        return _sq(abs(x - y.conjugate())) - _sq(abs(x - y)) - 4.0 * x.imag * y.imag
+    except OverflowError as exc:  # abs() of a complex past ~1.3e308 per coordinate
+        raise DomainError(f"check_identity_halfplane: a modulus of {x!r}, {y!r} is past the float range") from exc
 
 
 def check_identity_disk(x: complex, y: complex) -> float:
-    """Residual of |1 - conj(x) y|^2 - |x - y|^2 = (1 - |x|^2)(1 - |y|^2)."""
-    lhs = _sq(abs(1.0 - x.conjugate() * y)) - _sq(abs(x - y))
-    rhs = (1.0 - _sq(abs(x))) * (1.0 - _sq(abs(y)))
+    """Residual of |1 - conj(x) y|^2 - |x - y|^2 = (1 - |x|^2)(1 - |y|^2);
+    DomainError where a modulus is past the float range."""
+    try:
+        lhs = _sq(abs(1.0 - x.conjugate() * y)) - _sq(abs(x - y))
+        rhs = (1.0 - _sq(abs(x))) * (1.0 - _sq(abs(y)))
+    except OverflowError as exc:  # abs() of a complex past ~1.3e308 per coordinate
+        raise DomainError(f"check_identity_disk: a modulus of {x!r}, {y!r} is past the float range") from exc
     return lhs - rhs
 
 
@@ -178,8 +186,13 @@ def _step_1_2_sides(z: complex, w: complex, fz: complex, fw: complex) -> tuple[f
 
 def check_step_1_2(m: MapExpr, z: complex, w: complex) -> float:
     """Slack of |f(z)-f(w)|/S <= (|z-w|/s) sqrt(1 + |f(z)-f(w)|/S) on the
-    half-plane, with s, S the smaller source/image heights."""
-    lhs, rhs = _step_1_2_sides(z, w, *_images_inside(_HALF, m, z, w))
+    half-plane, with s, S the smaller source/image heights; DomainError
+    where |z - w| or |f(z) - f(w)| is past the float range."""
+    images = _images_inside(_HALF, m, z, w)
+    try:
+        lhs, rhs = _step_1_2_sides(z, w, *images)
+    except OverflowError as exc:  # abs() of a complex past ~1.3e308 per coordinate
+        raise DomainError(f"check_step_1_2: |z - w| or |f(z) - f(w)| is past the float range at {z!r}, {w!r}") from exc
     return float(rhs - lhs)
 
 
@@ -205,7 +218,11 @@ def _relative_slack(sides, z: complex, w: complex, fz: complex, fw: complex) -> 
 
 def check_bound_2_3(m: MapExpr, z: complex) -> float:
     """Slack of |f(z)| <= (|z| + |f(0)|) / (1 + |f(0)| |z|) for disk self-maps."""
-    if abs(z) >= 1.0:
+    try:
+        outside = abs(z) >= 1.0
+    except OverflowError:  # abs() of a complex past ~1.3e308 per coordinate: far outside
+        outside = True
+    if outside:
         raise PointOutsideDomain("point must lie in the unit disk")
     a_mod = abs(apply(m, 0j))
     return image_modulus_bound(a_mod, abs(z)) - abs(apply(m, z))

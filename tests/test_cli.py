@@ -330,6 +330,15 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["best_ratio"] <= 2.0 + 1e-9
 
+    def test_image_form_underflowing_to_zero_is_exit_3(self, capsys):
+        # Scaled to the 1e200 coefficient, the others underflow and the image's form is 0.
+        code, out, err = run(
+            capsys, "search", "--domain", "upperhalfplane", "--map", "mobius:1e-200,0+1e-200i,0,1e200",
+            "--grid", "4", "--rounds", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "underflowing to 0" in err
+
     @pytest.mark.parametrize("margin", ["1e-200", "2"])
     def test_margin_without_height_range_is_exit_3(self, capsys, margin):
         code, out, _ = run(

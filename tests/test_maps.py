@@ -266,6 +266,17 @@ class TestImageDomain:
         with pytest.raises(UnsupportedImage, match="past the float range"):
             mobius_image_domain(Mobius(1, 0, 1, -1e200 - 5), Disk(1e200 + 0j, 1.0))
 
+    def test_form_underflowing_to_zero_is_unsupported(self):
+        # Scaled by 2^-1023, c and d underflow to 0, and so do A' and the normal B'.
+        m = Mobius(
+            1e-09 + 1e154j,
+            0.9543661518941426 + 5.896722912831162e307j,
+            1e-200 + 1.166456438081192e-200j,
+            -1e-300 + 3.377212519333679e-201j,
+        )
+        with pytest.raises(UnsupportedImage, match="underflowing to 0"):
+            mobius_image_domain(m, H)
+
     def test_sampled_consistency(self):
         u = Uniforms(substream(47, 0))
         from jmetric.verify import _random_image_source_and_mobius

@@ -461,23 +461,23 @@ class _PoolStopped(Exception):
 
 
 def test_pool_never_asks_for_more_workers_than_cpus(monkeypatch):
-    # A stand-in executor records the pool size it is asked for and starts no process.
+    # A stand-in pool records the pool size it is asked for and starts no process.
     requested = []
 
     class Recorder:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+        def __init__(self, workers):
+            requested.append(workers)
 
-        def map(self, fn, *iterables):
+        def run(self, worker, tasks):
             raise _PoolStopped
 
-        def shutdown(self, wait=True):
+        def close(self, kill=False):
             pass
 
     # Start from no pool, and drop the cached stand-in when the test ends.
     parallel_module._shutdown()
     monkeypatch.setattr(parallel_module, "_pool", None)
-    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(parallel_module, "_Pool", Recorder)
     monkeypatch.setattr(parallel_module, "default_threads", lambda: 3)
     with pytest.raises(_PoolStopped):
         run_suite("g-negativity", 4096 * 5000, 0, threads=100_000)  # 5,000 chunks
@@ -567,6 +567,23 @@ class TestRobustness:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError):
             run_suite("identity-disk", 10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "error, check, args",
+        [
+            (PointOutsideDomain, pseudo_hyperbolic_disk, (-1e-9 - 1j, -1.7e308 - 1.7e308j)),
+            (DomainError, check_identity_halfplane, (1.7e308 + 1.7e308j, 1j)),
+            (DomainError, check_identity_disk, (0.5 - 1.7e308j, -1 + 0.62j)),
+            (PointOutsideDomain, check_bound_2_3, (IDENTITY, 1.7e308 - 1.7e308j)),
+            (PointOutsideDomain, check_schwarz_pick_disk, (Blaschke(-1.4e-200, ()), 1e200 + 2e200j, 1.7e308 - 1.7e308j)),
+            (DomainError, check_step_1_2, (Blaschke(1.64, ()), 7.471e307 + 1.7e308j, 4.595e-161j)),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else None,
+    )
+    def test_modulus_past_the_float_range_raises_package_error(self, error, check, args):
+        # abs() of each of these raised a bare OverflowError.
+        with pytest.raises(error):
+            check(*args)
 
     def test_check_lipschitz_pair_overflow_raises_package_error(self):
         with pytest.raises(JmetricError):
