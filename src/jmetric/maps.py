@@ -93,6 +93,18 @@ class MapExpr:
 
         return type(self)(*(pick(getattr(self, f.name)) for f in dataclasses.fields(self)))
 
+    def take(self, rows) -> MapExpr:
+        """Maps `rows` of maps made by of_arrays, made by of_arrays; a parameter that is no array is shared."""
+
+        def pick(value):
+            if isinstance(value, tuple):
+                return tuple(map(pick, value))
+            if isinstance(value, (MapExpr, MapBatch)):
+                return value.take(rows)
+            return value[rows] if isinstance(value, (np.ndarray, CArr)) else value
+
+        return type(self).of_arrays(*(pick(getattr(self, f.name)) for f in dataclasses.fields(self)))
+
 
 @dataclass(frozen=True)
 class Mobius(MapExpr):
@@ -175,6 +187,15 @@ class MapBatch:
                 return m.at(pos)
         raise IndexError(f"no sample {k!r} in the batch")
 
+    def take(self, rows) -> MapBatch:
+        """The samples `rows` (increasing) as a batch of their own, numbered from 0."""
+        groups = []
+        for index, m in self.groups:
+            mine = np.flatnonzero(np.isin(rows, index))
+            if mine.size:
+                groups.append((mine, m.take(np.searchsorted(index, rows[mine]))))
+        return MapBatch(tuple(groups))
+
 
 def _turn(rotation):
     """e^(i rotation) as cmath.exp gives it, for a float or an array of floats: the
@@ -208,28 +229,45 @@ def _value(m: MapExpr, z, guard):
     raise TypeError(f"not a map expression: {m!r}")
 
 
-def _slope(m: MapExpr, z, guard):
-    """m' at z by the closed forms and the chain rule; z and guard as for _value."""
+def _divided(m: MapExpr, z, w, guard):
+    """The divided difference (m(z) - m(w)) / (z - w) by closed forms that do not cancel
+    (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), and m'(z) where w is z (the same
+    object); z, w and guard as for _value."""
     if isinstance(m, Blaschke):
-        # The product rule one factor at a time; safe at the zeros of the product itself.
+        # phi[z, w] = (1 - |a|^2) / ((1 - conj(a) z)(1 - conj(a) w)) per factor, and one pass
+        # D <- D phi(w) + V phi[z, w], V <- V phi(z); at w = z this is the product rule.  |a|^2
+        # is r * r: ** 2 calls pow() on a float but squares an array, which can differ.
         value, slope = _turn(m.rotation), 0j
         for a in m.zeros:
             den = 1.0 - a.conjugate() * z
             guard(den, "Blaschke pole", z)
             factor = (z - a) / den
-            slope = slope * factor + value * ((1.0 - abs(a) ** 2) / (den * den))
+            den_w, factor_w = den, factor
+            if w is not z:
+                den_w = 1.0 - a.conjugate() * w
+                guard(den_w, "Blaschke pole", w)
+                factor_w = (w - a) / den_w
+            r = abs(a)
+            slope = slope * factor_w + value * ((1.0 - r * r) / (den * den_w))
             value = value * factor
         return slope
     if isinstance(m, Compose):
-        return _slope(m.outer, _value(m.inner, z, guard), guard) * _slope(m.inner, z, guard)
+        inner_z = _value(m.inner, z, guard)
+        inner_w = inner_z if w is z else _value(m.inner, w, guard)
+        return _divided(m.outer, inner_z, inner_w, guard) * _divided(m.inner, z, w, guard)
+    # Moebius: det / ((cz + d)(cw + d)); a - 1/(b+z): 1 / ((b + z)(b + w)).
     if isinstance(m, Mobius):
-        det, den, pole = m.determinant(), m.c * z + m.d, "Mobius pole"
+        det, pole, den_z = m.determinant(), "Mobius pole", m.c * z + m.d
+        den_w = den_z if w is z else m.c * w + m.d
     elif isinstance(m, Extremal):
-        det, den, pole = 1.0, m.b + z, "pole of a - 1/(b+z)"
+        det, pole, den_z = 1.0, "pole of a - 1/(b+z)", m.b + z
+        den_w = den_z if w is z else m.b + w
     else:
         raise TypeError(f"not a map expression: {m!r}")
-    guard(den, pole, z)
-    return det / (den * den)
+    guard(den_z, pole, z)
+    if w is not z:
+        guard(den_w, pole, w)
+    return det / (den_z * den_w)
 
 
 def _raise_at_pole(den: complex, pole: str, z: complex):
@@ -237,14 +275,15 @@ def _raise_at_pole(den: complex, pole: str, z: complex):
         raise PoleEncountered(f"{pole} at {z!r}")
 
 
-def _at_point(formula, m: MapExpr, z: complex, verb: str) -> complex:
-    """formula (_value or _slope) of m at the point z, raising where apply and derivative do."""
+def _at_point(formula, m: MapExpr, z: complex, verb: str, *more) -> complex:
+    """formula (_value, or _divided with more = (z,)) of m at the point z, raising where
+    apply and derivative do."""
     # abs() of a complex with a NaN part can raise an OverflowError left over from an
     # earlier libm call, so a non-finite point is refused before any arithmetic.
     if not cmath.isfinite(z):
         raise DomainError(f"cannot {verb} a map at the non-finite point {z!r}")
     try:
-        out = formula(m, z, _raise_at_pole)
+        out = formula(m, z, *more, _raise_at_pole)
     except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den * den underflowing
         out = complex(math.nan, math.nan)
     if not cmath.isfinite(out):
@@ -258,10 +297,12 @@ def apply(m: MapExpr, z: complex) -> complex:
     return _at_point(_value, m, z, "evaluate")
 
 
-def _on_arrays(formula, m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
-    """formula (_value or _slope) of m at every point of z, as (values, bad); bad marks where
-    the scalar call (apply or derivative) raises, and the values there are meaningless."""
+def _on_arrays(formula, m: MapExpr, z: CArr, *more) -> tuple[CArr, np.ndarray]:
+    """formula (_value, or _divided with more = (w,)) of m at every point of z, as (values,
+    bad); bad marks where the scalar call raises, and the values there are meaningless."""
     bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
+    for w in more:
+        bad |= ~(np.isfinite(w.real) & np.isfinite(w.imag))
 
     def mark(den, pole, at):
         # top <= |den| <= sqrt(2) top (tests/test_arrays.py pins it for np.hypot), so a
@@ -276,7 +317,7 @@ def _on_arrays(formula, m: MapExpr, z: CArr) -> tuple[CArr, np.ndarray]:
 
     with np.errstate(all="ignore"):
         try:
-            f = formula(m, z, mark)
+            f = formula(m, z, *more, mark)
         except ZeroDivisionError:  # a constant inner map sits on the outer map's pole: every point is bad
             f = complex(math.nan, math.nan)
     bad |= ~(np.isfinite(f.real) & np.isfinite(f.imag))
@@ -305,10 +346,24 @@ def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
     return _on_arrays(_value, m, z)
 
 
+def _divided_arrays(m: MapExpr | MapBatch, z: CArr, w: CArr) -> CArr:
+    """_divided at every pair (z[k], w[k]), a MapBatch taking map k at pair k as apply_arrays
+    does; meaningless where apply_arrays marks z[k] or w[k] bad, or a value is not finite."""
+    if isinstance(m, MapBatch):
+        out = CArr(np.empty(z.real.shape), np.empty(z.real.shape))
+        for index, part in m.groups:
+            out[index] = _divided_arrays(part, z[index], w[index])
+        return out
+    if isinstance(m, Compose) and isinstance(m.inner, MapBatch):
+        inner_z, inner_w = apply_arrays(m.inner, z)[0], apply_arrays(m.inner, w)[0]
+        return _divided_arrays(m.outer, inner_z, inner_w) * _divided_arrays(m.inner, z, w)
+    return _on_arrays(_divided, m, z, w)[0]
+
+
 def derivative(m: MapExpr, z: complex) -> complex:
-    """Complex derivative at z via the closed forms and the chain rule;
-    PoleEncountered and DomainError as for apply."""
-    return _at_point(_slope, m, z, "differentiate")
+    """Complex derivative at z, the divided difference at w = z; PoleEncountered and
+    DomainError as for apply."""
+    return _at_point(_divided, m, z, "differentiate", z)
 
 
 def mobius_compose(first: Mobius, second: Mobius) -> Mobius:

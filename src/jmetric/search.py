@@ -8,8 +8,12 @@ stages.  The grid maps and guards each point once (the per-point stage),
 ranks the local-distortion seeds from those values and the derivatives, and
 scores each block of z rows from gathers of them (the pair stage), rescoring
 with math.log1p only the pairs that can reach the block's top list (on a pool
-only from 2**20 pairs per worker); the seeds and the lockstep walks score
-through verify._guarded_ratios.  Only lower bounds are ever claimed: the
+only from 2**20 pairs per worker); the seeds and the walks score through
+verify._guarded_ratios, the walks with complete polling: all 8 moves of every
+walk in one pass per round.  Every stage takes an image gap from a divided
+difference where the two images agree to rounding (verify._GAP_TRUST), so a
+near-coincident pair scores its ratio, not rounding noise.  Only lower bounds
+are ever claimed: the
 supremum is typically attained in boundary or infinity limits, so no finite
 search can certify an upper bound; the ceiling 2 comes from theory.
 """
@@ -37,8 +41,8 @@ from .maps import (
     Extremal,
     MapExpr,
     Mobius,
+    _divided,
     _on_arrays,
-    _slope,
     apply,
     derivative,
     is_self_map_sampled,
@@ -70,8 +74,8 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # arrays grow with the square of it.
 _GRID_MAX = 256
 
-# Walk rounds: each is four lockstep passes whether or not a walk moves, 1.2-1.8 ms for
-# a default search's 32 walks (2-CPU Xeon), so 10**4 rounds already take 12-18 s.
+# Walk rounds: each is one pass over 8 moves per walk whether or not a walk moves,
+# 0.28-0.38 ms for a default search's 32 walks (2-CPU Xeon), so 10**4 rounds take 3-4 s.
 _ROUNDS_MAX = 10_000
 
 # z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
@@ -227,17 +231,17 @@ def _hypot(x, y):
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
-def _grid_chunk(stage, separation, points, lo, hi, keep):
-    """Score, from the grid's per-point stage, the pairs (points[i], points[j]) for
+def _grid_chunk(stage, separation, lo, hi, keep):
+    """Score, from the grid's per-point stage, the pairs (z[i], z[j]) of its points for
     i in [lo, hi) that are at least separation apart; return their count and the
     `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j).
 
     The entries carry guarded_ratio's bits (see verify._ranked_ratios)."""
-    n = len(points.real)
+    n = len(stage.z.real)
     i = np.repeat(np.arange(lo, hi), n)
     j = np.tile(np.arange(n), hi - lo)
     with np.errstate(all="ignore"):
-        gap = abs(points[i] - points[j])
+        gap = abs(stage.z[i] - stage.z[j])
         far = ~(gap < separation)
         evaluations = int(np.count_nonzero(far))
         far &= stage.usable[i] & stage.usable[j]
@@ -252,7 +256,7 @@ def _grid_chunk(stage, separation, points, lo, hi, keep):
 def _distortion_order(m, points, stage):
     """The grid points where apply and derivative do not raise and f(z) lies inside dst, by
     decreasing local distortion, then by index (from the per-point stage); call under np.errstate."""
-    slope, bad = _on_arrays(_slope, m, points)
+    slope, bad = _on_arrays(_divided, m, points, points)
     order = np.flatnonzero(~bad & np.isfinite(stage.f.real) & np.isfinite(stage.f.imag) & (stage.f_offset > 0.0))
     return order[np.lexsort((order, -(abs(slope) * stage.offset / stage.f_offset)[order]))]
 
@@ -267,7 +271,7 @@ def _seeds(src, dst, m, region, cfg, threads):
     points = region.point(a, b)
     keep, rows = max(cfg.refine_seeds, 1), len(a)
     stage = _point_stage(src, dst, m, points)
-    tasks = [(stage, cfg.separation_floor, points, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
+    tasks = [(stage, cfg.separation_floor, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
              for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
     evaluations, top = 0, []
     workers = min(threads, max(1, rows * rows // _PAIRS_PER_WORKER))
@@ -291,34 +295,40 @@ def _seeds(src, dst, m, region, cfg, threads):
 
 
 def _walk(src, dst, m, region, cfg, coords, best):
-    """Coordinatewise pattern search (Hooke and Jeeves, JACM 1961) from the 4 x W seed
-    coordinates with ratios best, every walk in lockstep.
+    """Coordinatewise pattern search with complete polling (Hooke and Jeeves, JACM 1961;
+    Kolda, Lewis and Torczon, SIAM Review 45, 2003) from the 4 x W seed coordinates with
+    ratios best, every walk in one pass per round.
 
-    Per round and coordinate k, a walk moves by +step if that improves its ratio,
-    else by -step if that does; both signs of every walk are scored in one pass, and
-    a move counts as an evaluation where a walk on its own would have scored it.
-    Steps double after a round with progress and shrink by shrink_factor after a
-    stalled one, so a walk can both travel and converge within the round budget.
-    Returns each walk's ratio, coordinates and evaluations; call under np.errstate.
+    Each round scores the 8 moves of every walk, +step then -step on each coordinate k
+    in turn, and a walk takes its best improving move, the first of equal ratios.  A
+    move is eligible, and counts as an evaluation, if its clipped pair is at least
+    separation_floor apart and differs from the walk's own (a step below an ulp, or one
+    clipped back at the region's edge, leaves it where it is).  Steps double after a
+    move and shrink by shrink_factor otherwise, so a walk can both travel and converge
+    within the round budget.  Returns each walk's ratio, coordinates and evaluations;
+    call under np.errstate.
     """
     steps, width = region.initial_steps(coords), len(best)
     evals = np.zeros(width, dtype=int)
+    walks, k = np.arange(width), np.arange(4)
     for _ in range(cfg.refine_rounds):
-        improved = np.zeros(width, dtype=bool)
-        for k in range(4):
-            cand = np.concatenate([coords, coords], axis=1)
-            cand[k] += np.concatenate([steps[k], -steps[k]])
-            cand[:2], cand[2:] = region.clip(cand[0], cand[1]), region.clip(cand[2], cand[3])
-            ratio, gap = _guarded_ratios(src, dst, m, region.point(cand[0], cand[1]), region.point(cand[2], cand[3]))
-            far = ~(gap < cfg.separation_floor)
-            up = far & (ratio > np.concatenate([best, best]))
-            plus, minus = up[:width], up[width:] & ~up[:width]
-            evals += far[:width]
-            evals += far[width:] & ~plus
-            coords = np.where(plus, cand[:, :width], np.where(minus, cand[:, width:], coords))
-            best = np.where(plus, ratio[:width], np.where(minus, ratio[width:], best))
-            improved |= plus | minus
-        steps = steps * np.where(improved, 2.0, cfg.shrink_factor)
+        # Move 2k + s of walk v (s = 0 for +step on coordinate k, 1 for -step) is column
+        # (2k + s) width + v of cand.
+        here = np.tile(coords, 8)
+        cand = here.copy()
+        moves = cand.reshape(4, 4, 2, width)
+        moves[k, k, 0] += steps
+        moves[k, k, 1] -= steps
+        cand[:2], cand[2:] = region.clip(cand[0], cand[1]), region.clip(cand[2], cand[3])
+        ratio, gap = _guarded_ratios(src, dst, m, region.point(cand[0], cand[1]), region.point(cand[2], cand[3]))
+        eligible = ~(gap < cfg.separation_floor) & (cand != here).any(axis=0)
+        evals += eligible.reshape(8, width).sum(axis=0)
+        score = np.where(eligible & (ratio > np.tile(best, 8)), ratio, -math.inf).reshape(8, width)
+        move = np.argmax(score, axis=0)  # the first best move, in (k, +, -) order
+        moved = score[move, walks] > -math.inf
+        coords = np.where(moved, cand.reshape(4, 8, width)[:, move, walks], coords)
+        best = np.where(moved, score[move, walks], best)
+        steps = steps * np.where(moved, 2.0, cfg.shrink_factor)
     return best, coords, evals
 
 

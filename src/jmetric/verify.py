@@ -14,6 +14,9 @@ boundary distance below 1e-9 relative to the image magnitude) or not finite
 cannot be evaluated meaningfully in floating point and are skipped, as are
 pairs closer than PAIR_SEPARATION: one _scored_pairs admits every pair that
 suites and ceilings score.  A run keeps its skip count and fails if it skipped all.
+A ratio takes |f(z) - f(w)| from the two rounded images, or from the divided
+difference |z - w| |f[z, w]| where they agree to rounding (_GAP_TRUST): the
+scalar guarded_ratio and check_lipschitz_pair and every array path share that rule.
 
 Every suite is one row (trial, witness keys, tolerance, margin convention) of
 ``_ROWS``.  A trial draws a whole chunk from the chunk's Philox substream, maps
@@ -55,6 +58,9 @@ from .maps import (
     MapBatch,
     MapExpr,
     Mobius,
+    _divided,
+    _divided_arrays,
+    _raise_at_pole,
     apply,
     apply_arrays,
     image_modulus_bound,
@@ -187,12 +193,14 @@ def _step_1_2_sides(z: complex, w: complex, fz: complex, fw: complex) -> tuple[f
 def check_step_1_2(m: MapExpr, z: complex, w: complex) -> float:
     """Slack of |f(z)-f(w)|/S <= (|z-w|/s) sqrt(1 + |f(z)-f(w)|/S) on the
     half-plane, with s, S the smaller source/image heights; DomainError
-    where |z - w| or |f(z) - f(w)| is past the float range."""
+    where |z - w|, |f(z) - f(w)| or a side is past the float range."""
     images = _images_inside(_HALF, m, z, w)
     try:
-        lhs, rhs = _step_1_2_sides(z, w, *images)
-    except OverflowError as exc:  # abs() of a complex past ~1.3e308 per coordinate
-        raise DomainError(f"check_step_1_2: |z - w| or |f(z) - f(w)| is past the float range at {z!r}, {w!r}") from exc
+        with np.errstate(over="raise"):  # the sides are numpy floats, which overflow to inf
+            lhs, rhs = _step_1_2_sides(z, w, *images)
+    except (OverflowError, FloatingPointError) as exc:  # abs() of a complex past ~1.3e308 per coordinate
+        where = f"at {z!r}, {w!r}"
+        raise DomainError(f"check_step_1_2: |z - w|, |f(z) - f(w)| or a side is past the float range {where}") from exc
     return float(rhs - lhs)
 
 
@@ -280,43 +288,97 @@ def check_lipschitz_pair(
         raise CoincidentPoints("the distortion ratio is undefined at coincident points")
     fz = apply(m, z)
     fw = apply(m, w)
-    return j_distance(dst, fz, fw) / j_src
+    try:
+        gap = _image_gap(m, z, w, fz, fw, abs(fz) + abs(fw))
+    except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den * den underflowing
+        gap = math.inf  # j_distance raises DomainError, after its checks that the images lie in dst
+    return j_distance(dst, fz, fw, gap=gap) / j_src
 
 
-def _trusted(f, offset):
-    """Whether the finite image f (a complex, or a CArr for a bool array; apply and
-    apply_arrays refuse the others) is at least IMAGE_TRUST * (1 + |f|) inside the domain
-    it is `offset` from the boundary of (signed_boundary_offset); abs() may overflow."""
-    return IMAGE_TRUST * (1.0 + abs(f)) <= offset
+# _image_gap and _image_gaps take |f(z) - f(w)| from the two rounded images only where
+# that difference is accurate to tau = 5e-10, relative: the 1e-9 tolerance of the
+# ceilings, the lipschitz-pair suite and the search's refusal, on a ratio of at most 2
+# (a relative error in x moves log1p(x) by at most as much, since x <= (1 + x) log1p(x)).
+# To first order each computed image is f (1 + t) with |t| <= e, so the computed
+# difference is off by at most e (|f(z)| + |f(w)|) + u |f(z) - f(w)|, u = 2**-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, ch. 3), and relatively by at most
+# tau + u where |f(z) - f(w)| > (e / tau) (|f(z)| + |f(w)|).  Elsewhere the gap is |z - w|
+# |f[z, w]| (maps._divided), which has no cancellation in it.  e adds up the complex
+# operations of the longest evaluation that the suites, ceilings and bench searches
+# make, with Higham's Lemma 3.5 bounds (g_k = k u / (1 - k u)): a Blaschke factor costs
+# z - a, conj(a) z, 1 - conj(a) z, a quotient and the running product, u + sqrt(2) g_2 +
+# u + sqrt(2) g_4 + sqrt(2) g_2 ~ 13.3 u, so a 4-zero product, or a composition of two
+# 2-zero products, costs about 53 u and the rotations up to 2 u more: e = 55 u.  The bound
+# leaves out cancellation within an evaluation; where that spoils an image, the refusal
+# of a search ratio past 2 + 1e-9 stays the backstop.
+_GAP_TRUST = 55 * 2.0**-53 / 5e-10
+
+
+def _image_gap(m: MapExpr, z: complex, w: complex, fz: complex, fw: complex, size: float) -> float:
+    """|f(z) - f(w)| from the images fz, fw of m and size = |fz| + |fw|: their difference,
+    or |z - w| |f[z, w]| where they agree to rounding (see _GAP_TRUST); abs() may overflow,
+    and a product of denominators underflowing to 0 raises ZeroDivisionError."""
+    gap = abs(fz - fw)
+    if gap <= _GAP_TRUST * size:
+        return abs(z - w) * abs(_divided(m, z, w, _raise_at_pole))
+    return gap
+
+
+def _trusted(size, offset):
+    """Whether a finite image of modulus `size` (a float, or an array for a bool array) is
+    at least IMAGE_TRUST * (1 + size) inside the domain it is `offset` from the boundary of
+    (signed_boundary_offset)."""
+    return IMAGE_TRUST * (1.0 + size) <= offset
 
 
 class _Points(NamedTuple):
-    """The per-point stage of _guarded_ratios and _scored_pairs: a point's offset from
-    the source boundary, its image, the image's offset from the destination boundary,
-    and whether the image is usable (apply gives it and _trusted accepts it)."""
+    """The per-point stage of _guarded_ratios and _scored_pairs: a point, its offset from
+    the source boundary, its image and the image's modulus, the image's offset from the
+    destination boundary, whether the image is usable (apply gives it and _trusted accepts
+    it), the map, and for a MapBatch the point's sample in it (None for one map)."""
 
+    z: CArr
     offset: np.ndarray
     f: CArr
+    size: np.ndarray
     f_offset: np.ndarray
     usable: np.ndarray
+    m: MapExpr | MapBatch
+    sample: np.ndarray | None
 
     def take(self, index) -> _Points:
-        return _Points(self.offset[index], self.f[index], self.f_offset[index], self.usable[index])
+        sample = None if self.sample is None else self.sample[index]
+        return _Points(self.z[index], self.offset[index], self.f[index], self.size[index], self.f_offset[index],
+                       self.usable[index], self.m, sample)
 
 
 def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr) -> _Points:
     """_Points of every point of z; call under np.errstate."""
     f, bad = apply_arrays(m, z)
-    f_offset = signed_boundary_offset(dst, f)
-    return _Points(signed_boundary_offset(src, z), f, f_offset, _trusted(f, f_offset) & ~bad)
+    size = abs(f)
+    # signed_boundary_offset(UnitDisk(), f) is 1.0 - abs(f): one abs() serves both.
+    f_offset = 1.0 - size if isinstance(dst, UnitDisk) else signed_boundary_offset(dst, f)
+    sample = np.arange(len(z.real)) if isinstance(m, MapBatch) else None
+    return _Points(z, signed_boundary_offset(src, z), f, size, f_offset, _trusted(size, f_offset) & ~bad, m, sample)
 
 
-def _pair_ratios(pz: _Points, pw: _Points, gap, log1p):
+def _image_gaps(pz: _Points, pw: _Points, gap):
+    """_image_gap of pairs with usable images, from their per-point stages pz, pw (gathered
+    to the pairs) and gaps |z - w|; call under np.errstate."""
+    fgap = abs(pz.f - pw.f)
+    near = np.flatnonzero((fgap <= _GAP_TRUST * (pz.size + pw.size)) & pz.usable & pw.usable)
+    if near.size:
+        m = pz.m if pz.sample is None else pz.m.take(pz.sample[near])
+        fgap[near] = gap[near] * abs(_divided_arrays(m, pz.z[near], pw.z[near]))
+    return fgap
+
+
+def _pair_ratios(pz: _Points, pw: _Points, gap, fgap, log1p):
     """The pair stage of _guarded_ratios: j_dst(f(z), f(w)) / j_src(z, w) for pairs of
     points with usable images, from their per-point values pz, pw (gathered to the
-    pairs) and their gaps |z - w|; NaN where the ratio is not finite.  log1p as
-    for domains._j; call under np.errstate."""
-    j_dst = _j(abs(pz.f - pw.f), pz.f_offset, pw.f_offset, log1p)
+    pairs), their gaps |z - w| and image gaps fgap (_image_gaps); NaN where the ratio
+    is not finite.  log1p as for domains._j; call under np.errstate."""
+    j_dst = _j(fgap, pz.f_offset, pw.f_offset, log1p)
     # A zero j_src, or a NaN j, leaves a non-finite ratio.
     ratio = j_dst / _j(gap, pz.offset, pw.offset, log1p)
     return np.where(np.isfinite(ratio), ratio, math.nan)
@@ -336,9 +398,10 @@ def _pair_ratios(pz: _Points, pw: _Points, gap, log1p):
 # v > T whenever s >= 2e / (1 - e): it can enter neither the kept values nor their
 # tie order.  A slack relative to r would miss the ceiling's witness where r is small
 # and many pairs round to one margin.  s = 1e-12 leaves a factor 200.  The bound
-# also needs both passes to give NaN on the same pairs: np.log1p is 0 only at 0
-# and finite (also pinned), and a ratio that overflows in one pass only lies within
-# d of the float max, far above what trusted images reach (2 up to rounding).
+# also needs both passes to score the same image gaps (so they are taken once) and to
+# give NaN on the same pairs: np.log1p is 0 only at 0 and finite (also pinned), and a
+# ratio that overflows in one pass only lies within d of the float max, far above what
+# trusted images reach (2 up to rounding).
 _LOG1P_SLACK = 1e-12
 
 
@@ -347,14 +410,15 @@ def _ranked_ratios(pz: _Points, pw: _Points, gap, keep, c):
     that can be among the `keep` lowest values of c - ratio or tie with them, and with
     np.log1p elsewhere (see _LOG1P_SLACK); returns the ratios and the index of the
     exact ones.  Call under np.errstate."""
-    ratio = _pair_ratios(pz, pw, gap, np.log1p)
+    fgap = _image_gaps(pz, pw, gap)
+    ratio = _pair_ratios(pz, pw, gap, fgap, np.log1p)
     v = c - ratio
     finite = v[~np.isnan(v)]
     exact = np.arange(ratio.size)
     if finite.size > keep:
         t = np.partition(finite, keep - 1)[keep - 1]
         exact = np.flatnonzero(~(v > t + _LOG1P_SLACK * (c + abs(t) + 2.0**-1022)))
-    ratio[exact] = _pair_ratios(pz.take(exact), pw.take(exact), gap[exact], _log1p_exact)
+    ratio[exact] = _pair_ratios(pz.take(exact), pw.take(exact), gap[exact], fgap[exact], _log1p_exact)
     return ratio, exact
 
 
@@ -370,12 +434,15 @@ def guarded_ratio(
     """
     try:
         fz, fw = apply(m, z), apply(m, w)
-        trusted = _trusted(fz, signed_boundary_offset(dst, fz)) and _trusted(fw, signed_boundary_offset(dst, fw))
+        size_z, size_w = abs(fz), abs(fw)
+        trusted = _trusted(size_z, signed_boundary_offset(dst, fz)) and _trusted(
+            size_w, signed_boundary_offset(dst, fw)
+        )
         j_src = j_distance(src, z, w)
         if not trusted or j_src == 0.0:
             return None
-        ratio = j_distance(dst, fz, fw) / j_src
-    except (PoleEncountered, PointOutsideDomain, DomainError, OverflowError):  # abs(f) may overflow
+        ratio = j_distance(dst, fz, fw, gap=_image_gap(m, z, w, fz, fw, size_z + size_w)) / j_src
+    except (PoleEncountered, PointOutsideDomain, DomainError, OverflowError, ZeroDivisionError):  # see _image_gap
         return None
     return ratio if math.isfinite(ratio) else None
 
@@ -387,7 +454,12 @@ def _guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: CArr, w
     stage = _point_stage(src, dst, m, CArr(np.concatenate([z.real, w.real]), np.concatenate([z.imag, w.imag])))
     pz, pw = stage.take(slice(None, n)), stage.take(slice(n, None))
     gap = abs(z - w)
-    return np.where(pz.usable & pw.usable, _pair_ratios(pz, pw, gap, _log1p_exact), math.nan), gap
+    return np.where(pz.usable & pw.usable, _exact_ratios(z, w, pz, pw, gap), math.nan), gap
+
+
+def _exact_ratios(z, w, pz, pw, gap):
+    """_pair_ratios with guarded_ratio's bits, as a score for _scored_pairs; call under np.errstate."""
+    return _pair_ratios(pz, pw, gap, _image_gaps(pz, pw, gap), _log1p_exact)
 
 
 def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:
@@ -641,7 +713,7 @@ def _trial_lipschitz_pair(rng, n):
         index = np.flatnonzero(index)
         m = family(rng, index.size)
         z, w = _pairs(src, rng, index.size)
-        ratio = _scored_pairs(src, src, m, z, w, lambda z, w, pz, pw, gap: _pair_ratios(pz, pw, gap, _log1p_exact))
+        ratio = _scored_pairs(src, src, m, z, w, _exact_ratios)
         margins[index] = 2.0 - ratio
         parts.append((src, m, z, w))
 

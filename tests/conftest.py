@@ -37,7 +37,7 @@ def _images_margin(name, m, z, w):
         return math.nan
     try:
         fz, fw = apply(m, z), apply(m, w)
-        if not all(verify_module._trusted(f, signed_boundary_offset(domain, f)) for f in (fz, fw)):
+        if not all(verify_module._trusted(abs(f), signed_boundary_offset(domain, f)) for f in (fz, fw)):
             return math.nan
     except (PoleEncountered, DomainError, OverflowError):  # abs(f) may overflow
         return math.nan

@@ -80,12 +80,15 @@ from jmetric.verify import (
     _blaschke_maps,
     _ceiling_block,
     _ceiling_chunk,
+    _disk_maps,
+    _exact_ratios,
     _guarded_ratios,
     _halfplane_maps,
     _pairs,
     _point_stage,
     _random_image_source_and_mobius,
     _ranked_ratios,
+    _scored_pairs,
     _suite_chunk,
     _witness,
     guarded_ratio,
@@ -315,10 +318,11 @@ def _scalar(call, m, z):
     Extremal(0.0, 0.0), [(sys.float_info.max / 2, 0.0), (0.0, math.nextafter(sys.float_info.max / 2, math.inf))], []
 )
 def test_apply_arrays_match_apply(m, points, nudges):
-    # derivative and maps._slope on arrays keep the same contract.
+    # derivative and maps._divided at w = z on arrays keep the same contract.
     points = points + [(p.real + t, p.imag - t) for p in _poles(m) for t in nudges + [0.0]]
     z = carr(points)
-    for call, (f, bad) in ((apply, apply_arrays(m, z)), (derivative, maps_module._on_arrays(maps_module._slope, m, z))):
+    slopes = maps_module._on_arrays(maps_module._divided, m, z, z)
+    for call, (f, bad) in ((apply, apply_arrays(m, z)), (derivative, slopes)):
         assert f.real.shape == f.imag.shape == bad.shape == (len(points),)
         for k in range(len(points)):
             scalar = _scalar(call, m, element(z, k))
@@ -393,6 +397,32 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
             assert same(math.nan if scalar is None else scalar, ratio[k])
         skipped.append(int(np.isnan(ratio).sum()))
     assert skipped[0] == 0 and 0 < skipped[1] < 500
+
+
+# Per pair k: closer than PAIR_SEPARATION (skipped), images agreeing to about 9 digits
+# (scored from the divided difference), and far apart (from the rounded images).
+_NEAR_OFFSETS = np.resize([1e-12, 3e-9, 0.3], 300)
+
+
+@pytest.mark.parametrize("domain, family", [(UpperHalfPlane(), _halfplane_maps), (UnitDisk(), _disk_maps)])
+def test_batch_ratios_of_near_pairs_match_guarded_ratio(domain, family):
+    # The lipschitz-pair suite's scoring of a MapBatch: map k at pair k, also where
+    # skipped pairs leave a subset and the divided difference takes a part of the batch.
+    m = family(substream(9, 0), 300)
+    z = sample_interior_points(domain, substream(9, 1), 300, PAIR_MARGIN, HALFPLANE_SPAN)
+    w = CArr(z.real + _NEAR_OFFSETS, z.imag + 0.5 * _NEAR_OFFSETS)
+    rows = np.flatnonzero(_NEAR_OFFSETS == 3e-9)[::3]
+    with np.errstate(all="ignore"):
+        ratio = _scored_pairs(domain, domain, m, z, w, _exact_ratios)
+        slope, part = maps_module._divided_arrays(m, z, w), maps_module._divided_arrays(m.take(rows), z[rows], w[rows])
+    for k in range(300):
+        scalar = guarded_ratio(domain, domain, m[k], element(z, k), element(w, k))
+        assert same(math.nan if scalar is None or _NEAR_OFFSETS[k] < PAIR_SEPARATION else scalar, ratio[k])
+        divided = maps_module._divided(m[k], element(z, k), element(w, k), maps_module._raise_at_pole)
+        assert same(divided, slope.real[k], slope.imag[k])
+    for i, k in enumerate(rows.tolist()):
+        assert same(slope.at(k), part.real[i], part.imag[i])
+    assert np.count_nonzero(np.isfinite(ratio[_NEAR_OFFSETS == 3e-9])) > 80  # most near pairs are scored
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +692,15 @@ class _ScalarRegion:
 
 
 def _reference_refine(src, dst, m, region, cfg, coords, value):
-    """The scalar pattern search from one seed pair that _walk runs in lockstep."""
+    """The scalar complete poll from one seed pair that _walk runs for every walk at once:
+    each round scores the 8 moves that leave the pair (k, +, -) and takes the first best
+    improving one."""
     steps = region.initial_steps(coords)
     coords = list(coords)
     best = value
     evals = 0
     for _ in range(cfg.refine_rounds):
-        improved = False
+        top, pick = best, None
         for k in range(4):
             for sign in (1.0, -1.0):
                 cand = list(coords)
@@ -677,15 +709,14 @@ def _reference_refine(src, dst, m, region, cfg, coords, value):
                 cand[2], cand[3] = region.clip(cand[2], cand[3])
                 z = region.point(cand[0], cand[1])
                 w = region.point(cand[2], cand[3])
-                if abs(z - w) < cfg.separation_floor:
+                if cand == coords or abs(z - w) < cfg.separation_floor:
                     continue
                 candidate = ratio_objective(src, dst, m, z, w)
                 evals += 1
-                if candidate > best:
-                    coords, best = cand, candidate
-                    improved = True
-                    break
-        if improved:
+                if candidate > top:
+                    top, pick = candidate, cand
+        if pick is not None:
+            coords, best = pick, top
             steps = [s * 2.0 for s in steps]
         else:
             steps = [s * cfg.shrink_factor for s in steps]
@@ -813,13 +844,13 @@ def test_grid_chunk_matches_the_per_pair_loop(name):
     for separation in (1e-7, spacing):
         for lo, hi in blocks:
             for keep in (1, 16, rows * rows):
-                evals, top = _grid_chunk(stage, separation, grid, lo, hi, keep)
+                evals, top = _grid_chunk(stage, separation, lo, hi, keep)
                 ref_evals, ref_top = _reference_grid_chunk(src, dst, m, separation, points, lo, hi, keep)
                 assert evals == ref_evals
                 assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
                 assert all(type(i) is int and type(j) is int for _, i, j in top)
     if name == "infeasible":
-        evals, top = _grid_chunk(stage, 1e-7, grid, 0, rows, rows * rows)
+        evals, top = _grid_chunk(stage, 1e-7, 0, rows, rows * rows)
         assert 0 < len(top) < evals
 
 

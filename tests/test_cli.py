@@ -267,12 +267,21 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["best_ratio"] <= 2.0 + 1e-9
 
-    def test_ratio_past_the_ceiling_is_exit_3(self, capsys):
-        # At |z| ~ 8e4 the images of a pair 1e-7 apart differ by one ulp: the
-        # computed ratio 14.6 is rounding noise above the proven ceiling 2.
+    def test_ratio_past_the_ceiling_is_exit_3(self, capsys, monkeypatch):
+        # The refusal stays as a backstop: below a real best ratio, a ceiling is exceeded.
+        monkeypatch.setattr(jmetric.search, "THEORETICAL_CEILING", 1.5)
         code, out, err = run(capsys, "search", "--domain", "upperhalfplane", "--map", "extremal:1,1", "--grid", "12")
         assert (code, out) == (3, "")
-        assert "best ratio 14.6087" in err and "z = -272.72727" in err and "proven ceiling 2.0" in err
+        assert "best ratio 1.99999566754" in err and "z = -1000.0" in err and "proven ceiling 1.5" in err
+
+    def test_near_coincident_images_stay_below_the_ceiling(self, capsys):
+        # At |z| ~ 8e4 the images of a pair 1e-7 apart differ by one ulp, and the gap of
+        # the rounded images once scored 14.6; the divided difference scores the pair.
+        code, out, _ = run(
+            capsys, "search", "--domain", "upperhalfplane", "--map", "extremal:1,1", "--grid", "12", "--output", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["best_ratio"] == 1.9999956675403887
 
     def test_zero_threads_is_exit_2(self, capsys):
         code, out, _ = run(

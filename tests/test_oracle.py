@@ -14,10 +14,22 @@ import mpmath
 import pytest
 
 from jmetric.domains import Disk, HalfPlane, UnitDisk, UpperHalfPlane
-from jmetric.maps import Blaschke, Extremal, Mobius, mobius_image_domain, mobius_inverse
+import numpy as np
+
+from jmetric.domains import CArr
+from jmetric.maps import (
+    Blaschke,
+    Compose,
+    Extremal,
+    Mobius,
+    _divided,
+    _raise_at_pole,
+    mobius_image_domain,
+    mobius_inverse,
+)
 from jmetric.sampling import Uniforms, substream
 from jmetric.search import THEORETICAL_CEILING, SearchConfig, estimate_lipschitz
-from jmetric.verify import _random_image_source_and_mobius
+from jmetric.verify import _guarded_ratios, _random_image_source_and_mobius, check_lipschitz_pair, guarded_ratio
 
 DIGITS = 50
 TOLERANCE = 1e-9
@@ -45,6 +57,8 @@ def _exact_map(m, z):
         return value
     if isinstance(m, Extremal):
         return m.a - 1 / (m.b + z)
+    if isinstance(m, Compose):
+        return _exact_map(m.outer, _exact_map(m.inner, z))
     raise TypeError(f"no exact form for {m!r}")
 
 
@@ -94,6 +108,57 @@ def test_search_witness_agrees_with_the_oracle(name, grid):
     exact = exact_ratio(src, dst, m, report.witness_z, report.witness_w)
     assert abs(report.best_ratio - exact) <= TOLERANCE
     assert exact <= THEORETICAL_CEILING
+
+
+# Pairs whose images agree to more than 12 digits, so that the difference of the two
+# rounded images is mostly rounding: it once scored 4.21 on the disk pair (4 ulps apart)
+# and 14.6 on the extremal search's grid-12 witness (1e-7 apart at |z| ~ 8e4).
+NEAR_PAIRS = {
+    "disk-4-ulps": (UnitDisk(), Blaschke(0.0, (0.5,)), -0.22000000000000003 - 0.265j, -0.21999999999999992 - 0.265j),
+    "extremal-grid-12": (
+        UpperHalfPlane(),
+        Extremal(1.0, 1.0),
+        -272.727272377603 + 81113.08307896863j,
+        -272.7272722775997 + 81113.08307896863j,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_PAIRS))
+def test_near_coincident_images_agree_with_the_oracle(name):
+    domain, m, z, w = NEAR_PAIRS[name]
+    exact = exact_ratio(domain, domain, m, z, w)
+    z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
+    with np.errstate(all="ignore"):
+        array = float(_guarded_ratios(domain, domain, m, z_array, w_array)[0][0])
+    for ratio in (guarded_ratio(domain, domain, m, z, w), check_lipschitz_pair(domain, domain, m, z, w), array):
+        assert abs(ratio - exact) <= 1e-12 * exact
+
+
+DIVIDED_MAPS = {
+    "mobius": Mobius(2 + 1j, -0.5, 0.3 - 1j, 1.5),
+    "extremal": Extremal(0.7, -1.3),
+    "blaschke": Blaschke(0.4, (0.5, 0.3 - 0.6j, -0.9j)),
+    "compose": Compose(Blaschke(1.1, (0.2 + 0.7j,)), Mobius(1, 0.25, 0.5j, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVIDED_MAPS))
+def test_divided_differences_agree_with_the_oracle(name):
+    # (f(z) - f(w)) / (z - w) from 1e-2 down to 1e-15 apart, and f'(z) at w = z.
+    m = DIVIDED_MAPS[name]
+    rng = np.random.default_rng(7)
+    for z in (complex(*p) for p in 0.6 * rng.random((5, 2)) - 0.3):
+        for h in (1e-2, 1e-6, 1e-10, 1e-15, 0.0):
+            w = z + complex(h, -h / 3)
+            with mpmath.workdps(DIGITS):
+                zz, ww = mpmath.mpc(z), mpmath.mpc(w)
+                if z == w:
+                    exact = mpmath.diff(lambda t: _exact_map(m, t), zz)
+                    w = z
+                else:
+                    exact = (_exact_map(m, zz) - _exact_map(m, ww)) / (zz - ww)
+                assert abs(_divided(m, z, w, _raise_at_pole) - exact) <= 1e-13 * abs(exact)
 
 
 # Image domains.  A source is {z : Q(z) < 0} for the Hermitian form

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import jmetric.search as search_module
@@ -356,3 +357,24 @@ def test_halfplane_margin_without_height_range_rejected(margin):
     cfg = SearchConfig(boundary_margin=margin, grid_per_axis=2, refine_rounds=0)
     with pytest.raises(DomainError):
         estimate_lipschitz(H, Extremal(1.0, 1.0), cfg)
+
+
+def test_extremal_search_stays_below_the_ceiling_at_every_grid():
+    # Pairs whose images agree to more than 12 digits once scored rounding noise (up to
+    # 286.8 at N = 28) and exited 3 at 12 of these 18 grids; about 1.6 s in all.
+    for n in range(6, 41, 2):
+        report = estimate_lipschitz(H, Extremal(1.0, 1.0), SearchConfig(grid_per_axis=n, seed=42))
+        assert 1.9999 < report.best_ratio <= search_module.THEORETICAL_CEILING + 1e-9, n
+
+
+def test_walk_counts_no_move_that_leaves_it_in_place():
+    # Three walks: inside the half-plane's box, with z on its right edge, and with z
+    # in its top right corner.  The +step moves that clip back onto z are skipped.
+    m, cfg = Extremal(1.0, 1.0), SearchConfig(refine_rounds=1)
+    region = search_module._Region(H, cfg)
+    coords = np.array([[0.0, region.thi, region.thi], [1.0, 1.0, region.hhi], [-5.0] * 3, [2.0] * 3])
+    z, w = region.point(coords[0], coords[1]), region.point(coords[2], coords[3])
+    best = np.array([ratio_objective(H, H, m, z.at(k), w.at(k)) for k in range(3)])
+    with np.errstate(all="ignore"):
+        _, _, evals = search_module._walk(H, H, m, region, cfg, coords, best)
+    assert evals.tolist() == [8, 7, 6]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -577,13 +578,17 @@ class TestRobustness:
             (PointOutsideDomain, check_bound_2_3, (IDENTITY, 1.7e308 - 1.7e308j)),
             (PointOutsideDomain, check_schwarz_pick_disk, (Blaschke(-1.4e-200, ()), 1e200 + 2e200j, 1.7e308 - 1.7e308j)),
             (DomainError, check_step_1_2, (Blaschke(1.64, ()), 7.471e307 + 1.7e308j, 4.595e-161j)),
+            # Here the moduli are finite and a side overflows to inf.
+            (DomainError, check_step_1_2, (IDENTITY, 1e300 + 2j, 1.101e-320 + 1.788e200j)),
         ],
         ids=lambda v: v.__name__ if callable(v) else None,
     )
     def test_modulus_past_the_float_range_raises_package_error(self, error, check, args):
-        # abs() of each of these raised a bare OverflowError.
-        with pytest.raises(error):
-            check(*args)
+        # abs() of each of these raised a bare OverflowError, or the result left the float range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                check(*args)
 
     def test_check_lipschitz_pair_overflow_raises_package_error(self):
         with pytest.raises(JmetricError):
