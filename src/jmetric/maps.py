@@ -348,7 +348,8 @@ def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
 
 def _divided_arrays(m: MapExpr | MapBatch, z: CArr, w: CArr) -> CArr:
     """_divided at every pair (z[k], w[k]), a MapBatch taking map k at pair k as apply_arrays
-    does; meaningless where apply_arrays marks z[k] or w[k] bad, or a value is not finite."""
+    does, for points where apply_arrays marks neither z[k] nor w[k] bad: their denominators
+    already passed the pole guard, so none is checked again; call under np.errstate."""
     if isinstance(m, MapBatch):
         out = CArr(np.empty(z.real.shape), np.empty(z.real.shape))
         for index, part in m.groups:
@@ -357,7 +358,11 @@ def _divided_arrays(m: MapExpr | MapBatch, z: CArr, w: CArr) -> CArr:
     if isinstance(m, Compose) and isinstance(m.inner, MapBatch):
         inner_z, inner_w = apply_arrays(m.inner, z)[0], apply_arrays(m.inner, w)[0]
         return _divided_arrays(m.outer, inner_z, inner_w) * _divided_arrays(m.inner, z, w)
-    return _on_arrays(_divided, m, z, w)[0]
+    return _divided(m, z, w, _unguarded)
+
+
+def _unguarded(den, pole, z):
+    pass
 
 
 def derivative(m: MapExpr, z: complex) -> complex:

@@ -50,7 +50,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .verify import _guarded_ratios, _point_stage, _ranked_ratios, check_lipschitz_pair, guarded_ratio
+from .verify import _guarded_ratios, _point_stage, _ranked_ratios, _staged_ratios, check_lipschitz_pair, guarded_ratio
 
 __all__ = [
     "SearchConfig",
@@ -75,7 +75,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _GRID_MAX = 256
 
 # Walk rounds: each is one pass over 8 moves per walk whether or not a walk moves,
-# 0.28-0.38 ms for a default search's 32 walks (2-CPU Xeon), so 10**4 rounds take 3-4 s.
+# 0.21-0.34 ms for a default search's 32 walks (2-CPU Xeon), so 10**4 rounds take 2-4 s.
 _ROUNDS_MAX = 10_000
 
 # z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
@@ -173,6 +173,10 @@ class _Region:
             if self.margin >= domain.radius:
                 raise DomainError("boundary_margin leaves no interior to search")
             self.cx, self.cy, self.reach = domain.center.real, domain.center.imag, domain.radius - self.margin
+            # x*x + y*y is within 3 u of x^2 + y^2 (a square that underflows leaves the point far
+            # inside a reach above 2**-400), so below this the radius is under reach (1 - 2**-50),
+            # which math.hypot, within an ulp, cannot round past the reach.
+            self._within = self.reach * self.reach * (1.0 - 2.0**-48) if self.reach > 2.0**-400 else -1.0
             lo_x, hi_x = self.cx - self.reach, self.cx + self.reach
             lo_y, hi_y = self.cy - self.reach, self.cy + self.reach
             self.ax = np.array([lo_x + i * (hi_x - lo_x) / (n - 1) for i in range(n)])
@@ -204,7 +208,7 @@ class _Region:
         """The grid's coordinate arrays (a, b), a-major; a disk keeps the points within reach."""
         a, b = np.repeat(self.ax, len(self.ay)), np.tile(self.ay, len(self.ax))
         if self.kind == "disk":
-            inside = ~(_hypot(a - self.cx, b - self.cy) > self.reach)
+            inside = ~(self._radius(a - self.cx, b - self.cy) > self.reach)
             a, b = a[inside], b[inside]
         return a, b
 
@@ -213,10 +217,18 @@ class _Region:
         the box of a half-plane; call under np.errstate."""
         if self.kind == "disk":
             dx, dy = a - self.cx, b - self.cy
-            rr = _hypot(dx, dy)
+            rr = self._radius(dx, dy)
             scale, out = self.reach / rr, rr > self.reach
             return np.where(out, self.cx + dx * scale, a), np.where(out, self.cy + dy * scale, b)
         return np.minimum(np.maximum(a, self.tlo), self.thi), np.minimum(np.maximum(b, self.hlo), self.hhi)
+
+    def _radius(self, dx, dy):
+        """math.hypot(dx, dy) for every offset from a disk's center that may lie past the
+        reach, and 0 for the others (see _within)."""
+        rr = np.zeros(np.shape(dx))
+        far = ~(dx * dx + dy * dy <= self._within)
+        rr[far] = _hypot(dx[far], dy[far])
+        return rr
 
     def initial_steps(self, coords):
         """The 4 x W first steps of walks from the 4 x W coordinates."""
@@ -232,16 +244,16 @@ def _hypot(x, y):
 
 
 def _grid_chunk(stage, separation, lo, hi, keep):
-    """Score, from the grid's per-point stage, the pairs (z[i], z[j]) of its points for
+    """Score, from the grid's per-point stage, the pairs of its points i and j for
     i in [lo, hi) that are at least separation apart; return their count and the
     `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j).
 
     The entries carry guarded_ratio's bits (see verify._ranked_ratios)."""
-    n = len(stage.z.real)
+    n = len(stage.at)
     i = np.repeat(np.arange(lo, hi), n)
     j = np.tile(np.arange(n), hi - lo)
     with np.errstate(all="ignore"):
-        gap = abs(stage.z[i] - stage.z[j])
+        gap = abs(stage.points[i] - stage.points[j])
         far = ~(gap < separation)
         evaluations = int(np.count_nonzero(far))
         far &= stage.usable[i] & stage.usable[j]
@@ -301,26 +313,33 @@ def _walk(src, dst, m, region, cfg, coords, best):
 
     Each round scores the 8 moves of every walk, +step then -step on each coordinate k
     in turn, and a walk takes its best improving move, the first of equal ratios.  A
-    move is eligible, and counts as an evaluation, if its clipped pair is at least
-    separation_floor apart and differs from the walk's own (a step below an ulp, or one
-    clipped back at the region's edge, leaves it where it is).  Steps double after a
+    move changes one point of the pair and clips that point into the region.  It is
+    eligible, and counts as an evaluation, if the pair is at least separation_floor
+    apart and differs from the walk's own (a step below an ulp, or one clipped back at
+    the region's edge, leaves it where it is).  Steps double after a
     move and shrink by shrink_factor otherwise, so a walk can both travel and converge
     within the round budget.  Returns each walk's ratio, coordinates and evaluations;
     call under np.errstate.
     """
     steps, width = region.initial_steps(coords), len(best)
     evals = np.zeros(width, dtype=int)
-    walks, k = np.arange(width), np.arange(4)
+    walks, k, half = np.arange(width), np.arange(4), 4 * width
+    # Move 2k + s of walk v (s = 0 for +step on coordinate k, 1 for -step) is column (2k + s)
+    # width + v of the candidates.  It changes z for k < 2 and w for k >= 2, so only that
+    # point is clipped and mapped; the stage holds the walks' z and w, then the moved points.
+    z_at = np.concatenate([2 * width + np.arange(half), np.tile(walks, 4)])
+    w_at = np.concatenate([width + np.tile(walks, 4), 2 * width + half + np.arange(half)])
     for _ in range(cfg.refine_rounds):
-        # Move 2k + s of walk v (s = 0 for +step on coordinate k, 1 for -step) is column
-        # (2k + s) width + v of cand.
         here = np.tile(coords, 8)
         cand = here.copy()
         moves = cand.reshape(4, 4, 2, width)
         moves[k, k, 0] += steps
         moves[k, k, 1] -= steps
-        cand[:2], cand[2:] = region.clip(cand[0], cand[1]), region.clip(cand[2], cand[3])
-        ratio, gap = _guarded_ratios(src, dst, m, region.point(cand[0], cand[1]), region.point(cand[2], cand[3]))
+        a, b = region.clip(np.concatenate([cand[0, :half], cand[2, half:]]), np.concatenate([cand[1, :half], cand[3, half:]]))
+        cand[0, :half], cand[1, :half], cand[2, half:], cand[3, half:] = a[:half], b[:half], a[half:], b[half:]
+        stage = _point_stage(src, dst, m, region.point(np.concatenate([coords[0], coords[2], a]),
+                                                       np.concatenate([coords[1], coords[3], b])))
+        ratio, gap = _staged_ratios(stage.take(z_at), stage.take(w_at))
         eligible = ~(gap < cfg.separation_floor) & (cand != here).any(axis=0)
         evals += eligible.reshape(8, width).sum(axis=0)
         score = np.where(eligible & (ratio > np.tile(best, 8)), ratio, -math.inf).reshape(8, width)

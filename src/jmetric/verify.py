@@ -332,24 +332,24 @@ def _trusted(size, offset):
 
 
 class _Points(NamedTuple):
-    """The per-point stage of _guarded_ratios and _scored_pairs: a point, its offset from
-    the source boundary, its image and the image's modulus, the image's offset from the
+    """The per-point stage of _guarded_ratios and _scored_pairs: a point's offset from the
+    source boundary, its image and the image's modulus, the image's offset from the
     destination boundary, whether the image is usable (apply gives it and _trusted accepts
-    it), the map, and for a MapBatch the point's sample in it (None for one map)."""
+    it) and its position in the stage; and, not gathered, the stage's points and map (a
+    MapBatch takes map k at position k)."""
 
-    z: CArr
     offset: np.ndarray
     f: CArr
     size: np.ndarray
     f_offset: np.ndarray
     usable: np.ndarray
+    at: np.ndarray
+    points: CArr
     m: MapExpr | MapBatch
-    sample: np.ndarray | None
 
     def take(self, index) -> _Points:
-        sample = None if self.sample is None else self.sample[index]
-        return _Points(self.z[index], self.offset[index], self.f[index], self.size[index], self.f_offset[index],
-                       self.usable[index], self.m, sample)
+        return _Points(self.offset[index], self.f[index], self.size[index], self.f_offset[index],
+                       self.usable[index], self.at[index], self.points, self.m)
 
 
 def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr) -> _Points:
@@ -358,18 +358,20 @@ def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr) -> _Points:
     size = abs(f)
     # signed_boundary_offset(UnitDisk(), f) is 1.0 - abs(f): one abs() serves both.
     f_offset = 1.0 - size if isinstance(dst, UnitDisk) else signed_boundary_offset(dst, f)
-    sample = np.arange(len(z.real)) if isinstance(m, MapBatch) else None
-    return _Points(z, signed_boundary_offset(src, z), f, size, f_offset, _trusted(size, f_offset) & ~bad, m, sample)
+    usable = _trusted(size, f_offset) & ~bad
+    return _Points(signed_boundary_offset(src, z), f, size, f_offset, usable, np.arange(len(z.real)), z, m)
 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
     """_image_gap of pairs with usable images, from their per-point stages pz, pw (gathered
     to the pairs) and gaps |z - w|; call under np.errstate."""
     fgap = abs(pz.f - pw.f)
-    near = np.flatnonzero((fgap <= _GAP_TRUST * (pz.size + pw.size)) & pz.usable & pw.usable)
+    near = np.flatnonzero(fgap <= _GAP_TRUST * (pz.size + pw.size))
+    near = near[pz.usable[near] & pw.usable[near]]
     if near.size:
-        m = pz.m if pz.sample is None else pz.m.take(pz.sample[near])
-        fgap[near] = gap[near] * abs(_divided_arrays(m, pz.z[near], pw.z[near]))
+        z_at, w_at = pz.at[near], pw.at[near]
+        m = pz.m.take(z_at) if isinstance(pz.m, MapBatch) else pz.m
+        fgap[near] = gap[near] * abs(_divided_arrays(m, pz.points[z_at], pw.points[w_at]))
     return fgap
 
 
@@ -452,7 +454,13 @@ def _guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: CArr, w
     with z and w mapped in one per-point stage; call under np.errstate."""
     n = len(z.real)
     stage = _point_stage(src, dst, m, CArr(np.concatenate([z.real, w.real]), np.concatenate([z.imag, w.imag])))
-    pz, pw = stage.take(slice(None, n)), stage.take(slice(n, None))
+    return _staged_ratios(stage.take(slice(None, n)), stage.take(slice(n, None)))
+
+
+def _staged_ratios(pz: _Points, pw: _Points):
+    """(guarded_ratio of the pairs of points with per-point stages pz, pw, NaN where it
+    gives None; |z - w|); call under np.errstate."""
+    z, w = pz.points[pz.at], pw.points[pw.at]
     gap = abs(z - w)
     return np.where(pz.usable & pw.usable, _exact_ratios(z, w, pz, pw, gap), math.nan), gap
 

@@ -693,8 +693,8 @@ class _ScalarRegion:
 
 def _reference_refine(src, dst, m, region, cfg, coords, value):
     """The scalar complete poll from one seed pair that _walk runs for every walk at once:
-    each round scores the 8 moves that leave the pair (k, +, -) and takes the first best
-    improving one."""
+    each round clips the moved point of each of the 8 moves (k, +, -), scores the moves
+    that leave the pair, and takes the first best improving one."""
     steps = region.initial_steps(coords)
     coords = list(coords)
     best = value
@@ -705,8 +705,8 @@ def _reference_refine(src, dst, m, region, cfg, coords, value):
             for sign in (1.0, -1.0):
                 cand = list(coords)
                 cand[k] += sign * steps[k]
-                cand[0], cand[1] = region.clip(cand[0], cand[1])
-                cand[2], cand[3] = region.clip(cand[2], cand[3])
+                moved = 2 * (k // 2)  # the moved point's coordinates
+                cand[moved], cand[moved + 1] = region.clip(cand[moved], cand[moved + 1])
                 z = region.point(cand[0], cand[1])
                 w = region.point(cand[2], cand[3])
                 if cand == coords or abs(z - w) < cfg.separation_floor:
