@@ -198,7 +198,7 @@ def check_step_1_2(m: MapExpr, z: complex, w: complex) -> float:
     try:
         with np.errstate(over="raise"):  # the sides are numpy floats, which overflow to inf
             lhs, rhs = _step_1_2_sides(z, w, *images)
-    except (OverflowError, FloatingPointError) as exc:  # abs() of a complex past ~1.3e308 per coordinate
+    except (OverflowError, FloatingPointError) as exc:  # abs() past ~1.3e308 per coordinate, or a side past it
         where = f"at {z!r}, {w!r}"
         raise DomainError(f"check_step_1_2: |z - w|, |f(z) - f(w)| or a side is past the float range {where}") from exc
     return float(rhs - lhs)
