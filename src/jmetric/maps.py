@@ -275,15 +275,16 @@ def _raise_at_pole(den: complex, pole: str, z: complex):
         raise PoleEncountered(f"{pole} at {z!r}")
 
 
-def _at_point(formula, m: MapExpr, z: complex, verb: str, *more) -> complex:
-    """formula (_value, or _divided with more = (z,)) of m at the point z, raising where
-    apply and derivative do."""
+def _at_point(formula, m: MapExpr, z: complex, verb: str, w: complex | None = None) -> complex:
+    """formula (_value, or _divided with w = z) of m at the point z, raising where apply and
+    derivative do."""
     # abs() of a complex with a NaN part can raise an OverflowError left over from an
     # earlier libm call, so a non-finite point is refused before any arithmetic.
     if not cmath.isfinite(z):
         raise DomainError(f"cannot {verb} a map at the non-finite point {z!r}")
     try:
-        out = formula(m, z, *more, _raise_at_pole)
+        # A plain call: one that unpacks *args costs apply about 40% more.
+        out = formula(m, z, _raise_at_pole) if w is None else formula(m, z, w, _raise_at_pole)
     except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den * den underflowing
         out = complex(math.nan, math.nan)
     if not cmath.isfinite(out):
