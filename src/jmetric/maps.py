@@ -94,7 +94,8 @@ class MapExpr:
         return type(self)(*(pick(getattr(self, f.name)) for f in dataclasses.fields(self)))
 
     def take(self, rows) -> MapExpr:
-        """Maps `rows` of maps made by of_arrays, made by of_arrays; a parameter that is no array is shared."""
+        """Maps `rows` of maps made by of_arrays, as one map made by of_arrays; a parameter that is no
+        array is shared."""
 
         def pick(value):
             if isinstance(value, tuple):
@@ -298,11 +299,11 @@ def apply(m: MapExpr, z: complex) -> complex:
     return _at_point(_value, m, z, "evaluate")
 
 
-def _on_arrays(formula, m: MapExpr, z: CArr, *more) -> tuple[CArr, np.ndarray]:
-    """formula (_value, or _divided with more = (w,)) of m at every point of z, as (values,
+def _on_arrays(formula, m: MapExpr, z: CArr, w: CArr | None = None) -> tuple[CArr, np.ndarray]:
+    """formula (_value, or _divided with the points w) of m at every point of z, as (values,
     bad); bad marks where the scalar call raises, and the values there are meaningless."""
     bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
-    for w in more:
+    if w is not None:
         bad |= ~(np.isfinite(w.real) & np.isfinite(w.imag))
 
     def mark(den, pole, at):
@@ -318,7 +319,7 @@ def _on_arrays(formula, m: MapExpr, z: CArr, *more) -> tuple[CArr, np.ndarray]:
 
     with np.errstate(all="ignore"):
         try:
-            f = formula(m, z, *more, mark)
+            f = formula(m, z, mark) if w is None else formula(m, z, w, mark)
         except ZeroDivisionError:  # a constant inner map sits on the outer map's pole: every point is bad
             f = complex(math.nan, math.nan)
     bad |= ~(np.isfinite(f.real) & np.isfinite(f.imag))

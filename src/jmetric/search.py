@@ -335,7 +335,8 @@ def _walk(src, dst, m, region, cfg, coords, best):
         moves = cand.reshape(4, 4, 2, width)
         moves[k, k, 0] += steps
         moves[k, k, 1] -= steps
-        a, b = region.clip(np.concatenate([cand[0, :half], cand[2, half:]]), np.concatenate([cand[1, :half], cand[3, half:]]))
+        a, b = np.concatenate([cand[0, :half], cand[2, half:]]), np.concatenate([cand[1, :half], cand[3, half:]])
+        a, b = region.clip(a, b)
         cand[0, :half], cand[1, :half], cand[2, half:], cand[3, half:] = a[:half], b[:half], a[half:], b[half:]
         stage = _point_stage(src, dst, m, region.point(np.concatenate([coords[0], coords[2], a]),
                                                        np.concatenate([coords[1], coords[3], b])))
