@@ -221,26 +221,23 @@ def boundary_distance(domain: PlanarDomain, z: complex) -> float:
     return off
 
 
-def j_distance(domain: PlanarDomain, z: complex, w: complex, *, gap: float | None = None) -> float:
+def j_distance(domain: PlanarDomain, z: complex, w: complex) -> float:
     """Distance ratio metric log(1 + |z-w| / min boundary distance).
 
     Evaluated through log1p so near-coincident pairs (gaps around 1e-12 and
     below) keep full relative accuracy.  Zero when z == w, and for a distinct
     pair only when |z - w| / min distance underflows (0 is then the correctly
     rounded value); DomainError when |z - w|, or its ratio to the boundary
-    distance, overflows the float range.  gap, if given, stands for |z - w|:
-    a caller that knows it better than the rounded points do passes it.
+    distance, overflows the float range.
     """
     bz = boundary_distance(domain, z)
     bw = boundary_distance(domain, w)
-    if gap is None:
-        if z == w:
-            return 0.0
-        try:
-            gap = abs(z - w)
-        except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
-            gap = math.inf
-    j = math.log1p(gap / (bz if bz <= bw else bw))
+    if z == w:
+        return 0.0
+    try:
+        j = math.log1p(abs(z - w) / (bz if bz <= bw else bw))
+    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
+        j = math.inf
     if j < math.inf:
         return j
     raise DomainError(f"|z - w| / min boundary distance overflows the float range for z = {z!r}, w = {w!r}")

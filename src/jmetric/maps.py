@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -129,6 +130,11 @@ class Mobius(MapExpr):
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
+    @functools.cached_property
+    def _moduli(self):
+        """(|a|, |b|, |c|, |d|, sqrt(2) / |det|) bounded above by _mag, for the rounding scale."""
+        return _mag(self.a), _mag(self.b), _mag(self.c), _mag(self.d), _SQRT2 / _mag(self.determinant())
+
 
 @dataclass(frozen=True)
 class Blaschke(MapExpr):
@@ -148,6 +154,15 @@ class Blaschke(MapExpr):
         for z in zeros:
             if abs(z) > BLASCHKE_ZERO_BOUND:
                 raise DomainError(f"Blaschke zero must satisfy |a| <= {BLASCHKE_ZERO_BOUND}, got {z!r}")
+
+    @functools.cached_property
+    def _weights(self):
+        """(1 + sum_k 1 / (1 - |a_k|), sum_k (1 + |a_k|) / (1 - |a_k|)), for the rounding scale."""
+        weight, total = 1.0, 0.0
+        for a in self.zeros:
+            r = abs(a)
+            weight, total = weight + 1.0 / (1.0 - r), total + (1.0 + r) / (1.0 - r)
+        return weight, total
 
 
 @dataclass(frozen=True)
@@ -192,9 +207,10 @@ class MapBatch:
         """The samples `rows` (increasing) as a batch of their own, numbered from 0."""
         groups = []
         for index, m in self.groups:
-            mine = np.flatnonzero(np.isin(rows, index))
+            pos = np.searchsorted(index, rows)
+            mine = np.flatnonzero(index[np.minimum(pos, index.size - 1)] == rows)
             if mine.size:
-                groups.append((mine, m.take(np.searchsorted(index, rows[mine]))))
+                groups.append((mine, m.take(pos[mine])))
         return MapBatch(tuple(groups))
 
 
@@ -365,6 +381,124 @@ def _divided_arrays(m: MapExpr | MapBatch, z: CArr, w: CArr) -> CArr:
 
 def _unguarded(den, pole, z):
     pass
+
+
+# _rounding_scale and _slope_bound are first-order bounds from a computed image f and
+# its modulus |f| (the derivation is at verify._GAP_TRUST).  An atom needs |f| and its
+# parameters alone.  A composition outer o inner also needs h = inner(z): where neither
+# part is a composition, |h| is bounded from f by outer's inverse instead of evaluated.
+# The error and the slope of a Blaschke product have no such bound off the closed unit
+# disk, where |f| > 1 (for a degree-0 product |f| = 1 says nothing of z): inf there.
+# Complex moduli are bounded by _mag, which cannot raise, so a float gives the bits of
+# an array element, inf and NaN included.
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _mag(x):
+    """|Re x| + |Im x|, between |x| and sqrt(2) |x|, for a complex, a CArr or an array of
+    real parameters."""
+    if isinstance(x, np.ndarray):
+        return abs(x)
+    return abs(x.real) + abs(x.imag)
+
+
+def _inverse(t):
+    """1 / t for t >= 0 or NaN, on a float as on an array: inf at 0."""
+    if isinstance(t, np.ndarray) or t > 0.0:
+        return 1.0 / t
+    return math.inf if t == 0.0 else math.nan
+
+
+def _rounding_scale(m: MapExpr | MapBatch, z, f, size):
+    """S with |computed m(z) - m(z)| <= e S to first order, from the computed f = m(z) and
+    size = |f|: z a complex, or a CArr with f a CArr and size an array (then a MapBatch
+    takes map k at z[k]); call under np.errstate."""
+    if isinstance(m, Extremal):
+        return 2.0 * abs(m.a) + size
+    if isinstance(m, Mobius):  # |det| >= _mag(det) / sqrt(2)
+        a, b, c, d, inverse_det = m._moduli
+        return 2.0 * (a + c * size) * (b + d * size) * inverse_det
+    if isinstance(m, Blaschke):
+        return _in_disk(size, size * m._weights[0])
+    if isinstance(m, Compose):
+        # An error d in the inner value h moves outer(h) by about |outer'(h)| d.
+        h, h_size = _inner_point(m, z, f, size)
+        return _rounding_scale(m.outer, h, f, size) + _slope_bound(m.outer, h, f, size) * _rounding_scale(
+            m.inner, z, h, h_size
+        )
+    if isinstance(m, MapBatch):
+        return _by_group(_rounding_scale, m, z, f, size)
+    raise TypeError(f"not a map expression: {m!r}")
+
+
+def _slope_bound(m: MapExpr | MapBatch, z, f, size):
+    """An upper bound on |m'(z)|, with z, f and size as for _rounding_scale."""
+    if isinstance(m, Extremal):  # 1 / (b + z)^2 = (a - f)^2
+        t = _mag(m.a - f)
+        return t * t
+    if isinstance(m, Mobius):  # det / (cz + d)^2 = (a - c f)^2 / det
+        t = _mag(m.a - m.c * f)
+        return t * t * m._moduli[4]
+    if isinstance(m, Blaschke):  # sum_k (1 - |a_k|^2) / |1 - conj(a_k) z|^2 on the closed disk
+        return _in_disk(size, m._weights[1])
+    if isinstance(m, Compose):
+        h = _inner_value(m, z)
+        return _slope_bound(m.outer, h, f, size) * _slope_bound(m.inner, z, h, _mag(h))
+    if isinstance(m, MapBatch):
+        return _by_group(_slope_bound, m, z, f, size)
+    raise TypeError(f"not a map expression: {m!r}")
+
+
+def _inner_point(m: Compose, z, f, size):
+    """(h, an upper bound on |h|) for h = m.inner(z) as apply computes it; h is None where
+    neither part of m is a composition, and the bound comes from f = m(z)."""
+    if not (_composes(m.outer) or _composes(m.inner)):
+        return None, _preimage_bound(m.outer, f, size)
+    h = _inner_value(m, z)
+    return h, _mag(h)
+
+
+def _inner_value(m: Compose, z):
+    """m.inner at z, as apply and apply_arrays compute it."""
+    return apply_arrays(m.inner, z)[0] if isinstance(z, CArr) else _value(m.inner, z, _unguarded)
+
+
+def _preimage_bound(m: MapExpr | MapBatch, f, size):
+    """An upper bound on |z| from f = m(z) and size = |f|, for a map that composes nothing."""
+    if isinstance(m, MapBatch):
+        return _by_group(lambda part, z, f, size: _preimage_bound(part, f, size), m, None, f, size)
+    if isinstance(m, Extremal):  # z = 1 / (a - f) - b
+        return abs(m.b) + _SQRT2 * _inverse(_mag(m.a - f))
+    if isinstance(m, Mobius):  # z = (d f - b) / (a - c f)
+        _, b, _, d, _ = m._moduli
+        return (d * size + b) * _SQRT2 * _inverse(_mag(m.a - m.c * f))
+    if m.zeros:  # a Blaschke product has |f| <= 1 just where |z| <= 1
+        return _in_disk(size, 1.0)
+    return np.full(np.shape(size), math.inf) if isinstance(size, np.ndarray) else math.inf  # a constant
+
+
+def _composes(m: MapExpr | MapBatch) -> bool:
+    if isinstance(m, MapBatch):
+        return any(_composes(part) for _, part in m.groups)
+    return isinstance(m, Compose)
+
+
+def _by_group(bound, m: MapBatch, z, f, size):
+    """bound(part, z, f, size) of each group of m, on that group's samples, in one array;
+    the points z are gathered only for a composition (the others use f and size)."""
+    out = np.empty(np.shape(size))
+    for index, part in m.groups:
+        at = z[index] if isinstance(part, Compose) else None
+        out[index] = bound(part, at, None if f is None else f[index], size[index])
+    return out
+
+
+def _in_disk(size, bound):
+    """bound where size <= 1, inf elsewhere (and where size is NaN)."""
+    if isinstance(size, np.ndarray):
+        return np.where(size <= 1.0, bound, math.inf)
+    return bound if size <= 1.0 else math.inf
 
 
 def derivative(m: MapExpr, z: complex) -> complex:

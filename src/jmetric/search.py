@@ -173,10 +173,6 @@ class _Region:
             if self.margin >= domain.radius:
                 raise DomainError("boundary_margin leaves no interior to search")
             self.cx, self.cy, self.reach = domain.center.real, domain.center.imag, domain.radius - self.margin
-            # x*x + y*y is within 3 u of x^2 + y^2 (a square that underflows leaves the point far
-            # inside a reach above 2**-400), so below this the radius is under reach (1 - 2**-50),
-            # which math.hypot, within an ulp, cannot round past the reach.
-            self._within = self.reach * self.reach * (1.0 - 2.0**-48) if self.reach > 2.0**-400 else -1.0
             lo_x, hi_x = self.cx - self.reach, self.cx + self.reach
             lo_y, hi_y = self.cy - self.reach, self.cy + self.reach
             self.ax = np.array([lo_x + i * (hi_x - lo_x) / (n - 1) for i in range(n)])
@@ -208,7 +204,7 @@ class _Region:
         """The grid's coordinate arrays (a, b), a-major; a disk keeps the points within reach."""
         a, b = np.repeat(self.ax, len(self.ay)), np.tile(self.ay, len(self.ax))
         if self.kind == "disk":
-            inside = ~(self._radius(a - self.cx, b - self.cy) > self.reach)
+            inside = ~(_hypot(a - self.cx, b - self.cy) > self.reach)
             a, b = a[inside], b[inside]
         return a, b
 
@@ -217,18 +213,10 @@ class _Region:
         the box of a half-plane; call under np.errstate."""
         if self.kind == "disk":
             dx, dy = a - self.cx, b - self.cy
-            rr = self._radius(dx, dy)
+            rr = _hypot(dx, dy)
             scale, out = self.reach / rr, rr > self.reach
             return np.where(out, self.cx + dx * scale, a), np.where(out, self.cy + dy * scale, b)
         return np.minimum(np.maximum(a, self.tlo), self.thi), np.minimum(np.maximum(b, self.hlo), self.hhi)
-
-    def _radius(self, dx, dy):
-        """math.hypot(dx, dy) for every offset from a disk's center that may lie past the
-        reach, and 0 for the others (see _within)."""
-        rr = np.zeros(np.shape(dx))
-        far = ~(dx * dx + dy * dy <= self._within)
-        rr[far] = _hypot(dx[far], dy[far])
-        return rr
 
     def initial_steps(self, coords):
         """The 4 x W first steps of walks from the 4 x W coordinates."""

@@ -44,6 +44,7 @@ from .domains import (
     UpperHalfPlane,
     _j,
     _log1p_exact,
+    boundary_distance,
     j_distance,
     pseudo_hyperbolic_disk,
     pseudo_hyperbolic_halfplane,
@@ -61,6 +62,7 @@ from .maps import (
     _divided,
     _divided_arrays,
     _raise_at_pole,
+    _rounding_scale,
     apply,
     apply_arrays,
     image_modulus_bound,
@@ -289,39 +291,66 @@ def check_lipschitz_pair(
     fz = apply(m, z)
     fw = apply(m, w)
     try:
-        gap = _image_gap(m, z, w, fz, fw, abs(fz) + abs(fw))
-    except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den * den underflowing
-        gap = math.inf  # j_distance raises DomainError, after its checks that the images lie in dst
-    return j_distance(dst, fz, fw, gap=gap) / j_src
+        gap = _image_gap(m, z, w, fz, fw, abs(fz), abs(fw))
+    except OverflowError:  # abs() past ~1.3e308 per coordinate
+        gap = math.inf  # _image_j raises DomainError, after its checks that the images lie in dst
+    return _image_j(dst, fz, fw, gap) / j_src
 
 
 # _image_gap and _image_gaps take |f(z) - f(w)| from the two rounded images only where
 # that difference is accurate to tau = 5e-10, relative: the 1e-9 tolerance of the
 # ceilings, the lipschitz-pair suite and the search's refusal, on a ratio of at most 2
 # (a relative error in x moves log1p(x) by at most as much, since x <= (1 + x) log1p(x)).
-# To first order each computed image is f (1 + t) with |t| <= e, so the computed
-# difference is off by at most e (|f(z)| + |f(w)|) + u |f(z) - f(w)|, u = 2**-53 (Higham,
-# Accuracy and Stability of Numerical Algorithms, 2002, ch. 3), and relatively by at most
-# tau + u where |f(z) - f(w)| > (e / tau) (|f(z)| + |f(w)|).  Elsewhere the gap is |z - w|
-# |f[z, w]| (maps._divided), which has no cancellation in it.  e adds up the complex
-# operations of the longest evaluation that the suites, ceilings and bench searches
-# make, with Higham's Lemma 3.5 bounds (g_k = k u / (1 - k u)): a Blaschke factor costs
-# z - a, conj(a) z, 1 - conj(a) z, a quotient and the running product, u + sqrt(2) g_2 +
-# u + sqrt(2) g_4 + sqrt(2) g_2 ~ 13.3 u, so a 4-zero product, or a composition of two
-# 2-zero products, costs about 53 u and the rotations up to 2 u more: e = 55 u.  The bound
-# leaves out cancellation within an evaluation; where that spoils an image, the refusal
-# of a search ratio past 2 + 1e-9 stays the backstop.
-_GAP_TRUST = 55 * 2.0**-53 / 5e-10
+# To first order each computed image is off by at most e S(z), S = maps._rounding_scale,
+# so the computed difference is off by at most e (S(z) + S(w)) + u |f(z) - f(w)|,
+# u = 2**-53, and relatively by at most tau + u where |f(z) - f(w)| > (e / tau) (S(z) +
+# S(w)).  Elsewhere the gap is |z - w| |f[z, w]| (maps._divided), which has no
+# cancellation in it, unless that is 0 or not finite (den_z den_w under- or
+# overflowing): then the rounded difference stays.  S and e come from running error
+# bounds (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): Lemma 3.5
+# bounds a complex sum of computed terms by u |x + y|, a product by 2 sqrt(2) u |x| |y|
+# and a quotient by 6 u |x / y| (sqrt(2) gamma_4; the scaled division of CPython and CArr
+# measures at most 2.72 u over 2e5 random quotients).  With q = 1 / (b + z) = a - f:
+#   a - 1/(b + z):  (1 + 6) u |q| + u |f|, at most 8 u (|a| + |q|) <= 8 u (2 |a| + |f|).
+#   Moebius:        (1 + 2 sqrt(2)) u (N + |f| D) / |cz + d| + 6 u |f|, N = |a| |z| + |b| and
+#                   D = |c| |z| + |d|; |f| <= N / |cz + d|, and with z (a - cf) = df - b and
+#                   (cz + d)(a - cf) = det, (N + |f| D) / |cz + d| <= 2 (|a| + |c| |f|)
+#                   (|b| + |d| |f|) / |det|: at most 10 u times that.
+#   Blaschke:       relatively 2 u for the rotation, and per factor u for z - a, u + 2 sqrt(2)
+#                   u r for 1 - conj(a) z (r = |a| |z| / |1 - conj(a) z|), 6 u for the quotient
+#                   and 2 sqrt(2) u for the product: at most 10.9 u |f| (1 + sum_k (1 + r_k)),
+#                   and 1 + r_k <= 1 / (1 - |a_k|) where |z| <= 1, that is where |f| <= 1.
+#   outer o inner:  S_outer(h) + |outer'(h)| S_inner(z) at h = inner(z), with |outer'(h)|
+#                   from f ((a - f)^2, (a - cf)^2 / det, or sum_k (1 + |a_k|) / (1 - |a_k|))
+#                   and |h| from outer's inverse (maps._slope_bound, maps._preimage_bound).
+# maps._rounding_scale takes each of these bounds, with complex moduli bounded above by
+# |Re| + |Im| and |det| below by that over sqrt(2).  So e = 10.9 u covers every map, and
+# e / tau:
+_GAP_TRUST = 10.9 * 2.0**-53 / 5e-10
 
 
-def _image_gap(m: MapExpr, z: complex, w: complex, fz: complex, fw: complex, size: float) -> float:
-    """|f(z) - f(w)| from the images fz, fw of m and size = |fz| + |fw|: their difference,
-    or |z - w| |f[z, w]| where they agree to rounding (see _GAP_TRUST); abs() may overflow,
-    and a product of denominators underflowing to 0 raises ZeroDivisionError."""
+def _image_gap(m: MapExpr, z: complex, w: complex, fz: complex, fw: complex, size_z: float, size_w: float) -> float:
+    """|f(z) - f(w)| from the images fz, fw of m, with moduli size_z, size_w: their
+    difference, or |z - w| |f[z, w]| where they agree to rounding (see _GAP_TRUST); abs()
+    may overflow."""
     gap = abs(fz - fw)
-    if gap <= _GAP_TRUST * size:
-        return abs(z - w) * abs(_divided(m, z, w, _raise_at_pole))
+    if gap <= _GAP_TRUST * (_rounding_scale(m, z, fz, size_z) + _rounding_scale(m, w, fw, size_w)):
+        try:
+            divided = abs(z - w) * abs(_divided(m, z, w, _raise_at_pole))
+        except (OverflowError, ZeroDivisionError):  # den_z * den_w past the float range
+            return gap
+        if 0.0 < divided < math.inf:
+            return divided
     return gap
+
+
+def _image_j(dst: PlanarDomain, fz: complex, fw: complex, gap: float) -> float:
+    """j_distance(dst, fz, fw) with gap (_image_gap) for |fz - fw|."""
+    bz, bw = boundary_distance(dst, fz), boundary_distance(dst, fw)
+    j = math.log1p(gap / (bz if bz <= bw else bw))
+    if j < math.inf:
+        return j
+    raise DomainError(f"|z - w| / min boundary distance overflows the float range for z = {fz!r}, w = {fw!r}")
 
 
 def _trusted(size, offset):
@@ -333,7 +362,8 @@ def _trusted(size, offset):
 
 class _Points(NamedTuple):
     """The per-point stage of _guarded_ratios and _scored_pairs: a point's offset from the
-    source boundary, its image and the image's modulus, the image's offset from the
+    source boundary, its image, the image's modulus and rounding scale (maps._rounding_scale;
+    None in a stage for scores that take no image gap), the image's offset from the
     destination boundary, whether the image is usable (apply gives it and _trusted accepts
     it) and its position in the stage; and, not gathered, the stage's points and map (a
     MapBatch takes map k at position k)."""
@@ -341,6 +371,7 @@ class _Points(NamedTuple):
     offset: np.ndarray
     f: CArr
     size: np.ndarray
+    scale: np.ndarray | None
     f_offset: np.ndarray
     usable: np.ndarray
     at: np.ndarray
@@ -348,30 +379,34 @@ class _Points(NamedTuple):
     m: MapExpr | MapBatch
 
     def take(self, index) -> _Points:
-        return _Points(self.offset[index], self.f[index], self.size[index], self.f_offset[index],
+        scale = None if self.scale is None else self.scale[index]
+        return _Points(self.offset[index], self.f[index], self.size[index], scale, self.f_offset[index],
                        self.usable[index], self.at[index], self.points, self.m)
 
 
-def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr) -> _Points:
-    """_Points of every point of z; call under np.errstate."""
+def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = True) -> _Points:
+    """_Points of every point of z, with rounding scales if gaps; call under np.errstate."""
     f, bad = apply_arrays(m, z)
     size = abs(f)
     # signed_boundary_offset(UnitDisk(), f) is 1.0 - abs(f): one abs() serves both.
     f_offset = 1.0 - size if isinstance(dst, UnitDisk) else signed_boundary_offset(dst, f)
     usable = _trusted(size, f_offset) & ~bad
-    return _Points(signed_boundary_offset(src, z), f, size, f_offset, usable, np.arange(len(z.real)), z, m)
+    scale = _rounding_scale(m, z, f, size) if gaps else None
+    return _Points(signed_boundary_offset(src, z), f, size, scale, f_offset, usable, np.arange(len(z.real)), z, m)
 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
     """_image_gap of pairs with usable images, from their per-point stages pz, pw (gathered
     to the pairs) and gaps |z - w|; call under np.errstate."""
     fgap = abs(pz.f - pw.f)
-    near = np.flatnonzero(fgap <= _GAP_TRUST * (pz.size + pw.size))
+    near = np.flatnonzero(fgap <= _GAP_TRUST * (pz.scale + pw.scale))
     near = near[pz.usable[near] & pw.usable[near]]
     if near.size:
         z_at, w_at = pz.at[near], pw.at[near]
         m = pz.m.take(z_at) if isinstance(pz.m, MapBatch) else pz.m
-        fgap[near] = gap[near] * abs(_divided_arrays(m, pz.points[z_at], pw.points[w_at]))
+        divided = gap[near] * abs(_divided_arrays(m, pz.points[z_at], pw.points[w_at]))
+        exact = (divided > 0.0) & (divided < math.inf)
+        fgap[near[exact]] = divided[exact]
     return fgap
 
 
@@ -443,8 +478,8 @@ def guarded_ratio(
         j_src = j_distance(src, z, w)
         if not trusted or j_src == 0.0:
             return None
-        ratio = j_distance(dst, fz, fw, gap=_image_gap(m, z, w, fz, fw, size_z + size_w)) / j_src
-    except (PoleEncountered, PointOutsideDomain, DomainError, OverflowError, ZeroDivisionError):  # see _image_gap
+        ratio = _image_j(dst, fz, fw, _image_gap(m, z, w, fz, fw, size_z, size_w)) / j_src
+    except (PoleEncountered, PointOutsideDomain, DomainError, OverflowError):  # abs(f) may overflow
         return None
     return ratio if math.isfinite(ratio) else None
 
@@ -476,12 +511,16 @@ def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:
     return z, sample_interior_points(domain, rng, n, PAIR_MARGIN, HALFPLANE_SPAN)
 
 
-def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score):
+def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score, gaps: bool = True):
     """score(z, w, pz, pw, gap) of the pairs (z[k], w[k]) PAIR_SEPARATION apart with usable images,
-    from the pairs, their per-point stages and gaps |z - w|; NaN for the other pairs."""
+    from the pairs, their per-point stages (with rounding scales if gaps) and gaps |z - w|; NaN
+    for the other pairs."""
     with np.errstate(all="ignore"):
         gap = abs(z - w)
-        pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
+        if gaps:
+            pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
+        else:
+            pz, pw = _point_stage(src, dst, m, z, gaps=False), _point_stage(src, dst, m, w, gaps=False)
         keep = ~(gap < PAIR_SEPARATION) & pz.usable & pw.usable
         if keep.all():
             return score(z, w, pz, pw, gap)
@@ -681,7 +720,7 @@ def _images_trial(domain, family, score):
     def trial(rng, n):
         m = family(rng, n)
         z, w = _pairs(domain, rng, n)
-        margins = _scored_pairs(domain, domain, m, z, w, lambda z, w, pz, pw, gap: score(z, w, pz.f, pw.f))
+        margins = _scored_pairs(domain, domain, m, z, w, lambda z, w, pz, pw, gap: score(z, w, pz.f, pw.f), gaps=False)
         return margins, lambda k: (m[k], z.at(k), w.at(k))
 
     return trial

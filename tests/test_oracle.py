@@ -10,6 +10,8 @@ Each image domain is held to the image of the source's circle equation,
 carried through the map as a Hermitian matrix at the same precision.
 """
 
+import math
+
 import mpmath
 import pytest
 
@@ -159,6 +161,84 @@ def test_divided_differences_agree_with_the_oracle(name):
                 else:
                     exact = (_exact_map(m, zz) - _exact_map(m, ww)) / (zz - ww)
                 assert abs(_divided(m, z, w, _raise_at_pole) - exact) <= 1e-13 * abs(exact)
+
+
+# Maps whose last operation cancels near the base point (a zero of a - 1/(b+z), of the
+# numerator az + b), so an image there carries an error of about u |a|, far above u |f|.
+# The rounded images' difference once scored 1.0000000850361197 at height 1e-5 and gap
+# 1e-9, against 1.00000000099995.
+CANCELLING = {
+    "extremal": (Extremal(1.0, 1.0), 0j),
+    "mobius": (Mobius(1.0, -1.0, 1.0, 1.0), 1 + 0j),
+    "compose": (Compose(Extremal(1.0, 1.0), Mobius(1.0, -1.0, 1.0, 1.0)), 1 + 0j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANCELLING))
+def test_cancelling_evaluations_agree_with_the_oracle(name):
+    # Heights 1e-3 to 1e-6 above the base point and gaps 1e-2 to 1e-4 of the height, in
+    # three directions: within the 5e-10 relative accuracy that verify._GAP_TRUST is
+    # derived for, from the scalar and the array scorer alike.
+    half = UpperHalfPlane()
+    m, base = CANCELLING[name]
+    for y in (1e-3, 1e-4, 1e-5, 1e-6):
+        for step in (1e-2, 1e-3, 1e-4):
+            for direction in (1, 1j, 1 + 1j):
+                z = base + complex(0.0, y)
+                w = z + direction * step * y
+                exact = exact_ratio(half, half, m, z, w)
+                z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
+                with np.errstate(all="ignore"):
+                    array = float(_guarded_ratios(half, half, m, z_array, w_array)[0][0])
+                ratio = guarded_ratio(half, half, m, z, w)
+                assert ratio == check_lipschitz_pair(half, half, m, z, w) == array
+                assert abs(ratio - exact) <= 5e-10 * exact, (y, step, direction)
+
+
+NESTED = {
+    "halfplane-outer": (UpperHalfPlane(), Compose(Compose(Extremal(1.0, 0.5), Mobius(2.0, 1.0, 1.0, 1.0)), Extremal(0.3, 1.0))),
+    "halfplane-inner": (UpperHalfPlane(), Compose(Extremal(1.0, 1.0), Compose(Mobius(1.0, -1.0, 1.0, 1.0), Extremal(0.0, 2.0)))),
+    "disk-inner": (UnitDisk(), Compose(Blaschke(0.3, (0.5, -0.2j)), Compose(Blaschke(0.0, (0.9,)), Blaschke(1.0, (0.1 + 0.1j,))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_nested_compositions_agree_with_the_oracle(name):
+    # A composition with a composition inside evaluates its inner values for the rounding
+    # scale; gaps 1e-9 to 1e-1 of the distance to the boundary.
+    domain, m = NESTED[name]
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        if isinstance(domain, UpperHalfPlane):
+            z = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-4.0, 1.0))
+            reach = z.imag
+        else:
+            r, t = 0.999 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+            z = complex(r * math.cos(t), r * math.sin(t))
+            reach = 1.0 - abs(z)
+        w = z + complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-9.0, -1.0) * reach
+        ratio = guarded_ratio(domain, domain, m, z, w)
+        z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
+        with np.errstate(all="ignore"):
+            array = float(_guarded_ratios(domain, domain, m, z_array, w_array)[0][0])
+        if ratio is None:
+            assert math.isnan(array)
+            continue
+        assert ratio == array
+        exact = exact_ratio(domain, domain, m, z, w)
+        assert abs(ratio - exact) <= 5e-10 * exact, (z, w)
+
+
+def test_underflowing_divided_difference_keeps_the_rounded_gap():
+    # Both denominators are 1e-170, so (b + z)(b + w) underflows to 0 and f[z, w] is not a
+    # float; the images' own difference is accurate here and gives the ratio.
+    half, m, z, w = UpperHalfPlane(), Extremal(0.0, 0.0), 1e-170j, 1e-180 + 1e-170j
+    exact = exact_ratio(half, half, m, z, w)
+    z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
+    with np.errstate(all="ignore"):
+        array = float(_guarded_ratios(half, half, m, z_array, w_array)[0][0])
+    for ratio in (guarded_ratio(half, half, m, z, w), check_lipschitz_pair(half, half, m, z, w), array):
+        assert abs(ratio - exact) <= 1e-12 * exact
 
 
 # Image domains.  A source is {z : Q(z) < 0} for the Hermitian form
