@@ -291,13 +291,13 @@ def check_lipschitz_pair(
     fz = apply(m, z)
     fw = apply(m, w)
     try:
-        gap = _image_gap(m, z, w, fz, fw, abs(fz), abs(fw))
-    except OverflowError:  # abs() past ~1.3e308 per coordinate
-        gap = math.inf  # _image_j raises DomainError, after its checks that the images lie in dst
+        gap = _divided_gap(m, z, w, fz, fw, abs(fz), abs(fw))
+    except OverflowError:  # abs() past ~1.3e308 per coordinate; j_distance raises DomainError
+        gap = None
     return _image_j(dst, fz, fw, gap) / j_src
 
 
-# _image_gap and _image_gaps take |f(z) - f(w)| from the two rounded images only where
+# _divided_gap and _image_gaps take |f(z) - f(w)| from the two rounded images only where
 # that difference is accurate to tau = 5e-10, relative: the 1e-9 tolerance of the
 # ceilings, the lipschitz-pair suite and the search's refusal, on a ratio of at most 2
 # (a relative error in x moves log1p(x) by at most as much, since x <= (1 + x) log1p(x)).
@@ -329,23 +329,23 @@ def check_lipschitz_pair(
 _GAP_TRUST = 10.9 * 2.0**-53 / 5e-10
 
 
-def _image_gap(m: MapExpr, z: complex, w: complex, fz: complex, fw: complex, size_z: float, size_w: float) -> float:
-    """|f(z) - f(w)| from the images fz, fw of m, with moduli size_z, size_w: their
-    difference, or |z - w| |f[z, w]| where they agree to rounding (see _GAP_TRUST); abs()
-    may overflow."""
-    gap = abs(fz - fw)
-    if gap <= _GAP_TRUST * (_rounding_scale(m, z, fz, size_z) + _rounding_scale(m, w, fw, size_w)):
-        try:
-            divided = abs(z - w) * abs(_divided(m, z, w, _raise_at_pole))
-        except (OverflowError, ZeroDivisionError):  # den_z * den_w past the float range
-            return gap
-        if 0.0 < divided < math.inf:
-            return divided
-    return gap
+def _divided_gap(m: MapExpr, z: complex, w: complex, fz: complex, fw: complex, size_z: float, size_w: float):
+    """|z - w| |f[z, w]| where the images fz, fw of m, with moduli size_z, size_w, agree to
+    rounding (see _GAP_TRUST) and that is a positive float; None where their difference
+    stands.  abs() may overflow."""
+    if abs(fz - fw) > _GAP_TRUST * (_rounding_scale(m, z, fz, size_z) + _rounding_scale(m, w, fw, size_w)):
+        return None
+    try:
+        divided = abs(z - w) * abs(_divided(m, z, w, _raise_at_pole))
+    except (OverflowError, ZeroDivisionError):  # den_z * den_w past the float range
+        return None
+    return divided if 0.0 < divided < math.inf else None
 
 
-def _image_j(dst: PlanarDomain, fz: complex, fw: complex, gap: float) -> float:
-    """j_distance(dst, fz, fw) with gap (_image_gap) for |fz - fw|."""
+def _image_j(dst: PlanarDomain, fz: complex, fw: complex, gap: float | None) -> float:
+    """j_distance(dst, fz, fw), with gap (_divided_gap) for |fz - fw| unless it is None."""
+    if gap is None:
+        return j_distance(dst, fz, fw)
     bz, bw = boundary_distance(dst, fz), boundary_distance(dst, fw)
     j = math.log1p(gap / (bz if bz <= bw else bw))
     if j < math.inf:
@@ -396,8 +396,9 @@ def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = 
 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
-    """_image_gap of pairs with usable images, from their per-point stages pz, pw (gathered
-    to the pairs) and gaps |z - w|; call under np.errstate."""
+    """|f(z) - f(w)| of pairs with usable images as _divided_gap and j_distance take it,
+    from their per-point stages pz, pw (gathered to the pairs) and gaps |z - w|; call
+    under np.errstate."""
     fgap = abs(pz.f - pw.f)
     near = np.flatnonzero(fgap <= _GAP_TRUST * (pz.scale + pw.scale))
     near = near[pz.usable[near] & pw.usable[near]]
@@ -478,7 +479,7 @@ def guarded_ratio(
         j_src = j_distance(src, z, w)
         if not trusted or j_src == 0.0:
             return None
-        ratio = _image_j(dst, fz, fw, _image_gap(m, z, w, fz, fw, size_z, size_w)) / j_src
+        ratio = _image_j(dst, fz, fw, _divided_gap(m, z, w, fz, fw, size_z, size_w)) / j_src
     except (PoleEncountered, PointOutsideDomain, DomainError, OverflowError):  # abs(f) may overflow
         return None
     return ratio if math.isfinite(ratio) else None
