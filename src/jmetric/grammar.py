@@ -6,10 +6,15 @@ and "halfplane:nx,ny,offset".  Maps follow the grammar
 
     map      := mobius | blaschke | extremal | compose
     mobius   := "mobius:" cx "," cx "," cx "," cx
-    blaschke := "blaschke:" real ";" "[" cx ("," cx)* "]"
+    blaschke := "blaschke:" real ";" "[" (cx ("," cx)*)? "]"
     extremal := "extremal:" real "," real
     compose  := "compose(" map "," map ")"
-    cx       := real | real sign real "i" | sign? "i"
+    cx       := real | real sign ureal "i" | sign? "i"
+
+where real is a signed decimal literal and ureal an unsigned one; a literal
+past the float range is refused.  Compositions nest at most MAX_COMPOSE_DEPTH
+deep.  Malformed text raises ParseError with the position where reading
+stopped and the tokens that could stand there (the CLI exits 2 on it).
 
 The printers emit exactly these forms with shortest round-trip reals, so
 parse(format(x)) always reproduces x.
@@ -43,39 +48,38 @@ def _to_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"), allow_nan=False)
 
 
-_SIGNED_REAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_UNSIGNED_REAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_SIGNED_REAL = re.compile(rf"[+-]?{_REAL}")
+_UNSIGNED_REAL = re.compile(_REAL)
+# A whole cx in one match: sign? "i" (group 1), or a real (2) with an optional
+# sign (3), unsigned real (4) and "i".
+_CX = re.compile(rf"([+-]?)i|([+-]?{_REAL})(?:([+-])({_REAL})i)?")
+
+# Deepest composition parse_map reads.  Maps nested this deep still evaluate,
+# differentiate, print, repr and hash inside Python's default recursion limit
+# (repr, three frames per level, is the first to fail, past 300).
+MAX_COMPOSE_DEPTH = 200
 
 
-class _Cursor:
-    __slots__ = ("text", "pos")
+def _real(text: str, pos: int, pattern=_SIGNED_REAL) -> tuple[float, int]:
+    match = pattern.match(text, pos)
+    if match is None:
+        raise ParseError("expected a decimal real", pos, ("real",))
+    value = float(match.group())
+    if math.isinf(value):
+        raise ParseError(f"real literal {match.group()!r} overflows the float range", pos, ("real",))
+    return value, match.end()
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _expect(text: str, pos: int, literal: str) -> int:
+    if not text.startswith(literal, pos):
+        raise ParseError(f"expected {literal!r}", pos, (literal,))
+    return pos + len(literal)
 
-    def expect(self, literal: str):
-        if not self.text.startswith(literal, self.pos):
-            raise ParseError(f"expected {literal!r}", self.pos, (literal,))
-        self.pos += len(literal)
 
-    def take_real(self, signed: bool = True) -> float:
-        pattern = _SIGNED_REAL if signed else _UNSIGNED_REAL
-        match = pattern.match(self.text, self.pos)
-        if match is None:
-            raise ParseError("expected a decimal real", self.pos, ("real",))
-        value = float(match.group())
-        if math.isinf(value):
-            raise ParseError(f"real literal {match.group()!r} overflows the float range", self.pos, ("real",))
-        self.pos = match.end()
-        return value
-
-    def done(self):
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected trailing input {self.text[self.pos:]!r}", self.pos, ("end",))
+def _done(text: str, pos: int):
+    if pos != len(text):
+        raise ParseError(f"unexpected trailing input {text[pos:]!r}", pos, ("end",))
 
 
 def format_real(x: float) -> str:
@@ -91,37 +95,37 @@ def format_complex(z: complex, real=format_real) -> str:
     return f"{real(z.real)}{sign}{real(abs(z.imag))}i"
 
 
-def _parse_cx(cur: _Cursor) -> complex:
-    ch = cur.peek()
-    # sign? "i"
-    if ch == "i":
-        cur.pos += 1
-        return 1j
-    if ch in ("+", "-") and cur.text.startswith("i", cur.pos + 1):
-        cur.pos += 2
-        return 1j if ch == "+" else -1j
-    real = cur.take_real(signed=True)
-    ch = cur.peek()
-    if ch in ("+", "-"):
-        cur.pos += 1
-        imag = cur.take_real(signed=False)
-        cur.expect("i")
-        return complex(real, imag if ch == "+" else -imag)
-    return complex(real, 0.0)
+def _cx(text: str, pos: int) -> tuple[complex, int]:
+    match = _CX.match(text, pos)
+    if match is not None:
+        sign, real, op, imag = match.groups()
+        if real is None:
+            return (-1j if sign == "-" else 1j), match.end()
+        x = float(real)
+        if imag is not None:
+            y = float(imag)
+            if not (math.isinf(x) or math.isinf(y)):
+                return complex(x, -y if op == "-" else y), match.end()
+        elif not (math.isinf(x) or text.startswith(("+", "-"), match.end())):
+            return complex(x, 0.0), match.end()
+    # No literal at pos, a part past the float range, or a sign not followed by
+    # an unsigned real and "i": read the parts one by one, which raises there.
+    _, end = _real(text, pos)
+    _, end = _real(text, end + 1, _UNSIGNED_REAL)
+    _expect(text, end, "i")
+    raise AssertionError("unreachable: _CX takes every well-formed literal")
 
 
 def parse_real(text: str) -> float:
     """A signed decimal real; nan, inf and literals past the float range are ParseErrors."""
-    cur = _Cursor(text)
-    x = cur.take_real(signed=True)
-    cur.done()
+    x, pos = _real(text, 0)
+    _done(text, pos)
     return x
 
 
 def parse_complex(text: str) -> complex:
-    cur = _Cursor(text)
-    z = _parse_cx(cur)
-    cur.done()
+    z, pos = _cx(text, 0)
+    _done(text, pos)
     return z
 
 
@@ -144,77 +148,57 @@ def parse_domain(text: str) -> PlanarDomain:
         return UnitDisk()
     if text == "upperhalfplane":
         return UpperHalfPlane()
-    if text.startswith("disk:"):
-        cur = _Cursor(text)
-        cur.pos = len("disk:")
-        cx = cur.take_real()
-        cur.expect(",")
-        cy = cur.take_real()
-        cur.expect(",")
-        r = cur.take_real()
-        cur.done()
-        return Disk(complex(cx, cy), r)
-    if text.startswith("halfplane:"):
-        cur = _Cursor(text)
-        cur.pos = len("halfplane:")
-        nx = cur.take_real()
-        cur.expect(",")
-        ny = cur.take_real()
-        cur.expect(",")
-        offset = cur.take_real()
-        cur.done()
-        return HalfPlane(complex(nx, ny), offset)
+    for prefix, kind in (("disk:", Disk), ("halfplane:", HalfPlane)):
+        if text.startswith(prefix):
+            x, pos = _real(text, len(prefix))
+            y, pos = _real(text, _expect(text, pos, ","))
+            t, pos = _real(text, _expect(text, pos, ","))
+            _done(text, pos)
+            return kind(complex(x, y), t)
     raise ParseError(
         "unknown domain", 0, ("unitdisk", "upperhalfplane", "disk:", "halfplane:")
     )
 
 
-def _parse_map(cur: _Cursor) -> MapExpr:
-    if cur.text.startswith("mobius:", cur.pos):
-        cur.pos += len("mobius:")
-        a = _parse_cx(cur)
-        cur.expect(",")
-        b = _parse_cx(cur)
-        cur.expect(",")
-        c = _parse_cx(cur)
-        cur.expect(",")
-        d = _parse_cx(cur)
-        return Mobius(a, b, c, d)
-    if cur.text.startswith("blaschke:", cur.pos):
-        cur.pos += len("blaschke:")
-        rotation = cur.take_real()
-        cur.expect(";")
-        cur.expect("[")
+def _map(text: str, pos: int, depth: int) -> tuple[MapExpr, int]:
+    if text.startswith("mobius:", pos):
+        a, pos = _cx(text, pos + 7)
+        b, pos = _cx(text, _expect(text, pos, ","))
+        c, pos = _cx(text, _expect(text, pos, ","))
+        d, pos = _cx(text, _expect(text, pos, ","))
+        return Mobius(a, b, c, d), pos
+    if text.startswith("blaschke:", pos):
+        rotation, pos = _real(text, pos + 9)
+        pos = _expect(text, _expect(text, pos, ";"), "[")
         zeros = []
-        if cur.peek() != "]":
-            zeros.append(_parse_cx(cur))
-            while cur.peek() == ",":
-                cur.pos += 1
-                zeros.append(_parse_cx(cur))
-        cur.expect("]")
-        return Blaschke(rotation, tuple(zeros))
-    if cur.text.startswith("extremal:", cur.pos):
-        cur.pos += len("extremal:")
-        a = cur.take_real()
-        cur.expect(",")
-        b = cur.take_real()
-        return Extremal(a, b)
-    if cur.text.startswith("compose(", cur.pos):
-        cur.pos += len("compose(")
-        outer = _parse_map(cur)
-        cur.expect(",")
-        inner = _parse_map(cur)
-        cur.expect(")")
-        return Compose(outer, inner)
+        if not text.startswith("]", pos):
+            z, pos = _cx(text, pos)
+            zeros.append(z)
+            while text.startswith(",", pos):
+                z, pos = _cx(text, pos + 1)
+                zeros.append(z)
+        pos = _expect(text, pos, "]")
+        return Blaschke(rotation, tuple(zeros)), pos
+    if text.startswith("extremal:", pos):
+        a, pos = _real(text, pos + 9)
+        b, pos = _real(text, _expect(text, pos, ","))
+        return Extremal(a, b), pos
+    if text.startswith("compose(", pos):
+        if depth == MAX_COMPOSE_DEPTH:
+            raise ParseError(
+                f"compositions nest deeper than {MAX_COMPOSE_DEPTH}", pos, ("mobius:", "blaschke:", "extremal:")
+            )
+        outer, pos = _map(text, pos + 8, depth + 1)
+        inner, pos = _map(text, _expect(text, pos, ","), depth + 1)
+        return Compose(outer, inner), _expect(text, pos, ")")
     raise ParseError(
-        "unknown map", cur.pos, ("mobius:", "blaschke:", "extremal:", "compose(")
+        "unknown map", pos, ("mobius:", "blaschke:", "extremal:", "compose(")
     )
 
 
 def parse_map(text: str) -> MapExpr:
-    cur = _Cursor(text)
-    m = _parse_map(cur)
-    cur.done()
+    m, pos = _map(text, 0, 0)
+    _done(text, pos)
     return m
 
 

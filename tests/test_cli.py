@@ -9,6 +9,7 @@ import pytest
 import jmetric
 from jmetric import cli
 from jmetric.cli import main
+from jmetric.grammar import MAX_COMPOSE_DEPTH
 from jmetric.maps import Mobius
 from jmetric.search import extremal_ratio
 import jmetric.verify as verify_module
@@ -122,6 +123,12 @@ class TestMapEval:
     def test_overflowing_literal_is_exit_2(self, capsys, argv):
         code, out, _ = run(capsys, "map-eval", *argv)
         assert (code, out) == (2, "")
+
+    def test_composition_past_the_nesting_cap_is_exit_2(self, capsys):
+        deep = "compose(" * 2000 + "extremal:0,0" + ",extremal:0,0)" * 2000
+        code, out, err = run(capsys, "map-eval", "--map", deep, "--z", "0.5+0.5i")
+        assert (code, out) == (2, "")
+        assert err == f"error: compositions nest deeper than {MAX_COMPOSE_DEPTH} at position {8 * MAX_COMPOSE_DEPTH}\n"
 
     def test_domain_guard(self, capsys):
         code, out, _ = run(

@@ -3,16 +3,18 @@ import pytest
 from jmetric.domains import Disk, HalfPlane, UnitDisk, UpperHalfPlane
 from jmetric.errors import ParseError
 from jmetric.grammar import (
+    MAX_COMPOSE_DEPTH,
     format_complex,
     format_domain,
     format_map,
     parse_complex,
     parse_domain,
     parse_map,
+    parse_real,
 )
-from jmetric.maps import Blaschke, Compose, Extremal, Mobius
+from jmetric.maps import Blaschke, Compose, Extremal, Mobius, apply, derivative
 from jmetric.sampling import Uniforms, substream
-from jmetric.verify import _disk_maps, _halfplane_maps
+from jmetric.verify import _disk_maps, _halfplane_maps, check_lipschitz_pair
 
 
 class TestComplexForms:
@@ -148,3 +150,55 @@ class TestMapForms:
             parse_map("frobnicate:1")
         assert "mobius:" in info.value.expected
         assert info.value.position == 0
+
+
+@pytest.mark.parametrize(
+    "parse,text,message,position,expected",
+    [
+        (parse_complex, "1+2", "expected 'i'", 3, ("i",)),
+        (parse_complex, "1+", "expected a decimal real", 2, ("real",)),
+        (parse_complex, "1e309+1i", "real literal '1e309' overflows the float range", 0, ("real",)),
+        (parse_complex, "2i", "unexpected trailing input 'i'", 1, ("end",)),
+        (parse_map, "blaschke:0;[0.5", "expected ']'", 15, ("]",)),
+        (parse_map, "compose(extremal:0,0;extremal:0,0)", "expected ','", 20, (",",)),
+        (parse_domain, "disk:0,0", "expected ','", 8, (",",)),
+        (parse_real, "1.5x", "unexpected trailing input 'x'", 3, ("end",)),
+    ],
+)
+def test_error_contract(parse, text, message, position, expected):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} at position {position}"
+    assert (info.value.position, info.value.expected) == (position, expected)
+
+
+def _nested(depth, side):
+    """depth compositions of extremal:0.0,0.0 (z -> -1/z), each nested in the outer or the inner slot."""
+    if side == "outer":
+        return "compose(" * depth + "extremal:0.0,0.0" + ",extremal:0.0,0.0)" * depth
+    return "compose(extremal:0.0,0.0," * depth + "extremal:0.0,0.0" + ")" * depth
+
+
+@pytest.mark.parametrize("side", ["outer", "inner"])
+def test_composition_at_the_nesting_cap_works_throughout(side):
+    text = _nested(MAX_COMPOSE_DEPTH, side)
+    m = parse_map(text)
+    # extremal:0.0,0.0 is z -> -1/z: it swaps 0.5+0.5i and -1+i exactly, and it fixes i,
+    # where its derivative is -1.  The text holds MAX_COMPOSE_DEPTH + 1 of them.
+    odd = MAX_COMPOSE_DEPTH % 2 == 0
+    assert apply(m, 0.5 + 0.5j) == (-1 + 1j if odd else 0.5 + 0.5j)
+    assert derivative(m, 1j) == (-1 if odd else 1)
+    H = UpperHalfPlane()
+    assert check_lipschitz_pair(H, H, m, 1j, 2j) > 0.0
+    assert format_map(m) == text
+    assert repr(m).count("Compose(") == MAX_COMPOSE_DEPTH
+    assert hash(m) == hash(parse_map(text))
+
+
+@pytest.mark.parametrize("side,width", [("outer", len("compose(")), ("inner", len("compose(extremal:0.0,0.0,"))])
+def test_composition_past_the_nesting_cap_is_a_parse_error(side, width):
+    with pytest.raises(ParseError) as info:
+        parse_map(_nested(MAX_COMPOSE_DEPTH + 1, side))
+    # Reported at the first compose( past the cap, where only an atom may stand.
+    assert info.value.position == width * MAX_COMPOSE_DEPTH
+    assert "compose(" not in info.value.expected

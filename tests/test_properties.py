@@ -1,6 +1,6 @@
 """Hypothesis properties: the j metric axioms, pseudo-hyperbolic invariance,
-text round trips, the totality of guarded_ratio, and a failing property
-reported without ending the pytest session.
+text round trips, the totality of the parsers and of guarded_ratio, and a
+failing property reported without ending the pytest session.
 
 Every property runs derandomized (fixed example sequence, no example
 database) so Tier-1 stays deterministic.
@@ -27,7 +27,7 @@ from jmetric.domains import (
     pseudo_hyperbolic_disk,
     pseudo_hyperbolic_halfplane,
 )
-from jmetric.errors import DomainError
+from jmetric.errors import DomainError, JmetricError, ParseError
 from jmetric.grammar import (
     format_complex,
     format_domain,
@@ -35,6 +35,7 @@ from jmetric.grammar import (
     parse_complex,
     parse_domain,
     parse_map,
+    parse_real,
 )
 from jmetric.maps import BLASCHKE_ZERO_BOUND, Blaschke, Compose, Extremal, Mobius, apply
 from jmetric.search import ratio_objective
@@ -184,6 +185,58 @@ maps = st.recursive(map_atoms, lambda inner: st.builds(Compose, inner, inner), m
 @given(maps)
 def test_map_round_trip(m):
     assert parse_map(format_map(m)) == m
+
+
+# Texts from the grammar's token alphabet: token soup, and map and domain texts
+# of the right shape whose tail may be cut or replaced by one token.  The
+# literals include reals past the float range and below the subnormals.
+TOKENS = (
+    "mobius:", "blaschke:", "extremal:", "compose(", "disk:", "halfplane:", "unitdisk", "upperhalfplane",
+    ",", ";", "[", "]", ")", "+", "-", "i", ".", "e", "0", "1", "0.5", "-2.5e-3", "1e308", "1e400", "1e-400", "x",
+)
+real_texts = st.sampled_from(("0", "-0", "1", "0.5", "-2.5e-3", ".25", "3.", "1e308", "-1e400", "1e-400"))
+cx_texts = st.one_of(
+    real_texts,
+    st.sampled_from(("i", "+i", "-i")),
+    st.builds(lambda x, sign, y: f"{x}{sign}{y.lstrip('-')}i", real_texts, st.sampled_from("+-"), real_texts),
+)
+map_texts = st.recursive(
+    st.one_of(
+        st.builds(lambda *z: "mobius:" + ",".join(z), cx_texts, cx_texts, cx_texts, cx_texts),
+        st.builds(lambda r, zs: f"blaschke:{r};[{','.join(zs)}]", real_texts, st.lists(cx_texts, max_size=3)),
+        st.builds(lambda a, b: f"extremal:{a},{b}", real_texts, real_texts),
+    ),
+    lambda inner: st.builds(lambda outer, inner: f"compose({outer},{inner})", inner, inner),
+    max_leaves=4,
+)
+domain_texts = st.builds(
+    lambda kind, parts: kind + ",".join(parts), st.sampled_from(("disk:", "halfplane:")), st.lists(real_texts, min_size=3, max_size=3)
+)
+
+
+@st.composite
+def grammar_texts(draw):
+    text = draw(st.one_of(st.lists(st.sampled_from(TOKENS), max_size=16).map("".join), map_texts, domain_texts))
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))] + draw(st.sampled_from(TOKENS + ("",)))
+    return text
+
+
+# Runs 100 examples in about 0.3 s of Tier-1 time.
+@PROPERTY
+@given(grammar_texts())
+@example("compose(" * 2000 + "extremal:0,0" + ",extremal:0,0)" * 2000)
+def test_parsers_are_total(text):
+    for parse in (parse_real, parse_complex, parse_domain, parse_map):
+        try:
+            value = parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+        except JmetricError:
+            pass
+        else:
+            if parse is parse_map:
+                assert parse_map(format_map(value)) == value
 
 
 @PROPERTY
