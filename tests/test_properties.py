@@ -210,7 +210,9 @@ map_texts = st.recursive(
     max_leaves=4,
 )
 domain_texts = st.builds(
-    lambda kind, parts: kind + ",".join(parts), st.sampled_from(("disk:", "halfplane:")), st.lists(real_texts, min_size=3, max_size=3)
+    lambda kind, parts: kind + ",".join(parts),
+    st.sampled_from(("disk:", "halfplane:")),
+    st.lists(real_texts, min_size=3, max_size=3),
 )
 
 
@@ -222,7 +224,8 @@ def grammar_texts(draw):
     return text
 
 
-# Runs 100 examples in about 0.3 s of Tier-1 time.
+# 100 derandomized examples plus the 2,000-deep composition: about 0.6 s of a
+# Tier-1 run that takes about 44 s on a 2-CPU Xeon with Python 3.11.
 @PROPERTY
 @given(grammar_texts())
 @example("compose(" * 2000 + "extremal:0,0" + ",extremal:0,0)" * 2000)
