@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import asdict
 
@@ -95,12 +96,15 @@ class _Options:
         return value
 
     def number(self, name, kind, default=None, minimum=None, maximum=None):
-        """The option converted by kind (int, or parse_real for a finite
-        decimal real) and checked against the bounds; required when default is None."""
+        """The option converted by kind (int, for ASCII digits with an optional sign, or
+        parse_real for a finite decimal real) and checked against the bounds; required
+        when default is None."""
         raw = self.require(name) if default is None else self.get(name)
         if raw is None:
             return default
         try:
+            if kind is int and re.fullmatch(r"[+-]?[0-9]+", raw) is None:  # int() takes " 1_0" and non-ASCII digits
+                raise ValueError(raw)
             value = kind(raw)
         except (ValueError, ParseError):
             noun = "an integer" if kind is int else "a finite decimal real"
@@ -198,7 +202,6 @@ def _cmd_search(opt: _Options, style: str):
     dst = parse_domain(dst_text) if dst_text is not None else None
     cfg = SearchConfig(
         boundary_margin=opt.number("margin", parse_real, 1e-6),
-        separation_floor=opt.number("separation", parse_real, 1e-7),
         grid_per_axis=opt.number("grid", int, 24, minimum=2, maximum=_GRID_MAX),
         refine_rounds=opt.number("rounds", int, 60, minimum=0, maximum=_ROUNDS_MAX),
         seed=opt.number("seed", int, 0, minimum=0),
@@ -258,7 +261,7 @@ _COMMANDS = {
     ),
     "search": (
         _cmd_search, "estimate the metric distortion constant of a map",
-        ("domain", "dst-domain", "map", "grid", "rounds", "margin", "separation", "seed", "threads"),
+        ("domain", "dst-domain", "map", "grid", "rounds", "margin", "seed", "threads"),
         ("json", "plain"),
     ),
     "extremal": (

@@ -45,6 +45,14 @@ def _require_finite(value, label: str, kind=complex):
     return x
 
 
+def _modulus(z):
+    """abs(z), or inf where abs() of a complex past ~1.3e308 per coordinate raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PlanarDomain:
     """Base tag for the domain variants below."""
@@ -91,8 +99,9 @@ class HalfPlane(PlanarDomain):
     def __post_init__(self):
         object.__setattr__(self, "normal", _require_finite(self.normal, "half-plane normal"))
         object.__setattr__(self, "offset", _require_finite(self.offset, "half-plane offset", float))
-        if abs(abs(self.normal) - 1.0) > NORMAL_UNIT_TOL:
-            raise DomainError(f"half-plane normal must be unit length, got |n| = {abs(self.normal)!r}")
+        size = _modulus(self.normal)
+        if abs(size - 1.0) > NORMAL_UNIT_TOL:
+            raise DomainError(f"half-plane normal must be unit length, got |n| = {size!r}")
 
 
 # A formula that runs on one point and on many is written once, for complex.
@@ -262,11 +271,7 @@ def _j(gap, bz, bw, log1p):
 
 def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
     """|(z - w) / (1 - conj(w) z)| for two points of the unit disk (or two CArr of them)."""
-    try:
-        inside = np.all((abs(z) < 1.0) & (abs(w) < 1.0))
-    except OverflowError:  # abs() of a complex past ~1.3e308 per coordinate: far outside
-        inside = False
-    if not inside:
+    if not np.all((_modulus(z) < 1.0) & (_modulus(w) < 1.0)):
         raise PointOutsideDomain("pseudo_hyperbolic_disk needs points inside the unit disk")
     return abs((z - w) / (1.0 - w.conjugate() * z))
 

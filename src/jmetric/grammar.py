@@ -11,10 +11,10 @@ and "halfplane:nx,ny,offset".  Maps follow the grammar
     compose  := "compose(" map "," map ")"
     cx       := real | real sign ureal "i" | sign? "i"
 
-where real is a signed decimal literal and ureal an unsigned one; a literal
-past the float range is refused.  Compositions nest at most MAX_COMPOSE_DEPTH
-deep.  Malformed text raises ParseError with the position where reading
-stopped and the tokens that could stand there (the CLI exits 2 on it).
+where real is a signed decimal literal in ASCII digits and ureal an unsigned
+one; a literal past the float range is refused.  Compositions nest at most
+MAX_COMPOSE_DEPTH deep.  Malformed text raises ParseError with the position
+where reading stopped and the tokens that could stand there (CLI exit 2).
 
 The printers emit exactly these forms with shortest round-trip reals, so
 parse(format(x)) always reproduces x.
@@ -48,7 +48,7 @@ def _to_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"), allow_nan=False)
 
 
-_REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _SIGNED_REAL = re.compile(rf"[+-]?{_REAL}")
 _UNSIGNED_REAL = re.compile(_REAL)
 # A whole cx in one match: sign? "i" (group 1), or a real (2) with an optional

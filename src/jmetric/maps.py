@@ -25,6 +25,7 @@ from .domains import (
     UnitDisk,
     UpperHalfPlane,
     CArr,
+    _modulus,
     _require_finite,
     signed_boundary_offset,
 )
@@ -120,10 +121,7 @@ class Mobius(MapExpr):
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _require_finite(getattr(self, name), f"Mobius.{name}"))
-        try:
-            size = abs(self.determinant())
-        except OverflowError:  # a determinant past the float range is far from degenerate
-            size = math.inf
+        size = _modulus(self.determinant())  # a determinant past the float range is far from degenerate
         if size <= MOBIUS_DEGENERACY_TOL:
             raise DomainError(f"degenerate Mobius map, |ad - bc| = {size!r}")
 
@@ -152,7 +150,7 @@ class Blaschke(MapExpr):
         zeros = tuple(_require_finite(z, "Blaschke zero") for z in self.zeros)
         object.__setattr__(self, "zeros", zeros)
         for z in zeros:
-            if abs(z) > BLASCHKE_ZERO_BOUND:
+            if _modulus(z) > BLASCHKE_ZERO_BOUND:
                 raise DomainError(f"Blaschke zero must satisfy |a| <= {BLASCHKE_ZERO_BOUND}, got {z!r}")
 
     @functools.cached_property

@@ -10,12 +10,12 @@ scores each block of z rows from gathers of them (the pair stage), rescoring
 with math.log1p only the pairs that can reach the block's top list (on a pool
 only from 2**20 pairs per worker); the seeds and the walks score through
 verify._guarded_ratios, the walks with complete polling: all 8 moves of every
-walk in one pass per round.  Every stage takes an image gap from a divided
-difference where the two images agree to rounding (verify._GAP_TRUST), so a
-near-coincident pair scores its ratio, not rounding noise.  Only lower bounds
-are ever claimed: the
-supremum is typically attained in boundary or infinity limits, so no finite
-search can certify an upper bound; the ceiling 2 comes from theory.
+walk in one pass per round.  Every stage admits all distinct points with usable
+images and takes an image gap from a divided difference where the two images
+agree to rounding (verify._GAP_TRUST), so a near-coincident pair scores its
+ratio, not rounding noise.  Only lower bounds are ever claimed: the supremum
+is typically attained in boundary or infinity limits, so no finite search can
+certify an upper bound; the ceiling 2 comes from theory.
 """
 
 from __future__ import annotations
@@ -89,27 +89,24 @@ _GRID_ROWS_PER_CHUNK = 16
 # 2**20 pairs per worker stays.
 _PAIRS_PER_WORKER = 1 << 20
 
+# Walks start from the _SEED_COUNT best grid pairs and as many local-distortion seeds,
+# each with its w _SEED_OFFSET from its z; steps double after a move, else shrink by _SHRINK.
+_SEED_COUNT, _SEED_OFFSET, _SHRINK = 16, 1e-6, 0.5
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     boundary_margin: float = 1e-6
-    separation_floor: float = 1e-7
     grid_per_axis: int = 24
     refine_rounds: int = 60
-    refine_seeds: int = 16
-    shrink_factor: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("boundary_margin", "separation_floor"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite")
+        if not 0.0 < self.boundary_margin < math.inf:
+            raise DomainError("boundary_margin must be positive and finite")
         check_integer("grid_per_axis", self.grid_per_axis, 2, _GRID_MAX)
         check_integer("refine_rounds", self.refine_rounds, 0, _ROUNDS_MAX)
-        check_integer("refine_seeds", self.refine_seeds, 0)
         check_integer("seed", self.seed, 0)
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise DomainError("shrink_factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -231,10 +228,10 @@ def _hypot(x, y):
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
-def _grid_chunk(stage, separation, lo, hi, keep):
-    """Score, from the grid's per-point stage, the pairs of its points i and j for
-    i in [lo, hi) that are at least separation apart; return their count and the
-    `keep` best finite (ratio, i, j) entries, ordered by (-ratio, i, j).
+def _grid_chunk(stage, lo, hi, keep):
+    """Score, from the grid's per-point stage, the pairs of distinct points i and j
+    for i in [lo, hi); return their count and the `keep` best finite (ratio, i, j)
+    entries, ordered by (-ratio, i, j).
 
     The entries carry guarded_ratio's bits (see verify._ranked_ratios)."""
     n = len(stage.at)
@@ -242,10 +239,10 @@ def _grid_chunk(stage, separation, lo, hi, keep):
     j = np.tile(np.arange(n), hi - lo)
     with np.errstate(all="ignore"):
         gap = abs(stage.points[i] - stage.points[j])
-        far = ~(gap < separation)
-        evaluations = int(np.count_nonzero(far))
-        far &= stage.usable[i] & stage.usable[j]
-        i, j, gap = i[far], j[far], gap[far]
+        distinct = gap != 0.0
+        evaluations = int(np.count_nonzero(distinct))
+        distinct &= stage.usable[i] & stage.usable[j]
+        i, j, gap = i[distinct], j[distinct], gap[distinct]
         ratio, exact = _ranked_ratios(stage.take(i), stage.take(j), gap, keep, 0.0)
         i, j, ratio = i[exact], j[exact], ratio[exact]
     found = np.flatnonzero(~np.isnan(ratio))
@@ -261,37 +258,36 @@ def _distortion_order(m, points, stage):
     return order[np.lexsort((order, -(abs(slope) * stage.offset / stage.f_offset)[order]))]
 
 
-def _seeds(src, dst, m, region, cfg, threads):
+def _seeds(src, dst, m, region, threads):
     """The walks' seed pairs as 4 x S coordinates, their ratios (NaN where infeasible)
     and the evaluations spent on them: the best grid pairs, then, at the most
-    expanding grid points in order, a near-coincident pair with w to the right of z,
-    or to its left where the right-hand w is within separation_floor; call under
+    expanding grid points in order, a near-coincident pair with w _SEED_OFFSET to the
+    right of z, or to its left where the right-hand w clips back onto z; call under
     np.errstate."""
     a, b = region.grid()
     points = region.point(a, b)
-    keep, rows = max(cfg.refine_seeds, 1), len(a)
+    rows = len(a)
     stage = _point_stage(src, dst, m, points)
-    tasks = [(stage, cfg.separation_floor, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), keep)
+    tasks = [(stage, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), _SEED_COUNT)
              for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
     evaluations, top = 0, []
     workers = min(threads, max(1, rows * rows // _PAIRS_PER_WORKER))
     for chunk_evals, chunk_top in run_ordered(_grid_chunk, tasks, workers):
         evaluations += chunk_evals
         top.extend(chunk_top)
-    top = sorted(top, key=lambda entry: (-entry[0], entry[1], entry[2]))[:keep]
+    top = sorted(top, key=lambda entry: (-entry[0], entry[1], entry[2]))[:_SEED_COUNT]
     i, j = np.array([e[1] for e in top], dtype=int), np.array([e[2] for e in top], dtype=int)
 
     # Local-distortion seeds cover suprema reached in the z -> w limit.
-    at = _distortion_order(m, points, stage)[: cfg.refine_seeds]
-    offset, both = max(10.0 * cfg.separation_floor, 1e-6), np.concatenate([at, at])
-    wa, wb = region.clip(a[both] + np.repeat([offset, -offset], len(at)), b[both])
-    ratio, gap = _guarded_ratios(src, dst, m, points[both], region.point(wa, wb))
-    far = ~(gap < cfg.separation_floor)
-    right = far[: len(at)]
-    pick = np.where(right, np.arange(len(at)), np.arange(len(at), 2 * len(at)))[right | far[len(at):]]
-    coords = np.concatenate([[a[i], b[i], a[j], b[j]], [a[both][pick], b[both][pick], wa[pick], wb[pick]]], axis=1)
-    ratios = np.concatenate([[e[0] for e in top], ratio[pick]])
-    return coords, ratios, evaluations + len(pick)
+    at = _distortion_order(m, points, stage)[:_SEED_COUNT]
+    za, zb, z = a[at], b[at], points[at]
+    wa, wb = region.clip(za + _SEED_OFFSET, zb)
+    back = abs(region.point(wa, wb) - z) == 0.0  # the right-hand w clipped back onto z
+    wa[back], wb[back] = region.clip(za[back] - _SEED_OFFSET, zb[back])
+    ratio, gap = _guarded_ratios(src, dst, m, z, region.point(wa, wb))
+    coords = np.concatenate([[a[i], b[i], a[j], b[j]], [za, zb, wa, wb]], axis=1)
+    ratios = np.concatenate([[e[0] for e in top], ratio])
+    return coords, ratios, evaluations + int(np.count_nonzero(gap != 0.0))
 
 
 def _walk(src, dst, m, region, cfg, coords, best):
@@ -302,12 +298,12 @@ def _walk(src, dst, m, region, cfg, coords, best):
     Each round scores the 8 moves of every walk, +step then -step on each coordinate k
     in turn, and a walk takes its best improving move, the first of equal ratios.  A
     move changes one point of the pair and clips that point into the region.  It is
-    eligible, and counts as an evaluation, if the pair is at least separation_floor
-    apart and differs from the walk's own (a step below an ulp, or one clipped back at
-    the region's edge, leaves it where it is).  Steps double after a
-    move and shrink by shrink_factor otherwise, so a walk can both travel and converge
-    within the round budget.  Returns each walk's ratio, coordinates and evaluations;
-    call under np.errstate.
+    eligible, and counts as an evaluation, if its z and w are distinct and the pair
+    differs from the walk's own (a step below an ulp, or one clipped back at the
+    region's edge, leaves it where it is).  Steps double after a move and shrink by
+    _SHRINK otherwise, so a walk can both travel and converge within the round
+    budget.  Returns each walk's ratio, coordinates and evaluations; call under
+    np.errstate.
     """
     steps, width = region.initial_steps(coords), len(best)
     evals = np.zeros(width, dtype=int)
@@ -329,14 +325,14 @@ def _walk(src, dst, m, region, cfg, coords, best):
         stage = _point_stage(src, dst, m, region.point(np.concatenate([coords[0], coords[2], a]),
                                                        np.concatenate([coords[1], coords[3], b])))
         ratio, gap = _staged_ratios(stage.take(z_at), stage.take(w_at))
-        eligible = ~(gap < cfg.separation_floor) & (cand != here).any(axis=0)
+        eligible = (gap != 0.0) & (cand != here).any(axis=0)
         evals += eligible.reshape(8, width).sum(axis=0)
         score = np.where(eligible & (ratio > np.tile(best, 8)), ratio, -math.inf).reshape(8, width)
         move = np.argmax(score, axis=0)  # the first best move, in (k, +, -) order
         moved = score[move, walks] > -math.inf
         coords = np.where(moved, cand.reshape(4, 8, width)[:, move, walks], coords)
         best = np.where(moved, score[move, walks], best)
-        steps = steps * np.where(moved, 2.0, cfg.shrink_factor)
+        steps = steps * np.where(moved, 2.0, _SHRINK)
     return best, coords, evals
 
 
@@ -370,7 +366,7 @@ def estimate_lipschitz(
 
     region = _Region(src, cfg)
     with np.errstate(all="ignore"):
-        coords, ratios, evaluations = _seeds(src, dst, m, region, cfg, threads)
+        coords, ratios, evaluations = _seeds(src, dst, m, region, threads)
         live = ~np.isnan(ratios)
         ratios, coords, evals = _walk(src, dst, m, region, cfg, coords[:, live], ratios[live])
     if not len(ratios):

@@ -44,6 +44,7 @@ from .domains import (
     UpperHalfPlane,
     _j,
     _log1p_exact,
+    _modulus,
     boundary_distance,
     j_distance,
     pseudo_hyperbolic_disk,
@@ -228,11 +229,7 @@ def _relative_slack(sides, z: complex, w: complex, fz: complex, fw: complex) -> 
 
 def check_bound_2_3(m: MapExpr, z: complex) -> float:
     """Slack of |f(z)| <= (|z| + |f(0)|) / (1 + |f(0)| |z|) for disk self-maps."""
-    try:
-        outside = abs(z) >= 1.0
-    except OverflowError:  # abs() of a complex past ~1.3e308 per coordinate: far outside
-        outside = True
-    if outside:
+    if _modulus(z) >= 1.0:
         raise PointOutsideDomain("point must lie in the unit disk")
     a_mod = abs(apply(m, 0j))
     return image_modulus_bound(a_mod, abs(z)) - abs(apply(m, z))

@@ -60,6 +60,8 @@ from jmetric.maps import (
 from jmetric.sampling import Uniforms, sample_interior_points, substream
 from jmetric.search import (
     _GRID_ROWS_PER_CHUNK,
+    _SEED_COUNT,
+    _SHRINK,
     SearchConfig,
     _distortion_order,
     _grid_chunk,
@@ -709,7 +711,7 @@ def _reference_refine(src, dst, m, region, cfg, coords, value):
                 cand[moved], cand[moved + 1] = region.clip(cand[moved], cand[moved + 1])
                 z = region.point(cand[0], cand[1])
                 w = region.point(cand[2], cand[3])
-                if cand == coords or abs(z - w) < cfg.separation_floor:
+                if cand == coords or z == w:
                     continue
                 candidate = ratio_objective(src, dst, m, z, w)
                 evals += 1
@@ -719,27 +721,27 @@ def _reference_refine(src, dst, m, region, cfg, coords, value):
             coords, best = pick, top
             steps = [s * 2.0 for s in steps]
         else:
-            steps = [s * cfg.shrink_factor for s in steps]
+            steps = [s * _SHRINK for s in steps]
     return best, tuple(coords), evals
 
 
-def _check_distortion_seeds(src, dst, m, region, cfg, coords, ratios, ranked):
+def _check_distortion_seeds(src, dst, m, region, coords, ratios, ranked):
     """Check that the local-distortion seeds close _seeds' list as the per-seed loop
-    scored them at the grid points `ranked`, in order; return their w coordinates."""
+    scored them at the grid points `ranked`, in order: w to the right of z, or to its
+    left where that w is z; return their w coordinates."""
     scalar = _ScalarRegion(region)
     grid = scalar.grid_coords()
-    seeds, offset = [], max(10.0 * cfg.separation_floor, 1e-6)
+    seeds, offset = [], search_module._SEED_OFFSET
     for a, b in (grid[i] for i in ranked):
         for direction in (offset, -offset):
             wa, wb = scalar.clip(a + direction, b)
             z = scalar.point(a, b)
             w = scalar.point(wa, wb)
-            if abs(z - w) < cfg.separation_floor:
-                continue
-            seeds.append(((a, b, wa, wb), ratio_objective(src, dst, m, z, w)))
-            break
+            if z != w:
+                break
+        seeds.append(((a, b, wa, wb), ratio_objective(src, dst, m, z, w)))
     first = coords.shape[1] - len(seeds)
-    assert first == max(cfg.refine_seeds, 1)  # the grid seeds come first
+    assert first == _SEED_COUNT  # the grid seeds come first
     for k, (seed_coords, value) in enumerate(seeds):
         assert [bits(c) for c in coords[:, first + k].tolist()] == [bits(c) for c in seed_coords]
         assert bits(-math.inf if math.isnan(ratios[first + k]) else ratios[first + k]) == bits(value)
@@ -794,15 +796,15 @@ def test_region_matches_the_scalar_methods(domain):
 # ---------------------------------------------------------------------------
 
 
-def _reference_grid_chunk(src, dst, m, separation, points, lo, hi, keep):
-    """Evaluate pairs (points[i], points[j]) for i in [lo, hi); return the
-    chunk's evaluation count and its `keep` best (ratio, i, j) entries."""
+def _reference_grid_chunk(src, dst, m, points, lo, hi, keep):
+    """Evaluate pairs of distinct points (points[i], points[j]) for i in [lo, hi);
+    return the chunk's evaluation count and its `keep` best (ratio, i, j) entries."""
     found = []
     evals = 0
     for i in range(lo, hi):
         z = points[i]
         for j, w in enumerate(points):
-            if abs(z - w) < separation:
+            if z == w:
                 continue
             value = ratio_objective(src, dst, m, z, w)
             evals += 1
@@ -835,22 +837,18 @@ def test_grid_chunk_matches_the_per_pair_loop(name):
     assert rows % _GRID_ROWS_PER_CHUNK != 0  # the last block is partial
     last = (rows - 1) // _GRID_ROWS_PER_CHUNK * _GRID_ROWS_PER_CHUNK
     blocks = [(0, _GRID_ROWS_PER_CHUNK), (last, rows), (5, 6)]
-    # A separation equal to the spacing of two grid neighbours puts pairs on the < edge.
-    spacing = abs(points[1] - points[0])
-    assert sum(abs(z - w) == spacing for z in points for w in points) > 0
     grid = carr([(p.real, p.imag) for p in points])
     with np.errstate(all="ignore"):
         stage = _point_stage(src, dst, m, grid)
-    for separation in (1e-7, spacing):
-        for lo, hi in blocks:
-            for keep in (1, 16, rows * rows):
-                evals, top = _grid_chunk(stage, separation, lo, hi, keep)
-                ref_evals, ref_top = _reference_grid_chunk(src, dst, m, separation, points, lo, hi, keep)
-                assert evals == ref_evals
-                assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
-                assert all(type(i) is int and type(j) is int for _, i, j in top)
+    for lo, hi in blocks:
+        for keep in (1, 16, rows * rows):
+            evals, top = _grid_chunk(stage, lo, hi, keep)
+            ref_evals, ref_top = _reference_grid_chunk(src, dst, m, points, lo, hi, keep)
+            assert evals == ref_evals
+            assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
+            assert all(type(i) is int and type(j) is int for _, i, j in top)
     if name == "infeasible":
-        evals, top = _grid_chunk(stage, 1e-7, 0, rows, rows * rows)
+        evals, top = _grid_chunk(stage, 0, rows, rows * rows)
         assert 0 < len(top) < evals
 
 
@@ -887,29 +885,31 @@ def test_distortion_order_matches_the_per_point_loop(name, grid):
 
 # The cases of the grid chunk test, which include maps with infeasible pairs and
 # all-equal ratios.
+# seeds0 starts the walks from the grid pairs alone, with no local-distortion seeds.
 @pytest.mark.parametrize("name", sorted(GRID_CASES))
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, distortion_seeds",
     [
-        SearchConfig(grid_per_axis=8),
-        SearchConfig(grid_per_axis=24),
-        SearchConfig(grid_per_axis=8, refine_rounds=0),
-        SearchConfig(grid_per_axis=8, refine_seeds=0),
+        (SearchConfig(grid_per_axis=8), _SEED_COUNT),
+        (SearchConfig(grid_per_axis=24), _SEED_COUNT),
+        (SearchConfig(grid_per_axis=8, refine_rounds=0), _SEED_COUNT),
+        (SearchConfig(grid_per_axis=8), 0),
     ],
     ids=["grid8", "grid24", "rounds0", "seeds0"],
 )
-def test_walk_matches_the_per_seed_loop(name, cfg):
+def test_walk_matches_the_per_seed_loop(monkeypatch, name, cfg, distortion_seeds):
     src, dst, m = GRID_CASES[name]
+    monkeypatch.setattr(search_module, "_distortion_order", lambda *args: _distortion_order(*args)[:distortion_seeds])
     region = _Region(src, cfg)
     scalar = _ScalarRegion(region)
     with np.errstate(all="ignore"):
-        coords, ratios, _ = _seeds(src, dst, m, region, cfg, 1)
+        coords, ratios, _ = _seeds(src, dst, m, region, 1)
         live = ~np.isnan(ratios)
         best, at, evals = _walk(src, dst, m, region, cfg, coords[:, live], ratios[live])
         points = region.point(*region.grid())
-        ranked = _distortion_order(m, points, _point_stage(src, dst, m, points))[: cfg.refine_seeds]
-    _check_distortion_seeds(src, dst, m, region, cfg, coords, ratios, ranked)
-    assert len(ranked) == cfg.refine_seeds
+        ranked = _distortion_order(m, points, _point_stage(src, dst, m, points))[:distortion_seeds]
+    _check_distortion_seeds(src, dst, m, region, coords, ratios, ranked)
+    assert len(ranked) == distortion_seeds
     walks = 0
     for k, seed in enumerate(np.flatnonzero(live).tolist()):
         reference = _reference_refine(src, dst, m, scalar, cfg, tuple(coords[:, seed].tolist()), float(ratios[seed]))
@@ -925,15 +925,41 @@ def test_distortion_seeds_step_left_at_the_region_edge(monkeypatch):
     """At the right edge of a half-plane's box, z + offset clips back onto z, so the
     seed takes its w to the left of z."""
     src, dst, m = GRID_CASES["extremal"]
-    cfg = SearchConfig(grid_per_axis=8, refine_seeds=6)
-    region = _Region(src, cfg)
+    region = _Region(src, SearchConfig(grid_per_axis=8))
     a, _ = region.grid()
-    ranked = np.concatenate([np.arange(3), np.flatnonzero(a == region.thi)])[: cfg.refine_seeds]
+    ranked = np.concatenate([np.arange(3), np.flatnonzero(a == region.thi)])[:6]
     monkeypatch.setattr(search_module, "_distortion_order", lambda *_: ranked)
     with np.errstate(all="ignore"):
-        coords, ratios, _ = _seeds(src, dst, m, region, cfg, 1)
-    w_real = _check_distortion_seeds(src, dst, m, region, cfg, coords, ratios, ranked)
+        coords, ratios, _ = _seeds(src, dst, m, region, 1)
+    w_real = _check_distortion_seeds(src, dst, m, region, coords, ratios, ranked)
     assert [wa < a[i] for wa, i in zip(w_real, ranked)] == [False] * 3 + [True] * 3
+
+
+def test_pairs_1e_8_apart_are_scored(monkeypatch):
+    """The search admits every pair of distinct points: a pair 1e-8 apart, which a
+    separation floor of 1e-7 once hid, gets ratio_objective's bits in a grid chunk and
+    as a local-distortion seed."""
+    src, dst, m = GRID_CASES["automorphism"]
+    points = [0.1 + 0.2j, complex(0.1 + 1e-8, 0.2), -0.3 + 0.1j]
+    with np.errstate(all="ignore"):
+        stage = _point_stage(src, dst, m, carr([(p.real, p.imag) for p in points]))
+    evals, top = _grid_chunk(stage, 0, 3, 9)
+    assert (evals, top) == _reference_grid_chunk(src, dst, m, points, 0, 3, 9)
+    close = {(i, j): r for r, i, j in top}[0, 1]
+    assert bits(close) == bits(ratio_objective(src, dst, m, points[0], points[1]))
+    assert close > 1.0  # the disk automorphism's local distortion there
+
+    monkeypatch.setattr(search_module, "_SEED_OFFSET", 1e-8)
+    region = _Region(src, SearchConfig(grid_per_axis=8))
+    with np.errstate(all="ignore"):
+        coords, ratios, _ = _seeds(src, dst, m, region, 1)
+        points = region.point(*region.grid())
+        ranked = _distortion_order(m, points, _point_stage(src, dst, m, points))[:_SEED_COUNT]
+    _check_distortion_seeds(src, dst, m, region, coords, ratios, ranked)
+    z, w = coords[:2, _SEED_COUNT:], coords[2:, _SEED_COUNT:]
+    gaps = np.hypot(*(w - z))
+    assert len(gaps) == _SEED_COUNT and np.all(abs(gaps - 1e-8) < 1e-15)
+    assert np.all(np.isfinite(ratios[_SEED_COUNT:]))
 
 
 def test_np_hypot_lies_between_the_larger_part_and_1_5_times_it():

@@ -79,6 +79,12 @@ class TestDist:
         assert (code, out) == (3, "")
         assert "overflows" in err
 
+    def test_halfplane_normal_past_the_float_range_is_exit_3(self, capsys):
+        # abs() of the normal raised a bare OverflowError, and the CLI exited 1.
+        code, out, err = run(capsys, "dist", "--domain", "halfplane:1.7e308,1.7e308,0", "--z", "1i", "--w", "2i")
+        assert (code, out) == (3, "")
+        assert err == "error: half-plane normal must be unit length, got |n| = inf\n"
+
 
 class TestMapEval:
     def test_extremal_at_i(self, capsys):
@@ -123,6 +129,12 @@ class TestMapEval:
     def test_overflowing_literal_is_exit_2(self, capsys, argv):
         code, out, _ = run(capsys, "map-eval", *argv)
         assert (code, out) == (2, "")
+
+    def test_blaschke_zero_past_the_float_range_is_exit_3(self, capsys):
+        # abs() of the zero raised a bare OverflowError, and the CLI exited 1.
+        code, out, err = run(capsys, "map-eval", "--map", "blaschke:0;[1.7e308+1.7e308i]", "--z", "0")
+        assert (code, out) == (3, "")
+        assert "Blaschke zero must satisfy |a| <= " in err
 
     def test_composition_past_the_nesting_cap_is_exit_2(self, capsys):
         deep = "compose(" * 2000 + "extremal:0,0" + ",extremal:0,0)" * 2000
@@ -371,6 +383,19 @@ class TestSearch:
         assert code == 0
         assert out.startswith("best_ratio=1 ")
 
+    def test_separation_flag_is_exit_2(self, capsys):
+        # The search admits every pair of distinct points; it has no separation floor to set.
+        code, out, err = run(capsys, *SEARCH, "--separation", "1e-7")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --separation" in err
+
+    def test_separation_config_key_is_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "search.cfg"
+        cfg.write_text("separation=1e-7\n")
+        code, out, err = run(capsys, *SEARCH, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unknown config key 'separation'" in err
+
 
 class TestExtremal:
     def test_csv_matches_closed_form(self, capsys):
@@ -440,11 +465,14 @@ class TestRealFlags:
             ("bounds", "--a", "nan"),
             ("bounds", "--a", "1e400"),
             (*SEARCH, "--margin", "nan"),
-            (*SEARCH, "--separation", "inf"),
             (*SEARCH, "--margin", "1e-6 "),
+            # Python's float() and re's \d take other scripts' digits; the grammar's are ASCII.
+            ("bounds", "--a", "\u0660.\u0665"),
+            ("dist", "--domain", "unitdisk", "--z", "\u0661", "--w", "0"),
+            ("map-eval", "--map", "extremal:0,0", "--z", "\uff11+\uff12i"),
         ],
         ids=["t-overflow", "t-nan", "a-inf", "b-overflow", "bounds-nan", "bounds-overflow",
-             "margin-nan", "separation-inf", "margin-space"],
+             "margin-nan", "margin-space", "arabic-indic-real", "arabic-indic-complex", "fullwidth-complex"],
     )
     def test_non_literal_is_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -464,6 +492,30 @@ class TestRealFlags:
 
     def test_offset_list_keeps_skipping_empty_parts(self, capsys):
         assert run(capsys, "extremal", "--t", "1,,10,") == run(capsys, "extremal", "--t", "1,10")
+
+
+class TestIntegerFlags:
+    """Integer flags take an optional sign and the ASCII digits 0-9, and nothing else."""
+
+    @pytest.mark.parametrize(
+        "flag, raw",
+        [("grid", "\u0661\u0660"), ("rounds", " 1_0 "), ("rounds", "1_0"), ("seed", " 3"), ("threads", "1 "),
+         ("grid", "8.0"), ("seed", ""), ("samples", "\u0661\u0660")],
+        ids=["arabic-indic", "spaced-underscore", "underscore", "leading-space", "trailing-space", "decimal", "empty",
+             "samples"],
+    )
+    def test_non_ascii_integer_is_exit_2(self, capsys, flag, raw):
+        command = ("verify", "--suite", "identity-disk") if flag == "samples" else SEARCH
+        code, out, err = run(capsys, *command, f"--{flag}", raw)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{flag} must be an integer, got {raw!r} at position 0\n"
+
+    @pytest.mark.parametrize("raw", ["4", "+4", "04"])
+    def test_signed_and_zero_padded_integers_are_accepted(self, capsys, raw):
+        code, out, _ = run(capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--grid", raw,
+                           "--rounds", "2")
+        assert code == 0
+        assert json.loads(out)["config"]["grid_per_axis"] == 4
 
 
 class TestConfigFile:

@@ -71,7 +71,9 @@ def capture() -> dict:
 # arrays, the ceiling maps through the same families, and the Schwarz-Pick
 # margins to be slack over its rounding scale; the two ceiling/mobius-images
 # entries again once image domains came from the closed-form image of the
-# source's circle equation instead of a circle fitted through three points.
+# source's circle equation instead of a circle fitted through three points; every
+# search/* entry again once the search admitted every pair of distinct points, with
+# no separation floor, and its config kept four settings.
 GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"seed":42,"passed":true,"worst_margin":0.34851105099397084,"worst_witness":{"map":"blaschke:5.004517901703075;[0.5466269528224328+0.46118297147188697i]","src":"unitdisk","dst":"unitdisk","z":"0.3282539794630479+0.1818003935620276i","w":"-0.38794038982024115-0.14814861736905427i"}}',
                   0,
                   'absolute'),
@@ -96,13 +98,13 @@ GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"se
  'equality/halfplane': ('{"suite":"schwarz-pick-halfplane-equality","samples":5000,"seed":42,"passed":true,"worst_margin":-1.0190989824136378e-16,"worst_witness":{"map":"mobius:1.3816582022879302,1.3154270061709505,-1.4083901995428234,-0.19301418078054944","z":"6.957210059048272+7.022995661558206i","w":"7.114609918642209+9.476659196454067i"}}',
                         0,
                         'rounding-scaled'),
- 'search/automorphism': '{"best_ratio":1.497427051724966,"witness_z":"-0.142857+1.277241108026139e-08i","witness_w":"0.1428569999999999+4.257470341583413e-09i","evaluations":16352,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.497427051724966,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
- 'search/automorphism/24': '{"best_ratio":1.4997624347326433,"witness_z":"-0.04347821739130439+0.00029721437669830364i","witness_w":"0.04347921739130431+3.713624806500835e-05i","evaluations":181432,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.4997624347326433,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
- 'search/blaschke3/24': '{"best_ratio":1.044296675564465,"witness_z":"-0.8260861304347826-0.47826039130435277i","witness_w":"-0.47826039130435277-0.8260861304347826i","evaluations":181000,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.044296675564465,"theoretical_ceiling":2.0,"cstar_interval":[1.125,2.0]}',
- 'search/cayley': '{"best_ratio":1.662591320919834,"witness_z":"54.11955287646776+372.75937203149397i","witness_w":"1000.0+372.75937203149397i","evaluations":14394,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.662591320919834,"theoretical_ceiling":2.0,"cstar_interval":null}',
- 'search/cayley/24': '{"best_ratio":1.9508198560741092,"witness_z":"-1000.0+67.00187503509576i","witness_w":"-3.8947748101276183+67.00187503509576i","evaluations":337956,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.9508198560741092,"theoretical_ceiling":2.0,"cstar_interval":null}',
- 'search/extremal': '{"best_ratio":1.999999581305655,"witness_z":"-1000.0+0.0026826957952797263i","witness_w":"-0.9999999621892964+0.0026826957952797263i","evaluations":15505,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":8,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.999999581305655,"theoretical_ceiling":2.0,"cstar_interval":null}',
- 'search/extremal/24': '{"best_ratio":1.9999973107083246,"witness_z":"-1000.0+0.014924955450518296i","witness_w":"-0.9999990829281754+0.014924955450518296i","evaluations":342084,"config":{"boundary_margin":1e-06,"separation_floor":1e-07,"grid_per_axis":24,"refine_rounds":60,"refine_seeds":16,"shrink_factor":0.5,"seed":42},"lower_bound_claim":1.9999973107083246,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/automorphism': '{"best_ratio":1.497427051724966,"witness_z":"-0.142857+1.277241108026139e-08i","witness_w":"0.1428569999999999+4.257470341583413e-09i","evaluations":16368,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.497427051724966,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
+ 'search/automorphism/24': '{"best_ratio":1.4997624347326433,"witness_z":"-0.04347821739130439+0.00029721437669830364i","witness_w":"0.04347921739130431+3.713624806500835e-05i","evaluations":181432,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.4997624347326433,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
+ 'search/blaschke3/24': '{"best_ratio":1.044296675564465,"witness_z":"-0.8260861304347826-0.47826039130435277i","witness_w":"-0.47826039130435277-0.8260861304347826i","evaluations":181000,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.044296675564465,"theoretical_ceiling":2.0,"cstar_interval":[1.125,2.0]}',
+ 'search/cayley': '{"best_ratio":1.662591320919834,"witness_z":"54.11955287646776+372.75937203149397i","witness_w":"1000.0+372.75937203149397i","evaluations":14394,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.662591320919834,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/cayley/24': '{"best_ratio":1.9508198560741092,"witness_z":"-1000.0+67.00187503509576i","witness_w":"-3.8947748101276183+67.00187503509576i","evaluations":337956,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.9508198560741092,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/extremal': '{"best_ratio":1.999999581305655,"witness_z":"-1000.0+0.0026826957952797263i","witness_w":"-0.9999999621892964+0.0026826957952797263i","evaluations":15507,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.999999581305655,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/extremal/24': '{"best_ratio":1.9999973107083246,"witness_z":"-1000.0+0.014924955450518296i","witness_w":"-0.9999990829281754+0.014924955450518296i","evaluations":342090,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.9999973107083246,"theoretical_ceiling":2.0,"cstar_interval":null}',
  'suite/bound-2-3': ('{"suite":"bound-2-3","samples":5000,"seed":42,"passed":true,"worst_margin":1.5040011835942835e-07,"worst_witness":{"map":"compose(blaschke:3.853153957015737;[0.5707687226123264-0.5239658166287049i],blaschke:4.052101543125645;[0.007592919551136445+0.7978843621404805i])","z":"-0.06824634136298657-0.9820539991815835i"}}',
                      0,
                      'absolute'),

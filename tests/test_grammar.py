@@ -163,6 +163,11 @@ class TestMapForms:
         (parse_map, "compose(extremal:0,0;extremal:0,0)", "expected ','", 20, (",",)),
         (parse_domain, "disk:0,0", "expected ','", 8, (",",)),
         (parse_real, "1.5x", "unexpected trailing input 'x'", 3, ("end",)),
+        # Decimal means the ASCII digits 0-9: float() and re's \d take other scripts' digits.
+        (parse_real, "\u0661\u0665", "expected a decimal real", 0, ("real",)),
+        (parse_real, "1\u0665", "unexpected trailing input '\u0665'", 1, ("end",)),
+        (parse_complex, "\uff11+\uff12i", "expected a decimal real", 0, ("real",)),
+        (parse_complex, "1+\uff12i", "expected a decimal real", 2, ("real",)),
     ],
 )
 def test_error_contract(parse, text, message, position, expected):

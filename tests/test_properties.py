@@ -231,6 +231,9 @@ def grammar_texts(draw):
 @PROPERTY
 @given(grammar_texts())
 @example("compose(" * 2000 + "extremal:0,0" + ",extremal:0,0)" * 2000)
+# abs() of a normal or a zero past ~1.3e308 per coordinate raised a bare OverflowError.
+@example("halfplane:1.7e308,1.7e308,0")
+@example("blaschke:0;[1.7e308+1.7e308i]")
 def test_parsers_are_total(text):
     for parse in (parse_real, parse_complex, parse_domain, parse_map):
         try:
