@@ -221,30 +221,39 @@ def _turn(rotation):
     return cmath.exp(1j * rotation)
 
 
-def _value(m: MapExpr, z, guard):
-    """m at z, a complex or a CArr of points (then m's parameters may be arrays).  guard(den,
-    pole name, z) sees each denominator before it divides: apply's raises, apply_arrays' marks."""
+def _value(m: MapExpr | MapBatch, z, guard):
+    """m at z, a complex or a CArr of points (then m's parameters may be arrays, and a MapBatch
+    takes map k at z[k]).  guard(den, pole name, z) returns each denominator before it
+    divides: apply's raises at a pole, and apply_arrays' gives NaN there and where |den|
+    overflows, so a value at a finite point is not finite just where apply raises."""
     if isinstance(m, Mobius):
-        den = m.c * z + m.d
-        guard(den, "Mobius pole", z)
-        return (m.a * z + m.b) / den
+        return (m.a * z + m.b) / guard(m.c * z + m.d, "Mobius pole", z)
     if isinstance(m, Blaschke):
         w = _turn(m.rotation)
         for a in m.zeros:
-            den = 1.0 - a.conjugate() * z
-            guard(den, "Blaschke pole", z)
-            w *= (z - a) / den
-        return w
+            w *= (z - a) / guard(1.0 - a.conjugate() * z, "Blaschke pole", z)
+        return w if m.zeros else _shaped(w, z)
     if isinstance(m, Extremal):
-        den = m.b + z
-        guard(den, "pole of a - 1/(b+z)", z)
-        return m.a - 1.0 / den
+        return m.a - 1.0 / guard(m.b + z, "pole of a - 1/(b+z)", z)
     if isinstance(m, Compose):
         return _value(m.outer, _value(m.inner, z, guard), guard)
+    if isinstance(m, MapBatch):
+        out = CArr(np.empty(z.real.shape), np.empty(z.real.shape))
+        for index, part in m.groups:
+            out[index] = _value(part, z[index], guard)
+        return out
     raise TypeError(f"not a map expression: {m!r}")
 
 
-def _divided(m: MapExpr, z, w, guard):
+def _shaped(x, z):
+    """x, the value or slope of a zero-free Blaschke product, as a CArr of z's shape where z
+    is a CArr; a complex z keeps x, signed zeros included."""
+    if isinstance(z, CArr):
+        return CArr(np.broadcast_to(x.real, z.real.shape), np.broadcast_to(x.imag, z.real.shape))
+    return x
+
+
+def _divided(m: MapExpr | MapBatch, z, w, guard):
     """The divided difference (m(z) - m(w)) / (z - w) by closed forms that do not cancel
     (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), and m'(z) where w is z (the same
     object); z, w and guard as for _value."""
@@ -254,18 +263,16 @@ def _divided(m: MapExpr, z, w, guard):
         # is r * r: ** 2 calls pow() on a float but squares an array, which can differ.
         value, slope = _turn(m.rotation), 0j
         for a in m.zeros:
-            den = 1.0 - a.conjugate() * z
-            guard(den, "Blaschke pole", z)
+            den = guard(1.0 - a.conjugate() * z, "Blaschke pole", z)
             factor = (z - a) / den
             den_w, factor_w = den, factor
             if w is not z:
-                den_w = 1.0 - a.conjugate() * w
-                guard(den_w, "Blaschke pole", w)
+                den_w = guard(1.0 - a.conjugate() * w, "Blaschke pole", w)
                 factor_w = (w - a) / den_w
             r = abs(a)
             slope = slope * factor_w + value * ((1.0 - r * r) / (den * den_w))
             value = value * factor
-        return slope
+        return slope if m.zeros else _shaped(slope, z)
     if isinstance(m, Compose):
         inner_z = _value(m.inner, z, guard)
         inner_w = inner_z if w is z else _value(m.inner, w, guard)
@@ -277,17 +284,43 @@ def _divided(m: MapExpr, z, w, guard):
     elif isinstance(m, Extremal):
         det, pole, den_z = 1.0, "pole of a - 1/(b+z)", m.b + z
         den_w = den_z if w is z else m.b + w
+    elif isinstance(m, MapBatch):
+        out = CArr(np.empty(z.real.shape), np.empty(z.real.shape))
+        for index, part in m.groups:
+            out[index] = _divided(part, z[index], w[index], guard)
+        return out
     else:
         raise TypeError(f"not a map expression: {m!r}")
-    guard(den_z, pole, z)
-    if w is not z:
-        guard(den_w, pole, w)
+    den_z = guard(den_z, pole, z)
+    den_w = den_z if w is z else guard(den_w, pole, w)
     return det / (den_z * den_w)
 
 
-def _raise_at_pole(den: complex, pole: str, z: complex):
+def _raise_at_pole(den: complex, pole: str, z: complex) -> complex:
     if abs(den) < POLE_FLOOR:
         raise PoleEncountered(f"{pole} at {z!r}")
+    return den
+
+
+def _nan_at_pole(den: CArr, pole: str, z: CArr) -> CArr:
+    """den, NaN where _raise_at_pole raises or abs() of den overflows on finite parts."""
+    # top <= |den| <= sqrt(2) top (tests/test_arrays.py pins it for np.hypot), so a den
+    # with top in [POLE_FLOOR, _HYPOT_SAFE] is neither a pole hit nor an overflow.
+    top = np.maximum(abs(den.real), abs(den.imag))
+    sure = (top >= POLE_FLOOR) & (top <= _HYPOT_SAFE)
+    if sure.all():
+        return den
+    odd = np.flatnonzero(~sure)
+    x, y = den.real[odd], den.imag[odd]
+    size = np.hypot(x, y)  # abs() raises where this overflows on finite parts
+    hit = odd[(size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(x) & np.isfinite(y))]
+    den = CArr(den.real.copy(), den.imag.copy())
+    den[hit] = complex(math.nan, math.nan)
+    return den
+
+
+def _unguarded(den, pole, z):
+    return den
 
 
 def _at_point(formula, m: MapExpr, z: complex, verb: str, w: complex | None = None) -> complex:
@@ -313,72 +346,23 @@ def apply(m: MapExpr, z: complex) -> complex:
     return _at_point(_value, m, z, "evaluate")
 
 
-def _on_arrays(formula, m: MapExpr, z: CArr, w: CArr | None = None) -> tuple[CArr, np.ndarray]:
+def _on_arrays(formula, m: MapExpr | MapBatch, z: CArr, w: CArr | None = None) -> tuple[CArr, np.ndarray]:
     """formula (_value, or _divided with the points w) of m at every point of z, as (values,
-    bad); bad marks where the scalar call raises, and the values there are meaningless."""
+    bad); bad marks a non-finite point or value, which the pole guard makes of a pole hit or
+    an overflowing |den|: where the scalar call raises.  The values there are meaningless."""
     bad = ~(np.isfinite(z.real) & np.isfinite(z.imag))
     if w is not None:
         bad |= ~(np.isfinite(w.real) & np.isfinite(w.imag))
-
-    def mark(den, pole, at):
-        # top <= |den| <= sqrt(2) top (tests/test_arrays.py pins it for np.hypot), so a
-        # den with top in [POLE_FLOOR, _HYPOT_SAFE] is neither a pole hit nor an overflow.
-        top = np.maximum(abs(den.real), abs(den.imag))
-        sure = (top >= POLE_FLOOR) & (top <= _HYPOT_SAFE)
-        if not sure.all():
-            odd = np.broadcast_to(~sure, bad.shape)  # a complex den, from a constant inner map, is every point's
-            x, y = np.broadcast_to(den.real, bad.shape)[odd], np.broadcast_to(den.imag, bad.shape)[odd]
-            size = np.hypot(x, y)  # abs() raises where this overflows on finite parts
-            bad[odd] |= (size < POLE_FLOOR) | (np.isinf(size) & np.isfinite(x) & np.isfinite(y))
-
     with np.errstate(all="ignore"):
-        try:
-            f = formula(m, z, mark) if w is None else formula(m, z, w, mark)
-        except ZeroDivisionError:  # a constant inner map sits on the outer map's pole: every point is bad
-            f = complex(math.nan, math.nan)
-    bad |= ~(np.isfinite(f.real) & np.isfinite(f.imag))
-    if isinstance(f, CArr) and f.real.shape == bad.shape:
-        return f, bad
-    # A degree-0 Blaschke product, alone or outermost, is one complex for every point.
-    return CArr(np.broadcast_to(f.real, bad.shape), np.broadcast_to(f.imag, bad.shape)), bad
+        f = formula(m, z, _nan_at_pole) if w is None else formula(m, z, w, _nan_at_pole)
+    return f, bad | ~(np.isfinite(f.real) & np.isfinite(f.imag))
 
 
 def apply_arrays(m: MapExpr | MapBatch, z: CArr) -> tuple[CArr, np.ndarray]:
-    """apply at every point of z, as (f, bad); a MapBatch applies map k at z[k].
-
-    bad marks the points where apply raises; their values in f are meaningless.  A
-    composition of two batches runs in two passes, and bad also marks where its
-    inner value is not finite (where the outer map is evaluated at inf or NaN).
-    """
-    if isinstance(m, MapBatch):
-        f, bad = CArr(np.empty(z.real.shape), np.empty(z.real.shape)), np.empty(z.real.shape, bool)
-        for index, part in m.groups:
-            f[index], bad[index] = apply_arrays(part, z[index])
-        return f, bad
-    if isinstance(m, Compose) and isinstance(m.inner, MapBatch):
-        inner, bad = apply_arrays(m.inner, z)
-        f, outer_bad = apply_arrays(m.outer, inner)
-        return f, bad | outer_bad
+    """apply at every point of z, as (f, bad); a MapBatch applies map k at z[k].  bad marks
+    the points that are not finite or whose value is not finite, which is where apply raises
+    (on map k, rebuilt); their values in f are meaningless."""
     return _on_arrays(_value, m, z)
-
-
-def _divided_arrays(m: MapExpr | MapBatch, z: CArr, w: CArr) -> CArr:
-    """_divided at every pair (z[k], w[k]), a MapBatch taking map k at pair k as apply_arrays
-    does, for points where apply_arrays marks neither z[k] nor w[k] bad: their denominators
-    already passed the pole guard, so none is checked again; call under np.errstate."""
-    if isinstance(m, MapBatch):
-        out = CArr(np.empty(z.real.shape), np.empty(z.real.shape))
-        for index, part in m.groups:
-            out[index] = _divided_arrays(part, z[index], w[index])
-        return out
-    if isinstance(m, Compose) and isinstance(m.inner, MapBatch):
-        inner_z, inner_w = apply_arrays(m.inner, z)[0], apply_arrays(m.inner, w)[0]
-        return _divided_arrays(m.outer, inner_z, inner_w) * _divided_arrays(m.inner, z, w)
-    return _divided(m, z, w, _unguarded)
-
-
-def _unguarded(den, pole, z):
-    pass
 
 
 # _rounding_scale and _slope_bound are first-order bounds from a computed image f and
@@ -387,8 +371,8 @@ def _unguarded(den, pole, z):
 # part is a composition, |h| is bounded from f by outer's inverse instead of evaluated.
 # The error and the slope of a Blaschke product have no such bound off the closed unit
 # disk, where |f| > 1 (for a degree-0 product |f| = 1 says nothing of z): inf there.
-# Complex moduli are bounded by _mag, which cannot raise, so a float gives the bits of
-# an array element, inf and NaN included.
+# An evaluated h is bounded by |h| (_mag(h) can pass 1 inside the disk), other complex
+# moduli by _mag; neither raises, so a float gives an array element's bits, inf and NaN too.
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -441,8 +425,8 @@ def _slope_bound(m: MapExpr | MapBatch, z, f, size):
     if isinstance(m, Blaschke):  # sum_k (1 - |a_k|^2) / |1 - conj(a_k) z|^2 on the closed disk
         return _in_disk(size, m._weights[1])
     if isinstance(m, Compose):
-        h = _inner_value(m, z)
-        return _slope_bound(m.outer, h, f, size) * _slope_bound(m.inner, z, h, _mag(h))
+        h = _value(m.inner, z, _unguarded)  # as apply and apply_arrays compute it where they do not raise
+        return _slope_bound(m.outer, h, f, size) * _slope_bound(m.inner, z, h, _modulus(h))
     if isinstance(m, MapBatch):
         return _by_group(_slope_bound, m, z, f, size)
     raise TypeError(f"not a map expression: {m!r}")
@@ -453,13 +437,8 @@ def _inner_point(m: Compose, z, f, size):
     neither part of m is a composition, and the bound comes from f = m(z)."""
     if not (_composes(m.outer) or _composes(m.inner)):
         return None, _preimage_bound(m.outer, f, size)
-    h = _inner_value(m, z)
-    return h, _mag(h)
-
-
-def _inner_value(m: Compose, z):
-    """m.inner at z, as apply and apply_arrays compute it."""
-    return apply_arrays(m.inner, z)[0] if isinstance(z, CArr) else _value(m.inner, z, _unguarded)
+    h = _value(m.inner, z, _unguarded)
+    return h, _modulus(h)
 
 
 def _preimage_bound(m: MapExpr | MapBatch, f, size):

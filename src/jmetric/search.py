@@ -21,6 +21,7 @@ certify an upper bound; the ceiling 2 comes from theory.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 
@@ -102,8 +103,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.boundary_margin < math.inf:
-            raise DomainError("boundary_margin must be positive and finite")
+        margin = self.boundary_margin
+        if isinstance(margin, bool) or not isinstance(margin, numbers.Real) or not 0.0 < margin < math.inf:
+            raise DomainError(f"boundary_margin must be positive and finite (a real, not a bool), got {margin!r}")
+        object.__setattr__(self, "boundary_margin", float(margin))
         check_integer("grid_per_axis", self.grid_per_axis, 2, _GRID_MAX)
         check_integer("refine_rounds", self.refine_rounds, 0, _ROUNDS_MAX)
         check_integer("seed", self.seed, 0)

@@ -61,9 +61,9 @@ from .maps import (
     MapExpr,
     Mobius,
     _divided,
-    _divided_arrays,
     _raise_at_pole,
     _rounding_scale,
+    _unguarded,
     apply,
     apply_arrays,
     image_modulus_bound,
@@ -402,7 +402,7 @@ def _image_gaps(pz: _Points, pw: _Points, gap):
     if near.size:
         z_at, w_at = pz.at[near], pw.at[near]
         m = pz.m.take(z_at) if isinstance(pz.m, MapBatch) else pz.m
-        divided = gap[near] * abs(_divided_arrays(m, pz.points[z_at], pw.points[w_at]))
+        divided = gap[near] * abs(_divided(m, pz.points[z_at], pw.points[w_at], _unguarded))
         exact = (divided > 0.0) & (divided < math.inf)
         fgap[near[exact]] = divided[exact]
     return fgap

@@ -344,7 +344,7 @@ def test_apply_arrays_match_apply(m, points, nudges):
 )
 def test_map_batches_match_apply_on_each_rebuilt_map(family, domain):
     # Each sample's map, rebuilt as a checked map, gives the batch's bits at its
-    # own point; compositions of batches run in two passes.
+    # own point, compositions of batches included.
     rng = substream(13, 0)
     batch = family(rng, 600)
     z = sample_interior_points(domain, rng, 600, PAIR_MARGIN, HALFPLANE_SPAN)
@@ -357,6 +357,41 @@ def test_map_batches_match_apply_on_each_rebuilt_map(family, domain):
         assert bad[k] == (scalar is None)
         assert scalar is None or same(scalar, f.real[k], f.imag[k])
     assert len(shapes) >= 3
+
+
+# A finite point whose modulus overflows, and non-finite points.
+_HUGE_OR_NONFINITE = [(1.5e308, 1.5e308), (math.inf, 0.0), (0.5, math.nan), (-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize(
+    "family", [verify_module._halfplane_maps, verify_module._disk_maps], ids=["halfplane", "disk"]
+)
+def test_map_batches_match_apply_where_the_pole_guard_fires(family):
+    # Sample k sits on a pole of its own map (of its inner map, for a composition), nudged
+    # as in test_apply_arrays_match_apply, or on one of _HUGE_OR_NONFINITE.
+    batch = family(substream(17, 0), 600)
+    nudges = [0.0, 5e-324, 1e-300, -1e-290]
+    points = []
+    for k in range(600):
+        poles = _poles(batch[k])
+        if poles and k % 5:
+            p, t = poles[k % len(poles)], nudges[k % len(nudges)]
+            points.append((p.real + t, p.imag - t))
+        else:
+            points.append(_HUGE_OR_NONFINITE[k % len(_HUGE_OR_NONFINITE)])
+    z = carr(points)
+    f, bad = apply_arrays(batch, z)
+    hits = 0
+    for k in range(600):
+        try:
+            scalar = apply(batch[k], element(z, k))
+        except PoleEncountered:
+            scalar, hits = None, hits + 1
+        except JmetricError:
+            scalar = None
+        assert bad[k] == (scalar is None)
+        assert scalar is None or same(scalar, f.real[k], f.imag[k])
+    assert hits >= 100 and not bad.all()
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +451,8 @@ def test_batch_ratios_of_near_pairs_match_guarded_ratio(domain, family):
     rows = np.flatnonzero(_NEAR_OFFSETS == 3e-9)[::3]
     with np.errstate(all="ignore"):
         ratio = _scored_pairs(domain, domain, m, z, w, _exact_ratios)
-        slope, part = maps_module._divided_arrays(m, z, w), maps_module._divided_arrays(m.take(rows), z[rows], w[rows])
+        divided = maps_module._divided
+        slope, part = divided(m, z, w, maps_module._unguarded), divided(m.take(rows), z[rows], w[rows], maps_module._unguarded)
     for k in range(300):
         scalar = guarded_ratio(domain, domain, m[k], element(z, k), element(w, k))
         assert same(math.nan if scalar is None or _NEAR_OFFSETS[k] < PAIR_SEPARATION else scalar, ratio[k])

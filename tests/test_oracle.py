@@ -26,10 +26,13 @@ from jmetric.maps import (
     Mobius,
     _divided,
     _raise_at_pole,
+    _rounding_scale,
+    apply,
+    apply_arrays,
     mobius_image_domain,
     mobius_inverse,
 )
-from jmetric.sampling import Uniforms, substream
+from jmetric.sampling import Uniforms, sample_interior_points, substream
 from jmetric.search import THEORETICAL_CEILING, SearchConfig, estimate_lipschitz
 from jmetric.verify import _guarded_ratios, _random_image_source_and_mobius, check_lipschitz_pair, guarded_ratio
 
@@ -227,6 +230,22 @@ def test_nested_compositions_agree_with_the_oracle(name):
         assert ratio == array
         exact = exact_ratio(domain, domain, m, z, w)
         assert abs(ratio - exact) <= 5e-10 * exact, (z, w)
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_nested_rounding_scales_are_finite_inside(name):
+    # An inner value h is bounded by |h|: |Re h| + |Im h| can pass 1 inside the disk, where
+    # a Blaschke layer's scale is then inf and every pair falls back on f[z, w].
+    domain, m = NESTED[name]
+    z = sample_interior_points(domain, substream(7, 0), 2000, 1e-3, 10.0)
+    with np.errstate(all="ignore"):
+        f, bad = apply_arrays(m, z)
+        scale = _rounding_scale(m, z, f, abs(f))
+    assert not bad.any() and np.isfinite(scale).all()
+    for k in range(0, 2000, 50):  # the scalar path takes the same bound
+        point = z.at(k)
+        image = apply(m, point)
+        assert _rounding_scale(m, point, image, abs(image)) == scale[k]
 
 
 def test_underflowing_divided_difference_keeps_the_rounded_gap():

@@ -242,6 +242,17 @@ class TestEstimateLipschitz:
         with pytest.raises(DomainError):
             SearchConfig(grid_per_axis=1)
 
+    def test_boundary_margin_is_a_real_stored_as_float(self):
+        # A bool, a string or a complex is refused; a numpy float is stored as a float, so the
+        # report serializes it.
+        for margin in (True, "0.5", None, 1e-3 + 0j):
+            with pytest.raises(DomainError, match="boundary_margin must be positive and finite"):
+                SearchConfig(boundary_margin=margin)
+        cfg = SearchConfig(boundary_margin=np.float32(1e-3), grid_per_axis=10, refine_rounds=30)
+        assert type(cfg.boundary_margin) is float and cfg.boundary_margin == float(np.float32(1e-3))
+        report = estimate_lipschitz(D, HALF_AUT, cfg)
+        assert json.loads(report.to_json())["config"]["boundary_margin"] == float(np.float32(1e-3))
+
     def test_grid_cap(self):
         # 256 points per axis already make ~2**32 pairs; past it the grid is refused
         # before any point is built.
