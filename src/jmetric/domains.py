@@ -277,7 +277,8 @@ def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
 
 
 def pseudo_hyperbolic_halfplane(z: complex, w: complex) -> float:
-    """|(z - w) / (z - conj(w))| for two points of the upper half-plane (or two CArr of them)."""
+    """|(z - w) / (z - conj(w))| for two points of the upper half-plane (or two CArr of them);
+    NaN where z - w is past the float range (inf / inf), 0.0 where only z - conj(w) is."""
     finite = np.isfinite(z.real) & np.isfinite(w.real) & (z.imag < math.inf) & (w.imag < math.inf)
     if not np.all(finite & (z.imag > 0.0) & (w.imag > 0.0)):
         raise PointOutsideDomain("pseudo_hyperbolic_halfplane needs points with Im > 0")

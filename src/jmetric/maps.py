@@ -213,11 +213,11 @@ class MapBatch:
 
 
 def _turn(rotation):
-    """e^(i rotation) as cmath.exp gives it, for a float or an array of floats: the
-    libm cos and sin of rotation + 0.0 (the imaginary part of 1j * rotation)."""
+    """e^(i rotation) as cmath.exp gives it, for a float or an array of floats: the cos and sin
+    of rotation + 0.0 (the imaginary part of 1j * rotation); numpy's have libm's bits."""
     if isinstance(rotation, np.ndarray):
-        t = (rotation + 0.0).tolist()
-        return CArr(np.fromiter(map(math.cos, t), float, len(t)), np.fromiter(map(math.sin, t), float, len(t)))
+        t = rotation + 0.0
+        return CArr(np.cos(t), np.sin(t))
     return cmath.exp(1j * rotation)
 
 

@@ -127,8 +127,8 @@ def _sq(x):
 
 
 def check_identity_halfplane(x: complex, y: complex) -> float:
-    """Residual of |x - conj(y)|^2 - |x - y|^2 = 4 Im x Im y (zero on all of C);
-    DomainError where a modulus is past the float range."""
+    """Residual of |x - conj(y)|^2 - |x - y|^2 = 4 Im x Im y (zero on all of C); DomainError where
+    a modulus is past the float range, NaN or +-inf where a square or 4 Im x Im y is."""
     try:
         return _sq(abs(x - y.conjugate())) - _sq(abs(x - y)) - 4.0 * x.imag * y.imag
     except OverflowError as exc:  # abs() of a complex past ~1.3e308 per coordinate
@@ -136,8 +136,8 @@ def check_identity_halfplane(x: complex, y: complex) -> float:
 
 
 def check_identity_disk(x: complex, y: complex) -> float:
-    """Residual of |1 - conj(x) y|^2 - |x - y|^2 = (1 - |x|^2)(1 - |y|^2);
-    DomainError where a modulus is past the float range."""
+    """Residual of |1 - conj(x) y|^2 - |x - y|^2 = (1 - |x|^2)(1 - |y|^2); DomainError where a
+    modulus is past the float range, NaN or +-inf where conj(x) y, a square or a product is."""
     try:
         lhs = _sq(abs(1.0 - x.conjugate() * y)) - _sq(abs(x - y))
         rhs = (1.0 - _sq(abs(x))) * (1.0 - _sq(abs(y)))
@@ -228,11 +228,14 @@ def _relative_slack(sides, z: complex, w: complex, fz: complex, fw: complex) -> 
 
 
 def check_bound_2_3(m: MapExpr, z: complex) -> float:
-    """Slack of |f(z)| <= (|z| + |f(0)|) / (1 + |f(0)| |z|) for disk self-maps."""
+    """Slack of |f(z)| <= (|z| + |f(0)|) / (1 + |f(0)| |z|) for disk self-maps; DomainError past the float range."""
     if _modulus(z) >= 1.0:
         raise PointOutsideDomain("point must lie in the unit disk")
-    a_mod = abs(apply(m, 0j))
-    return image_modulus_bound(a_mod, abs(z)) - abs(apply(m, z))
+    try:
+        a_mod = abs(apply(m, 0j))
+        return image_modulus_bound(a_mod, abs(z)) - abs(apply(m, z))
+    except OverflowError as exc:  # abs() of a finite image past ~1.3e308 per coordinate
+        raise DomainError(f"check_bound_2_3: |f(0)| or |f(z)| is past the float range at {z!r}") from exc
 
 
 def g_threshold(c: float) -> float:
@@ -359,13 +362,13 @@ def _trusted(size, offset):
 
 class _Points(NamedTuple):
     """The per-point stage of _guarded_ratios and _scored_pairs: a point's offset from the
-    source boundary, its image, the image's modulus and rounding scale (maps._rounding_scale;
-    None in a stage for scores that take no image gap), the image's offset from the
-    destination boundary, whether the image is usable (apply gives it and _trusted accepts
-    it) and its position in the stage; and, not gathered, the stage's points and map (a
-    MapBatch takes map k at position k)."""
+    source boundary, its image, the image's modulus and rounding scale (maps._rounding_scale),
+    the image's offset from the destination boundary, whether the image is usable (apply
+    gives it and _trusted accepts it) and its position in the stage; and, not gathered, the
+    stage's points and map (a MapBatch takes map k at position k).  The offset and the scale
+    are None in a stage for scores that read only the images."""
 
-    offset: np.ndarray
+    offset: np.ndarray | None
     f: CArr
     size: np.ndarray
     scale: np.ndarray | None
@@ -376,20 +379,20 @@ class _Points(NamedTuple):
     m: MapExpr | MapBatch
 
     def take(self, index) -> _Points:
-        scale = None if self.scale is None else self.scale[index]
-        return _Points(self.offset[index], self.f[index], self.size[index], scale, self.f_offset[index],
+        offset, scale = (None, None) if self.scale is None else (self.offset[index], self.scale[index])
+        return _Points(offset, self.f[index], self.size[index], scale, self.f_offset[index],
                        self.usable[index], self.at[index], self.points, self.m)
 
 
 def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = True) -> _Points:
-    """_Points of every point of z, with rounding scales if gaps; call under np.errstate."""
+    """_Points of every point of z, with source offsets and rounding scales if gaps; call under np.errstate."""
     f, bad = apply_arrays(m, z)
     size = abs(f)
     # signed_boundary_offset(UnitDisk(), f) is 1.0 - abs(f): one abs() serves both.
     f_offset = 1.0 - size if isinstance(dst, UnitDisk) else signed_boundary_offset(dst, f)
     usable = _trusted(size, f_offset) & ~bad
-    scale = _rounding_scale(m, z, f, size) if gaps else None
-    return _Points(signed_boundary_offset(src, z), f, size, scale, f_offset, usable, np.arange(len(z.real)), z, m)
+    offset, scale = (signed_boundary_offset(src, z), _rounding_scale(m, z, f, size)) if gaps else (None, None)
+    return _Points(offset, f, size, scale, f_offset, usable, np.arange(len(z.real)), z, m)
 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
@@ -553,7 +556,7 @@ def _extremal(rng, n: int) -> Extremal:
 def _blaschke(zeros: int, rng, n: int) -> Blaschke:
     """Blaschke products with `zeros` zeros of modulus below 0.95."""
     rho, phi = 0.95 * np.sqrt(rng.random((zeros, n))), 2.0 * math.pi * rng.random((zeros, n))
-    points = tuple(CArr(r * np.cos(p), r * np.sin(p)) for r, p in zip(rho, phi))
+    points = tuple(map(CArr, rho * np.cos(phi), rho * np.sin(phi)))  # one row per zero
     return Blaschke.of_arrays(2.0 * math.pi * rng.random(n), points)
 
 

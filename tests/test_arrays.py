@@ -394,6 +394,17 @@ def test_map_batches_match_apply_where_the_pole_guard_fires(family):
     assert hits >= 100 and not bad.all()
 
 
+def test_a_non_finite_rotation_in_a_batch_is_marked_bad():
+    # math.cos(inf) raised a bare ValueError out of apply_arrays; numpy's cos gives NaN,
+    # so the first point is marked where apply would raise, and the second keeps apply's bits.
+    m = Blaschke.of_arrays(np.array([math.inf, 0.5]), (CArr(np.array([0.1, 0.2]), np.zeros(2)),))
+    z = CArr(np.array([0.3, 0.3]), np.array([0.1, 0.1]))
+    slopes = maps_module._on_arrays(maps_module._divided, m, z, z)
+    for call, (f, bad) in ((apply, apply_arrays(m, z)), (derivative, slopes)):
+        assert bad.tolist() == [True, False]
+        assert same(call(Blaschke(0.5, (0.2 + 0j,)), 0.3 + 0.1j), f.real[1], f.imag[1])
+
+
 # ---------------------------------------------------------------------------
 # Guarded ratio
 # ---------------------------------------------------------------------------
@@ -1044,6 +1055,23 @@ def test_np_log1p_is_within_4_ulps_of_math_log1p():
     # Zero only at zero and finite everywhere, so both passes skip the same pairs.
     assert np.array_equal(got == 0.0, x == 0.0)
     assert np.all(np.isfinite(got))
+
+
+def test_np_cos_and_sin_equal_math_cos_and_sin():
+    """maps._turn takes a batch's rotation factors from np.cos and np.sin, and the scalar
+    path from cmath.exp, which calls libm's cos and sin: the goldens rebuild witnesses
+    from scalar maps, so the two must agree in every bit, signed zeros included.  A numpy
+    that dispatches float64 cos or sin to another kernel must fail here, not move goldens."""
+    rng = np.random.default_rng(26)
+    angles = 2.0 * math.pi * rng.random(1_000_000)
+    wide = 10.0 ** rng.uniform(-308.0, 308.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    subnormal = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
+    big = sys.float_info.max
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, math.pi, 2.0 * math.pi, big, -big])
+    x = np.concatenate([angles, wide, subnormal, -subnormal, edges])
+    for fast, exact in ((np.cos, math.cos), (np.sin, math.sin)):
+        expected = np.fromiter(map(exact, x.tolist()), float, x.size)
+        assert np.array_equal(fast(x).view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -580,6 +580,11 @@ class TestRobustness:
             (DomainError, check_step_1_2, (Blaschke(1.64, ()), 7.471e307 + 1.7e308j, 4.595e-161j)),
             # Here the moduli are finite and a side overflows to inf.
             (DomainError, check_step_1_2, (IDENTITY, 1e300 + 2j, 1.101e-320 + 1.788e200j)),
+            # f(0) is finite, but its modulus is past the float range.
+            (DomainError, check_bound_2_3, (Mobius(1e-100 + 1.0668131550391152e300j,
+                                                   1.7390887618644395e308 + 1.7206652242516386e308j,
+                                                   1096.7369675184784 - 1.068090616755464e300j,
+                                                   -0.0010173509090936875 + 1.0305141914203246j), -1e-100 - 0j)),
         ],
         ids=lambda v: v.__name__ if callable(v) else None,
     )
