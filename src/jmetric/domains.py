@@ -277,9 +277,13 @@ def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
 
 
 def pseudo_hyperbolic_halfplane(z: complex, w: complex) -> float:
-    """|(z - w) / (z - conj(w))| for two points of the upper half-plane (or two CArr of them);
-    NaN where z - w is past the float range (inf / inf), 0.0 where only z - conj(w) is."""
+    """|(z - w) / (z - conj(w))| for two points of the upper half-plane (or two CArr of them)."""
+    den = z - w.conjugate()
+    bounded = (abs(den.real) < math.inf) & (den.imag < math.inf)  # then so are z, w and z - w
+    if np.all(bounded & (z.imag > 0.0) & (w.imag > 0.0)):
+        return abs((z - w) / den)
     finite = np.isfinite(z.real) & np.isfinite(w.real) & (z.imag < math.inf) & (w.imag < math.inf)
     if not np.all(finite & (z.imag > 0.0) & (w.imag > 0.0)):
         raise PointOutsideDomain("pseudo_hyperbolic_halfplane needs points with Im > 0")
-    return abs((z - w) / (z - w.conjugate()))
+    half = abs((z * 0.5 - w * 0.5) / (z * 0.5 - w.conjugate() * 0.5))  # finite where den is not
+    return np.where(bounded, abs((z - w) / den), half) if isinstance(den, CArr) else half

@@ -6,14 +6,14 @@ estimated by a deterministic tensor grid over the four real coordinates of
 and from local-distortion seed points, all scored through verify's two
 stages.  The grid maps and guards each point once (the per-point stage),
 ranks the local-distortion seeds from those values and the derivatives, and
-scores each block of z rows from gathers of them (the pair stage), rescoring
-with math.log1p only the pairs that can reach the block's top list (on a pool
-only from 2**20 pairs per worker); the seeds and the walks score through
-verify._guarded_ratios, the walks with complete polling: all 8 moves of every
-walk in one pass per round.  Every stage admits all distinct points with usable
-images and takes an image gap from a divided difference where the two images
-agree to rounding (verify._GAP_TRUST), so a near-coincident pair scores its
-ratio, not rounding noise.  Only lower bounds are ever claimed: the supremum
+scores each pair once for both orders from gathers of them (the pair stage),
+in chunks of rows, rescoring with math.log1p only the pairs that can reach a
+chunk's top list (on a pool only from 2**20 pairs per worker); the seeds and
+the walks score through verify._guarded_ratios, the walks with complete
+polling: all 8 moves of every walk in one pass per round.  Every stage admits
+all distinct points with usable images and takes an image gap from a divided
+difference where the two images agree to rounding (verify._GAP_TRUST), so a
+near-coincident pair scores its ratio, not rounding noise.  Only lower bounds are ever claimed: the supremum
 is typically attained in boundary or infinity limits, so no finite search can
 certify an upper bound; the ceiling 2 comes from theory.
 """
@@ -71,23 +71,22 @@ THEORETICAL_CEILING = 2.0
 # math.exp overflows above this.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# Points per grid axis: 256 already makes ~2**32 pairs, and a row block's index
-# arrays grow with the square of it.
+# Points per grid axis: 256 already makes ~2**32 pairs, and a chunk's index arrays
+# grow with the square of it.
 _GRID_MAX = 256
 
 # Walk rounds: each is one pass over 8 moves per walk whether or not a walk moves,
 # 0.21-0.34 ms for a default search's 32 walks (2-CPU Xeon), so 10**4 rounds take 2-4 s.
 _ROUNDS_MAX = 10_000
 
-# z-rows per grid chunk; fixed so chunk boundaries (and therefore reports)
-# do not depend on the worker count.
-_GRID_ROWS_PER_CHUNK = 16
+# A grid chunk is the consecutive rows i whose pairs (i, j > i) first reach _GRID_CHUNK_ROWS
+# times the row count, as many as that many rows of ordered pairs, for any worker count.
+_GRID_CHUNK_ROWS = 16
 
-# Grid pairs per pool worker; smaller grids are scored inline.  2-CPU Xeon, extremal
-# map, median of 9 grids on a started pool: 331,776 pairs take 0.029 s inline and
-# 0.037 s on two workers, 1,048,576 pairs 0.136 s and 0.111 s, 2,560,000 pairs
-# 0.41 s and 0.29 s.  Two workers start to pay between the first two sizes, so
-# 2**20 pairs per worker stays.
+# Grid pairs (points squared) per pool worker; smaller grids are scored inline.  2-CPU Xeon,
+# extremal map, median of 9 on a started pool: 331,776 pairs take 0.028-0.030 s inline and
+# 0.016-0.017 s on two workers, 1,048,576 pairs 0.06-0.10 s and 0.05 s; but 2**17, which pools
+# the default half-plane grid, slowed the benchmark's distortion-search in 3 of 4 paired runs.
 _PAIRS_PER_WORKER = 1 << 20
 
 # Walks start from the _SEED_COUNT best grid pairs and as many local-distortion seeds,
@@ -231,26 +230,60 @@ def _hypot(x, y):
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
-def _grid_chunk(stage, lo, hi, keep):
-    """Score, from the grid's per-point stage, the pairs of distinct points i and j
-    for i in [lo, hi); return their count and the `keep` best finite (ratio, i, j)
-    entries, ordered by (-ratio, i, j).
+def _best(ratio, first, second, index, keep):
+    """The `keep` entries of index with the best finite ratios, ordered by (-ratio, first, second)."""
+    found = index[~np.isnan(ratio[index])]
+    return found[np.lexsort((second[found], first[found], -ratio[found]))[:keep]]
 
-    The entries carry guarded_ratio's bits (see verify._ranked_ratios)."""
-    n = len(stage.at)
-    i = np.repeat(np.arange(lo, hi), n)
-    j = np.tile(np.arange(n), hi - lo)
+
+def _grid_chunk(stage, lo, hi, keep):
+    """Score, from the grid's per-point stage, the pairs of distinct points i, j with i in
+    [lo, hi) and j > i; return their count in both orders and the `keep` best finite
+    (ratio, first, second) entries of both orders, ordered by (-ratio, first, second).
+
+    Entries carry guarded_ratio's bits (see verify._ranked_ratios), (j, i) those of (i, j)
+    except for near pairs (verify._image_gaps), whose divided difference can round
+    otherwise, so they are scored as (j, i) too.  The best ordered entries are among the
+    top `keep` of (i, j), their mirrors not near and the top `keep` of near (j, i): what
+    ranks above a forward or reversed entry in its own list ranks above it overall, and
+    (r', a, b) above a mirror's twin (r, i, j) has r' > r, or r' = r and a <= i < j."""
+    i, j = np.nonzero(np.arange(len(stage.at)) > np.arange(lo, hi)[:, None])
+    i += lo
     with np.errstate(all="ignore"):
         gap = abs(stage.points[i] - stage.points[j])
         distinct = gap != 0.0
-        evaluations = int(np.count_nonzero(distinct))
+        evaluations = 2 * int(np.count_nonzero(distinct))
         distinct &= stage.usable[i] & stage.usable[j]
         i, j, gap = i[distinct], j[distinct], gap[distinct]
-        ratio, exact = _ranked_ratios(stage.take(i), stage.take(j), gap, keep, 0.0)
-        i, j, ratio = i[exact], j[exact], ratio[exact]
-    found = np.flatnonzero(~np.isnan(ratio))
-    best = found[np.lexsort((j[found], i[found], -ratio[found]))[:keep]]
-    return evaluations, [(float(ratio[k]), int(i[k]), int(j[k])) for k in best]
+        pz, pw = stage.take(i), stage.take(j)
+        ratio, exact, near = _ranked_ratios(pz, pw, gap, keep, 0.0)
+        back, back_exact = np.empty(0), near
+        if near.size:
+            back, back_exact, _ = _ranked_ratios(pw.take(near), pz.take(near), gap[near], keep, 0.0)
+    mirrored = np.ones(ratio.size, dtype=bool)
+    mirrored[near] = False
+    top = _best(ratio, i, j, exact, keep)
+    twin = top[mirrored[top]]
+    rev = _best(back, j[near], i[near], back_exact, keep)
+    r = np.concatenate([ratio[top], ratio[twin], back[rev]])
+    first = np.concatenate([i[top], j[twin], j[near][rev]])
+    second = np.concatenate([j[top], i[twin], i[near][rev]])
+    best = np.lexsort((second, first, -r))[:keep]
+    return evaluations, [(float(r[k]), int(first[k]), int(second[k])) for k in best]
+
+
+def _grid_top(stage, keep, threads):
+    """The grid's evaluations and its `keep` best (ratio, i, j) entries by (-ratio, i, j), from
+    its chunks (see _GRID_CHUNK_ROWS), on a pool from _PAIRS_PER_WORKER grid pairs per worker."""
+    rows, evaluations, top = len(stage.at), 0, []
+    before = np.cumsum(np.arange(rows, 0, -1)) - rows  # the pairs (i, j > i) of the rows above each
+    starts = np.searchsorted(before, range(0, rows * (rows - 1) // 2, _GRID_CHUNK_ROWS * max(rows, 1))).tolist()
+    tasks = [(stage, lo, hi, keep) for lo, hi in zip(starts, starts[1:] + [rows])]
+    workers = min(threads, max(1, rows * rows // _PAIRS_PER_WORKER))
+    for chunk_evals, chunk_top in run_ordered(_grid_chunk, tasks, workers):
+        evaluations += chunk_evals
+        top.extend(chunk_top)
+    return evaluations, sorted(top, key=lambda entry: (-entry[0], entry[1], entry[2]))[:keep]
 
 
 def _distortion_order(m, points, stage):
@@ -269,16 +302,8 @@ def _seeds(src, dst, m, region, threads):
     np.errstate."""
     a, b = region.grid()
     points = region.point(a, b)
-    rows = len(a)
     stage = _point_stage(src, dst, m, points)
-    tasks = [(stage, lo, min(lo + _GRID_ROWS_PER_CHUNK, rows), _SEED_COUNT)
-             for lo in range(0, rows, _GRID_ROWS_PER_CHUNK)]
-    evaluations, top = 0, []
-    workers = min(threads, max(1, rows * rows // _PAIRS_PER_WORKER))
-    for chunk_evals, chunk_top in run_ordered(_grid_chunk, tasks, workers):
-        evaluations += chunk_evals
-        top.extend(chunk_top)
-    top = sorted(top, key=lambda entry: (-entry[0], entry[1], entry[2]))[:_SEED_COUNT]
+    evaluations, top = _grid_top(stage, _SEED_COUNT, threads)
     i, j = np.array([e[1] for e in top], dtype=int), np.array([e[2] for e in top], dtype=int)
 
     # Local-distortion seeds cover suprema reached in the z -> w limit.

@@ -396,9 +396,10 @@ def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = 
 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
-    """|f(z) - f(w)| of pairs with usable images as _divided_gap and j_distance take it,
-    from their per-point stages pz, pw (gathered to the pairs) and gaps |z - w|; call
-    under np.errstate."""
+    """|f(z) - f(w)| of pairs with usable images as _divided_gap and j_distance take it, from their
+    per-point stages pz, pw (gathered to the pairs) and gaps |z - w|, and the index of the near
+    pairs, whose images agree to rounding: only their gap can depend on the order of z and w.
+    Call under np.errstate."""
     fgap = abs(pz.f - pw.f)
     near = np.flatnonzero(fgap <= _GAP_TRUST * (pz.scale + pw.scale))
     near = near[pz.usable[near] & pw.usable[near]]
@@ -408,7 +409,7 @@ def _image_gaps(pz: _Points, pw: _Points, gap):
         divided = gap[near] * abs(_divided(m, pz.points[z_at], pw.points[w_at], _unguarded))
         exact = (divided > 0.0) & (divided < math.inf)
         fgap[near[exact]] = divided[exact]
-    return fgap
+    return fgap, near
 
 
 def _pair_ratios(pz: _Points, pw: _Points, gap, fgap, log1p):
@@ -446,9 +447,9 @@ _LOG1P_SLACK = 1e-12
 def _ranked_ratios(pz: _Points, pw: _Points, gap, keep, c):
     """_pair_ratios of the pairs, with math.log1p (guarded_ratio's bits) on every pair
     that can be among the `keep` lowest values of c - ratio or tie with them, and with
-    np.log1p elsewhere (see _LOG1P_SLACK); returns the ratios and the index of the
-    exact ones.  Call under np.errstate."""
-    fgap = _image_gaps(pz, pw, gap)
+    np.log1p elsewhere (see _LOG1P_SLACK); returns the ratios, the index of the exact
+    ones and _image_gaps' index of near pairs.  Call under np.errstate."""
+    fgap, near = _image_gaps(pz, pw, gap)
     ratio = _pair_ratios(pz, pw, gap, fgap, np.log1p)
     v = c - ratio
     finite = v[~np.isnan(v)]
@@ -457,7 +458,7 @@ def _ranked_ratios(pz: _Points, pw: _Points, gap, keep, c):
         t = np.partition(finite, keep - 1)[keep - 1]
         exact = np.flatnonzero(~(v > t + _LOG1P_SLACK * (c + abs(t) + 2.0**-1022)))
     ratio[exact] = _pair_ratios(pz.take(exact), pw.take(exact), gap[exact], fgap[exact], _log1p_exact)
-    return ratio, exact
+    return ratio, exact, near
 
 
 def guarded_ratio(
@@ -503,7 +504,7 @@ def _staged_ratios(pz: _Points, pw: _Points):
 
 def _exact_ratios(z, w, pz, pw, gap):
     """_pair_ratios with guarded_ratio's bits, as a score for _scored_pairs; call under np.errstate."""
-    return _pair_ratios(pz, pw, gap, _image_gaps(pz, pw, gap), _log1p_exact)
+    return _pair_ratios(pz, pw, gap, _image_gaps(pz, pw, gap)[0], _log1p_exact)
 
 
 def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:

@@ -16,6 +16,7 @@ reproducibility instead, and that a pair closer than PAIR_SEPARATION is
 skipped where it is scored.
 """
 
+import functools
 import logging
 import math
 import operator
@@ -59,12 +60,12 @@ from jmetric.maps import (
 )
 from jmetric.sampling import Uniforms, sample_interior_points, substream
 from jmetric.search import (
-    _GRID_ROWS_PER_CHUNK,
     _SEED_COUNT,
     _SHRINK,
     SearchConfig,
     _distortion_order,
     _grid_chunk,
+    _grid_top,
     _Region,
     _seeds,
     _walk,
@@ -607,7 +608,7 @@ def test_ranked_ratios_rescore_every_pair_on_the_worst_margin():
     z, w = _pairs(disk, substream(0, 0), 4096)
     with np.errstate(all="ignore"):
         pz, pw = _point_stage(disk, disk, m, z), _point_stage(disk, disk, m, w)
-        ratio, exact = _ranked_ratios(pz, pw, abs(z - w), 1, 2.0)
+        ratio, exact, _ = _ranked_ratios(pz, pw, abs(z - w), 1, 2.0)
         reference = _guarded_ratios(disk, disk, m, z, w)[0]
     margin = 2.0 - reference
     ties = np.flatnonzero(margin == np.nanmin(margin))
@@ -843,20 +844,42 @@ def test_region_matches_the_scalar_methods(domain):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_ratios(name, grid):
+    """The grid points of a _WHOLE_GRID_CASES case at `grid` points per axis, and
+    ratio_objective of every ordered pair (i, j) of distinct points, by (i, j)."""
+    src, dst, m = _WHOLE_GRID_CASES[name]
+    region = _ScalarRegion(_Region(src, SearchConfig(grid_per_axis=grid)))
+    points = [region.point(a, b) for a, b in region.grid_coords()]
+    ratios = {(i, j): ratio_objective(src, dst, m, z, w)
+              for i, z in enumerate(points) for j, w in enumerate(points) if z != w}
+    return points, ratios
+
+
+def _reference_top(ratios, keep):
+    """The count of the ordered pairs of ratios and their `keep` best (ratio, i, j) entries."""
+    found = [(value, i, j) for (i, j), value in ratios.items() if value != -math.inf]
+    found.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
+    return len(ratios), found[:keep]
+
+
 def _reference_grid_chunk(src, dst, m, points, lo, hi, keep):
-    """Evaluate pairs of distinct points (points[i], points[j]) for i in [lo, hi);
-    return the chunk's evaluation count and its `keep` best (ratio, i, j) entries."""
+    """Evaluate pairs of distinct points (points[i], points[j]) and (points[j], points[i])
+    for i in [lo, hi) and j > i; return the chunk's evaluation count and its `keep` best
+    (ratio, first, second) entries."""
     found = []
     evals = 0
     for i in range(lo, hi):
         z = points[i]
-        for j, w in enumerate(points):
+        for j in range(i + 1, len(points)):
+            w = points[j]
             if z == w:
                 continue
-            value = ratio_objective(src, dst, m, z, w)
-            evals += 1
-            if value != -math.inf:
-                found.append((value, i, j))
+            for first, second, value in ((i, j, ratio_objective(src, dst, m, z, w)),
+                                         (j, i, ratio_objective(src, dst, m, w, z))):
+                evals += 1
+                if value != -math.inf:
+                    found.append((value, first, second))
     found.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
     return evals, found[:keep]
 
@@ -875,18 +898,28 @@ GRID_CASES = {
 }
 
 
+# GRID_CASES and a composition whose outer Blaschke product has two zeros.
+_WHOLE_GRID_CASES = {
+    **GRID_CASES,
+    "compose2": (UnitDisk(), UnitDisk(), Compose(Blaschke(0.2, (0.5, 0.5j)), Blaschke(0.0, (0.3 - 0.2j,)))),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GRID_CASES))
-def test_grid_chunk_matches_the_per_pair_loop(name):
+def test_grid_chunk_matches_the_per_pair_loop(monkeypatch, name):
     src, dst, m = GRID_CASES[name]
     region = _ScalarRegion(_Region(src, SearchConfig(grid_per_axis=10)))
     points = [region.point(a, b) for a, b in region.grid_coords()]
     rows = len(points)
-    assert rows % _GRID_ROWS_PER_CHUNK != 0  # the last block is partial
-    last = (rows - 1) // _GRID_ROWS_PER_CHUNK * _GRID_ROWS_PER_CHUNK
-    blocks = [(0, _GRID_ROWS_PER_CHUNK), (last, rows), (5, 6)]
     grid = carr([(p.real, p.imag) for p in points])
     with np.errstate(all="ignore"):
         stage = _point_stage(src, dst, m, grid)
+    # The first and the last of the search's own chunks, and one row.
+    chunks = []
+    monkeypatch.setattr(search_module, "run_ordered", lambda f, tasks, n: chunks.extend(t[1:3] for t in tasks) or [])
+    _grid_top(stage, 1, 1)
+    assert len(chunks) > 1
+    blocks = [chunks[0], chunks[-1], (5, 6)]
     for lo, hi in blocks:
         for keep in (1, 16, rows * rows):
             evals, top = _grid_chunk(stage, lo, hi, keep)
@@ -897,6 +930,40 @@ def test_grid_chunk_matches_the_per_pair_loop(name):
     if name == "infeasible":
         evals, top = _grid_chunk(stage, 0, rows, rows * rows)
         assert 0 < len(top) < evals
+
+
+@pytest.mark.parametrize("name", sorted(_WHOLE_GRID_CASES))
+@pytest.mark.parametrize("grid", [8, 10])
+def test_grid_top_matches_the_ordered_per_pair_loop(name, grid):
+    # The chunks' merged top against every ordered pair of the grid: one chunk on the
+    # disk at grid 8, two on the disk at grid 10 and on the half-plane at grid 8, four
+    # on the half-plane at grid 10.
+    src, dst, m = _WHOLE_GRID_CASES[name]
+    points, ratios = _grid_ratios(name, grid)
+    rows = len(points)
+    with np.errstate(all="ignore"):
+        stage = _point_stage(src, dst, m, carr([(p.real, p.imag) for p in points]))
+    for keep in (_SEED_COUNT, rows * rows):
+        evals, top = _grid_top(stage, keep, 1)
+        ref_evals, ref_top = _reference_top(ratios, keep)
+        assert evals == ref_evals
+        assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
+
+
+def test_grid_chunk_keeps_the_order_of_a_near_pair():
+    # The divided difference of a Blaschke product with three zeros builds its product
+    # rule in z-then-w order, so this near pair scores 0.1432448514141342 as (z, w)
+    # and 0.1432448514141343 as (w, z): the chunk must score (1, 0) itself, not
+    # mirror (0, 1).
+    src, dst, m = GRID_CASES["blaschke3"]
+    points = [0.14748203386764236 + 0.29014438711287527j, 0.14748204181957802 + 0.2901443965373781j, -0.4 + 0.1j]
+    assert ratio_objective(src, dst, m, points[0], points[1]) != ratio_objective(src, dst, m, points[1], points[0])
+    with np.errstate(all="ignore"):
+        stage = _point_stage(src, dst, m, carr([(p.real, p.imag) for p in points]))
+    evals, top = _grid_chunk(stage, 0, 3, 9)
+    ref_evals, ref_top = _reference_grid_chunk(src, dst, m, points, 0, 3, 9)
+    assert evals == ref_evals == 6
+    assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
 
 
 def _reference_distortion_order(src, dst, m, points):

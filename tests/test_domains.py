@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from jmetric.domains import (
+    CArr,
     Disk,
     HalfPlane,
     UnitDisk,
@@ -94,6 +96,18 @@ class TestPseudoHyperbolic:
     def test_halfplane_hand_values(self):
         assert close(pseudo_hyperbolic_halfplane(1j, 2j), 1.0 / 3.0, 1e-15)
         assert close(pseudo_hyperbolic_halfplane(1 + 1j, -1 + 1j), 2.0 / math.sqrt(8.0), 1e-15)
+
+    def test_halfplane_past_the_float_range(self):
+        # z - conj(w) overflows: the quotient 0.5e308 / 2.5e308 once came out 0.0.  Here
+        # z - w overflows too, and the value, 1 to double precision, once came out NaN.
+        assert pseudo_hyperbolic_halfplane(1e308j, 1.5e308j) == 0.2
+        assert pseudo_hyperbolic_halfplane(1.7e308 + 1j, -1.7e308 + 1j) == 1.0
+        # A batch takes the halves only where they are needed.
+        z = CArr(np.array([1.0, 0.0]), np.array([1.0, 1e308]))
+        w = CArr(np.array([-1.0, 0.0]), np.array([1.0, 1.5e308]))
+        with np.errstate(all="ignore"):
+            value = pseudo_hyperbolic_halfplane(z, w)
+        assert value.tolist() == [pseudo_hyperbolic_halfplane(1 + 1j, -1 + 1j), 0.2]
 
     def test_interior_required(self):
         with pytest.raises(PointOutsideDomain):
