@@ -279,7 +279,7 @@ def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
 def pseudo_hyperbolic_halfplane(z: complex, w: complex) -> float:
     """|(z - w) / (z - conj(w))| for two points of the upper half-plane (or two CArr of them)."""
     den = z - w.conjugate()
-    bounded = (abs(den.real) < math.inf) & (den.imag < math.inf)  # then so are z, w and z - w
+    bounded = (abs(den.real) < math.inf) & (den.imag < math.inf)  # with Im z, Im w > 0: z, w, z - w finite
     if np.all(bounded & (z.imag > 0.0) & (w.imag > 0.0)):
         return abs((z - w) / den)
     finite = np.isfinite(z.real) & np.isfinite(w.real) & (z.imag < math.inf) & (w.imag < math.inf)

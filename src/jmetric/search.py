@@ -13,9 +13,9 @@ the walks score through verify._guarded_ratios, the walks with complete
 polling: all 8 moves of every walk in one pass per round.  Every stage admits
 all distinct points with usable images and takes an image gap from a divided
 difference where the two images agree to rounding (verify._GAP_TRUST), so a
-near-coincident pair scores its ratio, not rounding noise.  Only lower bounds are ever claimed: the supremum
-is typically attained in boundary or infinity limits, so no finite search can
-certify an upper bound; the ceiling 2 comes from theory.
+near-coincident pair scores its ratio, not rounding noise.  Only lower bounds
+are ever claimed: the supremum is typically attained in boundary or infinity
+limits, so no finite search can certify an upper bound; the ceiling 2 comes from theory.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ _GRID_MAX = 256
 # 0.21-0.34 ms for a default search's 32 walks (2-CPU Xeon), so 10**4 rounds take 2-4 s.
 _ROUNDS_MAX = 10_000
 
-# A grid chunk is the consecutive rows i whose pairs (i, j > i) first reach _GRID_CHUNK_ROWS
-# times the row count, as many as that many rows of ordered pairs, for any worker count.
+# A grid chunk: the consecutive rows i whose pairs (i, j > i) first reach _GRID_CHUNK_ROWS times
+# the row count, which alone sets the chunks, so reports do not depend on the worker count.
 _GRID_CHUNK_ROWS = 16
 
 # Grid pairs (points squared) per pool worker; smaller grids are scored inline.  2-CPU Xeon,
