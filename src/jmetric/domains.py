@@ -264,6 +264,8 @@ def _j(gap, bz, bw, log1p):
     x = gap / np.where(bz <= bw, bz, bw)  # under the caller's np.errstate
     # A finite x needs finite coordinates, so this is boundary_distance's check too.
     ok = (bz > 0.0) & (bw > 0.0) & (x < math.inf)
+    if ok.all():
+        return log1p(x)
     j = np.full(x.shape, math.nan)
     j[ok] = log1p(x[ok])
     return j

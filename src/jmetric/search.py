@@ -7,15 +7,17 @@ and from local-distortion seed points, all scored through verify's two
 stages.  The grid maps and guards each point once (the per-point stage),
 ranks the local-distortion seeds from those values and the derivatives, and
 scores each pair once for both orders from gathers of them (the pair stage),
-in chunks of rows, rescoring with math.log1p only the pairs that can reach a
-chunk's top list (on a pool only from 2**20 pairs per worker); the seeds and
-the walks score through verify._guarded_ratios, the walks with complete
-polling: all 8 moves of every walk in one pass per round.  Every stage admits
-all distinct points with usable images and takes an image gap from a divided
-difference where the two images agree to rounding (verify._GAP_TRUST), so a
-near-coincident pair scores its ratio, not rounding noise.  Only lower bounds
-are ever claimed: the supremum is typically attained in boundary or infinity
-limits, so no finite search can certify an upper bound; the ceiling 2 comes from theory.
+in chunks of rows whose pairs (i, j > i) np.repeat and np.arange list row by
+row (dropped only where an image is unusable), rescoring with math.log1p only
+the pairs that can reach a chunk's top list (on a pool only from 2**20 pairs
+per worker); the seeds and the walks score through verify._guarded_ratios,
+the walks with complete polling: all 8 moves of every walk in one pass per
+round.  Every stage admits all distinct points with usable images and takes
+an image gap from a divided difference where the two images agree to rounding
+(verify._GAP_TRUST), so a near-coincident pair scores its ratio, not rounding
+noise.  Only lower bounds are ever claimed: the supremum is typically attained
+in boundary or infinity limits, so no finite search can certify an upper
+bound; the ceiling 2 comes from theory.
 """
 
 from __future__ import annotations
@@ -171,6 +173,8 @@ class _Region:
             self.kind = "disk"
             if self.margin >= domain.radius:
                 raise DomainError("boundary_margin leaves no interior to search")
+            if n < 3:  # the corners of the square around the disk, all outside it
+                raise DomainError(f"grid_per_axis {n} keeps no disk point; 3 is the smallest grid that keeps one")
             self.cx, self.cy, self.reach = domain.center.real, domain.center.imag, domain.radius - self.margin
             lo_x, hi_x = self.cx - self.reach, self.cx + self.reach
             lo_y, hi_y = self.cy - self.reach, self.cy + self.reach
@@ -247,14 +251,17 @@ def _grid_chunk(stage, lo, hi, keep):
     top `keep` of (i, j), their mirrors not near and the top `keep` of near (j, i): what
     ranks above a forward or reversed entry in its own list ranks above it overall, and
     (r', a, b) above a mirror's twin (r, i, j) has r' > r, or r' = r and a <= i < j."""
-    i, j = np.nonzero(np.arange(len(stage.at)) > np.arange(lo, hi)[:, None])
-    i += lo
+    rows = np.arange(lo, hi)
+    count = len(stage.at) - 1 - rows  # row i pairs with j = i + 1, i + 2, ..., row-major
+    i = np.repeat(rows, count)
+    j = np.arange(count.sum()) + np.repeat(rows + 1 - (np.cumsum(count) - count), count)
     with np.errstate(all="ignore"):
         gap = abs(stage.points[i] - stage.points[j])
         distinct = gap != 0.0
         evaluations = 2 * int(np.count_nonzero(distinct))
         distinct &= stage.usable[i] & stage.usable[j]
-        i, j, gap = i[distinct], j[distinct], gap[distinct]
+        if not distinct.all():
+            i, j, gap = i[distinct], j[distinct], gap[distinct]
         pz, pw = stage.take(i), stage.take(j)
         ratio, exact, near = _ranked_ratios(pz, pw, gap, keep, 0.0)
         back, back_exact = np.empty(0), near
@@ -336,13 +343,14 @@ def _walk(src, dst, m, region, cfg, coords, best):
     steps, width = region.initial_steps(coords), len(best)
     evals = np.zeros(width, dtype=int)
     walks, k, half = np.arange(width), np.arange(4), 4 * width
+    col = np.tile(walks, 8)  # the walk that candidate column c moves is col[c]
     # Move 2k + s of walk v (s = 0 for +step on coordinate k, 1 for -step) is column (2k + s)
     # width + v of the candidates.  It changes z for k < 2 and w for k >= 2, so only that
     # point is clipped and mapped; the stage holds the walks' z and w, then the moved points.
-    z_at = np.concatenate([2 * width + np.arange(half), np.tile(walks, 4)])
-    w_at = np.concatenate([width + np.tile(walks, 4), 2 * width + half + np.arange(half)])
+    z_at = np.concatenate([2 * width + np.arange(half), col[:half]])
+    w_at = np.concatenate([width + col[:half], 2 * width + half + np.arange(half)])
     for _ in range(cfg.refine_rounds):
-        here = np.tile(coords, 8)
+        here = coords[:, col]
         cand = here.copy()
         moves = cand.reshape(4, 4, 2, width)
         moves[k, k, 0] += steps
@@ -355,7 +363,7 @@ def _walk(src, dst, m, region, cfg, coords, best):
         ratio, gap = _staged_ratios(stage.take(z_at), stage.take(w_at))
         eligible = (gap != 0.0) & (cand != here).any(axis=0)
         evals += eligible.reshape(8, width).sum(axis=0)
-        score = np.where(eligible & (ratio > np.tile(best, 8)), ratio, -math.inf).reshape(8, width)
+        score = np.where(eligible & (ratio > best[col]), ratio, -math.inf).reshape(8, width)
         move = np.argmax(score, axis=0)  # the first best move, in (k, +, -) order
         moved = score[move, walks] > -math.inf
         coords = np.where(moved, cand.reshape(4, 8, width)[:, move, walks], coords)

@@ -362,15 +362,14 @@ def _trusted(size, offset):
 
 class _Points(NamedTuple):
     """The per-point stage of _guarded_ratios and _scored_pairs: a point's offset from the
-    source boundary, its image, the image's modulus and rounding scale (maps._rounding_scale),
-    the image's offset from the destination boundary, whether the image is usable (apply
-    gives it and _trusted accepts it) and its position in the stage; and, not gathered, the
+    source boundary, its image, the image's rounding scale (maps._rounding_scale), the
+    image's offset from the destination boundary, whether the image is usable (apply gives
+    it and _trusted accepts it) and its position in the stage; and, not gathered, the
     stage's points and map (a MapBatch takes map k at position k).  The offset and the scale
     are None in a stage for scores that read only the images."""
 
     offset: np.ndarray | None
     f: CArr
-    size: np.ndarray
     scale: np.ndarray | None
     f_offset: np.ndarray
     usable: np.ndarray
@@ -380,8 +379,8 @@ class _Points(NamedTuple):
 
     def take(self, index) -> _Points:
         offset, scale = (None, None) if self.scale is None else (self.offset[index], self.scale[index])
-        return _Points(offset, self.f[index], self.size[index], scale, self.f_offset[index],
-                       self.usable[index], self.at[index], self.points, self.m)
+        return _Points(offset, self.f[index], scale, self.f_offset[index], self.usable[index],
+                       self.at[index], self.points, self.m)
 
 
 def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = True) -> _Points:
@@ -392,7 +391,7 @@ def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = 
     f_offset = 1.0 - size if isinstance(dst, UnitDisk) else signed_boundary_offset(dst, f)
     usable = _trusted(size, f_offset) & ~bad
     offset, scale = (signed_boundary_offset(src, z), _rounding_scale(m, z, f, size)) if gaps else (None, None)
-    return _Points(offset, f, size, scale, f_offset, usable, np.arange(len(z.real)), z, m)
+    return _Points(offset, f, scale, f_offset, usable, np.arange(len(z.real)), z, m)
 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
@@ -420,7 +419,8 @@ def _pair_ratios(pz: _Points, pw: _Points, gap, fgap, log1p):
     j_dst = _j(fgap, pz.f_offset, pw.f_offset, log1p)
     # A zero j_src, or a NaN j, leaves a non-finite ratio.
     ratio = j_dst / _j(gap, pz.offset, pw.offset, log1p)
-    return np.where(np.isfinite(ratio), ratio, math.nan)
+    finite = np.isfinite(ratio)
+    return ratio if finite.all() else np.where(finite, ratio, math.nan)
 
 
 # _ranked_ratios serves callers that rank v = c - r ascending and keep the `keep`
@@ -452,7 +452,8 @@ def _ranked_ratios(pz: _Points, pw: _Points, gap, keep, c):
     fgap, near = _image_gaps(pz, pw, gap)
     ratio = _pair_ratios(pz, pw, gap, fgap, np.log1p)
     v = c - ratio
-    finite = v[~np.isnan(v)]
+    nan = np.isnan(v)
+    finite = v[~nan] if nan.any() else v
     exact = np.arange(ratio.size)
     if finite.size > keep:
         t = np.partition(finite, keep - 1)[keep - 1]

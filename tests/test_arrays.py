@@ -78,6 +78,7 @@ from jmetric.verify import (
     _CAYLEY,
     _CHUNK,
     _IMAGE_DRAWS,
+    _LOG1P_SLACK,
     _PAIR,
     _ROWS,
     _blaschke_maps,
@@ -87,6 +88,8 @@ from jmetric.verify import (
     _exact_ratios,
     _guarded_ratios,
     _halfplane_maps,
+    _image_gaps,
+    _pair_ratios,
     _pairs,
     _point_stage,
     _random_image_source_and_mobius,
@@ -131,6 +134,11 @@ def same(scalar: complex | float, re, im=None) -> bool:
 
 def carr(points) -> CArr:
     return CArr(np.array([p[0] for p in points], dtype=float), np.array([p[1] for p in points], dtype=float))
+
+
+def bits_of(x) -> list[bytes]:
+    """bits of every element of the float array x."""
+    return [bits(v) for v in x.tolist()]
 
 
 def element(z: CArr, k: int) -> complex:
@@ -617,6 +625,63 @@ def test_ranked_ratios_rescore_every_pair_on_the_worst_margin():
     assert reference[ties[0]] < np.nanmax(reference) * (1.0 - 1e-12)
 
 
+def _masked_j(gap, bz, bw, log1p):
+    """domains._j's masked path, taken on every input."""
+    x = gap / np.where(bz <= bw, bz, bw)
+    ok = (bz > 0.0) & (bw > 0.0) & (x < math.inf)
+    j = np.full(x.shape, math.nan)
+    j[ok] = log1p(x[ok])
+    return j
+
+
+def _masked_pair_ratios(pz, pw, gap, fgap, log1p):
+    """verify._pair_ratios' masked path, taken on every input."""
+    ratio = _masked_j(fgap, pz.f_offset, pw.f_offset, log1p) / _masked_j(gap, pz.offset, pw.offset, log1p)
+    return np.where(np.isfinite(ratio), ratio, math.nan)
+
+
+def _masked_ranked_ratios(pz, pw, gap, keep, c):
+    """verify._ranked_ratios with the masked paths, its keep-th lowest value taken from
+    the compressed finite values."""
+    fgap, near = _image_gaps(pz, pw, gap)
+    ratio = _masked_pair_ratios(pz, pw, gap, fgap, np.log1p)
+    v = c - ratio
+    finite = v[~np.isnan(v)]
+    exact = np.arange(ratio.size)
+    if finite.size > keep:
+        t = np.partition(finite, keep - 1)[keep - 1]
+        exact = np.flatnonzero(~(v > t + _LOG1P_SLACK * (c + abs(t) + 2.0**-1022)))
+    ratio[exact] = _masked_pair_ratios(pz.take(exact), pw.take(exact), gap[exact], fgap[exact], _log1p_exact)
+    return ratio, exact, near
+
+
+@pytest.mark.parametrize("invalid", [False, True])
+def test_fast_paths_match_the_masked_paths(invalid):
+    # _j, _pair_ratios and _ranked_ratios skip their masks where every element is valid.
+    # Both branches must give the masked result bit for bit: all pairs valid, or one pair
+    # with a source offset below 0 (a NaN j) and a zero gap (a non-finite ratio).
+    disk, m = UnitDisk(), Blaschke(0.3, (0.5 + 0.1j, -0.2j))
+    z, w = _pairs(disk, substream(5, 0), 512)
+    with np.errstate(all="ignore"):
+        pz, pw = _point_stage(disk, disk, m, z), _point_stage(disk, disk, m, w)
+        gap = abs(z - w)
+        if invalid:
+            pz = pz._replace(offset=np.where(np.arange(512) == 17, -1e-3, pz.offset))
+            gap[301] = 0.0
+        fgap = _image_gaps(pz, pw, gap)[0]
+        for log1p in (np.log1p, _log1p_exact):
+            j = _j(gap, pz.offset, pw.offset, log1p)
+            assert bits_of(j) == bits_of(_masked_j(gap, pz.offset, pw.offset, log1p))
+            ratio = _pair_ratios(pz, pw, gap, fgap, log1p)
+            assert bits_of(ratio) == bits_of(_masked_pair_ratios(pz, pw, gap, fgap, log1p))
+            assert bool(np.isnan(j).any()) is bool(np.isnan(ratio).any()) is invalid
+        for keep, c in ((1, 2.0), (16, 0.0), (600, 0.0)):
+            new, reference = _ranked_ratios(pz, pw, gap, keep, c), _masked_ranked_ratios(pz, pw, gap, keep, c)
+            assert bits_of(new[0]) == bits_of(reference[0])
+            assert new[1].tolist() == reference[1].tolist() and new[2].tolist() == reference[2].tolist()
+    assert np.flatnonzero(np.isnan(ratio)).tolist() == ([17, 301] if invalid else [])
+
+
 # ---------------------------------------------------------------------------
 # Suite chunks against a per-sample loop of the public scalar checks
 # ---------------------------------------------------------------------------
@@ -914,12 +979,18 @@ def test_grid_chunk_matches_the_per_pair_loop(monkeypatch, name):
     grid = carr([(p.real, p.imag) for p in points])
     with np.errstate(all="ignore"):
         stage = _point_stage(src, dst, m, grid)
-    # The first and the last of the search's own chunks, and one row.
+    # Every automorphism image is usable, so its chunks score their pairs uncompressed; the
+    # shift's chunks compress the pairs with an unusable image away.
+    if name in ("automorphism", "infeasible"):
+        assert bool(stage.usable.all()) is (name == "automorphism")
+    # The first and the last of the search's own chunks, one row, and the last row alone,
+    # which has no pairs.
     chunks = []
     monkeypatch.setattr(search_module, "run_ordered", lambda f, tasks, n: chunks.extend(t[1:3] for t in tasks) or [])
     _grid_top(stage, 1, 1)
     assert len(chunks) > 1
-    blocks = [chunks[0], chunks[-1], (5, 6)]
+    assert _grid_chunk(stage, rows - 1, rows, 16) == (0, [])
+    blocks = [chunks[0], chunks[-1], (5, 6), (rows - 1, rows)]
     for lo, hi in blocks:
         for keep in (1, 16, rows * rows):
             evals, top = _grid_chunk(stage, lo, hi, keep)

@@ -336,6 +336,13 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert "--grid must be at least 2" in err
 
+    def test_grid_two_on_a_disk_is_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--grid", "2"
+        )
+        assert (code, out) == (3, "")
+        assert "grid_per_axis 2 keeps no disk point; 3 is the smallest grid that keeps one" in err
+
     def test_negative_seed_is_exit_2(self, capsys):
         code, out, _ = run(
             capsys, "search", "--domain", "unitdisk", "--map", "mobius:1,0,0,1", "--seed", "-1"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import jmetric.search as search_module
-from jmetric.domains import UnitDisk, UpperHalfPlane
+from jmetric.domains import Disk, UnitDisk, UpperHalfPlane
 from jmetric.errors import DomainError, SelfMapViolation
 from jmetric.maps import Blaschke, Extremal, Mobius
 from jmetric.sampling import Uniforms, sample_interior, substream
@@ -332,6 +332,18 @@ def test_removed_settings_are_refused(field):
 def test_margin_at_the_disk_radius_leaves_no_region():
     with pytest.raises(DomainError, match="boundary_margin leaves no interior to search"):
         estimate_lipschitz(D, HALF_AUT, SearchConfig(boundary_margin=1.0))
+
+
+@pytest.mark.parametrize("src", [D, Disk(1 + 1j, 2.0)], ids=repr)
+def test_grid_two_keeps_no_disk_point(monkeypatch, src):
+    # Its 4 points are the corners of the square around the disk, all outside it; the
+    # search refuses it before mapping any point, not with "no feasible pair".
+    cfg = SearchConfig(grid_per_axis=2, refine_rounds=1)
+    monkeypatch.setattr(search_module, "_point_stage", lambda *args: pytest.fail("a point was scored"))
+    with pytest.raises(DomainError, match="grid_per_axis 2 keeps no disk point; 3 is the smallest grid"):
+        estimate_lipschitz(src, IDENTITY, cfg)
+    monkeypatch.undo()
+    assert estimate_lipschitz(src, IDENTITY, SearchConfig(grid_per_axis=3, refine_rounds=1)).best_ratio == 1.0
 
 
 def test_images_all_within_the_trust_floor_leave_no_feasible_pair():
