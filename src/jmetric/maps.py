@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -211,6 +212,26 @@ class MapBatch:
                 groups.append((mine, m.take(pos[mine])))
         return MapBatch(tuple(groups))
 
+    @functools.cached_property
+    def _ragged(self):
+        """The Blaschke groups as one product, or None without them: (their samples, their
+        rotation factors e^(i rotation), their zeros row by row, each zero's sample, the row
+        bounds).  The members go by zero count, most first, so that row k, zero k of each
+        member with more than k zeros, is a prefix of them."""
+        parts = sorted((g for g in self.groups if isinstance(g[1], Blaschke)), key=lambda g: -len(g[1].zeros))
+        if not parts:
+            return None
+        rows = [[(index, m.zeros[k]) for index, m in parts if len(m.zeros) > k] for k in range(len(parts[0][1].zeros))]
+        cells = [cell for row in rows for cell in row]
+
+        def joined(pairs):  # each pair's values over its samples, a shared value spread; int if there are none
+            return np.concatenate([np.empty(0, int)] + [np.full(i.shape, v) if np.ndim(v) == 0 else v for i, v in pairs])
+
+        zeros = CArr(joined((i, a.real) for i, a in cells), joined((i, a.imag) for i, a in cells))
+        stops = [0, *itertools.accumulate(sum(i.size for i, _ in row) for row in rows)]
+        turn = _turn(joined((i, m.rotation) for i, m in parts))
+        return joined((i, i) for i, _ in parts), turn, zeros, joined((i, i) for i, _ in cells), stops
+
 
 def _turn(rotation):
     """e^(i rotation) as cmath.exp gives it, for a float or an array of floats: the cos and sin
@@ -239,8 +260,17 @@ def _value(m: MapExpr | MapBatch, z, guard):
         return _value(m.outer, _value(m.inner, z, guard), guard)
     if isinstance(m, MapBatch):
         out = CArr(np.empty(z.real.shape), np.empty(z.real.shape))
+        if m._ragged is not None:  # every factor in one pass, multiplied in as a Blaschke group takes them
+            index, turn, zeros, at, stops = m._ragged
+            x = z[at]
+            factor = (x - zeros) / guard(1.0 - zeros.conjugate() * x, "Blaschke pole", x)
+            w = CArr(turn.real.copy(), turn.imag.copy())
+            for start, stop in zip(stops, stops[1:]):  # row k: the first stop - start members
+                w[: stop - start] = w[: stop - start] * factor[start:stop]
+            out[index] = w
         for index, part in m.groups:
-            out[index] = _value(part, z[index], guard)
+            if not isinstance(part, Blaschke):
+                out[index] = _value(part, z[index], guard)
         return out
     raise TypeError(f"not a map expression: {m!r}")
 

@@ -20,10 +20,12 @@ scalar guarded_ratio and check_lipschitz_pair and every array path share that ru
 
 Every suite is one row (trial, witness keys, tolerance, margin convention) of
 ``_ROWS``.  A trial draws a whole chunk from the chunk's Philox substream, maps
-as parameter arrays grouped by shape and points as arrays, and returns its
-margins (NaN for a skip) and a function giving sample k's witness values.
-Each formula runs on complex numbers and on CArr, so the public scalar checks
-reproduce a witness's margin bit for bit.  To add a suite, add a row.
+as parameter arrays grouped by shape (a maps.MapBatch, which evaluates all its
+Blaschke groups as one product whatever their zero counts) and points as
+arrays, and returns its margins (NaN for a skip) and a function giving sample
+k's witness values.  Each formula runs on complex numbers and on CArr, so the
+public scalar checks reproduce a witness's margin bit for bit.  To add a
+suite, add a row.
 """
 
 from __future__ import annotations
@@ -543,8 +545,7 @@ def _halfplane_mobius(rng, n: int) -> Mobius:
     the upper half-plane.  Each round redraws the maps still below 0.1."""
     coeffs, todo = np.empty((4, n)), np.arange(n)
     for _ in range(REJECTION_TRIES):
-        coeffs[:, todo] = -2.0 + 4.0 * rng.random((4, todo.size))
-        a, b, c, d = coeffs[:, todo]
+        coeffs[:, todo] = a, b, c, d = -2.0 + 4.0 * rng.random((4, todo.size))
         todo = todo[a * d - b * c < 0.1]
         if not todo.size:
             return Mobius.of_arrays(*coeffs)

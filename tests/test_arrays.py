@@ -342,30 +342,44 @@ def test_apply_arrays_match_apply(m, points, nudges):
                 assert same(scalar, f.real[k], f.imag[k])
 
 
+def _mixed_products(rng, n: int):
+    """Blaschke products with one shared zero, with no zeros, and with two zeros drawn per sample."""
+    drawers = (
+        lambda rng, n: Blaschke(0.3, (0.5j,)),
+        lambda rng, n: Blaschke.of_arrays(rng.random(n), ()),
+        functools.partial(verify_module._blaschke, 2),
+    )
+    return verify_module._grouped(rng, (3.0 * rng.random(n)).astype(int), drawers)
+
+
 @pytest.mark.parametrize(
-    "family, domain",
+    "family, domain, n",
     [
-        (verify_module._halfplane_maps, UpperHalfPlane()),
-        (verify_module._disk_maps, UnitDisk()),
-        (verify_module._blaschke_maps, UnitDisk()),
+        (verify_module._halfplane_maps, UpperHalfPlane(), 600),
+        (verify_module._disk_maps, UnitDisk(), 600),
+        (verify_module._blaschke_maps, UnitDisk(), 600),
+        (_mixed_products, UnitDisk(), 600),
+        *((family, UnitDisk(), n) for family in (verify_module._disk_maps, verify_module._blaschke_maps)
+          for n in (1, 3, 7)),
     ],
-    ids=["halfplane", "disk", "blaschke"],
+    ids=["halfplane", "disk", "blaschke", "mixed", "disk-1", "disk-3", "disk-7", "blaschke-1", "blaschke-3", "blaschke-7"],
 )
-def test_map_batches_match_apply_on_each_rebuilt_map(family, domain):
+def test_map_batches_match_apply_on_each_rebuilt_map(family, domain, n):
     # Each sample's map, rebuilt as a checked map, gives the batch's bits at its
-    # own point, compositions of batches included.
+    # own point, and its derivative's there, compositions of batches included; a
+    # few-member batch lacks some zero counts.
     rng = substream(13, 0)
-    batch = family(rng, 600)
-    z = sample_interior_points(domain, rng, 600, PAIR_MARGIN, HALFPLANE_SPAN)
-    f, bad = apply_arrays(batch, z)
-    shapes = set()
-    for k in range(600):
-        m = batch[k]
-        shapes.add((type(m), type(m.inner)) if isinstance(m, Compose) else (type(m), len(getattr(m, "zeros", ()))))
-        scalar = _scalar(apply, m, element(z, k))
-        assert bad[k] == (scalar is None)
-        assert scalar is None or same(scalar, f.real[k], f.imag[k])
-    assert len(shapes) >= 3
+    batch = family(rng, n)
+    z = sample_interior_points(domain, rng, n, PAIR_MARGIN, HALFPLANE_SPAN)
+    shapes, slopes = set(), maps_module._on_arrays(maps_module._divided, batch, z, z)
+    for call, (f, bad) in ((apply, apply_arrays(batch, z)), (derivative, slopes)):
+        for k in range(n):
+            m = batch[k]
+            shapes.add((type(m), type(m.inner)) if isinstance(m, Compose) else (type(m), len(getattr(m, "zeros", ()))))
+            scalar = _scalar(call, m, element(z, k))
+            assert bad[k] == (scalar is None)
+            assert scalar is None or same(scalar, f.real[k], f.imag[k])
+    assert n < 600 or len(shapes) >= 3
 
 
 # A finite point whose modulus overflows, and non-finite points.
