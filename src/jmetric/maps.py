@@ -232,6 +232,19 @@ class MapBatch:
         turn = _turn(joined((i, m.rotation) for i, m in parts))
         return joined((i, i) for i, _ in parts), turn, zeros, joined((i, i) for i, _ in cells), stops
 
+    @functools.cached_property
+    def _weights(self):
+        """Blaschke._weights of every member of _ragged, in its order, as two arrays from one
+        pass over its zeros; each member adds its terms in its own zero order."""
+        index, _, zeros, _, stops = self._ragged
+        r = abs(zeros)
+        weight, total = np.ones(index.size), np.zeros(index.size)
+        for start, stop in zip(stops, stops[1:]):
+            t = r[start:stop]
+            weight[: stop - start] += 1.0 / (1.0 - t)
+            total[: stop - start] += (1.0 + t) / (1.0 - t)
+        return weight, total
+
 
 def _turn(rotation):
     """e^(i rotation) as cmath.exp gives it, for a float or an array of floats: the cos and sin
@@ -432,7 +445,7 @@ def _rounding_scale(m: MapExpr | MapBatch, z, f, size):
         a, b, c, d, inverse_det = m._moduli
         return 2.0 * (a + c * size) * (b + d * size) * inverse_det
     if isinstance(m, Blaschke):
-        return _in_disk(size, size * m._weights[0])
+        return _blaschke_scale(size, m._weights)
     if isinstance(m, Compose):
         # An error d in the inner value h moves outer(h) by about |outer'(h)| d.
         h, h_size = _inner_point(m, z, f, size)
@@ -440,7 +453,7 @@ def _rounding_scale(m: MapExpr | MapBatch, z, f, size):
             m.inner, z, h, h_size
         )
     if isinstance(m, MapBatch):
-        return _by_group(_rounding_scale, m, z, f, size)
+        return _by_group(_rounding_scale, m, z, f, size, _blaschke_scale)
     raise TypeError(f"not a map expression: {m!r}")
 
 
@@ -452,14 +465,22 @@ def _slope_bound(m: MapExpr | MapBatch, z, f, size):
     if isinstance(m, Mobius):  # det / (cz + d)^2 = (a - c f)^2 / det
         t = _mag(m.a - m.c * f)
         return t * t * m._moduli[4]
-    if isinstance(m, Blaschke):  # sum_k (1 - |a_k|^2) / |1 - conj(a_k) z|^2 on the closed disk
-        return _in_disk(size, m._weights[1])
+    if isinstance(m, Blaschke):
+        return _blaschke_slope(size, m._weights)
     if isinstance(m, Compose):
         h = _value(m.inner, z, _unguarded)  # as apply and apply_arrays compute it where they do not raise
         return _slope_bound(m.outer, h, f, size) * _slope_bound(m.inner, z, h, _modulus(h))
     if isinstance(m, MapBatch):
-        return _by_group(_slope_bound, m, z, f, size)
+        return _by_group(_slope_bound, m, z, f, size, _blaschke_slope)
     raise TypeError(f"not a map expression: {m!r}")
+
+
+def _blaschke_scale(size, weights):
+    return _in_disk(size, size * weights[0])
+
+
+def _blaschke_slope(size, weights):  # sum_k (1 - |a_k|^2) / |1 - conj(a_k) z|^2 on the closed disk
+    return _in_disk(size, weights[1])
 
 
 def _inner_point(m: Compose, z, f, size):
@@ -491,11 +512,18 @@ def _composes(m: MapExpr | MapBatch) -> bool:
     return isinstance(m, Compose)
 
 
-def _by_group(bound, m: MapBatch, z, f, size):
+def _by_group(bound, m: MapBatch, z, f, size, blaschke=None):
     """bound(part, z, f, size) of each group of m, on that group's samples, in one array;
-    the points z are gathered only for a composition (the others use f and size)."""
+    the points z are gathered only for a composition (the others use f and size).  Given
+    blaschke, the Blaschke groups go together as blaschke(size, MapBatch._weights)."""
     out = np.empty(np.shape(size))
+    together = blaschke is not None and m._ragged is not None
+    if together:
+        index = m._ragged[0]
+        out[index] = blaschke(size[index], m._weights)
     for index, part in m.groups:
+        if together and isinstance(part, Blaschke):
+            continue
         at = z[index] if isinstance(part, Compose) else None
         out[index] = bound(part, at, None if f is None else f[index], size[index])
     return out

@@ -15,6 +15,13 @@ supported.
 Each worker has a pipe of its own.  The calling thread hands every idle
 worker the next chunk and waits on the pipes for replies, so the pool runs
 no thread: nothing but the caller is running when a later pool forks.
+
+On glibc a worker keeps up to 64 MiB of freed heap between chunks, and
+allocates arrays under 32 MiB on that heap.  glibc's default gives the
+memory at the top of the heap back to the system as soon as 128 KiB of it is
+free, so each chunk would page-fault back in the temporaries the previous
+one freed.  Other C libraries ignore the setting, and the caller's own
+process keeps its allocator as it is.
 """
 
 from __future__ import annotations
@@ -38,6 +45,15 @@ _FORK = multiprocessing.get_context("fork")
 # ((pid, workers), _Pool) of the live pool, or None.
 _pool = None
 
+# glibc's mallopt(3) parameters and the values each worker sets.  At the default trim
+# threshold (128 KiB) the two workers of 33 `suite-batch` ops faulted 71k pages, against 6.5k
+# with these, and six pooled grid-48 searches faulted 403-429k pages in 176-292 ms each,
+# against 5.3k in 112-211 ms (2-CPU Xeon, glibc 2.36).  The mmap threshold is set too, to
+# glibc's cap, so that a worker does not depend on how far glibc had raised it in the caller
+# before the fork.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
+
 
 def default_threads() -> int:
     return os.cpu_count() or 1
@@ -50,12 +66,25 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
+def _keep_heap():
+    """Have this process's C library keep freed heap, where it has mallopt."""
+    import ctypes  # here, so that importing jmetric does not load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _serve(conn, parent_ends):
     """Worker loop: reply to each (worker, args) message until None arrives.
 
     A reply is (True, result) or (False, (exception, traceback text)); a
     result or exception that cannot be pickled is replied as that error.
     """
+    _keep_heap()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
     for end in parent_ends:  # copied by the fork; closed so that the caller's exit reads as end-of-file
         end.close()

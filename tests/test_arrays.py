@@ -360,25 +360,31 @@ def _mixed_products(rng, n: int):
         (verify_module._blaschke_maps, UnitDisk(), 600),
         (_mixed_products, UnitDisk(), 600),
         *((family, UnitDisk(), n) for family in (verify_module._disk_maps, verify_module._blaschke_maps)
-          for n in (1, 3, 7)),
+          for n in (1, 3, 7, 2048)),
     ],
-    ids=["halfplane", "disk", "blaschke", "mixed", "disk-1", "disk-3", "disk-7", "blaschke-1", "blaschke-3", "blaschke-7"],
+    ids=["halfplane", "disk", "blaschke", "mixed", "disk-1", "disk-3", "disk-7", "disk-2048", "blaschke-1",
+         "blaschke-3", "blaschke-7", "blaschke-2048"],
 )
 def test_map_batches_match_apply_on_each_rebuilt_map(family, domain, n):
     # Each sample's map, rebuilt as a checked map, gives the batch's bits at its
-    # own point, and its derivative's there, compositions of batches included; a
-    # few-member batch lacks some zero counts.
+    # own point, and its derivative's and its rounding scale's there, compositions
+    # of batches included; a few-member batch lacks some zero counts.
     rng = substream(13, 0)
     batch = family(rng, n)
     z = sample_interior_points(domain, rng, n, PAIR_MARGIN, HALFPLANE_SPAN)
+    values = apply_arrays(batch, z)
+    with np.errstate(all="ignore"):
+        scales = maps_module._rounding_scale(batch, z, values[0], abs(values[0]))
     shapes, slopes = set(), maps_module._on_arrays(maps_module._divided, batch, z, z)
-    for call, (f, bad) in ((apply, apply_arrays(batch, z)), (derivative, slopes)):
+    for call, (f, bad) in ((apply, values), (derivative, slopes)):
         for k in range(n):
             m = batch[k]
             shapes.add((type(m), type(m.inner)) if isinstance(m, Compose) else (type(m), len(getattr(m, "zeros", ()))))
             scalar = _scalar(call, m, element(z, k))
             assert bad[k] == (scalar is None)
             assert scalar is None or same(scalar, f.real[k], f.imag[k])
+            if call is apply and scalar is not None:
+                assert same(maps_module._rounding_scale(m, element(z, k), scalar, abs(scalar)), scales[k])
     assert n < 600 or len(shapes) >= 3
 
 

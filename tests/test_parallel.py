@@ -1,9 +1,12 @@
 """The process keeps one pool: started lazily, reused, replaced, recovered and never shared with a fork."""
 
 import contextlib
+import ctypes
 import multiprocessing
 import os
 import pickle
+import platform
+import resource
 import signal
 import threading
 import time
@@ -11,6 +14,7 @@ import warnings
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import jmetric.parallel as parallel
@@ -103,6 +107,16 @@ def _logged(log, index, seconds, fails):
     return index
 
 
+def _churn(k):
+    """(pid, the minor page faults of allocating and freeing 2 MiB of heap in 32 KiB arrays the
+    second of two times): the first makes private pages the fork shares with the caller."""
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(4096) for _ in range(64)]
+        del arrays
+    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 def _lock(x):
     return threading.Lock()  # a result that cannot be pickled
 
@@ -129,6 +143,40 @@ def test_pooled_call_leaves_no_thread_behind(pools):
     with _deadline():
         assert run_ordered(_square, [(k,) for k in range(8)], 2) == [k * k for k in range(8)]
     assert threading.active_count() == before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_workers_keep_their_freed_heap(pools):
+    # The pool forks from a child that first puts back glibc's default thresholds, which the
+    # caller may have raised, so its workers keep their heap only by setting their own.  A
+    # trimmed heap faults 140-180 of the arrays' 512 pages back in; a kept one a few pages at
+    # most, of Python's own objects.  A worker's first task can still meet free heap that it
+    # shares with the child, so only repeat tasks count.
+    def kept():
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(parallel._M_MMAP_THRESHOLD, 128 << 10)
+        mallopt(parallel._M_TRIM_THRESHOLD, 128 << 10)
+        seen, repeats = set(), []
+        for pid, faults in run_ordered(_churn, [(k,) for k in range(8)], 2):
+            if pid in seen:
+                repeats.append(faults)
+            seen.add(pid)
+        parallel._shutdown()
+        print("faults of repeat tasks:", repeats)
+        return repeats and max(repeats) < 16
+
+    assert _exit_code_of_child(kept) == 0
+
+
+@pytest.mark.parametrize("library", [SimpleNamespace(), OSError("no such library")])
+def test_heap_set_up_returns_quietly_without_mallopt(monkeypatch, library):
+    def load(name):
+        if isinstance(library, OSError):
+            raise library
+        return library
+
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    assert parallel._keep_heap() is None
 
 
 def test_task_error_is_re_raised_and_the_pool_kept(pools):
