@@ -10,14 +10,15 @@ scores each pair once for both orders from gathers of them (the pair stage),
 in chunks of rows whose pairs (i, j > i) np.repeat and np.arange list row by
 row (dropped only where an image is unusable), rescoring with math.log1p only
 the pairs that can reach a chunk's top list (on a pool only from 2**20 pairs
-per worker); the seeds and the walks score through verify._guarded_ratios,
-the walks with complete polling: all 8 moves of every walk in one pass per
-round.  Every stage admits all distinct points with usable images and takes
-an image gap from a divided difference where the two images agree to rounding
-(verify._GAP_TRUST), so a near-coincident pair scores its ratio, not rounding
-noise.  Only lower bounds are ever claimed: the supremum is typically attained
-in boundary or infinity limits, so no finite search can certify an upper
-bound; the ceiling 2 comes from theory.
+per worker); the seeds (their z from the grid's per-point stage) and the
+walks score through verify._scored_pairs, the walks with complete polling:
+all 8 moves of every walk in one pass per round.  Every stage admits, as the
+suites and ceilings do, all pairs of distinct points with usable images and
+takes an image gap from a divided difference where the two images agree to
+rounding (verify._GAP_TRUST), so a near-coincident pair scores its ratio, not
+rounding noise.  Only lower bounds are ever claimed: the supremum is
+typically attained in boundary or infinity limits, so no finite search can
+certify an upper bound; the ceiling 2 comes from theory.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .maps import (
     mobius_image_domain,
 )
 from .parallel import run_ordered
-from .verify import _guarded_ratios, _point_stage, _ranked_ratios, _staged_ratios, check_lipschitz_pair, guarded_ratio
+from .verify import _exact_ratios, _point_stage, _ranked_ratios, _scored_pairs, check_lipschitz_pair, guarded_ratio
 
 __all__ = [
     "SearchConfig",
@@ -144,10 +145,15 @@ def ratio_objective(
 
 
 def local_distortion(src: PlanarDomain, m: MapExpr, z: complex) -> float:
-    """Coincident-pair limit of the distortion ratio at z:
-    |f'(z)| d(z, boundary) / d(f(z), boundary)."""
+    """Coincident-pair limit of the distortion ratio at z for a self-map m of src:
+    |f'(z)| d(z, boundary) / d(f(z), boundary), with f(z) in src.  DomainError where
+    |f'(z)| is past the float range."""
     fz = apply(m, z)
-    return abs(derivative(m, z)) * boundary_distance(src, z) / boundary_distance(src, fz)
+    try:
+        slope = abs(derivative(m, z))
+    except OverflowError as exc:  # abs() of a finite derivative past ~1.3e308 per coordinate
+        raise DomainError(f"local_distortion: |f'(z)| is past the float range at {z!r}") from exc
+    return slope * boundary_distance(src, z) / boundary_distance(src, fz)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +325,8 @@ def _seeds(src, dst, m, region, threads):
     wa, wb = region.clip(za + _SEED_OFFSET, zb)
     back = abs(region.point(wa, wb) - z) == 0.0  # the right-hand w clipped back onto z
     wa[back], wb[back] = region.clip(za[back] - _SEED_OFFSET, zb[back])
-    ratio, gap = _guarded_ratios(src, dst, m, z, region.point(wa, wb))
+    w = region.point(wa, wb)
+    ratio, gap = _scored_pairs(z, w, stage.take(at), _point_stage(src, dst, m, w), _exact_ratios)
     coords = np.concatenate([[a[i], b[i], a[j], b[j]], [za, zb, wa, wb]], axis=1)
     ratios = np.concatenate([[e[0] for e in top], ratio])
     return coords, ratios, evaluations + int(np.count_nonzero(gap != 0.0))
@@ -358,9 +365,9 @@ def _walk(src, dst, m, region, cfg, coords, best):
         a, b = np.concatenate([cand[0, :half], cand[2, half:]]), np.concatenate([cand[1, :half], cand[3, half:]])
         a, b = region.clip(a, b)
         cand[0, :half], cand[1, :half], cand[2, half:], cand[3, half:] = a[:half], b[:half], a[half:], b[half:]
-        stage = _point_stage(src, dst, m, region.point(np.concatenate([coords[0], coords[2], a]),
-                                                       np.concatenate([coords[1], coords[3], b])))
-        ratio, gap = _staged_ratios(stage.take(z_at), stage.take(w_at))
+        points = region.point(np.concatenate([coords[0], coords[2], a]), np.concatenate([coords[1], coords[3], b]))
+        stage = _point_stage(src, dst, m, points)
+        ratio, gap = _scored_pairs(points[z_at], points[w_at], stage.take(z_at), stage.take(w_at), _exact_ratios)
         eligible = (gap != 0.0) & (cand != here).any(axis=0)
         evals += eligible.reshape(8, width).sum(axis=0)
         score = np.where(eligible & (ratio > best[col]), ratio, -math.inf).reshape(8, width)

@@ -12,8 +12,9 @@ scale (see _sp_margin).
 Samples whose image points are numerically boundary-coincident (computed
 boundary distance below 1e-9 relative to the image magnitude) or not finite
 cannot be evaluated meaningfully in floating point and are skipped, as are
-pairs closer than PAIR_SEPARATION: one _scored_pairs admits every pair that
-suites and ceilings score.  A run keeps its skip count and fails if it skipped all.
+pairs of coincident points: one _scored_pairs admits every pair that the suites,
+the ceilings and the search score, the pairs of distinct points with usable
+images, however close.  A run keeps its skip count and fails if it skipped all.
 A ratio takes |f(z) - f(w)| from the two rounded images, or from the divided
 difference |z - w| |f[z, w]| where they agree to rounding (_GAP_TRUST): the
 scalar guarded_ratio and check_lipschitz_pair and every array path share that rule.
@@ -98,7 +99,8 @@ __all__ = [
 # Sampling policy shared by all suites.  The half-plane box is kept modest:
 # slack roundoff grows like 1e-16 * |f| / Im f, and a span of 10 keeps that
 # comfortably below the 1e-12 contraction tolerances while X = |z-w|/s still
-# reaches ~1e4.  _scored_pairs skips a pair closer than PAIR_SEPARATION.
+# reaches ~1e4.  PAIR_SEPARATION admits no pair: only the benchmark's scalar pair
+# probe (bench/probes.py) reads it, and it goes when that probe does.
 PAIR_MARGIN = 1e-3
 PAIR_SEPARATION = 1e-9
 HALFPLANE_SPAN = 10.0
@@ -363,12 +365,12 @@ def _trusted(size, offset):
 
 
 class _Points(NamedTuple):
-    """The per-point stage of _guarded_ratios and _scored_pairs: a point's offset from the
-    source boundary, its image, the image's rounding scale (maps._rounding_scale), the
-    image's offset from the destination boundary, whether the image is usable (apply gives
-    it and _trusted accepts it) and its position in the stage; and, not gathered, the
-    stage's points and map (a MapBatch takes map k at position k).  The offset and the scale
-    are None in a stage for scores that read only the images."""
+    """The per-point stage that _scored_pairs and the search grid score pairs from: a
+    point's offset from the source boundary, its image, the image's rounding scale
+    (maps._rounding_scale), the image's offset from the destination boundary, whether the
+    image is usable (apply gives it and _trusted accepts it) and its position in the stage;
+    and, not gathered, the stage's points and map (a MapBatch takes map k at position k).
+    The offset and the scale are None in a stage for scores that read only the images."""
 
     offset: np.ndarray | None
     f: CArr
@@ -414,7 +416,7 @@ def _image_gaps(pz: _Points, pw: _Points, gap):
 
 
 def _pair_ratios(pz: _Points, pw: _Points, gap, fgap, log1p):
-    """The pair stage of _guarded_ratios: j_dst(f(z), f(w)) / j_src(z, w) for pairs of
+    """The pair stage of _scored_pairs: j_dst(f(z), f(w)) / j_src(z, w) for pairs of
     points with usable images, from their per-point values pz, pw (gathered to the
     pairs), their gaps |z - w| and image gaps fgap (_image_gaps); NaN where the ratio
     is not finite.  log1p as for domains._j; call under np.errstate."""
@@ -489,50 +491,37 @@ def guarded_ratio(
     return ratio if math.isfinite(ratio) else None
 
 
-def _guarded_ratios(src: PlanarDomain, dst: PlanarDomain, m: MapExpr, z: CArr, w: CArr):
-    """(guarded_ratio of every pair (z[k], w[k]), NaN where it gives None; |z - w|),
-    with z and w mapped in one per-point stage; call under np.errstate."""
-    n = len(z.real)
-    stage = _point_stage(src, dst, m, CArr(np.concatenate([z.real, w.real]), np.concatenate([z.imag, w.imag])))
-    return _staged_ratios(stage.take(slice(None, n)), stage.take(slice(n, None)))
-
-
-def _staged_ratios(pz: _Points, pw: _Points):
-    """(guarded_ratio of the pairs of points with per-point stages pz, pw, NaN where it
-    gives None; |z - w|); call under np.errstate."""
-    z, w = pz.points[pz.at], pw.points[pw.at]
-    gap = abs(z - w)
-    return np.where(pz.usable & pw.usable, _exact_ratios(z, w, pz, pw, gap), math.nan), gap
-
-
 def _exact_ratios(z, w, pz, pw, gap):
     """_pair_ratios with guarded_ratio's bits, as a score for _scored_pairs; call under np.errstate."""
     return _pair_ratios(pz, pw, gap, _image_gaps(pz, pw, gap)[0], _log1p_exact)
 
 
 def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:
-    """n pairs at PAIR_MARGIN, z then w as two blocks; the scorers skip the close ones."""
+    """n pairs at PAIR_MARGIN, z then w as two blocks; _scored_pairs skips coincident ones."""
     z = sample_interior_points(domain, rng, n, PAIR_MARGIN, HALFPLANE_SPAN)
     return z, sample_interior_points(domain, rng, n, PAIR_MARGIN, HALFPLANE_SPAN)
 
 
-def _scored_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score, gaps: bool = True):
-    """score(z, w, pz, pw, gap) of the pairs (z[k], w[k]) PAIR_SEPARATION apart with usable images,
-    from the pairs, their per-point stages (with rounding scales if gaps) and gaps |z - w|; NaN
-    for the other pairs."""
+def _scored_pairs(z: CArr, w: CArr, pz: _Points, pw: _Points, score):
+    """(score(z, w, pz, pw, gap) of the pairs (z[k], w[k]) of distinct points with usable images,
+    NaN for the other pairs; gaps |z - w|), from the pairs and their per-point stages pz, pw
+    (gathered to the pairs).  The one place a pair is admitted; call under np.errstate."""
+    gap = abs(z - w)
+    keep = (gap != 0.0) & pz.usable & pw.usable
+    if keep.all():
+        return score(z, w, pz, pw, gap), gap
+    index = np.flatnonzero(keep)
+    out = np.full(np.shape(z.real), math.nan)
+    out[index] = score(z[index], w[index], pz.take(index), pw.take(index), gap[index])
+    return out, gap
+
+
+def _mapped_pairs(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, w: CArr, score, **stage):
+    """_scored_pairs' scores of the pairs (z[k], w[k]), z and w each mapped in a per-point stage
+    (_point_stage, with the keywords in stage)."""
     with np.errstate(all="ignore"):
-        gap = abs(z - w)
-        if gaps:
-            pz, pw = _point_stage(src, dst, m, z), _point_stage(src, dst, m, w)
-        else:
-            pz, pw = _point_stage(src, dst, m, z, gaps=False), _point_stage(src, dst, m, w, gaps=False)
-        keep = ~(gap < PAIR_SEPARATION) & pz.usable & pw.usable
-        if keep.all():
-            return score(z, w, pz, pw, gap)
-        index = np.flatnonzero(keep)
-        out = np.full(np.shape(z.real), math.nan)
-        out[index] = score(z[index], w[index], pz.take(index), pw.take(index), gap[index])
-    return out
+        pz, pw = _point_stage(src, dst, m, z, **stage), _point_stage(src, dst, m, w, **stage)
+        return _scored_pairs(z, w, pz, pw, score)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +713,7 @@ def _images_trial(domain, family, score):
     def trial(rng, n):
         m = family(rng, n)
         z, w = _pairs(domain, rng, n)
-        margins = _scored_pairs(domain, domain, m, z, w, lambda z, w, pz, pw, gap: score(z, w, pz.f, pw.f), gaps=False)
+        margins = _mapped_pairs(domain, domain, m, z, w, lambda z, w, pz, pw, gap: score(z, w, pz.f, pw.f), gaps=False)
         return margins, lambda k: (m[k], z.at(k), w.at(k))
 
     return trial
@@ -764,7 +753,7 @@ def _trial_lipschitz_pair(rng, n):
         index = np.flatnonzero(index)
         m = family(rng, index.size)
         z, w = _pairs(src, rng, index.size)
-        ratio = _scored_pairs(src, src, m, z, w, _exact_ratios)
+        ratio = _mapped_pairs(src, src, m, z, w, _exact_ratios)
         margins[index] = 2.0 - ratio
         parts.append((src, m, z, w))
 
@@ -866,7 +855,7 @@ def _random_image_source_and_mobius(u: Uniforms):
 
 def _ceiling_block(src, dst, m, rng, count):
     z, w = _pairs(src, rng, count)
-    ratio = _scored_pairs(src, dst, m, z, w, lambda z, w, pz, pw, gap: _ranked_ratios(pz, pw, gap, 1, 2.0)[0])
+    ratio = _mapped_pairs(src, dst, m, z, w, lambda z, w, pz, pw, gap: _ranked_ratios(pz, pw, gap, 1, 2.0)[0])
     return _fold(2.0 - ratio, _PAIR, lambda k: (m, src, dst, z.at(k), w.at(k)))
 
 

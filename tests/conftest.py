@@ -4,7 +4,8 @@ and a way to make every map family draw one given map.
 A suite row scores a whole chunk at once on arrays; scalar_margin scores one
 sample's witness values (the map and points rebuilt from the chunk's draws,
 or parsed back from a report) one call at a time, with NaN for a sample the
-row skips.  Tests hold the two to the same bits.
+row skips: coincident points, or an image that is not usable.  Tests hold
+the two to the same bits.
 """
 
 import math
@@ -17,7 +18,6 @@ from jmetric.domains import UnitDisk, UpperHalfPlane, signed_boundary_offset
 from jmetric.errors import DomainError, PoleEncountered
 from jmetric.maps import MapBatch, apply
 from jmetric.verify import (
-    PAIR_SEPARATION,
     check_bound_2_3,
     check_g_negativity,
     check_identity_disk,
@@ -33,7 +33,7 @@ from jmetric.verify import (
 def _images_margin(name, m, z, w):
     disk = "disk" in name or name == "step-2-2"
     domain = UnitDisk() if disk else UpperHalfPlane()
-    if abs(z - w) < PAIR_SEPARATION:
+    if abs(z - w) == 0.0:
         return math.nan
     try:
         fz, fw = apply(m, z), apply(m, w)
@@ -67,7 +67,7 @@ def _scalar_margin(name, values):
         return -check_g_negativity(*values)
     if name == "lipschitz-pair":
         m, src, dst, z, w = values
-        ratio = None if abs(z - w) < PAIR_SEPARATION else guarded_ratio(src, dst, m, z, w)
+        ratio = guarded_ratio(src, dst, m, z, w)
         return math.nan if ratio is None else 2.0 - ratio
     return _images_margin(name, *values)
 

@@ -12,8 +12,8 @@ score each chunk on arrays too, and must give every sample the bits the
 public scalar checks give it on the sample's rebuilt map and points.  The
 array sampler draws whole blocks from the chunk's generator and has no
 scalar counterpart; its tests check margins, bounded rejection and
-reproducibility instead, and that a pair closer than PAIR_SEPARATION is
-skipped where it is scored.
+reproducibility instead, and that a pair of coincident points is skipped
+where it is scored.
 """
 
 import functools
@@ -86,15 +86,14 @@ from jmetric.verify import (
     _ceiling_chunk,
     _disk_maps,
     _exact_ratios,
-    _guarded_ratios,
     _halfplane_maps,
     _image_gaps,
+    _mapped_pairs,
     _pair_ratios,
     _pairs,
     _point_stage,
     _random_image_source_and_mobius,
     _ranked_ratios,
-    _scored_pairs,
     _suite_chunk,
     _witness,
     guarded_ratio,
@@ -454,7 +453,7 @@ def test_guarded_ratios_match_guarded_ratio(src, dst, m, left, right):
     n = min(len(left), len(right))
     z, w = carr(left[:n]), carr(right[:n])
     with np.errstate(all="ignore"):
-        ratio = _guarded_ratios(src, dst, m, z, w)[0]
+        ratio = _mapped_pairs(src, dst, m, z, w, _exact_ratios)
     for k in range(n):
         scalar = guarded_ratio(src, dst, m, element(z, k), element(w, k))
         assert same(math.nan if scalar is None else scalar, ratio[k])
@@ -468,7 +467,7 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
     skipped = []
     for m in (_CAYLEY, Mobius(1.2, -1.2j, 1, 1j)):
         with np.errstate(all="ignore"):
-            ratio = _guarded_ratios(UpperHalfPlane(), UnitDisk(), m, z, w)[0]
+            ratio = _mapped_pairs(UpperHalfPlane(), UnitDisk(), m, z, w, _exact_ratios)
         for k in range(500):
             scalar = guarded_ratio(UpperHalfPlane(), UnitDisk(), m, element(z, k), element(w, k))
             assert same(math.nan if scalar is None else scalar, ratio[k])
@@ -476,8 +475,8 @@ def test_guarded_ratios_on_sampled_pairs_with_skips():
     assert skipped[0] == 0 and 0 < skipped[1] < 500
 
 
-# Per pair k: closer than PAIR_SEPARATION (skipped), images agreeing to about 9 digits
-# (scored from the divided difference), and far apart (from the rounded images).
+# Per pair k: 1e-12 and 3e-9 apart, images agreeing to about 12 and 9 digits (scored
+# from the divided difference), and far apart (from the rounded images).
 _NEAR_OFFSETS = np.resize([1e-12, 3e-9, 0.3], 300)
 
 
@@ -490,12 +489,12 @@ def test_batch_ratios_of_near_pairs_match_guarded_ratio(domain, family):
     w = CArr(z.real + _NEAR_OFFSETS, z.imag + 0.5 * _NEAR_OFFSETS)
     rows = np.flatnonzero(_NEAR_OFFSETS == 3e-9)[::3]
     with np.errstate(all="ignore"):
-        ratio = _scored_pairs(domain, domain, m, z, w, _exact_ratios)
+        ratio = _mapped_pairs(domain, domain, m, z, w, _exact_ratios)
         divided = maps_module._divided
         slope, part = divided(m, z, w, maps_module._unguarded), divided(m.take(rows), z[rows], w[rows], maps_module._unguarded)
     for k in range(300):
         scalar = guarded_ratio(domain, domain, m[k], element(z, k), element(w, k))
-        assert same(math.nan if scalar is None or _NEAR_OFFSETS[k] < PAIR_SEPARATION else scalar, ratio[k])
+        assert same(math.nan if scalar is None else scalar, ratio[k])
         divided = maps_module._divided(m[k], element(z, k), element(w, k), maps_module._raise_at_pole)
         assert same(divided, slope.real[k], slope.imag[k])
     for i, k in enumerate(rows.tolist()):
@@ -512,7 +511,7 @@ def test_batch_ratios_of_near_pairs_match_guarded_ratio(domain, family):
 @pytest.mark.parametrize("count", [0, 1, 7, 3000])
 def test_points_and_pairs_keep_margin_and_separation(domain, count):
     # The suites' pairs are two point blocks that nothing keeps apart; none of these
-    # comes within PAIR_SEPARATION, where the scorers would skip it.
+    # comes within PAIR_SEPARATION (1e-9), a chance of about 1e-18 per pair.
     rng = substream(11, 2)
     points = sample_interior_points(domain, rng, count, 1e-2, 10.0)
     z, w = _pairs(domain, rng, count)
@@ -601,12 +600,12 @@ def test_ceiling_chunk_keeps_the_first_of_equal_margins(draw_only):
 
 def _reference_ceiling_block(src, dst, m, rng, count):
     """One block of pairs, z then w drawn as two point blocks, scored one by one with
-    guarded_ratio (a pair closer than PAIR_SEPARATION skipped), kept on a strict <."""
+    guarded_ratio (None for a coincident pair), kept on a strict <."""
     worst, witness, skipped = math.inf, {}, 0
     zs, ws = (sample_interior_points(src, rng, count, PAIR_MARGIN, HALFPLANE_SPAN) for _ in range(2))
     for k in range(count):
         z, w = element(zs, k), element(ws, k)
-        ratio = None if abs(z - w) < PAIR_SEPARATION else guarded_ratio(src, dst, m, z, w)
+        ratio = guarded_ratio(src, dst, m, z, w)
         if ratio is None:
             skipped += 1
         elif 2.0 - ratio < worst:
@@ -637,7 +636,7 @@ def test_ranked_ratios_rescore_every_pair_on_the_worst_margin():
     with np.errstate(all="ignore"):
         pz, pw = _point_stage(disk, disk, m, z), _point_stage(disk, disk, m, w)
         ratio, exact, _ = _ranked_ratios(pz, pw, abs(z - w), 1, 2.0)
-        reference = _guarded_ratios(disk, disk, m, z, w)[0]
+        reference = _mapped_pairs(disk, disk, m, z, w, _exact_ratios)
     margin = 2.0 - reference
     ties = np.flatnonzero(margin == np.nanmin(margin))
     assert len(ties) == 3 and set(ties) <= set(exact)
@@ -757,16 +756,16 @@ def test_a_pair_closer_than_the_separation_is_skipped_and_counted(monkeypatch, n
     draw, run, close = verify_module._pairs, _CLOSE_PAIR_RUNS[name], []
 
     def pairs(domain, rng, n):
-        # Pair 0 of every block drawn is moved 1e-10 apart, well inside PAIR_SEPARATION.
+        # Pair 0 of every block drawn is moved onto one point.
         z, w = draw(domain, rng, n)
         if n:
-            w.real[0], w.imag[0] = z.real[0] + 1e-10, z.imag[0]
+            w.real[0], w.imag[0] = z.real[0], z.imag[0]
             close.append(format_complex(element(z, 0)))
         return z, w
 
     unmoved = run(64)
     monkeypatch.setattr(verify_module, "_pairs", pairs)
-    # Alone, the close pair leaves nothing to score: no margin and no witness.
+    # Alone, the coincident pair leaves nothing to score: no margin and no witness.
     assert run(1) == (math.inf, {}, 1)
     # Among 63 others, it is counted and is never the witness.
     close.clear()

@@ -34,7 +34,18 @@ from jmetric.maps import (
 )
 from jmetric.sampling import Uniforms, sample_interior_points, substream
 from jmetric.search import THEORETICAL_CEILING, SearchConfig, estimate_lipschitz
-from jmetric.verify import _guarded_ratios, _random_image_source_and_mobius, check_lipschitz_pair, guarded_ratio
+from jmetric.verify import (
+    HALFPLANE_SPAN,
+    PAIR_MARGIN,
+    _ROWS,
+    _disk_maps,
+    _exact_ratios,
+    _halfplane_maps,
+    _mapped_pairs,
+    _random_image_source_and_mobius,
+    check_lipschitz_pair,
+    guarded_ratio,
+)
 
 DIGITS = 50
 TOLERANCE = 1e-9
@@ -135,7 +146,7 @@ def test_near_coincident_images_agree_with_the_oracle(name):
     exact = exact_ratio(domain, domain, m, z, w)
     z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
     with np.errstate(all="ignore"):
-        array = float(_guarded_ratios(domain, domain, m, z_array, w_array)[0][0])
+        array = float(_mapped_pairs(domain, domain, m, z_array, w_array, _exact_ratios)[0])
     for ratio in (guarded_ratio(domain, domain, m, z, w), check_lipschitz_pair(domain, domain, m, z, w), array):
         assert abs(ratio - exact) <= 1e-12 * exact
 
@@ -192,7 +203,7 @@ def test_cancelling_evaluations_agree_with_the_oracle(name):
                 exact = exact_ratio(half, half, m, z, w)
                 z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
                 with np.errstate(all="ignore"):
-                    array = float(_guarded_ratios(half, half, m, z_array, w_array)[0][0])
+                    array = float(_mapped_pairs(half, half, m, z_array, w_array, _exact_ratios)[0])
                 ratio = guarded_ratio(half, half, m, z, w)
                 assert ratio == check_lipschitz_pair(half, half, m, z, w) == array
                 assert abs(ratio - exact) <= 5e-10 * exact, (y, step, direction)
@@ -223,7 +234,7 @@ def test_nested_compositions_agree_with_the_oracle(name):
         ratio = guarded_ratio(domain, domain, m, z, w)
         z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
         with np.errstate(all="ignore"):
-            array = float(_guarded_ratios(domain, domain, m, z_array, w_array)[0][0])
+            array = float(_mapped_pairs(domain, domain, m, z_array, w_array, _exact_ratios)[0])
         if ratio is None:
             assert math.isnan(array)
             continue
@@ -255,9 +266,42 @@ def test_underflowing_divided_difference_keeps_the_rounded_gap():
     exact = exact_ratio(half, half, m, z, w)
     z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
     with np.errstate(all="ignore"):
-        array = float(_guarded_ratios(half, half, m, z_array, w_array)[0][0])
+        array = float(_mapped_pairs(half, half, m, z_array, w_array, _exact_ratios)[0])
     for ratio in (guarded_ratio(half, half, m, z, w), check_lipschitz_pair(half, half, m, z, w), array):
         assert abs(ratio - exact) <= 1e-12 * exact
+
+
+# Near-coincident pairs of the suites' own draws: seeded maps of both lipschitz-pair
+# families, z at PAIR_MARGIN and w = z + g |z| e^(i theta), g from 1e-10 down to 1e-15.
+NEAR_GAPS = (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15)
+SUITE_FAMILIES = {
+    "halfplane": (UpperHalfPlane(), _halfplane_maps, ("step-1-2", "schwarz-pick-halfplane")),
+    "disk": (UnitDisk(), _disk_maps, ("step-2-2", "schwarz-pick-disk")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_FAMILIES))
+def test_near_coincident_suite_pairs_agree_with_the_oracle(name, scalar_margin):
+    # Scored by the lipschitz-pair suite's scorer, each ratio is within the 5e-10 that
+    # verify._GAP_TRUST is derived for and at most the ceiling; the image rows' margins
+    # on the same pairs stay within their tolerances.
+    domain, family, rows = SUITE_FAMILIES[name]
+    n = 10 * len(NEAR_GAPS)
+    m = family(substream(3, 0), n)
+    z = sample_interior_points(domain, substream(3, 1), n, PAIR_MARGIN, HALFPLANE_SPAN)
+    theta = 2.0 * math.pi * substream(3, 2).random(n)
+    g = np.resize(NEAR_GAPS, n) * abs(z)
+    w = CArr(z.real + g * np.cos(theta), z.imag + g * np.sin(theta))
+    with np.errstate(all="ignore"):
+        ratio = _mapped_pairs(domain, domain, m, z, w, _exact_ratios)
+    for k in np.flatnonzero(np.isfinite(ratio)).tolist():
+        exact = exact_ratio(domain, domain, m[k], z.at(k), w.at(k))
+        assert abs(ratio[k] - exact) <= 5e-10 * exact and ratio[k] <= THEORETICAL_CEILING + 1e-9, k
+        assert exact <= THEORETICAL_CEILING
+    for k in range(n):
+        for row in rows:
+            assert not scalar_margin(row, (m[k], z.at(k), w.at(k))) < -_ROWS[row][2], (row, k)
+    assert np.count_nonzero(np.isfinite(ratio)) >= 0.9 * n
 
 
 # Image domains.  A source is {z : Q(z) < 0} for the Hermitian form

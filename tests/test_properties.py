@@ -1,6 +1,7 @@
 """Hypothesis properties: the j metric axioms, pseudo-hyperbolic invariance,
-text round trips, the totality of the parsers and of guarded_ratio, and a
-failing property reported without ending the pytest session.
+text round trips, the totality of the parsers and of guarded_ratio, the error
+contract of the pair functions on extreme magnitudes, and a failing property
+reported without ending the pytest session.
 
 Every property runs derandomized (fixed example sequence, no example
 database) so Tier-1 stays deterministic.
@@ -38,8 +39,8 @@ from jmetric.grammar import (
     parse_real,
 )
 from jmetric.maps import BLASCHKE_ZERO_BOUND, Blaschke, Compose, Extremal, Mobius, apply
-from jmetric.search import ratio_objective
-from jmetric.verify import guarded_ratio
+from jmetric.search import local_distortion, ratio_objective
+from jmetric.verify import check_lipschitz_pair, guarded_ratio
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -255,6 +256,49 @@ def test_guarded_ratio_never_raises_on_finite_inputs(src, dst, m, z, w):
     value = guarded_ratio(src, dst, m, z, w)
     assert value is None or math.isfinite(value)
     assert ratio_objective(src, dst, m, z, w) == (-math.inf if value is None else value)
+
+
+# Reals of extreme magnitude, 5e-324 to 1.7e308 of either sign, and maps and points built
+# from them.
+extreme_reals = st.floats(5e-324, 1.7e308) | st.floats(-1.7e308, -5e-324)
+extreme_complex = st.builds(complex, extreme_reals, extreme_reals)
+
+
+@st.composite
+def extreme_mobius(draw):
+    try:
+        return Mobius(*(draw(extreme_complex) for _ in range(4)))
+    except DomainError:  # |ad - bc| at or below the degeneracy tolerance, or not finite
+        reject()
+
+
+extreme_maps = st.recursive(
+    st.one_of(
+        extreme_mobius(),
+        st.builds(Extremal, extreme_reals, extreme_reals),
+        st.builds(Blaschke, extreme_reals, st.lists(blaschke_zeros, max_size=3).map(tuple)),
+    ),
+    lambda inner: st.builds(Compose, inner, inner),
+    max_leaves=3,
+)
+
+
+# 100 derandomized examples: about 0.4 s of a Tier-1 run on a 2-CPU Xeon with Python 3.11.
+@PROPERTY
+@given(st.sampled_from(DOMAINS), st.sampled_from(DOMAINS), extreme_maps, extreme_complex, extreme_complex)
+# abs() of the finite derivative 1.5e308 (1 + i) raised a bare OverflowError.
+@example(H, H, Mobius(1.5e308 + 1.5e308j, 0, 0, 1), 1j, 2j)
+def test_pair_functions_give_a_finite_value_or_a_jmetric_error(src, dst, m, z, w):
+    for call, infeasible in (
+        (lambda: check_lipschitz_pair(src, dst, m, z, w), None),
+        (lambda: ratio_objective(src, dst, m, z, w), -math.inf),
+        (lambda: local_distortion(src, m, z), None),
+    ):
+        try:
+            value = call()
+        except JmetricError:
+            continue
+        assert isinstance(value, float) and (math.isfinite(value) or value == infeasible)
 
 
 _FAILING_PROPERTY = """

@@ -289,6 +289,12 @@ def test_local_distortion_with_overflowing_derivative_raises_domain_error():
         local_distortion(H, Extremal(0.0, 0.0), 1e-160j)
 
 
+def test_local_distortion_with_a_derivative_modulus_past_the_float_range_raises_domain_error():
+    # f'(z) = 1.5e308 (1 + i) is finite, but abs() of it raised a bare OverflowError.
+    with pytest.raises(DomainError):
+        local_distortion(H, Mobius(1.5e308 + 1.5e308j, 0, 0, 1), 1j)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_nonpositive_threads_rejected(threads):
     with pytest.raises(DomainError):
