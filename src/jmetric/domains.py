@@ -36,6 +36,9 @@ __all__ = [
 
 NORMAL_UNIT_TOL = 1e-12
 
+# A divisor with both parts at most this keeps Smith's p + q * (q / p) finite (see CArr).
+_SMITH_SAFE = np.finfo(float).max / 2
+
 
 def _require_finite(value, label: str, kind=complex):
     """value converted by kind (complex or float); DomainError unless finite."""
@@ -221,7 +224,8 @@ def contains(domain: PlanarDomain, z: complex) -> bool:
 
 
 def boundary_distance(domain: PlanarDomain, z: complex) -> float:
-    """Euclidean distance from an interior point to the boundary."""
+    """Euclidean distance from an interior point to the boundary; inf where that distance
+    is past the float range."""
     if not cmath.isfinite(z):
         raise PointOutsideDomain(f"{z!r} has non-finite coordinates")
     off = signed_boundary_offset(domain, z)
@@ -281,11 +285,13 @@ def pseudo_hyperbolic_disk(z: complex, w: complex) -> float:
 def pseudo_hyperbolic_halfplane(z: complex, w: complex) -> float:
     """|(z - w) / (z - conj(w))| for two points of the upper half-plane (or two CArr of them)."""
     den = z - w.conjugate()
-    bounded = (abs(den.real) < math.inf) & (den.imag < math.inf)  # with Im z, Im w > 0: z, w, z - w finite
+    # With Im z, Im w > 0, z - w is finite where den's parts are; past _SMITH_SAFE the quotient
+    # is taken of quarters, whose parts are at most _SMITH_SAFE for any finite z and w.
+    bounded = (abs(den.real) <= _SMITH_SAFE) & (den.imag <= _SMITH_SAFE)
     if np.all(bounded & (z.imag > 0.0) & (w.imag > 0.0)):
         return abs((z - w) / den)
     finite = np.isfinite(z.real) & np.isfinite(w.real) & (z.imag < math.inf) & (w.imag < math.inf)
     if not np.all(finite & (z.imag > 0.0) & (w.imag > 0.0)):
         raise PointOutsideDomain("pseudo_hyperbolic_halfplane needs points with Im > 0")
-    half = abs((z * 0.5 - w * 0.5) / (z * 0.5 - w.conjugate() * 0.5))  # finite where den is not
-    return np.where(bounded, abs((z - w) / den), half) if isinstance(den, CArr) else half
+    quarter = abs((z * 0.25 - w * 0.25) / (z * 0.25 - w.conjugate() * 0.25))
+    return np.where(bounded, abs((z - w) / den), quarter) if isinstance(den, CArr) else quarter

@@ -296,14 +296,28 @@ def _shaped(x, z):
     return x
 
 
+def _ordered(z, w):
+    """(z, w) or (w, z), whichever puts first the point that comes first by (real, imag),
+    elementwise for CArr."""
+    if isinstance(z, CArr):
+        swap = (w.real < z.real) | ((w.real == z.real) & (w.imag < z.imag))
+        return CArr(np.where(swap, w.real, z.real), np.where(swap, w.imag, z.imag)), CArr(
+            np.where(swap, z.real, w.real), np.where(swap, z.imag, w.imag))
+    return (w, z) if (w.real, w.imag) < (z.real, z.imag) else (z, w)
+
+
 def _divided(m: MapExpr | MapBatch, z, w, guard):
     """The divided difference (m(z) - m(w)) / (z - w) by closed forms that do not cancel
     (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), and m'(z) where w is z (the same
-    object); z, w and guard as for _value."""
+    object); z, w and guard as for _value.  (w, z) gives the bits of (z, w): every other
+    formula is symmetric, as a complex product's bits do not depend on the operand order."""
     if isinstance(m, Blaschke):
         # phi[z, w] = (1 - |a|^2) / ((1 - conj(a) z)(1 - conj(a) w)) per factor, and one pass
-        # D <- D phi(w) + V phi[z, w], V <- V phi(z); at w = z this is the product rule.  |a|^2
-        # is r * r: ** 2 calls pow() on a float but squares an array, which can differ.
+        # D <- D phi(w) + V phi[z, w], V <- V phi(z); at w = z this is the product rule.  The
+        # pass is not symmetric, so it takes the pair in _ordered's order.  |a|^2 is r * r:
+        # ** 2 calls pow() on a float but squares an array, which can differ.
+        if w is not z:
+            z, w = _ordered(z, w)
         value, slope = _turn(m.rotation), 0j
         for a in m.zeros:
             den = guard(1.0 - a.conjugate() * z, "Blaschke pole", z)

@@ -147,13 +147,17 @@ def ratio_objective(
 def local_distortion(src: PlanarDomain, m: MapExpr, z: complex) -> float:
     """Coincident-pair limit of the distortion ratio at z for a self-map m of src:
     |f'(z)| d(z, boundary) / d(f(z), boundary), with f(z) in src.  DomainError where
-    |f'(z)| is past the float range."""
+    |f'(z)| or a boundary distance is past the float range, +inf where the limit is."""
     fz = apply(m, z)
     try:
         slope = abs(derivative(m, z))
     except OverflowError as exc:  # abs() of a finite derivative past ~1.3e308 per coordinate
         raise DomainError(f"local_distortion: |f'(z)| is past the float range at {z!r}") from exc
-    return slope * boundary_distance(src, z) / boundary_distance(src, fz)
+    dz, dfz = boundary_distance(src, z), boundary_distance(src, fz)
+    if not max(dz, dfz) < math.inf:
+        raise DomainError(f"local_distortion: a boundary distance is past the float range at {z!r}")
+    scaled = slope * dz
+    return scaled / dfz if scaled < math.inf else slope * (dz / dfz)  # divide first only past the float range
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +244,14 @@ def _hypot(x, y):
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
-def _best(ratio, first, second, index, keep):
-    """The `keep` entries of index with the best finite ratios, ordered by (-ratio, first, second)."""
-    found = index[~np.isnan(ratio[index])]
-    return found[np.lexsort((second[found], first[found], -ratio[found]))[:keep]]
-
-
 def _grid_chunk(stage, lo, hi, keep):
     """Score, from the grid's per-point stage, the pairs of distinct points i, j with i in
     [lo, hi) and j > i; return their count in both orders and the `keep` best finite
     (ratio, first, second) entries of both orders, ordered by (-ratio, first, second).
 
-    Entries carry guarded_ratio's bits (see verify._ranked_ratios), (j, i) those of (i, j)
-    except for near pairs (verify._image_gaps), whose divided difference can round
-    otherwise, so they are scored as (j, i) too.  The best ordered entries are among the
-    top `keep` of (i, j), their mirrors not near and the top `keep` of near (j, i): what
-    ranks above a forward or reversed entry in its own list ranks above it overall, and
-    (r', a, b) above a mirror's twin (r, i, j) has r' > r, or r' = r and a <= i < j."""
+    Entries carry guarded_ratio's bits (see verify._ranked_ratios), (j, i) those of (i, j),
+    and an entry above (r, i, j) is also above its mirror (r, j, i): the best ordered
+    entries are the pairs _ranked_ratios scores exactly, in both orders."""
     rows = np.arange(lo, hi)
     count = len(stage.at) - 1 - rows  # row i pairs with j = i + 1, i + 2, ..., row-major
     i = np.repeat(rows, count)
@@ -268,20 +263,11 @@ def _grid_chunk(stage, lo, hi, keep):
         distinct &= stage.usable[i] & stage.usable[j]
         if not distinct.all():
             i, j, gap = i[distinct], j[distinct], gap[distinct]
-        pz, pw = stage.take(i), stage.take(j)
-        ratio, exact, near = _ranked_ratios(pz, pw, gap, keep, 0.0)
-        back, back_exact = np.empty(0), near
-        if near.size:
-            back, back_exact, _ = _ranked_ratios(pw.take(near), pz.take(near), gap[near], keep, 0.0)
-    mirrored = np.ones(ratio.size, dtype=bool)
-    mirrored[near] = False
-    top = _best(ratio, i, j, exact, keep)
-    twin = top[mirrored[top]]
-    rev = _best(back, j[near], i[near], back_exact, keep)
-    r = np.concatenate([ratio[top], ratio[twin], back[rev]])
-    first = np.concatenate([i[top], j[twin], j[near][rev]])
-    second = np.concatenate([j[top], i[twin], i[near][rev]])
-    best = np.lexsort((second, first, -r))[:keep]
+        ratio, exact = _ranked_ratios(stage.take(i), stage.take(j), gap, keep, 0.0)
+    r = np.concatenate([ratio[exact], ratio[exact]])
+    first, second = np.concatenate([i[exact], j[exact]]), np.concatenate([j[exact], i[exact]])
+    found = np.flatnonzero(~np.isnan(r))
+    best = found[np.lexsort((second[found], first[found], -r[found]))[:keep]]
     return evaluations, [(float(r[k]), int(first[k]), int(second[k])) for k in best]
 
 

@@ -203,12 +203,14 @@ def check_step_1_2(m: MapExpr, z: complex, w: complex) -> float:
     where |z - w|, |f(z) - f(w)| or a side is past the float range."""
     images = _images_inside(_HALF, m, z, w)
     try:
-        with np.errstate(over="raise"):  # the sides are numpy floats, which overflow to inf
+        with np.errstate(over="raise", invalid="raise"):  # the sides are numpy floats, which overflow to inf
             lhs, rhs = _step_1_2_sides(z, w, *images)
-    except (OverflowError, FloatingPointError) as exc:  # abs() past ~1.3e308 per coordinate, or a side past it
-        where = f"at {z!r}, {w!r}"
-        raise DomainError(f"check_step_1_2: |z - w|, |f(z) - f(w)| or a side is past the float range {where}") from exc
-    return float(rhs - lhs)
+            slack = float(rhs - lhs)
+    except (OverflowError, FloatingPointError):  # abs() past ~1.3e308 per coordinate, or a side past it
+        slack = math.nan
+    if math.isfinite(slack):  # a complex z - w or f(z) - f(w) past the float range is inf, not an error
+        return slack
+    raise DomainError(f"check_step_1_2: |z - w|, |f(z) - f(w)| or a side is past the float range at {z!r}, {w!r}")
 
 
 def _step_2_2_sides(z: complex, w: complex, fz: complex, fw: complex) -> tuple[float, float]:
@@ -260,12 +262,16 @@ def _threshold(a_mod, r):
 
 
 def g_threshold_from_modulus(a_mod: float, r: float) -> float:
-    """Same threshold written as (2 a r + 1 - a)/(a (1 - r)) with a = |f(0)|."""
+    """Same threshold written as (2 a r + 1 - a)/(a (1 - r)) with a = |f(0)|; +inf at
+    a = 0 and wherever T is past the float range."""
     if not (0.0 <= a_mod < 1.0) or not (0.0 <= r < 1.0):
         raise DomainError(f"g_threshold_from_modulus needs arguments in [0, 1), got {a_mod!r}, {r!r}")
     if a_mod == 0.0:
         return math.inf
-    return _threshold(a_mod, r)
+    try:
+        return _threshold(a_mod, r)
+    except ZeroDivisionError:  # a (1 - r) underflows to 0 for a subnormal a
+        return math.inf
 
 
 def _g(c, x):
@@ -273,12 +279,16 @@ def _g(c, x):
 
 
 def check_g_negativity(c: float, x: float) -> float:
-    """Value of g(X) = cX + sqrt(1 + c^2 X^2) - (1 + X); negative on (0, T)."""
+    """Value of g(X) = cX + sqrt(1 + c^2 X^2) - (1 + X); negative on (0, T).  DomainError
+    where c^2 X^2 is past the float range (cX above about 1.34e154)."""
     if not 0.5 <= c <= 1.0:
         raise DomainError(f"check_g_negativity needs c in [1/2, 1], got {c!r}")
     if not 0.0 < x < math.inf:
         raise DomainError(f"check_g_negativity needs a finite X > 0, got {x!r}")
-    return float(_g(c, x))
+    g = float(_g(c, x))
+    if g < math.inf:
+        return g
+    raise DomainError(f"check_g_negativity: c^2 X^2 is past the float range at c = {c!r}, X = {x!r}")
 
 
 def check_lipschitz_pair(
@@ -400,9 +410,7 @@ def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
     """|f(z) - f(w)| of pairs with usable images as _divided_gap and j_distance take it, from their
-    per-point stages pz, pw (gathered to the pairs) and gaps |z - w|, and the index of the near
-    pairs, whose images agree to rounding: only their gap can depend on the order of z and w.
-    Call under np.errstate."""
+    per-point stages pz, pw (gathered to the pairs) and gaps |z - w|; call under np.errstate."""
     fgap = abs(pz.f - pw.f)
     near = np.flatnonzero(fgap <= _GAP_TRUST * (pz.scale + pw.scale))
     near = near[pz.usable[near] & pw.usable[near]]
@@ -412,7 +420,7 @@ def _image_gaps(pz: _Points, pw: _Points, gap):
         divided = gap[near] * abs(_divided(m, pz.points[z_at], pw.points[w_at], _unguarded))
         exact = (divided > 0.0) & (divided < math.inf)
         fgap[near[exact]] = divided[exact]
-    return fgap, near
+    return fgap
 
 
 def _pair_ratios(pz: _Points, pw: _Points, gap, fgap, log1p):
@@ -451,9 +459,9 @@ _LOG1P_SLACK = 1e-12
 def _ranked_ratios(pz: _Points, pw: _Points, gap, keep, c):
     """_pair_ratios of the pairs, with math.log1p (guarded_ratio's bits) on every pair
     that can be among the `keep` lowest values of c - ratio or tie with them, and with
-    np.log1p elsewhere (see _LOG1P_SLACK); returns the ratios, the index of the exact
-    ones and _image_gaps' index of near pairs.  Call under np.errstate."""
-    fgap, near = _image_gaps(pz, pw, gap)
+    np.log1p elsewhere (see _LOG1P_SLACK); returns the ratios and the index of the exact
+    ones.  Call under np.errstate."""
+    fgap = _image_gaps(pz, pw, gap)
     ratio = _pair_ratios(pz, pw, gap, fgap, np.log1p)
     v = c - ratio
     nan = np.isnan(v)
@@ -463,7 +471,7 @@ def _ranked_ratios(pz: _Points, pw: _Points, gap, keep, c):
         t = np.partition(finite, keep - 1)[keep - 1]
         exact = np.flatnonzero(~(v > t + _LOG1P_SLACK * (c + abs(t) + 2.0**-1022)))
     ratio[exact] = _pair_ratios(pz.take(exact), pw.take(exact), gap[exact], fgap[exact], _log1p_exact)
-    return ratio, exact, near
+    return ratio, exact
 
 
 def guarded_ratio(
@@ -493,7 +501,7 @@ def guarded_ratio(
 
 def _exact_ratios(z, w, pz, pw, gap):
     """_pair_ratios with guarded_ratio's bits, as a score for _scored_pairs; call under np.errstate."""
-    return _pair_ratios(pz, pw, gap, _image_gaps(pz, pw, gap)[0], _log1p_exact)
+    return _pair_ratios(pz, pw, gap, _image_gaps(pz, pw, gap), _log1p_exact)
 
 
 def _pairs(domain: PlanarDomain, rng, n: int) -> tuple[CArr, CArr]:

@@ -96,6 +96,7 @@ from jmetric.verify import (
     _ranked_ratios,
     _suite_chunk,
     _witness,
+    check_lipschitz_pair,
     guarded_ratio,
 )
 
@@ -502,6 +503,37 @@ def test_batch_ratios_of_near_pairs_match_guarded_ratio(domain, family):
     assert np.count_nonzero(np.isfinite(ratio[_NEAR_OFFSETS == 3e-9])) > 80  # most near pairs are scored
 
 
+# Blaschke products with 2 to 4 zeros, whose divided difference is the one formula that is
+# not symmetric as written, and compositions holding them.
+_ASYMMETRIC_FORMS = {
+    "blaschke2": Blaschke(0.3, (0.5, 0.5j)),
+    "blaschke3": Blaschke(0.0, (0.5, 0.5j, -0.5)),
+    "blaschke4": Blaschke(1.1, (0.2 - 0.6j, -0.7 + 0.1j, 0.4 + 0.4j, -0.1 - 0.3j)),
+    "outer2": Compose(Blaschke(0.2, (0.5, 0.5j)), Blaschke(0.0, (0.3 - 0.2j,))),
+    "inner3": Compose(Blaschke(0.0, (0.3,)), Blaschke(0.5, (0.1 + 0.6j, -0.4 - 0.2j, 0.6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ASYMMETRIC_FORMS))
+def test_near_pairs_score_the_same_bits_in_both_orders(name):
+    # Pairs 1e-7 to 1e-13 apart relative to |z|, whose ratios come from the divided difference:
+    # guarded_ratio, check_lipschitz_pair and the array path give (w, z) the bits of (z, w).
+    disk, m = UnitDisk(), _ASYMMETRIC_FORMS[name]
+    z = sample_interior_points(disk, substream(13, 0), 400, PAIR_MARGIN)
+    turn = 2.0 * math.pi * substream(13, 1).random(400)
+    rel = np.resize([1e-7, 1e-9, 1e-11, 1e-13], 400) * abs(z)
+    w = CArr(z.real + rel * np.cos(turn), z.imag + rel * np.sin(turn))
+    with np.errstate(all="ignore"):
+        forward = _mapped_pairs(disk, disk, m, z, w, _exact_ratios)
+        backward = _mapped_pairs(disk, disk, m, w, z, _exact_ratios)
+    assert bits_of(forward) == bits_of(backward)
+    assert np.isfinite(forward).all()
+    for k in range(400):
+        p, q = element(z, k), element(w, k)
+        assert bits(guarded_ratio(disk, disk, m, p, q)) == bits(guarded_ratio(disk, disk, m, q, p)) == bits(forward[k])
+        assert bits(check_lipschitz_pair(disk, disk, m, p, q)) == bits(check_lipschitz_pair(disk, disk, m, q, p))
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -635,7 +667,7 @@ def test_ranked_ratios_rescore_every_pair_on_the_worst_margin():
     z, w = _pairs(disk, substream(0, 0), 4096)
     with np.errstate(all="ignore"):
         pz, pw = _point_stage(disk, disk, m, z), _point_stage(disk, disk, m, w)
-        ratio, exact, _ = _ranked_ratios(pz, pw, abs(z - w), 1, 2.0)
+        ratio, exact = _ranked_ratios(pz, pw, abs(z - w), 1, 2.0)
         reference = _mapped_pairs(disk, disk, m, z, w, _exact_ratios)
     margin = 2.0 - reference
     ties = np.flatnonzero(margin == np.nanmin(margin))
@@ -662,7 +694,7 @@ def _masked_pair_ratios(pz, pw, gap, fgap, log1p):
 def _masked_ranked_ratios(pz, pw, gap, keep, c):
     """verify._ranked_ratios with the masked paths, its keep-th lowest value taken from
     the compressed finite values."""
-    fgap, near = _image_gaps(pz, pw, gap)
+    fgap = _image_gaps(pz, pw, gap)
     ratio = _masked_pair_ratios(pz, pw, gap, fgap, np.log1p)
     v = c - ratio
     finite = v[~np.isnan(v)]
@@ -671,7 +703,7 @@ def _masked_ranked_ratios(pz, pw, gap, keep, c):
         t = np.partition(finite, keep - 1)[keep - 1]
         exact = np.flatnonzero(~(v > t + _LOG1P_SLACK * (c + abs(t) + 2.0**-1022)))
     ratio[exact] = _masked_pair_ratios(pz.take(exact), pw.take(exact), gap[exact], fgap[exact], _log1p_exact)
-    return ratio, exact, near
+    return ratio, exact
 
 
 @pytest.mark.parametrize("invalid", [False, True])
@@ -687,7 +719,7 @@ def test_fast_paths_match_the_masked_paths(invalid):
         if invalid:
             pz = pz._replace(offset=np.where(np.arange(512) == 17, -1e-3, pz.offset))
             gap[301] = 0.0
-        fgap = _image_gaps(pz, pw, gap)[0]
+        fgap = _image_gaps(pz, pw, gap)
         for log1p in (np.log1p, _log1p_exact):
             j = _j(gap, pz.offset, pw.offset, log1p)
             assert bits_of(j) == bits_of(_masked_j(gap, pz.offset, pw.offset, log1p))
@@ -697,7 +729,7 @@ def test_fast_paths_match_the_masked_paths(invalid):
         for keep, c in ((1, 2.0), (16, 0.0), (600, 0.0)):
             new, reference = _ranked_ratios(pz, pw, gap, keep, c), _masked_ranked_ratios(pz, pw, gap, keep, c)
             assert bits_of(new[0]) == bits_of(reference[0])
-            assert new[1].tolist() == reference[1].tolist() and new[2].tolist() == reference[2].tolist()
+            assert new[1].tolist() == reference[1].tolist()
     assert np.flatnonzero(np.isnan(ratio)).tolist() == ([17, 301] if invalid else [])
 
 
@@ -1042,18 +1074,20 @@ def test_grid_top_matches_the_ordered_per_pair_loop(name, grid):
 
 def test_grid_chunk_keeps_the_order_of_a_near_pair():
     # The divided difference of a Blaschke product with three zeros builds its product
-    # rule in z-then-w order, so this near pair scores 0.1432448514141342 as (z, w)
-    # and 0.1432448514141343 as (w, z): the chunk must score (1, 0) itself, not
-    # mirror (0, 1).
+    # rule in one fixed order of the pair, so this near pair scores 0.1432448514141342
+    # in both orders, and the chunk's (1, 0) carries the bits of (0, 1).
     src, dst, m = GRID_CASES["blaschke3"]
     points = [0.14748203386764236 + 0.29014438711287527j, 0.14748204181957802 + 0.2901443965373781j, -0.4 + 0.1j]
-    assert ratio_objective(src, dst, m, points[0], points[1]) != ratio_objective(src, dst, m, points[1], points[0])
+    assert ratio_objective(src, dst, m, points[0], points[1]) == 0.1432448514141342
+    assert ratio_objective(src, dst, m, points[1], points[0]) == 0.1432448514141342
     with np.errstate(all="ignore"):
         stage = _point_stage(src, dst, m, carr([(p.real, p.imag) for p in points]))
     evals, top = _grid_chunk(stage, 0, 3, 9)
     ref_evals, ref_top = _reference_grid_chunk(src, dst, m, points, 0, 3, 9)
     assert evals == ref_evals == 6
     assert [(bits(r), i, j) for r, i, j in top] == [(bits(r), i, j) for r, i, j in ref_top]
+    by_order = {(i, j): bits(r) for r, i, j in top}
+    assert by_order[1, 0] == by_order[0, 1] == bits(0.1432448514141342)
 
 
 def _reference_distortion_order(src, dst, m, points):
