@@ -349,8 +349,19 @@ def _divided(m: MapExpr | MapBatch, z, w, guard):
     else:
         raise TypeError(f"not a map expression: {m!r}")
     den_z = guard(den_z, pole, z)
-    den_w = den_z if w is z else guard(den_w, pole, w)
-    return det / (den_z * den_w)
+    if w is z:
+        return det / (den_z * den_z)
+    den_w = guard(den_w, pole, w)
+    den = den_z * den_w
+    # A subnormal den_z den_w keeps only a few digits (none at 0); det divided by each
+    # denominator in turn stays in the normal range.
+    small = np.maximum(abs(den.real), abs(den.imag)) < 2.0**-1022
+    if not isinstance(den, CArr):
+        return det / den_z / den_w if small else det / den
+    quot = det / den
+    if small.any():
+        quot[small] = (det / den_z / den_w)[small]
+    return quot
 
 
 def _raise_at_pole(den: complex, pole: str, z: complex) -> complex:

@@ -9,14 +9,14 @@ ranks the local-distortion seeds from those values and the derivatives, and
 scores each pair once for both orders from gathers of them (the pair stage),
 in chunks of rows whose pairs (i, j > i) np.repeat and np.arange list row by
 row (dropped only where an image is unusable), rescoring with math.log1p only
-the pairs that can reach a chunk's top list (on a pool only from 2**20 pairs
-per worker); the seeds (their z from the grid's per-point stage) and the
-walks score through verify._scored_pairs, the walks with complete polling:
-all 8 moves of every walk in one pass per round.  Every stage admits, as the
-suites and ceilings do, all pairs of distinct points with usable images and
-takes an image gap from a divided difference where the two images agree to
-rounding (verify._GAP_TRUST), so a near-coincident pair scores its ratio, not
-rounding noise.  Only lower bounds are ever claimed: the supremum is
+the pairs that can reach a chunk's top list, which holds each pair once (on a
+pool only from 2**20 pairs per worker); the seeds (their z from the grid's
+per-point stage) and the walks score through verify._scored_pairs, the walks
+with complete polling: all 8 moves of every walk in one pass per round.
+Every stage admits, as the suites and ceilings do, all pairs of distinct
+points with usable images and takes an image gap from a divided difference
+where the two images agree to rounding (verify._GAP_TRUST), so a
+near-coincident pair scores its ratio, not rounding noise.  Only lower bounds are ever claimed: the supremum is
 typically attained in boundary or infinity limits, so no finite search can
 certify an upper bound; the ceiling 2 comes from theory.
 """
@@ -247,11 +247,8 @@ def _hypot(x, y):
 def _grid_chunk(stage, lo, hi, keep):
     """Score, from the grid's per-point stage, the pairs of distinct points i, j with i in
     [lo, hi) and j > i; return their count in both orders and the `keep` best finite
-    (ratio, first, second) entries of both orders, ordered by (-ratio, first, second).
-
-    Entries carry guarded_ratio's bits (see verify._ranked_ratios), (j, i) those of (i, j),
-    and an entry above (r, i, j) is also above its mirror (r, j, i): the best ordered
-    entries are the pairs _ranked_ratios scores exactly, in both orders."""
+    (ratio, i, j) entries, each pair once, ordered by (-ratio, i, j).  Entries carry
+    guarded_ratio's bits (see verify._ranked_ratios), which (j, i) shares."""
     rows = np.arange(lo, hi)
     count = len(stage.at) - 1 - rows  # row i pairs with j = i + 1, i + 2, ..., row-major
     i = np.repeat(rows, count)
@@ -264,11 +261,10 @@ def _grid_chunk(stage, lo, hi, keep):
         if not distinct.all():
             i, j, gap = i[distinct], j[distinct], gap[distinct]
         ratio, exact = _ranked_ratios(stage.take(i), stage.take(j), gap, keep, 0.0)
-    r = np.concatenate([ratio[exact], ratio[exact]])
-    first, second = np.concatenate([i[exact], j[exact]]), np.concatenate([j[exact], i[exact]])
+    r, i, j = ratio[exact], i[exact], j[exact]
     found = np.flatnonzero(~np.isnan(r))
-    best = found[np.lexsort((second[found], first[found], -r[found]))[:keep]]
-    return evaluations, [(float(r[k]), int(first[k]), int(second[k])) for k in best]
+    best = found[np.lexsort((j[found], i[found], -r[found]))[:keep]]
+    return evaluations, [(float(r[k]), int(i[k]), int(j[k])) for k in best]
 
 
 def _grid_top(stage, keep, threads):

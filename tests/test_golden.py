@@ -99,12 +99,12 @@ GOLDEN = {'ceiling/disk': ('{"suite":"lipschitz-ceiling-disk","samples":2000,"se
                         0,
                         'rounding-scaled'),
  'search/automorphism': '{"best_ratio":1.497427051724966,"witness_z":"-0.142857+1.277241108026139e-08i","witness_w":"0.1428569999999999+4.257470341583413e-09i","evaluations":16368,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.497427051724966,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
- 'search/automorphism/24': '{"best_ratio":1.4997624347326433,"witness_z":"-0.04347821739130439+0.00029721437669830364i","witness_w":"0.04347921739130431+3.713624806500835e-05i","evaluations":181432,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.4997624347326433,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
- 'search/blaschke3/24': '{"best_ratio":1.044296675564465,"witness_z":"-0.8260861304347826-0.47826039130435277i","witness_w":"-0.47826039130435277-0.8260861304347826i","evaluations":181000,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.044296675564465,"theoretical_ceiling":2.0,"cstar_interval":[1.125,2.0]}',
- 'search/cayley': '{"best_ratio":1.662591320919834,"witness_z":"54.11955287646776+372.75937203149397i","witness_w":"1000.0+372.75937203149397i","evaluations":14394,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.662591320919834,"theoretical_ceiling":2.0,"cstar_interval":null}',
- 'search/cayley/24': '{"best_ratio":1.9508198560741092,"witness_z":"-1000.0+67.00187503509576i","witness_w":"-3.8947748101276183+67.00187503509576i","evaluations":337956,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.9508198560741092,"theoretical_ceiling":2.0,"cstar_interval":null}',
- 'search/extremal': '{"best_ratio":1.999999581305655,"witness_z":"-1000.0+0.0026826957952797263i","witness_w":"-0.9999999621892964+0.0026826957952797263i","evaluations":15507,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.999999581305655,"theoretical_ceiling":2.0,"cstar_interval":null}',
- 'search/extremal/24': '{"best_ratio":1.9999973107083246,"witness_z":"-1000.0+0.014924955450518296i","witness_w":"-0.9999990829281754+0.014924955450518296i","evaluations":342090,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.9999973107083246,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/automorphism/24': '{"best_ratio":1.4997635192706709,"witness_z":"-0.04347821739130442-6.591949208711867e-17i","witness_w":"0.04347821739130431-6.938893903907228e-17i","evaluations":181432,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.4997635192706709,"theoretical_ceiling":2.0,"cstar_interval":[1.5,2.0]}',
+ 'search/blaschke3/24': '{"best_ratio":1.0475975343172619,"witness_z":"-0.9130425652173912-0.27839642749766075i","witness_w":"-0.47826039130434783-0.8260861304347826i","evaluations":181192,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.0475975343172619,"theoretical_ceiling":2.0,"cstar_interval":[1.125,2.0]}',
+ 'search/cayley': '{"best_ratio":1.9707904924715147,"witness_z":"-1000.0+7.19685673001152i","witness_w":"-0.06429541723001565+7.19685673001152i","evaluations":14396,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.9707904924715147,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/cayley/24': '{"best_ratio":1.9508198560741092,"witness_z":"-1000.0+67.00187503509576i","witness_w":"-3.8947748101276183+67.00187503509576i","evaluations":337960,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.9508198560741092,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/extremal': '{"best_ratio":1.999999581305655,"witness_z":"-1000.0+0.0026826957952797263i","witness_w":"-0.9999999621892964+0.0026826957952797263i","evaluations":15509,"config":{"boundary_margin":1e-06,"grid_per_axis":8,"refine_rounds":60,"seed":42},"lower_bound_claim":1.999999581305655,"theoretical_ceiling":2.0,"cstar_interval":null}',
+ 'search/extremal/24': '{"best_ratio":1.9999973107083246,"witness_z":"-1000.0+0.014924955450518296i","witness_w":"-0.9999990829281754+0.014924955450518296i","evaluations":342098,"config":{"boundary_margin":1e-06,"grid_per_axis":24,"refine_rounds":60,"seed":42},"lower_bound_claim":1.9999973107083246,"theoretical_ceiling":2.0,"cstar_interval":null}',
  'suite/bound-2-3': ('{"suite":"bound-2-3","samples":5000,"seed":42,"passed":true,"worst_margin":1.5040011835942835e-07,"worst_witness":{"map":"compose(blaschke:3.853153957015737;[0.5707687226123264-0.5239658166287049i],blaschke:4.052101543125645;[0.007592919551136445+0.7978843621404805i])","z":"-0.06824634136298657-0.9820539991815835i"}}',
                      0,
                      'absolute'),

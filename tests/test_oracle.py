@@ -262,7 +262,19 @@ def test_nested_rounding_scales_are_finite_inside(name):
 def test_underflowing_divided_difference_keeps_the_rounded_gap():
     # Both denominators are 1e-170, so (b + z)(b + w) underflows to 0 and f[z, w] is not a
     # float; the images' own difference is accurate here and gives the ratio.
-    half, m, z, w = UpperHalfPlane(), Extremal(0.0, 0.0), 1e-170j, 1e-180 + 1e-170j
+    _assert_every_path_agrees_with_the_oracle(Extremal(0.0, 0.0), 1e-170j, 1e-180 + 1e-170j)
+
+
+def test_subnormal_denominator_product_keeps_the_divided_difference():
+    # |det| = 2e-12 and both denominators are about 1e-158, so den_z den_w (about 1e-316)
+    # is subnormal and keeps a few digits; det divided by each in turn keeps them all.
+    z = 3e-159 + 1e-158j
+    _assert_every_path_agrees_with_the_oracle(Mobius(0, -2e-12, 1, 0), z, z * (1 + 1e-9))
+
+
+def _assert_every_path_agrees_with_the_oracle(m, z, w):
+    """guarded_ratio, check_lipschitz_pair and the array scorer on H agree with exact_ratio."""
+    half = UpperHalfPlane()
     exact = exact_ratio(half, half, m, z, w)
     z_array, w_array = (CArr(np.array([p.real]), np.array([p.imag])) for p in (z, w))
     with np.errstate(all="ignore"):

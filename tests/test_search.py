@@ -7,7 +7,7 @@ import pytest
 import jmetric.search as search_module
 from jmetric.domains import Disk, UnitDisk, UpperHalfPlane
 from jmetric.errors import DomainError, SelfMapViolation
-from jmetric.maps import Blaschke, Extremal, Mobius
+from jmetric.maps import Blaschke, Extremal, Mobius, mobius_image_domain
 from jmetric.sampling import Uniforms, sample_interior, substream
 from jmetric.search import (
     SearchConfig,
@@ -27,6 +27,16 @@ IDENTITY = Mobius(1, 0, 0, 1)
 HALF_AUT = Blaschke(0.0, (0.5,))  # disk automorphism with f(0) = -0.5
 
 QUICK = SearchConfig(grid_per_axis=10, refine_rounds=30)
+
+CAYLEY = Mobius(1.0, -1j, 1.0, 1j)  # H onto the unit disk, searched against its image domain
+
+# The benchmark's four search maps: (source, destination, map).
+BENCH_SEARCHES = {
+    "automorphism": (D, D, HALF_AUT),
+    "extremal": (H, H, Extremal(1.0, 1.0)),
+    "cayley": (H, mobius_image_domain(CAYLEY, H), CAYLEY),
+    "blaschke3": (D, D, Blaschke(0.0, (0.5, 0.5j, -0.5))),
+}
 
 
 class TestRatioObjective:
@@ -417,4 +427,24 @@ def test_small_grid_searches_keep_their_lower_bounds(m, grid, floor):
     # walk did (1.49961 to 1.49986 on the automorphism at grids 10 to 16, 1.04423 and
     # 1.04696 on the 3-zero product); the floors keep them from falling further.
     report = estimate_lipschitz(D, m, SearchConfig(grid_per_axis=grid, seed=42))
+    assert report.best_ratio > floor
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEARCHES))
+def test_grid_seeds_are_distinct_pairs(name):
+    # The grid's top list holds each pair once, so no walk starts from the mirror (w, z)
+    # of another's (z, w) and repeats its walk move for move.
+    src, dst, m = BENCH_SEARCHES[name]
+    region = search_module._Region(src, SearchConfig())
+    with np.errstate(all="ignore"):
+        coords, _, _ = search_module._seeds(src, dst, m, region, 1)
+    z, w = region.point(coords[0], coords[1]), region.point(coords[2], coords[3])
+    count = search_module._SEED_COUNT
+    assert len({frozenset((z.at(k), w.at(k))) for k in range(count)}) == count
+
+
+@pytest.mark.parametrize("grid, floor", [(8, 1.97), (14, 1.976)])
+def test_small_grid_cayley_searches_keep_their_lower_bounds(grid, floor):
+    # With both orders of 8 pairs as grid seeds these ended at 1.6626 and 1.8270.
+    report = estimate_lipschitz(H, CAYLEY, SearchConfig(grid_per_axis=grid, seed=42))
     assert report.best_ratio > floor
