@@ -243,14 +243,18 @@ def j_distance(domain: PlanarDomain, z: complex, w: complex) -> float:
     rounded value); DomainError when |z - w|, or its ratio to the boundary
     distance, overflows the float range.
     """
+    try:
+        gap = abs(z - w)
+    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
+        gap = math.inf
+    return _j_of_gap(domain, z, w, gap)
+
+
+def _j_of_gap(domain: PlanarDomain, z: complex, w: complex, gap: float) -> float:
+    """j_distance(domain, z, w) with gap for |z - w|: the one scalar log1p(gap / min boundary distance)."""
     bz = boundary_distance(domain, z)
     bw = boundary_distance(domain, w)
-    if z == w:
-        return 0.0
-    try:
-        j = math.log1p(abs(z - w) / (bz if bz <= bw else bw))
-    except OverflowError:  # abs() of a finite complex overflows past ~1.3e308 per coordinate
-        j = math.inf
+    j = math.log1p(gap / (bz if bz <= bw else bw))
     if j < math.inf:
         return j
     raise DomainError(f"|z - w| / min boundary distance overflows the float range for z = {z!r}, w = {w!r}")

@@ -16,8 +16,8 @@ pairs of coincident points: one _scored_pairs admits every pair that the suites,
 the ceilings and the search score, the pairs of distinct points with usable
 images, however close.  A run keeps its skip count and fails if it skipped all.
 A ratio takes |f(z) - f(w)| from the two rounded images, or from the divided
-difference |z - w| |f[z, w]| where they agree to rounding (_GAP_TRUST): the
-scalar guarded_ratio and check_lipschitz_pair and every array path share that rule.
+difference |z - w| |f[z, w]| where they agree to rounding (_GAP_TRUST): one rule,
+_image_j for both scalar ratios and _image_gaps for every array path.
 
 Every suite is one row (trial, witness keys, tolerance, margin convention) of
 ``_ROWS``.  A trial draws a whole chunk from the chunk's Philox substream, maps
@@ -46,9 +46,9 @@ from .domains import (
     UnitDisk,
     UpperHalfPlane,
     _j,
+    _j_of_gap,
     _log1p_exact,
     _modulus,
-    boundary_distance,
     j_distance,
     pseudo_hyperbolic_disk,
     pseudo_hyperbolic_halfplane,
@@ -302,16 +302,10 @@ def check_lipschitz_pair(
     j_src = j_distance(src, z, w)
     if j_src == 0.0:
         raise CoincidentPoints("the distortion ratio is undefined at coincident points")
-    fz = apply(m, z)
-    fw = apply(m, w)
-    try:
-        gap = _divided_gap(m, z, w, fz, fw, abs(fz), abs(fw))
-    except OverflowError:  # abs() past ~1.3e308 per coordinate; j_distance raises DomainError
-        gap = None
-    return _image_j(dst, fz, fw, gap) / j_src
+    return _image_j(dst, m, z, w, apply(m, z), apply(m, w)) / j_src
 
 
-# _divided_gap and _image_gaps take |f(z) - f(w)| from the two rounded images only where
+# _image_j and _image_gaps take |f(z) - f(w)| from the two rounded images only where
 # that difference is accurate to tau = 5e-10, relative: the 1e-9 tolerance of the
 # ceilings, the lipschitz-pair suite and the search's refusal, on a ratio of at most 2
 # (a relative error in x moves log1p(x) by at most as much, since x <= (1 + x) log1p(x)).
@@ -343,28 +337,15 @@ def check_lipschitz_pair(
 _GAP_TRUST = 10.9 * 2.0**-53 / 5e-10
 
 
-def _divided_gap(m: MapExpr, z: complex, w: complex, fz: complex, fw: complex, size_z: float, size_w: float):
-    """|z - w| |f[z, w]| where the images fz, fw of m, with moduli size_z, size_w, agree to
-    rounding (see _GAP_TRUST) and that is a positive float; None where their difference
-    stands.  abs() may overflow."""
-    if abs(fz - fw) > _GAP_TRUST * (_rounding_scale(m, z, fz, size_z) + _rounding_scale(m, w, fw, size_w)):
-        return None
+def _image_j(dst: PlanarDomain, m: MapExpr, z: complex, w: complex, fz: complex, fw: complex) -> float:
+    """j_distance(dst, fz, fw) for the images fz, fw of z, w under m, with |z - w| |f[z, w]| for
+    |fz - fw| where fz and fw agree to rounding (see _GAP_TRUST) and that is a positive float."""
     try:
-        divided = abs(z - w) * abs(_divided(m, z, w, _raise_at_pole))
-    except (OverflowError, ZeroDivisionError):  # den_z * den_w past the float range
-        return None
-    return divided if 0.0 < divided < math.inf else None
-
-
-def _image_j(dst: PlanarDomain, fz: complex, fw: complex, gap: float | None) -> float:
-    """j_distance(dst, fz, fw), with gap (_divided_gap) for |fz - fw| unless it is None."""
-    if gap is None:
-        return j_distance(dst, fz, fw)
-    bz, bw = boundary_distance(dst, fz), boundary_distance(dst, fw)
-    j = math.log1p(gap / (bz if bz <= bw else bw))
-    if j < math.inf:
-        return j
-    raise DomainError(f"|z - w| / min boundary distance overflows the float range for z = {fz!r}, w = {fw!r}")
+        far = abs(fz - fw) > _GAP_TRUST * (_rounding_scale(m, z, fz, abs(fz)) + _rounding_scale(m, w, fw, abs(fw)))
+        gap = math.nan if far else abs(z - w) * abs(_divided(m, z, w, _raise_at_pole))
+    except (OverflowError, ZeroDivisionError):  # abs() past ~1.3e308 per coordinate, or den_z den_w past it
+        gap = math.nan
+    return _j_of_gap(dst, fz, fw, gap) if 0.0 < gap < math.inf else j_distance(dst, fz, fw)
 
 
 def _trusted(size, offset):
@@ -409,7 +390,7 @@ def _point_stage(src: PlanarDomain, dst: PlanarDomain, m, z: CArr, gaps: bool = 
 
 
 def _image_gaps(pz: _Points, pw: _Points, gap):
-    """|f(z) - f(w)| of pairs with usable images as _divided_gap and j_distance take it, from their
+    """|f(z) - f(w)| of pairs with usable images as _image_j takes it, from their
     per-point stages pz, pw (gathered to the pairs) and gaps |z - w|; call under np.errstate."""
     fgap = abs(pz.f - pw.f)
     near = np.flatnonzero(fgap <= _GAP_TRUST * (pz.scale + pw.scale))
@@ -486,14 +467,13 @@ def guarded_ratio(
     """
     try:
         fz, fw = apply(m, z), apply(m, w)
-        size_z, size_w = abs(fz), abs(fw)
-        trusted = _trusted(size_z, signed_boundary_offset(dst, fz)) and _trusted(
-            size_w, signed_boundary_offset(dst, fw)
+        trusted = _trusted(abs(fz), signed_boundary_offset(dst, fz)) and _trusted(
+            abs(fw), signed_boundary_offset(dst, fw)
         )
         j_src = j_distance(src, z, w)
         if not trusted or j_src == 0.0:
             return None
-        ratio = _image_j(dst, fz, fw, _divided_gap(m, z, w, fz, fw, size_z, size_w)) / j_src
+        ratio = _image_j(dst, m, z, w, fz, fw) / j_src
     except (PoleEncountered, PointOutsideDomain, DomainError, OverflowError):  # abs(f) may overflow
         return None
     return ratio if math.isfinite(ratio) else None

@@ -553,6 +553,19 @@ def test_points_and_pairs_keep_margin_and_separation(domain, count):
     assert (abs(z - w) >= PAIR_SEPARATION).all()
 
 
+@pytest.mark.parametrize("domain, count", [(UnitDisk(), 4096), (UpperHalfPlane(), 50_000)], ids=repr)
+def test_pairs_reach_the_boundary_and_fill_the_halfplane_box(domain, count):
+    # Pairs drawn at the 1e-3 margin put points within 2e-3 of the boundary, where the
+    # ratios approach the ceiling: about 0.2% of points on the disk (13 of 8,192 here),
+    # about 1e-4 on H (5 of 100,000 here).  The bound is a literal, so a wider
+    # PAIR_MARGIN fails.  On H the points also reach the far sides and the top of the box.
+    z, w = _pairs(domain, substream(42, 0), count)
+    points = CArr(np.concatenate([z.real, w.real]), np.concatenate([z.imag, w.imag]))
+    assert np.count_nonzero(signed_boundary_offset(domain, points) < 2e-3) > 0
+    if isinstance(domain, UpperHalfPlane):
+        assert np.abs(points.real).max() > 0.9 * HALFPLANE_SPAN and points.imag.max() > 0.9 * HALFPLANE_SPAN
+
+
 @pytest.mark.parametrize(
     "draw, error",
     [

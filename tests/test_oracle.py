@@ -19,6 +19,7 @@ from jmetric.domains import Disk, HalfPlane, UnitDisk, UpperHalfPlane
 import numpy as np
 
 from jmetric.domains import CArr
+from jmetric.grammar import parse_complex, parse_domain, parse_map
 from jmetric.maps import (
     Blaschke,
     Compose,
@@ -45,6 +46,8 @@ from jmetric.verify import (
     _random_image_source_and_mobius,
     check_lipschitz_pair,
     guarded_ratio,
+    lipschitz_ceiling,
+    run_suite,
 )
 
 DIGITS = 50
@@ -124,6 +127,31 @@ def test_search_witness_agrees_with_the_oracle(name, grid):
     exact = exact_ratio(src, dst, m, report.witness_z, report.witness_w)
     assert abs(report.best_ratio - exact) <= TOLERANCE
     assert exact <= THEORETICAL_CEILING
+
+
+# Reports whose worst margin is 2 minus a ratio: the suite's and the three ceilings'.
+RATIO_REPORTS = {
+    "lipschitz-pair": lambda: run_suite("lipschitz-pair", 8192, 42),
+    "ceiling-disk": lambda: lipschitz_ceiling("disk", 8, 10_000, 42),
+    "ceiling-halfplane": lambda: lipschitz_ceiling("halfplane", 8, 10_000, 42),
+    "ceiling-mobius-images": lambda: lipschitz_ceiling("mobius-images", 8, 10_000, 42),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_REPORTS))
+def test_report_witness_agrees_with_both_scalar_routines_and_the_oracle(name):
+    # The witness, parsed back from its text, scores the report's margin bit for bit through
+    # both public scalar routines; the exact ratio there is within the 5e-10 that
+    # verify._GAP_TRUST is derived for, and gives the same verdict at the 1e-9 tolerance.
+    report = RATIO_REPORTS[name]()
+    witness = report.worst_witness
+    src, dst = parse_domain(witness["src"]), parse_domain(witness["dst"])
+    m, z, w = parse_map(witness["map"]), parse_complex(witness["z"]), parse_complex(witness["w"])
+    assert 2.0 - check_lipschitz_pair(src, dst, m, z, w) == report.worst_margin
+    assert 2.0 - guarded_ratio(src, dst, m, z, w) == report.worst_margin
+    exact = exact_ratio(src, dst, m, z, w)
+    assert abs(exact - (2.0 - report.worst_margin)) <= 5e-10 * exact
+    assert report.passed == (2 - exact >= -TOLERANCE)
 
 
 # Pairs whose images agree to more than 12 digits, so that the difference of the two

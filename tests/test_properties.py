@@ -283,10 +283,15 @@ def test_parsers_are_total(text):
 @given(st.sampled_from(DOMAINS), st.sampled_from(DOMAINS), maps, finite_complex, finite_complex)
 @example(H, H, Mobius(1, 0, 0, 1e10), complex(1.7e308, 1.7e308), 20j)
 @example(D, D, Blaschke(0.0, (0.5,)), complex(1.7e308, 1.7e308), 0j)
+# Images that agree to rounding, so both routines take the divided difference.
+@example(D, D, parse_map("compose(blaschke:0.3;[0.5+0.1i,0.2-0.3i],blaschke:1.0;[0.3-0.1i])"),
+         0.1 + 0.2j, (0.1 + 0.2j) * (1 + 1e-9))
+@example(H, H, Mobius(0, -2e-12, 1, 0), 3e-159 + 1e-158j, (3e-159 + 1e-158j) * (1 + 1e-9))
 def test_guarded_ratio_never_raises_on_finite_inputs(src, dst, m, z, w):
     value = guarded_ratio(src, dst, m, z, w)
     assert value is None or math.isfinite(value)
     assert ratio_objective(src, dst, m, z, w) == (-math.inf if value is None else value)
+    assert value is None or check_lipschitz_pair(src, dst, m, z, w) == value
 
 
 # Reals of extreme magnitude, 5e-324 to 1.7e308 of either sign, and maps and points built
